@@ -41,9 +41,6 @@ class ComplexGrid:
                 f"grid has {self.values.shape} values, expected ({self.spec.q**self.d},)"
             )
 
-    def copy(self) -> "ComplexGrid":
-        return ComplexGrid(self.spec, self.d, self.values.copy())
-
 
 def zeros_grid(spec: FieldSpec, d: int) -> ComplexGrid:
     return ComplexGrid(spec, d, np.zeros(spec.q**d, dtype=np.complex128))

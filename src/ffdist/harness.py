@@ -49,14 +49,15 @@ from .varieties import (
     weil_sum,
 )
 from .distances import (
+    CountingHistogram,
+    _erdos_verdict,
+    _falconer_verdict,
     counting_function,
     distance_set,
     paraboloid_lift,
     pinned_distances,
     product_set,
     product_set_experiment,
-    verify_erdos,
-    verify_falconer,
 )
 
 ROLE_SALTS = {"E": 1, "F": 2, "E2": 3, "F2": 4}
@@ -522,11 +523,13 @@ def run_phase(cfg: ExperimentConfig):
     return 0, summary, rows, PHASE_COLUMNS
 
 
-def _scan_row(cfg, spec, P, trial, seed, E, F, report) -> dict:
+def _scan_row(cfg, spec, P, trial, seed, E, F, report, hist: CountingHistogram) -> dict:
+    """One scan/distance row; both verdicts come from the trial's histogram."""
     q, d = spec.q, P.d
-    falc = verify_falconer(P, E, F, report.T, cfg.C)
-    erd = verify_erdos(P, E, F, report.A, cfg.C, cfg.r_min)
-    delta_size = falc.delta_size
+    delta = hist.support()
+    pair_product = E.size * F.size
+    falc = _falconer_verdict(q, d, pair_product, delta, report.T, cfg.C)
+    erd = _erdos_verdict(q, d, pair_product, len(delta), report.A, cfg.C, cfg.r_min)
     return {
         "q": q,
         "d": d,
@@ -535,9 +538,9 @@ def _scan_row(cfg, spec, P, trial, seed, E, F, report) -> dict:
         "seed": seed,
         "size_E": E.size,
         "size_F": F.size,
-        "pair_ratio": (E.size * F.size) / float(q) ** (d + 1),
-        "delta_size": delta_size,
-        "delta_ratio": delta_size / q,
+        "pair_ratio": pair_product / float(q) ** (d + 1),
+        "delta_size": len(delta),
+        "delta_ratio": len(delta) / q,
         "falconer": falc.status,
         "erdos": erd.status,
         "missing_t": ";".join(str(t) for t in falc.missing),
@@ -555,9 +558,10 @@ def run_distance(cfg: ExperimentConfig):
     for trial in range(cfg.trials):
         seed = cfg.seed + trial
         E, F = build_pair(cfg, spec, cfg.d, P, trial)
-        rows.append(_scan_row(cfg, spec, P, trial, seed, E, F, report))
+        hist = counting_function(P, E, F)
+        rows.append(_scan_row(cfg, spec, P, trial, seed, E, F, report, hist))
         deltas.append(rows[-1]["delta_size"])
-        zero_flags.append("0" not in rows[-1]["missing_t"].split(";"))
+        zero_flags.append(hist[0] > 0)
     summary = {
         "command": "distance",
         "q": spec.q,
@@ -575,8 +579,7 @@ def run_distance(cfg: ExperimentConfig):
         },
     }
     if cfg.trials == 1:
-        E, F = build_pair(cfg, spec, cfg.d, P, 0)
-        summary["histogram"] = counting_function(P, E, F).counts.tolist()
+        summary["histogram"] = hist.counts.tolist()
     return 0, summary, rows, SCAN_COLUMNS
 
 
@@ -700,26 +703,32 @@ def run_scan(cfg: ExperimentConfig):
     q, d = spec.q, cfg.d
     capacity = q**d
     rows = []
+    groups = []  # rows of each grid point; targets may clamp to the same side
     for gi, target in enumerate(cfg.grid):
         side = min(capacity, math.isqrt(max(int(target) - 1, 0)) + 1)  # ceil(sqrt)
+        group = []
         for trial in range(cfg.trials):
             seed = cfg.seed + trial
             sets = {}
             for role in ("E", "F"):
                 rng = SplitMix64(derive_seed(cfg.seed, ROLE_SALTS[role], trial, gi))
                 sets[role] = PointSet(spec, d, sample_indices(rng, capacity, side))
-            rows.append(_scan_row(cfg, spec, P, trial, seed, sets["E"], sets["F"], report))
-    first_all_pass = {}
-    for theorem in ("falconer", "erdos"):
-        first_all_pass[theorem] = None
-        for target in cfg.grid:
-            side = min(capacity, math.isqrt(max(int(target) - 1, 0)) + 1)
-            hits = [
-                r for r in rows if r["size_E"] == side and r["size_F"] == side
-            ]
-            if hits and all(r[theorem] == "pass" for r in hits):
-                first_all_pass[theorem] = int(target)
-                break
+            E, F = sets["E"], sets["F"]
+            hist = counting_function(P, E, F)
+            group.append(_scan_row(cfg, spec, P, trial, seed, E, F, report, hist))
+        rows.extend(group)
+        groups.append(group)
+    first_all_pass = {
+        theorem: next(
+            (
+                int(target)
+                for target, group in zip(cfg.grid, groups)
+                if all(r[theorem] == "pass" for r in group)
+            ),
+            None,
+        )
+        for theorem in ("falconer", "erdos")
+    }
     summary = {
         "command": "scan",
         "q": q,

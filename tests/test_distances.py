@@ -6,6 +6,9 @@ import pytest
 
 from ffdist.errors import DimensionMismatch, EmptySet, MixedFields
 from ffdist.distances import (
+    _histogram,
+    _pinned_sizes,
+    _use_transform,
     counting_function,
     distance_set,
     paraboloid_lift,
@@ -16,7 +19,7 @@ from ffdist.distances import (
     verify_falconer,
     verify_square_identity,
 )
-from ffdist.field import make_field
+from ffdist.field import field_from_order, make_field
 from ffdist.rng import SplitMix64, derive_seed, sample_indices
 from ffdist.varieties import (
     PointSet,
@@ -181,6 +184,89 @@ class TestPinned:
         rep = pinned_distances(P, E, F, rho=0.5)
         expected = sum(1 for s in rep.sizes.values() if s > 6.5) / len(rep.sizes)
         assert rep.fraction_large == expected
+
+
+ROUTE_POLYS = {1: "x1^3", 2: "x1^2 + 3*x2^3", 3: "x1^2 + 2*x2^2 + x3^3"}
+
+
+def _route_cases(spec, d):
+    """(E, F) pairs for route agreement: full grids where the direct pair
+    kernel stays cheap, singletons, a full grid against a small set, and
+    random sets of different sizes."""
+    n = spec.q**d
+    one_e = PointSet(spec, d, np.array([n - 1]))
+    one_f = PointSet(spec, d, np.array([n // 3]))
+    small = random_set(spec, d, min(n, 7), seed=31)
+    cases = [(one_e, one_f), (one_e, one_e), (one_e, small)]
+    if n <= 1000:
+        cases.append((full_grid(spec, d), full_grid(spec, d)))
+    cases.append((full_grid(spec, d), random_set(spec, d, min(n, 20), seed=32)))
+    cases.append((random_set(spec, d, min(n, 60), seed=33), random_set(spec, d, min(n, 9), seed=34)))
+    return cases
+
+
+class TestRoutes:
+    """The pair kernel and the difference convolution give the same integers."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 25, 27])
+    def test_direct_and_transform_routes_agree(self, q, d):
+        spec = field_from_order(q)
+        P = parse_polynomial(ROUTE_POLYS[d], spec, d)
+        for E, F in _route_cases(spec, d):
+            direct = counting_function(P, E, F, "direct")
+            fourier = counting_function(P, E, F, "fourier")
+            assert (direct.route, fourier.route) == ("direct", "fourier")
+            assert direct.counts.dtype == fourier.counts.dtype == np.int64
+            assert np.array_equal(direct.counts, fourier.counts)
+            assert direct.total() == E.size * F.size
+            assert direct.support() == fourier.support() == distance_set(P, E, F)
+            pinned = _pinned_sizes(P, E, F, "direct")
+            assert np.array_equal(pinned, _pinned_sizes(P, E, F, "fourier"))
+            rep = pinned_distances(P, E, F)
+            assert [rep.sizes[int(y)] for y in F.indices] == pinned.tolist()
+
+    def test_residual_is_recorded_and_far_below_the_bound(self):
+        # largest case in the suite: 101^3 points; full x full has the known
+        # answer nu(t) = q^d * |V_t|
+        spec = make_field(101)
+        P = parse_polynomial("x1^2 + x2^2 + x3^2", spec, 3)
+        E = full_grid(spec, 3)
+        nu = counting_function(P, E, E, "fourier")
+        assert nu.route == "fourier"
+        assert 0.0 <= nu.residual < 1e-6
+        assert np.array_equal(nu.counts, spec.q**3 * np.bincount(value_grid(P), minlength=101))
+        small = random_set(spec, 3, 5, seed=35)
+        direct = counting_function(P, small, small)
+        assert (direct.route, direct.residual) == ("direct", 0.0)
+
+    @pytest.mark.parametrize(
+        "q, d, size_e, size_f, pins, fourier",
+        [
+            # the benchmark's sparse workload: small sets in big spaces
+            (101, 3, 2000, 100, True, False),
+            (625, 2, 2000, 100, True, False),
+            (101, 2, 200, 200, False, False),
+            (343, 1, 40, 40, False, False),
+            (343, 2, 40, 40, False, False),
+            # its dense workload: full grids and the large scan sides
+            (101, 2, 101**2, 101**2, False, True),
+            (71, 2, 71**2, 71**2, True, True),
+            (31, 3, 1733, 1733, False, True),
+            (31, 3, 5000, 5000, False, True),
+        ],
+    )
+    def test_cost_rule_routes(self, q, d, size_e, size_f, pins, fourier):
+        convolutions = q if pins else 1
+        assert _use_transform(size_e * size_f, q**d, convolutions) == fourier
+
+    def test_auto_route_follows_the_cost_rule(self):
+        P = parse_polynomial("x1^2 + x2^2", F13, 2)
+        E = full_grid(F13, 2)
+        assert counting_function(P, E, E).route == "fourier"
+        pin = points_from_coords(F13, 2, [[1, 2]])
+        assert counting_function(P, pin, E).route == "direct"
+        assert _histogram(P, pin, E, "auto").route == "direct"
 
 
 class TestLift:

@@ -138,6 +138,29 @@ class TestRunners:
             assert row["erdos"] in {"pass", "fail", "vacuous"}
             assert row["poly"] == "x1^2+x2^2"
 
+    def test_scan_keeps_grid_points_with_equal_sides_apart(self, tmp_path):
+        # targets 10 and 16 both clamp to side 4; the trials of target 10
+        # miss a distance and those of target 16 do not, so target 16 is
+        # the first grid point at which every trial passes
+        cfg = ExperimentConfig(
+            q=7,
+            d=2,
+            poly="x1^2+x2^2",
+            grid=(10, 16),
+            trials=2,
+            seed=1,
+            C=0.01,
+            out=str(tmp_path / "scan"),
+            deterministic=True,
+        )
+        code, summary = run("scan", cfg)
+        assert code == 0
+        with open(tmp_path / "scan.csv", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert {r["size_E"] for r in rows} == {"4"}
+        assert [r["falconer"] for r in rows] == ["fail", "fail", "pass", "pass"]
+        assert summary["first_grid_point_all_pass"]["falconer"] == 16
+
     def test_scan_requires_grid(self):
         cfg = ExperimentConfig(q=7, d=2, poly="x1^2+x2^2")
         with pytest.raises(ConfigError):
