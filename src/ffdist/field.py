@@ -7,6 +7,10 @@ total order, which the dense grid kernels rely on.  A FieldSpec is
 immutable after construction and safe to share across workers; every
 operation is pure.
 
+The scalar FieldSpec methods are the reference.  The operation tables share
+one vectorized path for every q: addition is digit-wise mod p with no carries,
+products and powers go through log/antilog arrays of a primitive element.
+
 The additive character chi(a) = exp(2*pi*i * Tr(a) / p) is tabulated once
 per field; all downstream sum kernels index the table instead of calling
 transcendental functions.
@@ -104,7 +108,7 @@ def _smallest_irreducible(p: int, n: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """A finite field F_{p^n} plus its precomputed character table.
+    """A finite field F_{p^n} plus its precomputed trace and character tables.
 
     Elements are integer encodings in [0, q); base-p digits of the
     encoding are the residue-polynomial coefficients, constant first.
@@ -115,6 +119,7 @@ class FieldSpec:
     q: int
     modulus: tuple[int, ...] | None
     char_table: np.ndarray = field(default=None, compare=False, repr=False)
+    trace_table: np.ndarray = field(default=None, compare=False, repr=False)
 
     # -- encoding helpers --
 
@@ -215,7 +220,8 @@ def make_field(p: int, n: int = 1, modulus=None) -> FieldSpec:
     if n == 1:
         mod = None  # a degree-1 modulus carries no information
     spec = FieldSpec(p=p, n=n, q=p**n, modulus=mod)
-    traces = np.array([spec.trace(a) for a in range(spec.q)], dtype=np.float64)
+    traces = np.array([spec.trace(a) for a in range(spec.q)], dtype=np.int64)
+    object.__setattr__(spec, "trace_table", _frozen(traces))
     object.__setattr__(spec, "char_table", np.exp((2j * math.pi / p) * traces))
     return spec
 
@@ -239,67 +245,73 @@ def field_from_order(q: int) -> FieldSpec:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized operation tables (cached per field, immutable once built).
+# Vectorized operation tables (cached per field, bounded, immutable once built).
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
 
 
-@lru_cache(maxsize=None)
+def _digits(spec: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(q, n) base-p digits of every encoding, and the (n,) place values."""
+    places = spec.p ** np.arange(spec.n, dtype=np.int64)
+    return np.arange(spec.q, dtype=np.int64)[:, None] // places % spec.p, places
+
+
+@lru_cache(maxsize=8)
+def _log_antilog(spec: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
+    """log (q,) and antilog (q-1,) arrays of the smallest primitive element."""
+    q = spec.q
+    for g in range(1, q):
+        antilog, x = [1], g
+        while x != 1:
+            antilog.append(x)
+            x = spec.mul(x, g)
+        if len(antilog) == q - 1:
+            break
+    antilog = np.array(antilog, dtype=np.int64)
+    log = np.zeros(q, dtype=np.int64)
+    log[antilog] = np.arange(q - 1)
+    return _frozen(log), _frozen(antilog)
+
+
+@lru_cache(maxsize=8)
 def add_table(spec: FieldSpec) -> np.ndarray:
-    q = spec.q
-    if spec.n == 1:
-        i = np.arange(q, dtype=np.int64)
-        return _frozen((i[:, None] + i[None, :]) % spec.p)
-    t = np.empty((q, q), dtype=np.int64)
-    for a in range(q):
-        for b in range(a, q):
-            v = spec.add(a, b)
-            t[a, b] = v
-            t[b, a] = v
+    digits, places = _digits(spec)
+    t = np.zeros((spec.q, spec.q), dtype=np.int64)
+    for dk, place in zip(digits.T, places):
+        t += (dk[:, None] + dk[None, :]) % spec.p * place
     return _frozen(t)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def mul_table(spec: FieldSpec) -> np.ndarray:
-    q = spec.q
-    if spec.n == 1:
-        i = np.arange(q, dtype=np.int64)
-        return _frozen((i[:, None] * i[None, :]) % spec.p)
-    t = np.empty((q, q), dtype=np.int64)
-    for a in range(q):
-        for b in range(a, q):
-            v = spec.mul(a, b)
-            t[a, b] = v
-            t[b, a] = v
+    log, antilog = _log_antilog(spec)
+    t = np.zeros((spec.q, spec.q), dtype=np.int64)
+    t[1:, 1:] = antilog[(log[1:, None] + log[None, 1:]) % (spec.q - 1)]
     return _frozen(t)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def neg_table(spec: FieldSpec) -> np.ndarray:
-    return _frozen(np.array([spec.neg(a) for a in range(spec.q)], dtype=np.int64))
+    digits, places = _digits(spec)
+    return _frozen((-digits % spec.p) @ places)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def sub_table(spec: FieldSpec) -> np.ndarray:
     return _frozen(np.ascontiguousarray(add_table(spec)[:, neg_table(spec)]))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def pow_table(spec: FieldSpec, e: int) -> np.ndarray:
     """a -> a^e for every encoding a, with the convention 0^0 = 1."""
     if e < 0:
         raise ValueError("pow_table requires e >= 0")
-    mt = mul_table(spec)
-    acc = np.full(spec.q, spec.element(1), dtype=np.int64)
-    base = np.arange(spec.q, dtype=np.int64)
-    while e:
-        if e & 1:
-            acc = mt[acc, base]
-        base = mt[base, base]
-        e >>= 1
-    return _frozen(acc)
+    log, antilog = _log_antilog(spec)
+    t = antilog[e % (spec.q - 1) * log % (spec.q - 1)]  # log[0] = 0 sets 0^0 = 1
+    t[0] = int(e == 0)
+    return _frozen(t)
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +345,7 @@ def encode_point(spec: FieldSpec, coords) -> int:
     return int(encode_points(spec, np.asarray(coords, dtype=np.int64)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def grid_coordinates(spec: FieldSpec, d: int) -> np.ndarray:
     """(q^d, d) coordinates of every point, in encoding order."""
     return _frozen(decode_points(spec, np.arange(spec.q**d, dtype=np.int64), d))

@@ -21,10 +21,12 @@ import numpy as np
 from .errors import ConfigError, IsoUnavailable
 from .field import (
     FieldSpec,
+    add_table,
     decode_points,
     field_from_order,
     make_field,
     mul_table,
+    neg_table,
     pow_table,
 )
 from .fourier import (
@@ -170,32 +172,24 @@ def build_set(
             a_text, b_text = rest.split(":")
         except ValueError as exc:
             raise ConfigError("param-line:<a1,..,ad>:<b1,..,bd>") from exc
-        a = _parse_coords(a_text, d, spec.q)
-        b = _parse_coords(b_text, d, spec.q)
-        pts = [
-            [spec.add(b[j], spec.mul(t, a[j])) for j in range(d)] for t in range(spec.q)
-        ]
-        return points_from_coords(spec, d, pts)
+        a = list(_parse_coords(a_text, d, spec.q))
+        b = list(_parse_coords(b_text, d, spec.q))
+        return points_from_coords(spec, d, add_table(spec)[b, mul_table(spec)[:, a]])
     if kind == "iso-line":
         if d != 2:
             raise ConfigError("iso-line is only defined in dimension 2")
-        unit = spec.element(1)
-        minus_one = spec.neg(unit)
-        i_elt = next((a for a in range(spec.q) if spec.mul(a, a) == minus_one), None)
-        if i_elt is None:
+        mt = mul_table(spec)
+        roots = np.flatnonzero(np.diagonal(mt) == neg_table(spec)[1])
+        if not len(roots):
             raise IsoUnavailable(f"no square root of -1 in F_{spec.q}")
-        pts = [[s, spec.mul(i_elt, s)] for s in range(spec.q)]
-        return points_from_coords(spec, d, pts)
+        return points_from_coords(spec, d, np.column_stack([np.arange(spec.q), mt[roots[0]]]))
     if kind == "subfield":
         if spec.n % 2:
             raise ConfigError("subfield needs an even extension degree n")
         h = spec.p ** (spec.n // 2)
-        members = [a for a in range(spec.q) if spec.pow(a, h) == a]
+        members = np.flatnonzero(pow_table(spec, h) == np.arange(spec.q))
         assert len(members) == h, "subfield enumeration went wrong"
-        coords = np.array(
-            np.meshgrid(*([members] * d), indexing="ij"), dtype=np.int64
-        ).reshape(d, -1).T
-        return points_from_coords(spec, d, coords)
+        return points_from_coords(spec, d, np.stack(np.meshgrid(*[members] * d), axis=-1))
     if kind == "sphere":
         if poly is None:
             raise ConfigError("sphere:<t> needs an active polynomial (--poly)")
@@ -308,32 +302,23 @@ def emit(
 # Runners.  Each returns (exit_code, summary, rows, columns).
 
 def run_field_check(cfg: ExperimentConfig):
+    """Every pair of the tables against the scalar traces and the scalar inverse."""
     spec = cfg.resolve_field()
-    q = spec.q
-    table = spec.char_table
+    q, p = spec.q, spec.p
+    table, tr = spec.char_table, spec.trace_table
     unit_err = float(np.max(np.abs(np.abs(table) - 1.0)))
 
-    if q <= 128:
-        pairs = [(a, b) for a in range(q) for b in range(q)]
-    else:
-        rng = SplitMix64(derive_seed(cfg.seed, 0xF1E1D))
-        pairs = [(rng.below(q), rng.below(q)) for _ in range(8192)]
-    mult_err = max(
-        abs(spec.chi(spec.add(a, b)) - spec.chi(a) * spec.chi(b)) for a, b in pairs
+    at, mt = add_table(spec), mul_table(spec)
+    mult = np.multiply.outer(table, table)
+    mult -= table[at]
+    mult_err = float(np.max(np.abs(mult)))
+    trace_ok = bool(np.all(tr[at] == (tr[:, None] + tr) % p)) and bool(
+        np.all(tr[mt[:p]] == np.arange(p)[:, None] * tr % p)
     )
-    trace_ok = all(
-        spec.trace(spec.add(a, b)) == (spec.trace(a) + spec.trace(b)) % spec.p
-        for a, b in pairs
-    ) and all(
-        spec.trace(spec.mul(lam, a)) == (lam * spec.trace(a)) % spec.p
-        for a in range(q)
-        for lam in range(spec.p)
-    )
-    mt = mul_table(spec)
     orth_err = float(np.max(np.abs(table[mt[1:]].sum(axis=1))))
-    inv_vec = pow_table(spec, q - 2)
-    one = spec.element(1)
-    inverse_ok = bool(np.all(mt[np.arange(1, q), inv_vec[1:]] == one))
+    inv_ref = [spec.inv(a) for a in range(1, q)]
+    inv_law = mt[np.arange(1, q), inv_ref] == spec.element(1)
+    inverse_ok = bool(np.all(pow_table(spec, q - 2)[1:] == inv_ref) and np.all(inv_law))
 
     checks = {
         "char_unit_modulus": {"error": unit_err, "pass": unit_err < 1e-12},

@@ -5,7 +5,8 @@ The generator is splitmix64 (Steele, Lea & Flood): state advances by the
 The whole algorithm fits in a dozen lines, so seeds reproduce exactly on
 any platform or in any language.  Bounded draws use the 128-bit
 multiply-shift trick and never reject; subsets come from a partial
-Fisher-Yates shuffle, giving exact target cardinalities.
+Fisher-Yates shuffle over a dict of displaced positions, giving exact
+target cardinalities in O(k).
 """
 
 from __future__ import annotations
@@ -50,8 +51,10 @@ def derive_seed(base: int, *salts: int) -> int:
 def sample_indices(rng: SplitMix64, population: int, k: int) -> np.ndarray:
     """k distinct indices from [0, population), sorted (partial shuffle)."""
     k = min(k, population)
-    pool = list(range(population))
+    moved: dict[int, int] = {}  # position -> value, where it is not the identity
+    out = []
     for i in range(k):
         j = i + rng.below(population - i)
-        pool[i], pool[j] = pool[j], pool[i]
-    return np.sort(np.array(pool[:k], dtype=np.int64))
+        out.append(moved.get(j, j))
+        moved[j] = moved.get(i, i)
+    return np.sort(np.array(out, dtype=np.int64))

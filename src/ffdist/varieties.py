@@ -179,7 +179,7 @@ def evaluate(P: Polynomial, x) -> int:
     return acc
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def value_grid(P: Polynomial) -> np.ndarray:
     """P evaluated at every point of F_q^d, flat in encoding order."""
     spec = P.spec

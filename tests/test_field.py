@@ -7,12 +7,15 @@ import pytest
 
 from ffdist.errors import DegreeOutOfRange, NonPrime, ReducibleModulus
 from ffdist.field import (
+    _is_irreducible,
+    add_table,
     decode_point,
     encode_point,
     field_from_order,
     is_prime,
     make_field,
     mul_table,
+    neg_table,
     pow_table,
     sub_table,
 )
@@ -131,14 +134,60 @@ class TestArithmetic:
         assert F9.element(11) == 2
 
     def test_tables_agree_with_scalar_ops(self):
-        for F in (make_field(7), make_field(3, 2)):
-            mt, st = mul_table(F), sub_table(F)
-            for a in range(F.q):
-                for b in range(F.q):
-                    assert mt[a, b] == F.mul(a, b)
-                    assert st[a, b] == F.sub(a, b)
-            assert list(pow_table(F, 3)) == [F.pow(a, 3) for a in range(F.q)]
+        fields = (
+            make_field(2),
+            make_field(7),
+            make_field(13),
+            make_field(3, 2, (1, 0, 1)),  # x has order 4, not 8: not primitive
+            make_field(2, 4, (1, 1, 1, 1, 1)),  # x has order 5, not 15
+            make_field(2, 3),
+            make_field(5, 2),
+        )
+        assert fields[3].pow(3, 4) == 1 and fields[4].pow(2, 5) == 1
+        for F in fields:
+            els = range(F.q)
+            assert add_table(F).tolist() == [[F.add(a, b) for b in els] for a in els]
+            assert mul_table(F).tolist() == [[F.mul(a, b) for b in els] for a in els]
+            assert sub_table(F).tolist() == [[F.sub(a, b) for b in els] for a in els]
+            assert neg_table(F).tolist() == [F.neg(a) for a in els]
+            for e in (0, 1, 2, 3, F.q - 1, F.q, F.q + 1):
+                assert pow_table(F, e).tolist() == [F.pow(a, e) for a in els]
             assert pow_table(F, 0)[0] == 1  # 0^0 convention
+
+    def test_table_caches_are_bounded(self):
+        for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+            F = make_field(p)
+            sub_table(F)
+            mul_table(F)
+        for table in (add_table, neg_table, sub_table, mul_table):
+            info = table.cache_info()
+            assert info.maxsize is not None and info.currsize <= info.maxsize
+
+    def test_tables_agree_with_scalar_ops_on_random_fields(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+
+        @hyp.settings(max_examples=60, deadline=None)
+        @hyp.given(
+            p=st.sampled_from([2, 3, 5, 7]),
+            n=st.integers(1, 3),
+            lower=st.lists(st.integers(0, 6), min_size=3, max_size=3),
+            data=st.data(),
+        )
+        def check(p, n, lower, data):
+            modulus = tuple(c % p for c in lower[:n]) + (1,)
+            hyp.assume(n == 1 or _is_irreducible(modulus, p))
+            F = make_field(p, n, modulus)
+            el = st.integers(0, F.q - 1)
+            a, b = data.draw(el), data.draw(el)
+            e = data.draw(st.integers(0, 2 * F.q))
+            assert add_table(F)[a, b] == F.add(a, b)
+            assert mul_table(F)[a, b] == F.mul(a, b)
+            assert sub_table(F)[a, b] == F.sub(a, b)
+            assert neg_table(F)[a] == F.neg(a)
+            assert pow_table(F, e)[a] == F.pow(a, e)
+
+        check()
 
 
 class TestTrace:

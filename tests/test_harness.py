@@ -47,6 +47,31 @@ class TestRng:
         s = sample_indices(SplitMix64(derive_seed(7, 1, 0)), 49, 10)
         assert s.tolist() == [2, 7, 22, 23, 30, 34, 40, 43, 44, 47]
 
+    @pytest.mark.parametrize(
+        "population,k", [(100, 17), (1000, 999), (49, 49), (1, 1), (10, 25), (3, 100)]
+    )
+    def test_sample_matches_list_shuffle(self, population, k):
+        def list_shuffle(rng, population, k):
+            """Reference: the O(population) partial shuffle of a full list."""
+            k = min(k, population)
+            pool = list(range(population))
+            for i in range(k):
+                j = i + rng.below(population - i)
+                pool[i], pool[j] = pool[j], pool[i]
+            return sorted(pool[:k])
+
+        for seed in range(5):
+            got = sample_indices(SplitMix64(seed), population, k)
+            assert got.tolist() == list_shuffle(SplitMix64(seed), population, k)
+
+    def test_sample_from_a_population_too_large_for_a_list(self):
+        population, k = 10**12, 50
+        s = sample_indices(SplitMix64(11), population, k)
+        # with no repeated draw among 50 out of 10^12 the shuffle returns
+        # exactly the drawn positions
+        r = SplitMix64(11)
+        assert s.tolist() == sorted(i + r.below(population - i) for i in range(k))
+
 
 class TestSetSpecs:
     def test_all(self):
@@ -89,6 +114,19 @@ class TestSetSpecs:
     def test_iso_line_only_in_dimension_two(self):
         with pytest.raises(ConfigError):
             build_set("iso-line", F13, 3)
+
+    def test_line_and_subfield_specs_match_scalar_arithmetic(self):
+        F25, F81 = make_field(5, 2), make_field(3, 4)
+        ps = build_set("param-line:2,7:3,11", F25, 2)
+        expected = {(F25.add(3, F25.mul(t, 2)), F25.add(11, F25.mul(t, 7))) for t in range(25)}
+        assert {tuple(c) for c in ps.coordinates().tolist()} == expected
+        i = next(a for a in range(25) if F25.mul(a, a) == F25.neg(1))
+        ps = build_set("iso-line", F25, 2)
+        assert {tuple(c) for c in ps.coordinates().tolist()} == {
+            (s, F25.mul(i, s)) for s in range(25)
+        }
+        ps = build_set("subfield", F81, 1)
+        assert ps.coordinates()[:, 0].tolist() == [a for a in range(81) if F81.pow(a, 9) == a]
 
     def test_subfield(self):
         ps = build_set("subfield", F9, 2)
@@ -169,6 +207,24 @@ class TestRunners:
     def test_field_check_passes(self):
         code, summary = run("field-check", ExperimentConfig(q=9))
         assert code == 0 and summary["pass"]
+
+    @pytest.mark.parametrize("name", ["add_table", "mul_table"])
+    @pytest.mark.parametrize("q", [9, 13])
+    def test_field_check_fails_on_one_corrupted_table_entry(self, monkeypatch, name, q):
+        from ffdist import harness
+
+        build = getattr(harness, name)
+
+        def corrupted(spec):
+            t = build(spec).copy()
+            v = int(t[2, 5])
+            t[2, 5] = next(c for c in range(spec.q) if spec.trace(c) != spec.trace(v))
+            return t
+
+        monkeypatch.setattr(harness, name, corrupted)
+        code, summary = run("field-check", ExperimentConfig(q=q))
+        assert code == 4 and summary["pass"] is False
+        assert main(["field-check", "--q", str(q)]) == 4
 
     def test_fourier_check_passes(self):
         code, summary = run(

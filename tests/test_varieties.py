@@ -110,6 +110,18 @@ class TestEvaluate:
         for idx in range(25):
             assert vg[idx] == evaluate(P, decode_point(F5, idx, 2))
 
+    def test_value_grid_cache_is_bounded(self):
+        misses, bound = value_grid.cache_info().misses, value_grid.cache_info().maxsize
+        polys = [
+            parse_polynomial(f"x1^{a} + {c}*x2", F13, 2) for a in range(1, 5) for c in range(1, 13)
+        ]
+        assert len(set(polys)) > bound
+        for P in polys:
+            value_grid(P)
+        info = value_grid.cache_info()
+        assert info.misses - misses == len(polys)
+        assert info.currsize <= bound
+
 
 def brute_circle_count(p, t):
     """Oracle: pure modular arithmetic count of x^2 + y^2 = t over F_p."""
