@@ -35,6 +35,7 @@ from .varieties import (
     diagonal_polynomial,
     evaluate,
     make_polynomial,
+    phase_sweep,
     require_same_space,
     value_grid,
 )
@@ -66,15 +67,15 @@ def _check_triple(P: Polynomial, E: PointSet, F: PointSet):
 
 
 def _pair_value_blocks(P: Polynomial, E: PointSet, F: PointSet):
-    """Yield blocks of P(x - y) encodings, one row per x in E."""
+    """Yield blocks of P(x - y) encodings: one row per pin y in F, one column per x in E."""
     spec = P.spec
     st = sub_table(spec)
     vg = value_grid(P)
     ce = E.coordinates()
     cf = F.coordinates()
-    rows = max(1, _PAIR_BLOCK // max(1, F.size))
-    for i in range(0, E.size, rows):
-        diff = st[ce[i : i + rows, None, :], cf[None, :, :]]
+    rows = max(1, _PAIR_BLOCK // max(1, E.size))
+    for i in range(0, F.size, rows):
+        diff = st[ce[None, :, :], cf[i : i + rows, None, :]]
         yield vg[encode_points(spec, diff)]
 
 
@@ -200,15 +201,9 @@ def _pinned_sizes(P: Polynomial, E: PointSet, F: PointSet, method: str) -> np.nd
         fourier = _use_transform(E.size * F.size, q**d, convolutions=q)
         method = "fourier" if fourier else "direct"
     if method == "direct":
-        st = sub_table(spec)
-        ce = E.coordinates()
-        return np.array(
-            [
-                len(np.unique(vg[encode_points(spec, st[ce, cy[None, :]])]))
-                for cy in F.coordinates()
-            ],
-            dtype=np.int64,
-        )
+        # distinct values per pin: 1 + the steps along its sorted row
+        blocks = (np.sort(v, axis=1) for v in _pair_value_blocks(P, E, F))
+        return np.concatenate([1 + np.count_nonzero(np.diff(b, axis=1), axis=1) for b in blocks])
     if method == "fourier":
         # nu_y(t) = #{x in E : x - y in V_t} = D_{E, V_t}(y): one convolution
         # per nonempty fiber, read at the pins.
@@ -269,7 +264,7 @@ class ProductExperimentReport:
     delta_size: int
     delta_ratio: float  # |Delta_H| / q
     verdict: str  # pass | fail | vacuous
-    phase_max_ratio: float | None
+    phase_max_ratio: float  # worst |sum_x chi(sP(x) + m.x)| / q^(d/2)
 
 
 def product_set_experiment(
@@ -281,16 +276,13 @@ def product_set_experiment(
     *,
     C: float = 1.0,
     rho: float = 0.5,
-    check_condition: bool = True,
 ) -> ProductExperimentReport:
     """Lifted distance set of product sets E x E_{d+1}, F x F_{d+1}.
 
-    check_condition sweeps the phase sum over every (s != 0, m) and records
-    the worst |sum| / q^(d/2); disable it when the sweep is too costly and
-    the polynomial is already known to behave.
+    The report also carries the phase condition: the worst
+    |sum_x chi(s*P(x) + m*x)| / q^(d/2) over every s != 0 and m, read
+    from the phase sweep of P.
     """
-    from .varieties import phase_sweep  # local import keeps module graph simple
-
     H = paraboloid_lift(P)
     e_star = product_set(E, E_last)
     f_star = product_set(F, F_last)
@@ -301,7 +293,6 @@ def product_set_experiment(
         verdict = "vacuous"
     else:
         verdict = "pass" if len(delta) >= rho * q else "fail"
-    phase_ratio = phase_sweep(P).max_ratio if check_condition else None
     return ProductExperimentReport(
         q=q,
         d=P.d,
@@ -312,7 +303,7 @@ def product_set_experiment(
         delta_size=len(delta),
         delta_ratio=len(delta) / q,
         verdict=verdict,
-        phase_max_ratio=phase_ratio,
+        phase_max_ratio=phase_sweep(P).max_ratio,
     )
 
 

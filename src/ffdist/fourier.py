@@ -52,7 +52,7 @@ def indicator_grid(spec: FieldSpec, d: int, indices) -> ComplexGrid:
     return ComplexGrid(spec, d, values)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def _forward_kernel(spec: FieldSpec) -> np.ndarray:
     """K[m, x] = chi(-x*m)."""
     k = spec.char_table[neg_table(spec)][mul_table(spec)]
@@ -60,7 +60,7 @@ def _forward_kernel(spec: FieldSpec) -> np.ndarray:
     return k
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def _inverse_kernel(spec: FieldSpec) -> np.ndarray:
     """B[x, m] = chi(x*m)."""
     b = spec.char_table[mul_table(spec)]

@@ -2,7 +2,9 @@
 
 Everything here is exact enumeration: fibers V_t = {x : P(x) = t} are
 listed point by point, character sums are summed term by term, and the
-decay spectrum of each fiber comes straight from the grid transform.
+decay spectrum of each fiber comes straight from the grid transform.  The
+phase sums sum_x chi(s*P(x) + m*x) for all s != 0 and m come as one table
+(`_phase_table`), bit-identical to the scalar `phase_sum`.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .field import (
     mul_table,
     pow_table,
 )
-from .fourier import ComplexGrid, fourier_transform, indicator_grid
+from .fourier import ComplexGrid, fourier_transform
 
 DIAGONAL = "diagonal"
 GENERAL = "general"
@@ -230,11 +232,7 @@ class PointSet:
 
     def translate(self, z) -> "PointSet":
         """The set {x + z : x in this set}."""
-        at = add_table(self.spec)
-        coords = self.coordinates()
-        shifted = np.empty_like(coords)
-        for j in range(self.d):
-            shifted[:, j] = at[coords[:, j], int(z[j])]
+        shifted = add_table(self.spec)[self.coordinates(), np.asarray(z, dtype=np.int64)]
         return PointSet(self.spec, self.d, encode_points(self.spec, shifted))
 
 
@@ -397,14 +395,13 @@ def weil_sum(f: Polynomial, *, require_hypothesis: bool = False) -> WeilSumResul
 
 
 def _dot_with_grid(spec: FieldSpec, d: int, m) -> np.ndarray:
-    """Encodings of x*m for every grid point x."""
+    """Encodings of x*m, one row per frequency of the (k, d) block m."""
     coords = grid_coordinates(spec, d)
     at, mt = add_table(spec), mul_table(spec)
-    acc = np.zeros(len(coords), dtype=np.int64)
+    m = np.asarray(m, dtype=np.int64).reshape(-1, d)
+    acc = np.zeros((len(m), len(coords)), dtype=np.int64)
     for j in range(d):
-        mj = int(m[j])
-        if mj:
-            acc = at[acc, mt[mj, coords[:, j]]]
+        acc = at[acc, mt[m[:, j, None], coords[:, j]]]
     return acc
 
 
@@ -420,7 +417,7 @@ def phase_sum(P: Polynomial, s: int, m, method: str = "direct") -> complex:
     s = spec.element(s)
     if method == "direct":
         mt = mul_table(spec)
-        phases = add_table(spec)[mt[s, value_grid(P)], _dot_with_grid(spec, P.d, m)]
+        phases = add_table(spec)[mt[s, value_grid(P)], _dot_with_grid(spec, P.d, m)[0]]
         return complex(spec.char_table[phases].sum())
     if method == "factored":
         if P.kind != DIAGONAL:
@@ -437,6 +434,42 @@ def phase_sum(P: Polynomial, s: int, m, method: str = "direct") -> complex:
     raise ValueError(f"unknown method {method!r}")
 
 
+_PHASE_BLOCK = 1 << 16  # max phase encodings gathered at once
+
+
+def _phase_table(P: Polynomial, method: str | None = None) -> np.ndarray:
+    """phase_sum for s = 1..q-1 (rows) and every m (columns, flat order),
+    factored iff P is diagonal unless method says otherwise.  Bit-identical
+    to phase_sum: direct rows sum contiguous vectors as it does, factors
+    multiply by Python's complex-product formula (numpy's may round apart),
+    and magnitudes want np.hypot, as abs(complex) uses; np.abs may differ."""
+    spec, d, q = P.spec, P.d, P.spec.q
+    if method is None:
+        method = "factored" if P.kind == DIAGONAL else "direct"
+    coords = grid_coordinates(spec, d)
+    out = np.ones((q - 1, len(coords)), dtype=np.complex128)
+    if method == "direct":
+        at, chi = add_table(spec), spec.char_table
+        svg = mul_table(spec)[1:, value_grid(P)]  # row s-1 holds s*P(x)
+        rows = max(1, _PHASE_BLOCK // len(coords))
+        for lo in range(0, len(coords), rows):
+            dot = _dot_with_grid(spec, d, coords[lo : lo + rows])
+            for i, sv in enumerate(svg):
+                out[i, lo : lo + rows] = chi[at[sv, dot]].sum(axis=1)
+        return out
+    if method == "factored":
+        if P.kind != DIAGONAL:
+            raise ArityMismatch("factored phase sums need a diagonal polynomial")
+        for coeff, exps in P.terms:
+            e = max(exps)
+            g = _phase_table(make_polynomial(spec, 1, [(coeff, (e,))]), "direct")
+            g = g[:, coords[:, exps.index(e)]]
+            re, im = out.real, out.imag
+            out.real, out.imag = re * g.real - im * g.imag, re * g.imag + im * g.real
+        return out
+    raise ValueError(f"unknown method {method!r}")
+
+
 @dataclass(frozen=True)
 class PhaseSweep:
     """Worst case of |sum_x chi(s*P(x) + m*x)| over s != 0 and all m."""
@@ -448,31 +481,22 @@ class PhaseSweep:
     weil_product_bound: float | None  # prod_j (c_j - 1) * q^(d/2) for diagonal P
 
 
-def phase_sweep(P: Polynomial, method: str | None = None) -> PhaseSweep:
-    """Exhaustive sweep of the phase sum over every s != 0 and every m."""
-    spec, d, q = P.spec, P.d, P.spec.q
-    if method is None:
-        method = "factored" if P.kind == DIAGONAL else "direct"
-    best, bs, bm = -1.0, 0, 0
-    for s in range(1, q):
-        for midx in range(q**d):
-            m = decode_points(spec, np.array([midx]), d)[0]
-            a = abs(phase_sum(P, s, tuple(int(c) for c in m), method=method))
-            if a > best:
-                best, bs, bm = a, s, midx
+def phase_sweep(P: Polynomial) -> PhaseSweep:
+    """Exhaustive sweep of the phase sum over every s != 0 and every m;
+    the first maximum in (s, m) order wins."""
+    q, d = P.spec.q, P.d
+    t = _phase_table(P)
+    mag = np.hypot(t.real, t.imag)
+    s, m = divmod(int(np.argmax(mag)), q**d)
+    best = float(mag[s, m])
     scale = float(q) ** (d / 2)
-    wb = None
-    if P.kind == DIAGONAL:
-        prod = 1
-        for _, exps in P.terms:
-            prod *= max(exps) - 1
-        wb = prod * scale
+    weil = math.prod(max(e) - 1 for _, e in P.terms) * scale
     return PhaseSweep(
         max_abs=best,
         max_ratio=best / scale,
-        argmax_s=bs,
-        argmax_m=bm,
-        weil_product_bound=wb,
+        argmax_s=s + 1,
+        argmax_m=m,
+        weil_product_bound=weil if P.kind == DIAGONAL else None,
     )
 
 

@@ -23,6 +23,7 @@ from ffdist.field import field_from_order, make_field
 from ffdist.rng import SplitMix64, derive_seed, sample_indices
 from ffdist.varieties import (
     PointSet,
+    evaluate,
     exceptional_set,
     full_grid,
     parse_polynomial,
@@ -226,6 +227,23 @@ class TestRoutes:
             rep = pinned_distances(P, E, F)
             assert [rep.sizes[int(y)] for y in F.indices] == pinned.tolist()
 
+    @pytest.mark.parametrize("spec", [F7, F9])
+    def test_pinned_sizes_read_P_of_x_minus_pin(self, spec):
+        # x1^3 + x2^2 is neither even nor odd, so P(y - x) has other
+        # per-pin counts than P(x - y): pinning the wrong set fails here.
+        P = parse_polynomial("x1^3 + x2^2", spec, 2)
+        E = random_set(spec, 2, 9, seed=36)
+        F = random_set(spec, 2, 30, seed=37)
+        ce, cf = E.coordinates().tolist(), F.coordinates().tolist()
+
+        def pinned(sub):
+            return [len({evaluate(P, tuple(map(sub, x, y))) for x in ce}) for y in cf]
+
+        x_minus_y = pinned(spec.sub)
+        assert x_minus_y != pinned(lambda a, b: spec.sub(b, a))
+        for method in ("direct", "fourier"):
+            assert _pinned_sizes(P, E, F, method).tolist() == x_minus_y
+
     def test_residual_is_recorded_and_far_below_the_bound(self):
         # largest case in the suite: 101^3 points; full x full has the known
         # answer nu(t) = q^d * |V_t|
@@ -326,7 +344,7 @@ class TestProductExperiment:
             }
             rep = product_set_experiment(
                 P, sets["E"], sets["E2"], sets["F"], sets["F2"],
-                C=4.0, rho=0.5, check_condition=False,
+                C=4.0, rho=0.5,
             )
             assert rep.hypothesis_ratio >= 4.0
             assert rep.delta_size >= 11 / 2
@@ -352,7 +370,7 @@ class TestProductExperiment:
         P = parse_polynomial("x1^2", F7, 1)
         E = full_grid(F7, 1)
         zero = points_from_coords(F7, 1, [[0]])
-        rep = product_set_experiment(P, E, zero, E, zero, check_condition=True)
+        rep = product_set_experiment(P, E, zero, E, zero)
         assert rep.phase_max_ratio == pytest.approx(1.0)  # Gauss sum is sharp
 
 

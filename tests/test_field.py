@@ -19,6 +19,7 @@ from ffdist.field import (
     pow_table,
     sub_table,
 )
+from ffdist.fourier import _forward_kernel, _inverse_kernel
 
 
 def brute_first_irreducible_quadratic(p):
@@ -158,8 +159,11 @@ class TestArithmetic:
         for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
             F = make_field(p)
             sub_table(F)
-            mul_table(F)
-        for table in (add_table, neg_table, sub_table, mul_table):
+            _forward_kernel(F)
+            _inverse_kernel(F)
+        for table in (
+            add_table, neg_table, sub_table, mul_table, _forward_kernel, _inverse_kernel
+        ):
             info = table.cache_info()
             assert info.maxsize is not None and info.currsize <= info.maxsize
 

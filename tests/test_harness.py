@@ -9,10 +9,10 @@ import pytest
 
 from ffdist.cli import main
 from ffdist.errors import ConfigError, IsoUnavailable
-from ffdist.field import make_field
+from ffdist.field import decode_point, field_from_order, make_field
 from ffdist.harness import ExperimentConfig, build_set, run
 from ffdist.rng import SplitMix64, derive_seed, sample_indices
-from ffdist.varieties import parse_polynomial, variety
+from ffdist.varieties import parse_polynomial, phase_sum, phase_sweep, variety
 
 F7 = make_field(7)
 F9 = make_field(3, 2)
@@ -281,6 +281,35 @@ class TestRunners:
         with open(tmp_path / "ph.csv", encoding="utf-8") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 4 * 25  # every s != 0 and every m
+
+    @pytest.mark.parametrize(
+        "q, d, poly",
+        [
+            (7, 2, "x1^2+x2^2+x1"),
+            (7, 2, "x1^2+x2^2"),
+            (9, 2, "x1^2+2*x2^2"),
+            (5, 3, "x1^2+x2^3+x3^2"),
+        ],
+    )
+    def test_phase_argmax_is_the_first_maximum_in_row_order(self, q, d, poly):
+        # Quadratic phase sums are Gauss sums: every |sum| ties at q^(d/2) up
+        # to float noise, so the argmax rests on bit-exact sums.  Reference:
+        # the scalar sweep in (s, m) row order, first maximum kept.
+        spec = field_from_order(q)
+        P = parse_polynomial(poly, spec, d)
+        method = "factored" if P.kind == "diagonal" else "direct"
+        best, bs, bm = -1.0, 0, 0
+        for s in range(1, q):
+            for m in range(q**d):
+                a = abs(phase_sum(P, s, decode_point(spec, m, d), method=method))
+                if a > best:
+                    best, bs, bm = a, s, m
+        code, summary = run("phase", ExperimentConfig(q=q, d=d, poly=poly))
+        assert code == 0
+        got = (summary["max_abs"], summary["argmax_s"], summary["argmax_m"])
+        assert got == (best, bs, bm)
+        sweep = phase_sweep(P)
+        assert (sweep.max_abs, sweep.argmax_s, sweep.argmax_m) == (best, bs, bm)
 
     def test_pinned_runner_rows(self, tmp_path):
         cfg = ExperimentConfig(

@@ -14,10 +14,12 @@ from ffdist.errors import (
     VariableOutOfRange,
     ZeroPolynomial,
 )
-from ffdist.field import decode_point, make_field
+from ffdist.field import decode_point, field_from_order, make_field
 from ffdist.fourier import fourier_transform, indicator_grid
 from ffdist.varieties import (
+    DIAGONAL,
     PointSet,
+    _phase_table,
     decay_spectrum,
     diagonal_polynomial,
     evaluate,
@@ -339,3 +341,75 @@ class TestPhaseSum:
         P = parse_polynomial("x1^2", F7, 1)
         sweep = phase_sweep(P)
         assert sweep.max_ratio == pytest.approx(sweep.max_abs / math.sqrt(7))
+
+
+# d -> polynomials for the phase table: general, mixed-exponent diagonal,
+# and diagonal with non-unit coefficients.
+PHASE_TABLE_POLYS = {
+    1: ["x1^3 + 2*x1", "x1^2", "3*x1^3"],
+    2: ["x1^2 + x2^2 + x1", "x1^2 + x2^3", "3*x1^2 + 2*x2^3"],
+    3: ["x1^2 + x2^2 + x3^2 + x1", "x1^2 + x2^3 + x3^2", "2*x1^2 + x2^2 + 3*x3^3"],
+}
+
+
+class TestPhaseTable:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("q", [5, 7, 8, 9, 25])
+    def test_table_is_bit_identical_to_scalar_phase_sums(self, q, d):
+        spec = field_from_order(q)
+        n = q**d
+        # every (s, m) on small grids; on larger ones every s and ~50 m
+        ms = list(range(n)) if n <= 125 else sorted(set(range(0, n, n // 50)) | {n - 1})
+        for text in PHASE_TABLE_POLYS[d]:
+            P = parse_polynomial(text, spec, d)
+            methods = ["direct", "factored"] if P.kind == DIAGONAL else ["direct"]
+            if n > 5000:
+                methods.remove("direct")  # (q-1) q^(2d) lookups: too slow here
+            for method in methods:
+                table = _phase_table(P, method)
+                assert table.shape == (q - 1, n)
+                got = np.ascontiguousarray(table[:, ms])
+                want = np.array(
+                    [
+                        [phase_sum(P, s, decode_point(spec, m, d), method=method) for m in ms]
+                        for s in range(1, q)
+                    ]
+                )
+                assert np.array_equal(got.view(np.float64), want.view(np.float64))
+            if P.kind != DIAGONAL:
+                with pytest.raises(ArityMismatch):
+                    _phase_table(P, "factored")
+
+    def test_default_route_is_factored_iff_diagonal(self):
+        for text in ("x1^2 + x2^3", "x1^2 + x2^2 + x1"):
+            P = parse_polynomial(text, F7, 2)
+            method = "factored" if P.kind == DIAGONAL else "direct"
+            assert np.array_equal(
+                _phase_table(P).view(np.float64), _phase_table(P, method).view(np.float64)
+            )
+
+    def test_factored_and_direct_tables_agree_on_random_diagonals(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+
+        @hyp.settings(max_examples=40, deadline=None)
+        @hyp.given(
+            q=st.sampled_from([2, 3, 4, 5, 7, 8, 9, 11, 13]),
+            d=st.integers(1, 3),
+            data=st.data(),
+        )
+        def check(q, d, data):
+            hyp.assume(q**d <= 600)
+            spec = field_from_order(q)
+            coeffs = data.draw(st.lists(st.integers(1, q - 1), min_size=d, max_size=d))
+            exps = data.draw(st.lists(st.integers(1, 5), min_size=d, max_size=d))
+            terms = [
+                (c, tuple(e if i == j else 0 for i in range(d)))
+                for j, (c, e) in enumerate(zip(coeffs, exps))
+            ]
+            P = make_polynomial(spec, d, terms)
+            assert P.kind == DIAGONAL
+            err = np.abs(_phase_table(P, "factored") - _phase_table(P, "direct")).max()
+            assert err <= 1e-9 * q**d
+
+        check()
