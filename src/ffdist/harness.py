@@ -13,7 +13,11 @@ import csv
 import datetime
 import json
 import math
+import os
+from collections import namedtuple
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -247,6 +251,7 @@ SCAN_COLUMNS = (
     "erdos",
     "missing_t",
 )
+ScanRow = namedtuple("ScanRow", SCAN_COLUMNS)
 
 
 def _to_builtin(obj):
@@ -267,12 +272,13 @@ def emit(
     out: str | None,
     summary: dict,
     *,
-    rows: list[dict] | None = None,
+    rows: list[Sequence] | None = None,
     columns: tuple[str, ...] = SCAN_COLUMNS,
     deterministic: bool = False,
 ) -> dict:
     """Write <out>.csv (when rows exist) and <out>.json; or return the
-    summary for stdout when no output path was given."""
+    summary for stdout when no output path was given.  Each row holds its
+    values in `columns` order."""
     if not deterministic:
         summary = dict(summary)
         summary["generated"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
@@ -287,8 +293,8 @@ def emit(
         with open(base + ".csv", "w", encoding="utf-8", newline="") as fh:
             if not deterministic:
                 fh.write(f"# generated {summary['generated']}\n")
-            writer = csv.DictWriter(fh, fieldnames=list(columns), lineterminator="\n")
-            writer.writeheader()
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(columns)
             writer.writerows(rows)
         summary = dict(summary)
         summary["rows_written"] = len(rows)
@@ -343,8 +349,8 @@ def run_field_check(cfg: ExperimentConfig):
 def _random_grid(spec: FieldSpec, d: int, rng: SplitMix64) -> ComplexGrid:
     # entries bounded by modulus 1 so the residual tolerances apply
     n = spec.q**d
-    re = np.fromiter((rng.unit() for _ in range(n)), dtype=np.float64, count=n)
-    im = np.fromiter((rng.unit() for _ in range(n)), dtype=np.float64, count=n)
+    re = (rng.next_block(n) >> np.uint64(11)) * 2.0**-53  # n rng.unit() draws
+    im = (rng.next_block(n) >> np.uint64(11)) * 2.0**-53
     scale = 1.0 / math.sqrt(2.0)
     return ComplexGrid(spec, d, ((2 * re - 1) + 1j * (2 * im - 1)) * scale)
 
@@ -405,18 +411,18 @@ def run_decay(cfg: ExperimentConfig):
         P, cfg.kappa_sharp, cfg.kappa_fallback, entries=entries
     )
     rows = [
-        {
-            "q": spec.q,
-            "d": cfg.d,
-            "poly": cfg.poly,
-            "t": e.t,
-            "variety_size": e.variety_size,
-            "max_nonzero_freq": e.max_nonzero_freq,
-            "c_sharp": e.c_sharp,
-            "c_fallback": e.c_fallback,
-            "classification": e.classification,
-            "argmax_m": e.argmax_m,
-        }
+        (
+            spec.q,
+            cfg.d,
+            cfg.poly,
+            e.t,
+            e.variety_size,
+            e.max_nonzero_freq,
+            e.c_sharp,
+            e.c_fallback,
+            e.classification,
+            e.argmax_m,
+        )
         for e in entries
         if cfg.t is None or e.t == cfg.t % spec.q
     ]
@@ -464,6 +470,9 @@ def run_weil(cfg: ExperimentConfig):
 
 
 PHASE_COLUMNS = ("q", "d", "poly", "s", "m", "abs_sum", "ratio")
+# Peak bytes run_phase and emit hold per (s, m) entry: the complex table,
+# its magnitudes and the CSV rows (224-237 B measured with tracemalloc).
+_PHASE_ENTRY_BYTES = 256
 
 
 def run_phase(cfg: ExperimentConfig):
@@ -471,56 +480,63 @@ def run_phase(cfg: ExperimentConfig):
     require(cfg, "poly")
     P = parse_polynomial(cfg.poly, spec, cfg.d)
     q, d = spec.q, cfg.d
+    n = q**d
+    need = (q - 1) * n * _PHASE_ENTRY_BYTES
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:  # refuse before any grid or table is built
+        raise ConfigError(
+            f"phase over F_{q}^{d} holds {(q - 1) * n} sums, about {need / 2**30:.1f} GiB, "
+            f"but this machine has {have / 2**30:.1f} GiB"
+        )
     table = _phase_table(P)
     agreement = 0.0 if P.kind == DIAGONAL else None  # diagonal: check factored vs direct
-    if agreement is not None and q**d <= 4096:
+    if agreement is not None and n <= 4096:
         err = table - _phase_table(P, "direct")
         agreement = float(np.hypot(err.real, err.imag).max())
-    mag = np.hypot(table.real, table.imag)
+    mag = np.hypot(table.real, table.imag).ravel()
     scale = float(q) ** (d / 2)
-    rows = [
-        {"q": q, "d": d, "poly": cfg.poly, "s": s, "m": m, "abs_sum": a, "ratio": a / scale}
-        for s, row in enumerate(mag.tolist(), 1)
-        for m, a in enumerate(row)
-    ]
-    sweep = rows[int(np.argmax(mag))]  # the first maximum in row order
+    abs_sum, ratio = mag.tolist(), (mag / scale).tolist()
+    s_col = np.repeat(np.arange(1, q), n).tolist()
+    m_col = np.tile(np.arange(n), q - 1).tolist()
+    rows = list(zip(repeat(q), repeat(d), repeat(cfg.poly), s_col, m_col, abs_sum, ratio))
+    best = int(np.argmax(mag))  # the first maximum in row order
     summary = {
         "command": "phase",
         "q": q,
         "d": d,
         "poly": cfg.poly,
         "kind": P.kind,
-        "max_abs": sweep["abs_sum"],
-        "max_ratio": sweep["ratio"],
-        "argmax_s": sweep["s"],
-        "argmax_m": sweep["m"],
+        "max_abs": abs_sum[best],
+        "max_ratio": ratio[best],
+        "argmax_s": s_col[best],
+        "argmax_m": m_col[best],
         "factored_vs_direct_max_error": agreement,
     }
     return 0, summary, rows, PHASE_COLUMNS
 
 
-def _scan_row(cfg, spec, P, trial, seed, E, F, report, hist: CountingHistogram) -> dict:
+def _scan_row(cfg, spec, P, trial, seed, E, F, report, hist: CountingHistogram) -> ScanRow:
     """One scan/distance row; both verdicts come from the trial's histogram."""
     q, d = spec.q, P.d
     delta = hist.support()
     pair_product = E.size * F.size
     falc = _falconer_verdict(q, d, pair_product, delta, report.T, cfg.C)
     erd = _erdos_verdict(q, d, pair_product, len(delta), report.A, cfg.C, cfg.r_min)
-    return {
-        "q": q,
-        "d": d,
-        "poly": cfg.poly,
-        "trial": trial,
-        "seed": seed,
-        "size_E": E.size,
-        "size_F": F.size,
-        "pair_ratio": pair_product / float(q) ** (d + 1),
-        "delta_size": len(delta),
-        "delta_ratio": len(delta) / q,
-        "falconer": falc.status,
-        "erdos": erd.status,
-        "missing_t": ";".join(str(t) for t in falc.missing),
-    }
+    return ScanRow(
+        q=q,
+        d=d,
+        poly=cfg.poly,
+        trial=trial,
+        seed=seed,
+        size_E=E.size,
+        size_F=F.size,
+        pair_ratio=pair_product / float(q) ** (d + 1),
+        delta_size=len(delta),
+        delta_ratio=len(delta) / q,
+        falconer=falc.status,
+        erdos=erd.status,
+        missing_t=";".join(str(t) for t in falc.missing),
+    )
 
 
 def run_distance(cfg: ExperimentConfig):
@@ -536,7 +552,7 @@ def run_distance(cfg: ExperimentConfig):
         E, F = build_pair(cfg, spec, cfg.d, P, trial)
         hist = counting_function(P, E, F)
         rows.append(_scan_row(cfg, spec, P, trial, seed, E, F, report, hist))
-        deltas.append(rows[-1]["delta_size"])
+        deltas.append(rows[-1].delta_size)
         zero_flags.append(hist[0] > 0)
     summary = {
         "command": "distance",
@@ -550,8 +566,8 @@ def run_distance(cfg: ExperimentConfig):
         "delta_sizes": deltas,
         "zero_in_delta": zero_flags,
         "verdicts": {
-            "falconer": sorted({r["falconer"] for r in rows}),
-            "erdos": sorted({r["erdos"] for r in rows}),
+            "falconer": sorted({r.falconer for r in rows}),
+            "erdos": sorted({r.erdos for r in rows}),
         },
     }
     if cfg.trials == 1:
@@ -571,6 +587,7 @@ PINNED_COLUMNS = (
     "fraction_large",
     "pinned",
 )
+PinnedRow = namedtuple("PinnedRow", PINNED_COLUMNS)
 
 
 def run_pinned(cfg: ExperimentConfig):
@@ -590,18 +607,18 @@ def run_pinned(cfg: ExperimentConfig):
             else ("pass" if rep.fraction_large >= cfg.min_fraction else "fail")
         )
         rows.append(
-            {
-                "q": q,
-                "d": d,
-                "poly": cfg.poly,
-                "trial": trial,
-                "seed": seed,
-                "size_E": E.size,
-                "size_F": F.size,
-                "pair_ratio": (E.size * F.size) / float(q) ** (d + 1),
-                "fraction_large": rep.fraction_large,
-                "pinned": verdict,
-            }
+            PinnedRow(
+                q=q,
+                d=d,
+                poly=cfg.poly,
+                trial=trial,
+                seed=seed,
+                size_E=E.size,
+                size_F=F.size,
+                pair_ratio=(E.size * F.size) / float(q) ** (d + 1),
+                fraction_large=rep.fraction_large,
+                pinned=verdict,
+            )
         )
     summary = {
         "command": "pinned",
@@ -612,8 +629,8 @@ def run_pinned(cfg: ExperimentConfig):
         "seed": cfg.seed,
         "rho": cfg.rho,
         "min_fraction": cfg.min_fraction,
-        "fractions": [r["fraction_large"] for r in rows],
-        "verdicts": sorted({r["pinned"] for r in rows}),
+        "fractions": [r.fraction_large for r in rows],
+        "verdicts": sorted({r.pinned for r in rows}),
     }
     return 0, summary, rows, PINNED_COLUMNS
 
@@ -691,7 +708,7 @@ def run_scan(cfg: ExperimentConfig):
             (
                 int(target)
                 for target, group in zip(cfg.grid, groups)
-                if all(r[theorem] == "pass" for r in group)
+                if all(getattr(r, theorem) == "pass" for r in group)
             ),
             None,
         )

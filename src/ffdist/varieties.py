@@ -267,7 +267,7 @@ class DecayEntry:
     c_sharp: float
     c_fallback: float
     classification: str  # 'sharp' | 'fallback' | 'bad'
-    argmax_m: int  # smallest encoding attaining the max (diagnostic)
+    argmax_m: int  # first float maximum; float noise picks among exact ties (diagnostic)
 
 
 @dataclass(frozen=True)
@@ -440,22 +440,23 @@ _PHASE_BLOCK = 1 << 16  # max phase encodings gathered at once
 def _phase_table(P: Polynomial, method: str | None = None) -> np.ndarray:
     """phase_sum for s = 1..q-1 (rows) and every m (columns, flat order),
     factored iff P is diagonal unless method says otherwise.  Bit-identical
-    to phase_sum: direct rows sum contiguous vectors as it does, factors
-    multiply by Python's complex-product formula (numpy's may round apart),
-    and magnitudes want np.hypot, as abs(complex) uses; np.abs may differ."""
+    to phase_sum: direct rows gather chi(s*P(x) + m*x) from one fused table
+    and sum contiguous vectors as it does, factors multiply by Python's
+    complex-product formula (numpy's may round apart), and magnitudes want
+    np.hypot, as abs(complex) uses; np.abs may differ."""
     spec, d, q = P.spec, P.d, P.spec.q
     if method is None:
         method = "factored" if P.kind == DIAGONAL else "direct"
     coords = grid_coordinates(spec, d)
     out = np.ones((q - 1, len(coords)), dtype=np.complex128)
     if method == "direct":
-        at, chi = add_table(spec), spec.char_table
-        svg = mul_table(spec)[1:, value_grid(P)]  # row s-1 holds s*P(x)
+        chi_of_sum = spec.char_table[add_table(spec)].ravel()  # [a*q + b] = chi(a + b)
+        svq = mul_table(spec)[1:, value_grid(P)] * q  # row s-1 holds s*P(x)*q
         rows = max(1, _PHASE_BLOCK // len(coords))
         for lo in range(0, len(coords), rows):
             dot = _dot_with_grid(spec, d, coords[lo : lo + rows])
-            for i, sv in enumerate(svg):
-                out[i, lo : lo + rows] = chi[at[sv, dot]].sum(axis=1)
+            for i, sv in enumerate(svq):
+                out[i, lo : lo + rows] = np.take(chi_of_sum, sv + dot).sum(axis=1)
         return out
     if method == "factored":
         if P.kind != DIAGONAL:

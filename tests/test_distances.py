@@ -4,7 +4,7 @@ lift, product experiments, and the theorem-style verifiers."""
 import numpy as np
 import pytest
 
-from ffdist.errors import DimensionMismatch, EmptySet, MixedFields
+from ffdist.errors import DimensionMismatch, EmptySet, MixedFields, ZeroPolynomial
 from ffdist.distances import (
     _histogram,
     _pinned_sizes,
@@ -26,6 +26,7 @@ from ffdist.varieties import (
     evaluate,
     exceptional_set,
     full_grid,
+    make_polynomial,
     parse_polynomial,
     points_from_coords,
     value_grid,
@@ -226,6 +227,45 @@ class TestRoutes:
             assert np.array_equal(pinned, _pinned_sizes(P, E, F, "fourier"))
             rep = pinned_distances(P, E, F)
             assert [rep.sizes[int(y)] for y in F.indices] == pinned.tolist()
+
+    def test_routes_agree_on_random_fields_sets_and_polynomials(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+
+        @hyp.settings(max_examples=40, deadline=None)
+        @hyp.given(
+            q=st.sampled_from([2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27]),
+            d=st.integers(1, 3),
+            data=st.data(),
+        )
+        def check(q, d, data):
+            hyp.assume(q**d <= 2000)
+            spec = field_from_order(q)
+            n = q**d
+            terms = data.draw(
+                st.lists(
+                    st.tuples(
+                        st.integers(1, q - 1),
+                        st.lists(st.integers(0, 3), min_size=d, max_size=d),
+                    ),
+                    min_size=1,
+                    max_size=3,
+                )
+            )
+            try:
+                P = make_polynomial(spec, d, terms)
+            except ZeroPolynomial:
+                hyp.assume(False)
+            sizes = st.integers(1, min(n, 60))
+            E = random_set(spec, d, data.draw(sizes), seed=data.draw(st.integers(0, 10**6)))
+            F = random_set(spec, d, data.draw(sizes), seed=data.draw(st.integers(0, 10**6)))
+            direct = counting_function(P, E, F, "direct")
+            assert np.array_equal(direct.counts, counting_function(P, E, F, "fourier").counts)
+            assert direct.total() == E.size * F.size
+            pinned = _pinned_sizes(P, E, F, "direct")
+            assert np.array_equal(pinned, _pinned_sizes(P, E, F, "fourier"))
+
+        check()
 
     @pytest.mark.parametrize("spec", [F7, F9])
     def test_pinned_sizes_read_P_of_x_minus_pin(self, spec):

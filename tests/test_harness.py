@@ -3,6 +3,7 @@ exit codes, and the reproducibility contract of the CLI."""
 
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -10,13 +11,35 @@ import pytest
 from ffdist.cli import main
 from ffdist.errors import ConfigError, IsoUnavailable
 from ffdist.field import decode_point, field_from_order, make_field
-from ffdist.harness import ExperimentConfig, build_set, run
+from ffdist.harness import ExperimentConfig, _random_grid, build_set, run
 from ffdist.rng import SplitMix64, derive_seed, sample_indices
 from ffdist.varieties import parse_polynomial, phase_sum, phase_sweep, variety
 
 F7 = make_field(7)
 F9 = make_field(3, 2)
 F13 = make_field(13)
+
+
+def list_shuffle(rng, population, k):
+    """Reference: the O(population) partial shuffle of a full list."""
+    k = min(k, population)
+    pool = list(range(population))
+    for i in range(k):
+        j = i + rng.below(population - i)
+        pool[i], pool[j] = pool[j], pool[i]
+    return sorted(pool[:k])
+
+
+def scalar_sparse_shuffle(rng, population, k):
+    """Reference: the dict-backed shuffle drawing one scalar below() a step."""
+    k = min(k, population)
+    moved = {}
+    out = []
+    for i in range(k):
+        j = i + rng.below(population - i)
+        out.append(moved.get(j, j))
+        moved[j] = moved.get(i, i)
+    return sorted(out)
 
 
 class TestRng:
@@ -51,15 +74,6 @@ class TestRng:
         "population,k", [(100, 17), (1000, 999), (49, 49), (1, 1), (10, 25), (3, 100)]
     )
     def test_sample_matches_list_shuffle(self, population, k):
-        def list_shuffle(rng, population, k):
-            """Reference: the O(population) partial shuffle of a full list."""
-            k = min(k, population)
-            pool = list(range(population))
-            for i in range(k):
-                j = i + rng.below(population - i)
-                pool[i], pool[j] = pool[j], pool[i]
-            return sorted(pool[:k])
-
         for seed in range(5):
             got = sample_indices(SplitMix64(seed), population, k)
             assert got.tolist() == list_shuffle(SplitMix64(seed), population, k)
@@ -71,6 +85,79 @@ class TestRng:
         # exactly the drawn positions
         r = SplitMix64(11)
         assert s.tolist() == sorted(i + r.below(population - i) for i in range(k))
+
+    def test_block_draws_equal_scalar_draws(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+
+        @hyp.settings(max_examples=60, deadline=None)
+        @hyp.given(seed=st.integers(0, 2**64 - 1), n=st.integers(0, 5000))
+        def check(seed, n):
+            block, scalar = SplitMix64(seed), SplitMix64(seed)
+            got = block.next_block(n)
+            assert got.dtype == np.uint64 and got.shape == (n,)
+            assert got.tolist() == [scalar.next_u64() for _ in range(n)]
+            assert block.state == scalar.state
+
+        check()
+
+    def test_block_and_scalar_draws_interleave(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+
+        # each step is a block size, or None for one scalar next_u64 call
+        steps = st.lists(st.one_of(st.none(), st.integers(0, 300)), max_size=12)
+
+        @hyp.settings(max_examples=60, deadline=None)
+        @hyp.given(seed=st.integers(0, 2**64 - 1), steps=steps)
+        def check(seed, steps):
+            mixed, scalar = SplitMix64(seed), SplitMix64(seed)
+            got = []
+            for n in steps:
+                if n is None:
+                    got.append(mixed.next_u64())
+                else:
+                    got.extend(mixed.next_block(n).tolist())
+            assert got == [scalar.next_u64() for _ in got]
+            assert mixed.state == scalar.state
+
+        check()
+
+    def test_sample_matches_scalar_references_on_random_inputs(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+
+        @hyp.settings(max_examples=80, deadline=None)
+        @hyp.given(
+            seed=st.integers(0, 2**64 - 1),
+            population=st.integers(1, 2000),
+            k=st.integers(0, 2500),
+        )
+        def small(seed, population, k):
+            got = sample_indices(SplitMix64(seed), population, k)
+            assert got.tolist() == list_shuffle(SplitMix64(seed), population, k)
+
+        @hyp.settings(max_examples=30, deadline=None)
+        @hyp.given(seed=st.integers(0, 2**64 - 1), k=st.integers(0, 300))
+        def huge(seed, k):
+            population = 10**12
+            got = sample_indices(SplitMix64(seed), population, k)
+            assert got.tolist() == scalar_sparse_shuffle(SplitMix64(seed), population, k)
+
+        small()
+        huge()
+
+    def test_random_grid_draws_the_scalar_unit_stream(self):
+        for spec, d in ((F7, 2), (F9, 3), (make_field(2), 1)):
+            block, scalar = SplitMix64(41), SplitMix64(41)
+            for _ in range(2):
+                got = _random_grid(spec, d, block).values
+                n = spec.q**d
+                re = np.array([scalar.unit() for _ in range(n)])
+                im = np.array([scalar.unit() for _ in range(n)])
+                want = ((2 * re - 1) + 1j * (2 * im - 1)) * (1.0 / math.sqrt(2.0))
+                assert np.array_equal(got.view(np.float64), want.view(np.float64))
+            assert block.state == scalar.state
 
 
 class TestSetSpecs:
@@ -310,6 +397,37 @@ class TestRunners:
         assert got == (best, bs, bm)
         sweep = phase_sweep(P)
         assert (sweep.max_abs, sweep.argmax_s, sweep.argmax_m) == (best, bs, bm)
+
+    def test_phase_csv_rows_follow_the_table_in_row_order(self, tmp_path):
+        cfg = ExperimentConfig(
+            q=5, d=2, poly="x1^2+x2^3", out=str(tmp_path / "ph"), deterministic=True
+        )
+        P = parse_polynomial(cfg.poly, make_field(5), 2)
+        run("phase", cfg)
+        with open(tmp_path / "ph.csv", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        assert lines[0] == "q,d,poly,s,m,abs_sum,ratio"
+        want = []
+        for s in range(1, 5):
+            for m in range(25):
+                a = abs(phase_sum(P, s, decode_point(P.spec, m, 2), method="factored"))
+                want.append(f"5,2,x1^2+x2^3,{s},{m},{a!r},{a / 5.0!r}")
+        assert lines[1:] == want
+
+    def test_phase_refuses_an_oversize_table_before_building_grids(self, monkeypatch):
+        from ffdist import harness, varieties
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a grid was built for an oversize phase request")
+
+        for name in ("value_grid", "grid_coordinates"):
+            monkeypatch.setattr(varieties, name, unreachable)
+        monkeypatch.setattr(harness, "_phase_table", unreachable)
+        cfg = ExperimentConfig(q=101, d=4, poly="x1^2+x2^2+x3^2+x4^2")
+        with pytest.raises(ConfigError, match="GiB"):
+            run("phase", cfg)
+        argv = ["phase", "--q", "101", "--d", "4", "--poly", "x1^2+x2^2+x3^2+x4^2"]
+        assert main(argv) == 2
 
     def test_pinned_runner_rows(self, tmp_path):
         cfg = ExperimentConfig(
