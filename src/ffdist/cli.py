@@ -1,54 +1,18 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 usage error, 2 configuration error,
-3 hypothesis violation, 4 numeric failure.
+Exit codes: 0 success, 1 usage error; a package error exits with the code
+its class carries (errors.py): 2 configuration error, 3 hypothesis
+violation, 4 numeric failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from dataclasses import fields
 
-from .errors import (
-    ArityMismatch,
-    CharacteristicDividesExponent,
-    ConfigError,
-    DegreeOutOfRange,
-    DegreeSharesCharacteristic,
-    DimensionMismatch,
-    EmptySet,
-    FFDistError,
-    IsoUnavailable,
-    MixedFields,
-    NonPrime,
-    PolynomialSyntaxError,
-    ReducibleModulus,
-    RoundingDivergence,
-    VariableOutOfRange,
-    ZeroPolynomial,
-)
-from .harness import ExperimentConfig, run
-
-_CONFIG_ERRORS = (
-    ConfigError,
-    NonPrime,
-    ReducibleModulus,
-    DegreeOutOfRange,
-    PolynomialSyntaxError,
-    VariableOutOfRange,
-    ZeroPolynomial,
-    ArityMismatch,
-    DimensionMismatch,
-    EmptySet,
-    MixedFields,
-)
-_HYPOTHESIS_ERRORS = (
-    CharacteristicDividesExponent,
-    DegreeSharesCharacteristic,
-    IsoUnavailable,
-)
-_NUMERIC_ERRORS = (RoundingDivergence,)
+from .errors import FFDistError
+from .harness import ExperimentConfig, output_base, run, summary_json
 
 
 class _Parser(argparse.ArgumentParser):
@@ -87,60 +51,39 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--q", type=int, help="field order (prime power)")
         sp.add_argument("--p", type=int, help="characteristic (with --n)")
-        sp.add_argument("--n", type=int, default=1, help="extension degree")
+        sp.add_argument("--n", type=int, help="extension degree")
         sp.add_argument(
             "--modulus",
             type=_int_list,
             help="modulus coefficients a0,a1,..,1 (constant first)",
         )
-        sp.add_argument("--d", type=int, default=1, help="ambient dimension")
+        sp.add_argument("--d", type=int, help="ambient dimension")
         sp.add_argument("--poly", help="polynomial text, e.g. 'x1^2+x2^2'")
         sp.add_argument("--setE", help="set specification for E")
         sp.add_argument("--setF", help="set specification for F, or 'same'")
         sp.add_argument("--setE2", help="1-d set specification (product experiments)")
         sp.add_argument("--setF2", help="1-d set specification (product experiments)")
         sp.add_argument("--t", type=int, help="restrict reports to one t")
-        sp.add_argument("--seed", type=int, default=0, help="base seed (64-bit)")
-        sp.add_argument("--trials", type=int, default=1, help="independent trials")
+        sp.add_argument("--seed", type=int, help="base seed (64-bit)")
+        sp.add_argument("--trials", type=int, help="independent trials")
         sp.add_argument("--grid", type=_int_list, help="target |E||F| products")
-        sp.add_argument("--kappa-sharp", dest="kappa_sharp", type=float, default=3.0)
-        sp.add_argument("--kappa-fallback", dest="kappa_fallback", type=float, default=3.0)
-        sp.add_argument("--C", dest="C", type=float, default=1.0)
-        sp.add_argument("--rho", type=float, default=0.5)
-        sp.add_argument("--rmin", dest="r_min", type=float, default=0.25)
+        sp.add_argument("--kappa-sharp", type=float)
+        sp.add_argument("--kappa-fallback", type=float)
+        sp.add_argument("--C", type=float)
+        sp.add_argument("--rho", type=float)
+        sp.add_argument("--rmin", dest="r_min", type=float)
         sp.add_argument("--out", help="output base path; writes <out>.csv/<out>.json")
         sp.add_argument(
             "--deterministic",
             action="store_true",
             help="suppress timestamps so identical runs are byte-identical",
         )
+        sp.set_defaults(**vars(ExperimentConfig()))  # the defaults live on the config
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    return ExperimentConfig(
-        q=args.q,
-        p=args.p,
-        n=args.n,
-        modulus=args.modulus,
-        d=args.d,
-        poly=args.poly,
-        setE=args.setE,
-        setF=args.setF,
-        setE2=args.setE2,
-        setF2=args.setF2,
-        t=args.t,
-        kappa_sharp=args.kappa_sharp,
-        kappa_fallback=args.kappa_fallback,
-        C=args.C,
-        rho=args.rho,
-        r_min=args.r_min,
-        trials=args.trials,
-        seed=args.seed,
-        grid=args.grid,
-        out=args.out,
-        deterministic=args.deterministic,
-    )
+    return ExperimentConfig(**{f.name: getattr(args, f.name) for f in fields(ExperimentConfig)})
 
 
 def main(argv=None) -> int:
@@ -153,34 +96,16 @@ def main(argv=None) -> int:
     try:
         cfg = config_from_args(args)
         code, summary = run(args.command, cfg)
-    except _HYPOTHESIS_ERRORS as exc:
-        print(f"hypothesis violation: {exc}", file=sys.stderr)
-        return 3
-    except _NUMERIC_ERRORS as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return 4
-    except _CONFIG_ERRORS as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except FFDistError as exc:  # anything unclassified is a config problem
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except FFDistError as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
     if cfg.out is None:
-        print(json.dumps(summary, indent=2, sort_keys=True, default=_json_default))
+        print(summary_json(summary))
     else:
-        base = cfg.out
-        for suffix in (".csv", ".json"):
-            if base.endswith(suffix):
-                base = base[: -len(suffix)]
+        base = output_base(cfg.out)
         extra = "" if "rows_written" not in summary else f" and {base}.csv"
         print(f"wrote {base}.json{extra}")
     return code
-
-
-def _json_default(obj):
-    from .harness import _to_builtin
-
-    return _to_builtin(obj)
 
 
 if __name__ == "__main__":  # pragma: no cover

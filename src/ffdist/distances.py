@@ -27,13 +27,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptySet, MixedFields, RoundingDivergence
-from .field import FieldSpec, encode_points, sub_table
+from .field import FieldSpec, add_table, decode_points, encode_points, mul_table, sub_table
 from .rng import SplitMix64, derive_seed
 from .varieties import (
     Polynomial,
     PointSet,
     diagonal_polynomial,
-    evaluate,
     make_polynomial,
     phase_sweep,
     require_same_space,
@@ -403,33 +402,24 @@ def verify_erdos(
 def verify_square_identity(E: PointSet, trials: int = 1000, seed: int = 0) -> bool:
     """For P = sum_j x_j^2, check P(x-y) - P(x'-y) =
     (P(x) - 2*y.x) - (P(x') - 2*y.x') on random triples from E."""
-    spec, d = E.spec, E.d
-    P = diagonal_polynomial(spec, d, 2)
-    two = spec.add(1, 1)
-    rng = SplitMix64(derive_seed(seed, 0x5153)) # 'SQ'
-    idx = E.indices
-    if len(idx) == 0:
+    spec = E.spec
+    if E.size == 0:
         raise EmptySet("need a nonempty sample set")
-    coords = E.coordinates()
+    vg = value_grid(diagonal_polynomial(spec, E.d, 2))
+    at, st, mt = add_table(spec), sub_table(spec), mul_table(spec)
+    rng = SplitMix64(derive_seed(seed, 0x5153))  # 'SQ'
+    # rng.below(E.size) for x, x', y of every trial, in draw order
+    picks = [u * E.size >> 64 for u in rng.next_block(3 * trials).tolist()]
+    idx = E.indices[np.array(picks, dtype=np.int64).reshape(trials, 3)]
+    x, xp, y = (decode_points(spec, idx[:, k], E.d) for k in range(3))
+    two = at[1, 1]
 
-    def dot(u, v):
-        acc = 0
-        for uj, vj in zip(u, v):
-            acc = spec.add(acc, spec.mul(int(uj), int(vj)))
-        return acc
+    def twice_dot(u):  # 2*(y.u) per trial
+        acc = np.zeros(trials, dtype=np.int64)
+        for j in range(E.d):
+            acc = at[acc, mt[y[:, j], u[:, j]]]
+        return mt[two, acc]
 
-    def shifted(u, y):
-        return tuple(spec.sub(int(a), int(b)) for a, b in zip(u, y))
-
-    for _ in range(trials):
-        x = coords[rng.below(len(idx))]
-        xp = coords[rng.below(len(idx))]
-        y = coords[rng.below(len(idx))]
-        lhs = spec.sub(evaluate(P, shifted(x, y)), evaluate(P, shifted(xp, y)))
-        rhs = spec.sub(
-            spec.sub(evaluate(P, tuple(int(c) for c in x)), spec.mul(two, dot(y, x))),
-            spec.sub(evaluate(P, tuple(int(c) for c in xp)), spec.mul(two, dot(y, xp))),
-        )
-        if lhs != rhs:
-            return False
-    return True
+    lhs = st[vg[encode_points(spec, st[x, y])], vg[encode_points(spec, st[xp, y])]]
+    rhs = st[st[vg[idx[:, 0]], twice_dot(x)], st[vg[idx[:, 1]], twice_dot(xp)]]
+    return bool(np.array_equal(lhs, rhs))

@@ -1,8 +1,14 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Each class carries the CLI's exit code and stderr label for it: a
+configuration problem unless a subclass says otherwise.
+"""
 
 
 class FFDistError(Exception):
     """Base class for every error raised by this package."""
+
+    exit_code, label = 2, "config error"
 
 
 class ConfigError(FFDistError):
@@ -50,13 +56,19 @@ class ArityMismatch(FFDistError):
 class CharacteristicDividesExponent(FFDistError):
     """The field characteristic divides the common diagonal exponent."""
 
+    exit_code, label = 3, "hypothesis violation"
+
 
 class DegreeSharesCharacteristic(FFDistError):
     """gcd(degree, q) != 1, so the character-sum bound does not apply."""
 
+    exit_code, label = 3, "hypothesis violation"
+
 
 class IsoUnavailable(FFDistError):
     """No element i with i*i = -1 exists in this field."""
+
+    exit_code, label = 3, "hypothesis violation"
 
 
 # sets and distances
@@ -73,3 +85,5 @@ class DimensionMismatch(FFDistError):
 
 class RoundingDivergence(FFDistError):
     """A value that must be an integer strayed too far from one."""
+
+    exit_code, label = 4, "numeric failure"

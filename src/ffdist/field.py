@@ -13,7 +13,10 @@ products and powers go through log/antilog arrays of a primitive element.
 
 The additive character chi(a) = exp(2*pi*i * Tr(a) / p) is tabulated once
 per field; all downstream sum kernels index the table instead of calling
-transcendental functions.
+transcendental functions.  The trace table comes by F_p-linearity: the
+traces of the n basis elements x^i, dotted with each element's base-p
+digits, mod p.  The scalar per-element `trace` is the independent
+reference that only `field-check` uses.
 """
 
 from __future__ import annotations
@@ -220,7 +223,8 @@ def make_field(p: int, n: int = 1, modulus=None) -> FieldSpec:
     if n == 1:
         mod = None  # a degree-1 modulus carries no information
     spec = FieldSpec(p=p, n=n, q=p**n, modulus=mod)
-    traces = np.array([spec.trace(a) for a in range(spec.q)], dtype=np.int64)
+    digits, places = _digits(spec)  # Tr is F_p-linear: n basis traces fix it
+    traces = digits @ np.array([spec.trace(int(b)) for b in places]) % p
     object.__setattr__(spec, "trace_table", _frozen(traces))
     object.__setattr__(spec, "char_table", np.exp((2j * math.pi / p) * traces))
     return spec

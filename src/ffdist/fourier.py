@@ -6,7 +6,9 @@ reads  sum_m |f^(m)|^2 = q^(-d) * sum_x |f(x)|^2.
 
 Transforms factor into d one-axis passes (coordinate 1 first), each a
 dense q-by-q character matrix multiply; at desk scale this beats any
-fast-transform cleverness.
+fast-transform cleverness.  Both directions share one kernel
+K[m, x] = chi(-x*m): the inverse pass reads its output rows at -x, which
+leaves every value bit for bit as a kernel of its own would.
 """
 
 from __future__ import annotations
@@ -60,32 +62,27 @@ def _forward_kernel(spec: FieldSpec) -> np.ndarray:
     return k
 
 
-@lru_cache(maxsize=8)
-def _inverse_kernel(spec: FieldSpec) -> np.ndarray:
-    """B[x, m] = chi(x*m)."""
-    b = spec.char_table[mul_table(spec)]
-    b.setflags(write=False)
-    return b
-
-
-def _apply_per_axis(kernel: np.ndarray, grid: ComplexGrid) -> np.ndarray:
+def _apply_per_axis(grid: ComplexGrid, rows: np.ndarray | None = None) -> np.ndarray:
     # Axis j of the reshaped array is coordinate j+1; transform in order.
+    # `rows` reorders each output axis: K[-x, m] = chi(x*m) gives the inverse pass.
+    kernel = _forward_kernel(grid.spec)
     arr = grid.values.reshape((grid.spec.q,) * grid.d, order="F")
     for axis in range(grid.d):
-        arr = np.moveaxis(np.tensordot(kernel, arr, axes=([1], [axis])), 0, axis)
+        out = np.tensordot(kernel, arr, axes=([1], [axis]))
+        arr = np.moveaxis(out if rows is None else out[rows], 0, axis)
     return arr.ravel(order="F")
 
 
 def fourier_transform(f: ComplexGrid) -> ComplexGrid:
     """f^(m) = q^(-d) * sum_x f(x) chi(-x*m)."""
-    out = _apply_per_axis(_forward_kernel(f.spec), f)
+    out = _apply_per_axis(f)
     out /= float(f.spec.q) ** f.d
     return ComplexGrid(f.spec, f.d, out)
 
 
 def inverse_transform(g: ComplexGrid) -> ComplexGrid:
     """f(x) = sum_m chi(x*m) g(m); exact inverse of fourier_transform."""
-    return ComplexGrid(g.spec, g.d, _apply_per_axis(_inverse_kernel(g.spec), g))
+    return ComplexGrid(g.spec, g.d, _apply_per_axis(g, neg_table(g.spec)))
 
 
 def plancherel_residual(f: ComplexGrid) -> float:

@@ -16,7 +16,7 @@ import math
 import os
 from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from itertools import repeat
 from pathlib import Path
 
@@ -41,6 +41,7 @@ from .fourier import (
 from .rng import SplitMix64, derive_seed, sample_indices
 from .varieties import (
     DIAGONAL,
+    DecayEntry,
     PointSet,
     Polynomial,
     _phase_table,
@@ -90,7 +91,6 @@ class ExperimentConfig:
     C: float = 1.0
     rho: float = 0.5
     r_min: float = 0.25
-    min_fraction: float = 0.5  # share of pins that must carry many distances
     trials: int = 1
     seed: int = 0
     grid: tuple[int, ...] | None = None
@@ -119,6 +119,13 @@ def require(cfg: ExperimentConfig, *names: str):
     for name in names:
         if getattr(cfg, name) is None:
             raise ConfigError(f"--{name.replace('_', '-')} is required here")
+
+
+def _field_and_poly(cfg: ExperimentConfig) -> tuple[FieldSpec, Polynomial]:
+    """The field and the parsed --poly, the preamble of every runner that takes one."""
+    spec = cfg.resolve_field()
+    require(cfg, "poly")
+    return spec, parse_polynomial(cfg.poly, spec, cfg.d)
 
 
 # ---------------------------------------------------------------------------
@@ -223,34 +230,23 @@ def build_pair(
     d: int,
     poly: Polynomial | None,
     trial: int,
+    roles: tuple[str, str] = ("E", "F"),
 ) -> tuple[PointSet, PointSet]:
-    require(cfg, "setE", "setF")
-    E = build_set(cfg.setE, spec, d, poly=poly, seed=cfg.seed, role="E", trial=trial)
-    if cfg.setF == "same":
-        F = E
-    else:
-        F = build_set(cfg.setF, spec, d, poly=poly, seed=cfg.seed, role="F", trial=trial)
-    return E, F
+    """The sets --set<role> of both roles; the second may be 'same'."""
+    names = ["set" + role for role in roles]
+    require(cfg, *names)
+    first, second = (getattr(cfg, name) for name in names)
+    E = build_set(first, spec, d, poly=poly, seed=cfg.seed, role=roles[0], trial=trial)
+    if second == "same":
+        return E, E
+    return E, build_set(second, spec, d, poly=poly, seed=cfg.seed, role=roles[1], trial=trial)
 
 
 # ---------------------------------------------------------------------------
 # Output plumbing.
 
-SCAN_COLUMNS = (
-    "q",
-    "d",
-    "poly",
-    "trial",
-    "seed",
-    "size_E",
-    "size_F",
-    "pair_ratio",
-    "delta_size",
-    "delta_ratio",
-    "falconer",
-    "erdos",
-    "missing_t",
-)
+_TRIAL_COLUMNS = ("q", "d", "poly", "trial", "seed", "size_E", "size_F", "pair_ratio")
+SCAN_COLUMNS = _TRIAL_COLUMNS + ("delta_size", "delta_ratio", "falconer", "erdos", "missing_t")
 ScanRow = namedtuple("ScanRow", SCAN_COLUMNS)
 
 
@@ -268,6 +264,16 @@ def _to_builtin(obj):
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
+def summary_json(summary: dict) -> str:
+    """The summary as written to <out>.json, or printed without --out."""
+    return json.dumps(summary, indent=2, sort_keys=True, default=_to_builtin)
+
+
+def output_base(out: str) -> str:
+    """BASE of --out BASE, which may end in .csv or .json."""
+    return out.removesuffix(".csv").removesuffix(".json")
+
+
 def emit(
     out: str | None,
     summary: dict,
@@ -279,15 +285,12 @@ def emit(
     """Write <out>.csv (when rows exist) and <out>.json; or return the
     summary for stdout when no output path was given.  Each row holds its
     values in `columns` order."""
+    summary = dict(summary)
     if not deterministic:
-        summary = dict(summary)
         summary["generated"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
     if out is None:
         return summary
-    base = out
-    for suffix in (".csv", ".json"):
-        if base.endswith(suffix):
-            base = base[: -len(suffix)]
+    base = output_base(out)
     Path(base).parent.mkdir(parents=True, exist_ok=True)
     if rows is not None:
         with open(base + ".csv", "w", encoding="utf-8", newline="") as fh:
@@ -296,30 +299,32 @@ def emit(
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(columns)
             writer.writerows(rows)
-        summary = dict(summary)
         summary["rows_written"] = len(rows)
     with open(base + ".json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True, default=_to_builtin)
-        fh.write("\n")
+        fh.write(summary_json(summary) + "\n")
     return summary
 
 
 # ---------------------------------------------------------------------------
-# Runners.  Each returns (exit_code, summary, rows, columns).
+# Runners.  Each returns (exit_code, summary, rows, columns); `run` adds the
+# summary's "command" key.
 
 def run_field_check(cfg: ExperimentConfig):
     """Every pair of the tables against the scalar traces and the scalar inverse."""
     spec = cfg.resolve_field()
     q, p = spec.q, spec.p
-    table, tr = spec.char_table, spec.trace_table
+    table = spec.char_table
+    tr = np.array([spec.trace(a) for a in range(q)], dtype=np.int64)
     unit_err = float(np.max(np.abs(np.abs(table) - 1.0)))
 
     at, mt = add_table(spec), mul_table(spec)
     mult = np.multiply.outer(table, table)
     mult -= table[at]
     mult_err = float(np.max(np.abs(mult)))
-    trace_ok = bool(np.all(tr[at] == (tr[:, None] + tr) % p)) and bool(
-        np.all(tr[mt[:p]] == np.arange(p)[:, None] * tr % p)
+    trace_ok = (
+        np.array_equal(spec.trace_table, tr)
+        and bool(np.all(tr[at] == (tr[:, None] + tr) % p))
+        and bool(np.all(tr[mt[:p]] == np.arange(p)[:, None] * tr % p))
     )
     orth_err = float(np.max(np.abs(table[mt[1:]].sum(axis=1))))
     inv_ref = [spec.inv(a) for a in range(1, q)]
@@ -335,7 +340,6 @@ def run_field_check(cfg: ExperimentConfig):
     }
     ok = all(c["pass"] for c in checks.values())
     summary = {
-        "command": "field-check",
         "q": q,
         "p": spec.p,
         "n": spec.n,
@@ -359,7 +363,7 @@ def run_fourier_check(cfg: ExperimentConfig):
     spec = cfg.resolve_field()
     d = cfg.d
     q = spec.q
-    grids = max(cfg.trials, 1)
+    grids = cfg.trials
     rng = SplitMix64(derive_seed(cfg.seed, 0xF0))
     worst_round, worst_plan, worst_lin = 0.0, 0.0, 0.0
     for _ in range(grids):
@@ -375,7 +379,6 @@ def run_fourier_check(cfg: ExperimentConfig):
     tol_grid = 1e-9 * q**d
     ok = worst_round < tol_round and worst_plan < tol_grid and worst_lin < tol_grid
     summary = {
-        "command": "fourier-check",
         "q": q,
         "d": d,
         "grids": grids,
@@ -388,48 +391,23 @@ def run_fourier_check(cfg: ExperimentConfig):
     return (0 if ok else 4), summary, None, None
 
 
-DECAY_COLUMNS = (
-    "q",
-    "d",
-    "poly",
-    "t",
-    "variety_size",
-    "max_nonzero_freq",
-    "c_sharp",
-    "c_fallback",
-    "classification",
-    "argmax_m",
-)
+DECAY_COLUMNS = ("q", "d", "poly") + tuple(f.name for f in fields(DecayEntry))
 
 
 def run_decay(cfg: ExperimentConfig):
-    spec = cfg.resolve_field()
-    require(cfg, "poly")
-    P = parse_polynomial(cfg.poly, spec, cfg.d)
+    spec, P = _field_and_poly(cfg)
     entries = decay_spectrum(P, cfg.kappa_sharp, cfg.kappa_fallback)
     report = exceptional_set(
         P, cfg.kappa_sharp, cfg.kappa_fallback, entries=entries
     )
     rows = [
-        (
-            spec.q,
-            cfg.d,
-            cfg.poly,
-            e.t,
-            e.variety_size,
-            e.max_nonzero_freq,
-            e.c_sharp,
-            e.c_fallback,
-            e.classification,
-            e.argmax_m,
-        )
+        (spec.q, cfg.d, cfg.poly, *astuple(e))
         for e in entries
         if cfg.t is None or e.t == cfg.t % spec.q
     ]
     s = common_diagonal_exponent(P)
     nonzero = [e for e in entries if e.t != 0]
     summary = {
-        "command": "decay",
         "q": spec.q,
         "d": cfg.d,
         "poly": cfg.poly,
@@ -449,14 +427,11 @@ def run_decay(cfg: ExperimentConfig):
 
 
 def run_weil(cfg: ExperimentConfig):
-    spec = cfg.resolve_field()
-    require(cfg, "poly")
+    spec, f = _field_and_poly(cfg)
     if cfg.d != 1:
         raise ConfigError("weil needs a univariate polynomial (--d 1)")
-    f = parse_polynomial(cfg.poly, spec, 1)
     res = weil_sum(f)
     summary = {
-        "command": "weil",
         "q": spec.q,
         "poly": cfg.poly,
         "degree": f.degree,
@@ -476,9 +451,7 @@ _PHASE_ENTRY_BYTES = 256
 
 
 def run_phase(cfg: ExperimentConfig):
-    spec = cfg.resolve_field()
-    require(cfg, "poly")
-    P = parse_polynomial(cfg.poly, spec, cfg.d)
+    spec, P = _field_and_poly(cfg)
     q, d = spec.q, cfg.d
     n = q**d
     need = (q - 1) * n * _PHASE_ENTRY_BYTES
@@ -501,7 +474,6 @@ def run_phase(cfg: ExperimentConfig):
     rows = list(zip(repeat(q), repeat(d), repeat(cfg.poly), s_col, m_col, abs_sum, ratio))
     best = int(np.argmax(mag))  # the first maximum in row order
     summary = {
-        "command": "phase",
         "q": q,
         "d": d,
         "poly": cfg.poly,
@@ -515,7 +487,13 @@ def run_phase(cfg: ExperimentConfig):
     return 0, summary, rows, PHASE_COLUMNS
 
 
-def _scan_row(cfg, spec, P, trial, seed, E, F, report, hist: CountingHistogram) -> ScanRow:
+def _trial_values(cfg, q: int, trial: int, E: PointSet, F: PointSet) -> tuple:
+    """The _TRIAL_COLUMNS values of one trial's row; trial k reports seed + k."""
+    pair_ratio = E.size * F.size / float(q) ** (cfg.d + 1)
+    return (q, cfg.d, cfg.poly, trial, cfg.seed + trial, E.size, F.size, pair_ratio)
+
+
+def _scan_row(cfg, spec, P, trial, E, F, report, hist: CountingHistogram) -> ScanRow:
     """One scan/distance row; both verdicts come from the trial's histogram."""
     q, d = spec.q, P.d
     delta = hist.support()
@@ -523,14 +501,7 @@ def _scan_row(cfg, spec, P, trial, seed, E, F, report, hist: CountingHistogram) 
     falc = _falconer_verdict(q, d, pair_product, delta, report.T, cfg.C)
     erd = _erdos_verdict(q, d, pair_product, len(delta), report.A, cfg.C, cfg.r_min)
     return ScanRow(
-        q=q,
-        d=d,
-        poly=cfg.poly,
-        trial=trial,
-        seed=seed,
-        size_E=E.size,
-        size_F=F.size,
-        pair_ratio=pair_product / float(q) ** (d + 1),
+        *_trial_values(cfg, q, trial, E, F),
         delta_size=len(delta),
         delta_ratio=len(delta) / q,
         falconer=falc.status,
@@ -540,22 +511,18 @@ def _scan_row(cfg, spec, P, trial, seed, E, F, report, hist: CountingHistogram) 
 
 
 def run_distance(cfg: ExperimentConfig):
-    spec = cfg.resolve_field()
-    require(cfg, "poly")
-    P = parse_polynomial(cfg.poly, spec, cfg.d)
+    spec, P = _field_and_poly(cfg)
     report = exceptional_set(P, cfg.kappa_sharp, cfg.kappa_fallback)
     rows = []
     deltas = []
     zero_flags = []
     for trial in range(cfg.trials):
-        seed = cfg.seed + trial
         E, F = build_pair(cfg, spec, cfg.d, P, trial)
         hist = counting_function(P, E, F)
-        rows.append(_scan_row(cfg, spec, P, trial, seed, E, F, report, hist))
+        rows.append(_scan_row(cfg, spec, P, trial, E, F, report, hist))
         deltas.append(rows[-1].delta_size)
         zero_flags.append(hist[0] > 0)
     summary = {
-        "command": "distance",
         "q": spec.q,
         "d": cfg.d,
         "poly": cfg.poly,
@@ -575,60 +542,31 @@ def run_distance(cfg: ExperimentConfig):
     return 0, summary, rows, SCAN_COLUMNS
 
 
-PINNED_COLUMNS = (
-    "q",
-    "d",
-    "poly",
-    "trial",
-    "seed",
-    "size_E",
-    "size_F",
-    "pair_ratio",
-    "fraction_large",
-    "pinned",
-)
+PINNED_COLUMNS = _TRIAL_COLUMNS + ("fraction_large", "pinned")
 PinnedRow = namedtuple("PinnedRow", PINNED_COLUMNS)
+MIN_FRACTION = 0.5  # share of pins that must carry many distances for a pass
 
 
 def run_pinned(cfg: ExperimentConfig):
-    spec = cfg.resolve_field()
-    require(cfg, "poly")
-    P = parse_polynomial(cfg.poly, spec, cfg.d)
+    spec, P = _field_and_poly(cfg)
     q, d = spec.q, cfg.d
     rows = []
     for trial in range(cfg.trials):
-        seed = cfg.seed + trial
         E, F = build_pair(cfg, spec, d, P, trial)
         rep = pinned_distances(P, E, F, cfg.rho)
-        vacuous = E.size * F.size < cfg.C * float(q) ** (d + 1)
-        verdict = (
-            "vacuous"
-            if vacuous
-            else ("pass" if rep.fraction_large >= cfg.min_fraction else "fail")
-        )
-        rows.append(
-            PinnedRow(
-                q=q,
-                d=d,
-                poly=cfg.poly,
-                trial=trial,
-                seed=seed,
-                size_E=E.size,
-                size_F=F.size,
-                pair_ratio=(E.size * F.size) / float(q) ** (d + 1),
-                fraction_large=rep.fraction_large,
-                pinned=verdict,
-            )
-        )
+        if E.size * F.size < cfg.C * float(q) ** (d + 1):
+            verdict = "vacuous"
+        else:
+            verdict = "pass" if rep.fraction_large >= MIN_FRACTION else "fail"
+        rows.append(PinnedRow(*_trial_values(cfg, q, trial, E, F), rep.fraction_large, verdict))
     summary = {
-        "command": "pinned",
         "q": q,
         "d": d,
         "poly": cfg.poly,
         "trials": cfg.trials,
         "seed": cfg.seed,
         "rho": cfg.rho,
-        "min_fraction": cfg.min_fraction,
+        "min_fraction": MIN_FRACTION,
         "fractions": [r.fraction_large for r in rows],
         "verdicts": sorted({r.pinned for r in rows}),
     }
@@ -636,15 +574,12 @@ def run_pinned(cfg: ExperimentConfig):
 
 
 def run_lift(cfg: ExperimentConfig):
-    spec = cfg.resolve_field()
-    require(cfg, "poly")
-    P = parse_polynomial(cfg.poly, spec, cfg.d)
+    spec, P = _field_and_poly(cfg)
     H = paraboloid_lift(P)
     q, d = spec.q, cfg.d
     sizes = np.bincount(value_grid(H), minlength=q)
     fibers_ok = bool(np.all(sizes == q**d))
     summary = {
-        "command": "lift",
         "q": q,
         "d": d,
         "poly": cfg.poly,
@@ -656,14 +591,7 @@ def run_lift(cfg: ExperimentConfig):
     if cfg.setE and cfg.setF:
         E, F = build_pair(cfg, spec, d, P, 0)
         if cfg.setE2 or cfg.setF2:
-            require(cfg, "setE2", "setF2")
-            E2 = build_set(cfg.setE2, spec, 1, poly=P, seed=cfg.seed, role="E2", trial=0)
-            if cfg.setF2 == "same":
-                F2 = E2
-            else:
-                F2 = build_set(
-                    cfg.setF2, spec, 1, poly=P, seed=cfg.seed, role="F2", trial=0
-                )
+            E2, F2 = build_pair(cfg, spec, 1, P, 0, ("E2", "F2"))
             rep = product_set_experiment(P, E, E2, F, F2, C=cfg.C, rho=cfg.rho)
             summary["product"] = {
                 k: v for k, v in vars(rep).items() if k not in ("q", "d", "poly")
@@ -679,11 +607,9 @@ def run_lift(cfg: ExperimentConfig):
 
 
 def run_scan(cfg: ExperimentConfig):
-    spec = cfg.resolve_field()
-    require(cfg, "poly")
+    spec, P = _field_and_poly(cfg)
     if not cfg.grid:
         raise ConfigError("scan needs --grid with target |E||F| products")
-    P = parse_polynomial(cfg.poly, spec, cfg.d)
     report = exceptional_set(P, cfg.kappa_sharp, cfg.kappa_fallback)
     q, d = spec.q, cfg.d
     capacity = q**d
@@ -693,14 +619,13 @@ def run_scan(cfg: ExperimentConfig):
         side = min(capacity, math.isqrt(max(int(target) - 1, 0)) + 1)  # ceil(sqrt)
         group = []
         for trial in range(cfg.trials):
-            seed = cfg.seed + trial
             sets = {}
             for role in ("E", "F"):
                 rng = SplitMix64(derive_seed(cfg.seed, ROLE_SALTS[role], trial, gi))
                 sets[role] = PointSet(spec, d, sample_indices(rng, capacity, side))
             E, F = sets["E"], sets["F"]
             hist = counting_function(P, E, F)
-            group.append(_scan_row(cfg, spec, P, trial, seed, E, F, report, hist))
+            group.append(_scan_row(cfg, spec, P, trial, E, F, report, hist))
         rows.extend(group)
         groups.append(group)
     first_all_pass = {
@@ -715,7 +640,6 @@ def run_scan(cfg: ExperimentConfig):
         for theorem in ("falconer", "erdos")
     }
     summary = {
-        "command": "scan",
         "q": q,
         "d": d,
         "poly": cfg.poly,
@@ -746,10 +670,7 @@ def run(command: str, cfg: ExperimentConfig) -> tuple[int, dict]:
     """Execute one subcommand and write its outputs; returns (exit, summary)."""
     code, summary, rows, columns = RUNNERS[command](cfg)
     summary = emit(
-        cfg.out,
-        summary,
-        rows=rows,
-        columns=columns or SCAN_COLUMNS,
+        cfg.out, {"command": command, **summary}, rows=rows, columns=columns,
         deterministic=cfg.deterministic,
     )
     return code, summary

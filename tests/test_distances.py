@@ -23,6 +23,7 @@ from ffdist.field import field_from_order, make_field
 from ffdist.rng import SplitMix64, derive_seed, sample_indices
 from ffdist.varieties import (
     PointSet,
+    diagonal_polynomial,
     evaluate,
     exceptional_set,
     full_grid,
@@ -471,6 +472,37 @@ class TestVerifiers:
         assert v.unconditional
 
 
+def scalar_square_identity(E, trials=1000, seed=0):
+    """Reference: the scalar triple loop verify_square_identity replaced."""
+    spec, d = E.spec, E.d
+    P = diagonal_polynomial(spec, d, 2)
+    two = spec.add(1, 1)
+    rng = SplitMix64(derive_seed(seed, 0x5153))
+    coords = E.coordinates()
+
+    def dot(u, v):
+        acc = 0
+        for uj, vj in zip(u, v):
+            acc = spec.add(acc, spec.mul(int(uj), int(vj)))
+        return acc
+
+    def shifted(u, y):
+        return tuple(spec.sub(int(a), int(b)) for a, b in zip(u, y))
+
+    for _ in range(trials):
+        x = coords[rng.below(E.size)]
+        xp = coords[rng.below(E.size)]
+        y = coords[rng.below(E.size)]
+        lhs = spec.sub(evaluate(P, shifted(x, y)), evaluate(P, shifted(xp, y)))
+        rhs = spec.sub(
+            spec.sub(evaluate(P, tuple(int(c) for c in x)), spec.mul(two, dot(y, x))),
+            spec.sub(evaluate(P, tuple(int(c) for c in xp)), spec.mul(two, dot(y, xp))),
+        )
+        if lhs != rhs:
+            return False
+    return True
+
+
 class TestSquareIdentity:
     def test_holds_on_random_triples_f7(self):
         assert verify_square_identity(full_grid(F7, 2), trials=200, seed=1)
@@ -482,3 +514,56 @@ class TestSquareIdentity:
         # x = x' and y = 0 are exercised once the sample set is tiny
         E = points_from_coords(F7, 2, [[0, 0], [1, 2]])
         assert verify_square_identity(E, trials=64, seed=3)
+
+    def test_matches_the_scalar_loop_on_random_fields_and_sets(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+        fields = [make_field(p, n) for p, n in ((2, 1), (3, 1), (7, 1), (2, 2), (2, 3), (3, 2), (5, 2))]
+
+        @hyp.settings(max_examples=60, deadline=None)
+        @hyp.given(
+            spec=st.sampled_from(fields),
+            d=st.integers(1, 3),
+            k=st.integers(1, 40),
+            trials=st.integers(0, 60),
+            seed=st.integers(0, 2**64 - 1),
+        )
+        def check(spec, d, k, trials, seed):
+            E = PointSet(spec, d, sample_indices(SplitMix64(seed), spec.q**d, k))
+            got = verify_square_identity(E, trials=trials, seed=seed)
+            assert got is scalar_square_identity(E, trials=trials, seed=seed)
+
+        check()
+
+    @pytest.mark.parametrize("name", ["sub_table", "mul_table"])
+    def test_one_corrupted_table_entry_fails_the_identity(self, monkeypatch, name):
+        from ffdist import distances
+
+        build = getattr(distances, name)
+
+        def corrupted(spec):
+            t = build(spec).copy()
+            t[2, 5] = (t[2, 5] + 1) % spec.q
+            return t
+
+        E = full_grid(F7, 2)
+        monkeypatch.setattr(distances, name, corrupted)
+        assert not verify_square_identity(E, trials=200, seed=1)
+        assert scalar_square_identity(E, trials=200, seed=1)  # the scalar path never reads tables
+
+    def test_draws_the_scalar_below_triples(self, monkeypatch):
+        from ffdist import distances
+
+        seen = []
+
+        def recording(spec, idx, d):
+            seen.append(np.asarray(idx).tolist())
+            return decode(spec, idx, d)
+
+        decode = distances.decode_points
+        monkeypatch.setattr(distances, "decode_points", recording)
+        E = random_set(F9, 2, 30, seed=4)
+        assert verify_square_identity(E, trials=50, seed=6)
+        rng = SplitMix64(derive_seed(6, 0x5153))
+        triples = [[int(E.indices[rng.below(E.size)]) for _ in range(3)] for _ in range(50)]
+        assert [list(t) for t in zip(*seen)] == triples

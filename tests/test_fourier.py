@@ -4,7 +4,7 @@ equivalence with the direct double-loop transform (the oracle)."""
 import numpy as np
 import pytest
 
-from ffdist.field import decode_point, make_field
+from ffdist.field import decode_point, make_field, mul_table
 from ffdist.fourier import (
     ComplexGrid,
     fourier_transform,
@@ -159,3 +159,35 @@ class TestOracleEquivalence:
         f = random_grid(F, 2, rng, bounded=False)
         slow = reference_transform(F, 2, f.values)
         assert np.max(np.abs(fourier_transform(f).values - slow)) < 1e-10
+
+
+def explicit_kernel_inverse(g):
+    """The inverse pass with its own kernel B[x, m] = chi(x*m), axis by axis."""
+    spec = g.spec
+    kernel = spec.char_table[mul_table(spec)]
+    arr = g.values.reshape((spec.q,) * g.d, order="F")
+    for axis in range(g.d):
+        arr = np.moveaxis(np.tensordot(kernel, arr, axes=([1], [axis])), 0, axis)
+    return arr.ravel(order="F")
+
+
+@pytest.mark.parametrize(
+    "spec, d",
+    [
+        (make_field(7), 1),
+        (make_field(13), 2),
+        (make_field(5), 3),
+        (make_field(2, 3), 2),
+        (make_field(3, 2, (1, 0, 1)), 2),
+        (make_field(5, 2), 2),
+        (make_field(3, 3), 1),
+    ],
+    ids=lambda v: getattr(v, "q", v),
+)
+def test_inverse_equals_the_explicit_kernel_bit_for_bit(spec, d):
+    rng = SplitMix64(spec.q * 10 + d)
+    grids = [random_grid(spec, d, rng) for _ in range(3)]
+    grids += [fourier_transform(indicator_grid(spec, d, range(k, spec.q**d, 3))) for k in range(3)]
+    for g in grids:
+        got = inverse_transform(g).values
+        assert np.array_equal(got.view(np.float64), explicit_kernel_inverse(g).view(np.float64))

@@ -8,10 +8,11 @@ import math
 import numpy as np
 import pytest
 
+from ffdist import errors
 from ffdist.cli import main
 from ffdist.errors import ConfigError, IsoUnavailable
 from ffdist.field import decode_point, field_from_order, make_field
-from ffdist.harness import ExperimentConfig, _random_grid, build_set, run
+from ffdist.harness import RUNNERS, ExperimentConfig, _random_grid, build_set, run
 from ffdist.rng import SplitMix64, derive_seed, sample_indices
 from ffdist.varieties import parse_polynomial, phase_sum, phase_sweep, variety
 
@@ -313,6 +314,23 @@ class TestRunners:
         assert code == 4 and summary["pass"] is False
         assert main(["field-check", "--q", str(q)]) == 4
 
+    @pytest.mark.parametrize("q", [9, 13])
+    def test_field_check_fails_on_one_corrupted_trace_entry(self, monkeypatch, q):
+        from ffdist import harness
+
+        def corrupted(order):
+            spec = field_from_order(order)
+            tr = spec.trace_table.copy()
+            tr[5] = (tr[5] + 1) % spec.p
+            object.__setattr__(spec, "trace_table", tr)
+            return spec
+
+        monkeypatch.setattr(harness, "field_from_order", corrupted)
+        code, summary = run("field-check", ExperimentConfig(q=q))
+        assert code == 4 and summary["pass"] is False
+        assert [k for k, c in summary["checks"].items() if not c["pass"]] == ["trace_linear"]
+        assert main(["field-check", "--q", str(q)]) == 4
+
     def test_fourier_check_passes(self):
         code, summary = run(
             "fourier-check", ExperimentConfig(q=5, d=2, trials=5, seed=1)
@@ -525,6 +543,44 @@ class TestCli:
                 "same",
             ]
         ) == 3
+
+    @pytest.mark.parametrize(
+        "cls",
+        [
+            c
+            for c in vars(errors).values()
+            if isinstance(c, type) and issubclass(c, errors.FFDistError)
+            and c is not errors.FFDistError
+        ],
+        ids=lambda c: c.__name__,
+    )
+    def test_every_error_class_maps_to_its_exit_code(self, capsys, monkeypatch, cls):
+        expected = {
+            errors.CharacteristicDividesExponent: (3, "hypothesis violation"),
+            errors.DegreeSharesCharacteristic: (3, "hypothesis violation"),
+            errors.IsoUnavailable: (3, "hypothesis violation"),
+            errors.RoundingDivergence: (4, "numeric failure"),
+        }.get(cls, (2, "config error"))
+
+        def explode(cfg):
+            raise cls("synthetic")
+
+        monkeypatch.setitem(RUNNERS, "weil", explode)
+        assert main(["weil", "--q", "7", "--poly", "x1"]) == expected[0]
+        assert capsys.readouterr().err == f"{expected[1]}: synthetic\n"
+
+    def test_every_option_is_a_config_field(self):
+        from dataclasses import fields
+
+        from ffdist.cli import build_parser, config_from_args
+
+        names = {f.name for f in fields(ExperimentConfig)}
+        sub = next(a for a in build_parser()._actions if a.dest == "command")
+        assert set(sub.choices) == set(RUNNERS)
+        for name, parser in sub.choices.items():
+            dests = {a.dest for a in parser._actions if a.dest != "help"}
+            assert dests == names
+            assert config_from_args(build_parser().parse_args([name])) == ExperimentConfig()
 
     def test_numeric_error_exits_4(self, capsys, monkeypatch):
         from ffdist import harness
