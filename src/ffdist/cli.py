@@ -32,6 +32,37 @@ def _int_list(text: str) -> tuple[int, ...]:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    common = argparse.ArgumentParser(add_help=False)  # the options every subcommand takes
+    common.add_argument("--q", type=int, help="field order (prime power)")
+    common.add_argument("--p", type=int, help="characteristic (with --n)")
+    common.add_argument("--n", type=int, help="extension degree")
+    common.add_argument(
+        "--modulus",
+        type=_int_list,
+        help="modulus coefficients a0,a1,..,1 (constant first)",
+    )
+    common.add_argument("--d", type=int, help="ambient dimension")
+    common.add_argument("--poly", help="polynomial text, e.g. 'x1^2+x2^2'")
+    common.add_argument("--setE", help="set specification for E")
+    common.add_argument("--setF", help="set specification for F, or 'same'")
+    common.add_argument("--setE2", help="1-d set specification (product experiments)")
+    common.add_argument("--setF2", help="1-d set specification (product experiments)")
+    common.add_argument("--t", type=int, help="restrict reports to one t")
+    common.add_argument("--seed", type=int, help="base seed (64-bit)")
+    common.add_argument("--trials", type=int, help="independent trials")
+    common.add_argument("--grid", type=_int_list, help="target |E||F| products")
+    common.add_argument("--kappa-sharp", type=float)
+    common.add_argument("--kappa-fallback", type=float)
+    common.add_argument("--C", type=float)
+    common.add_argument("--rho", type=float)
+    common.add_argument("--rmin", dest="r_min", type=float)
+    common.add_argument("--out", help="output base path; writes <out>.csv/<out>.json")
+    common.add_argument(
+        "--deterministic",
+        action="store_true",
+        help="suppress timestamps so identical runs are byte-identical",
+    )
+    common.set_defaults(**vars(ExperimentConfig()))  # the defaults live on the config
     parser = _Parser(
         prog="ffdist",
         description="Exact distance-set and character-sum experiments over F_q^d.",
@@ -48,37 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("lift", "one-dimension-up lift: fiber sizes, restriction, products"),
         ("scan", "sweep target |E||F| products and locate verdict flips"),
     ):
-        sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("--q", type=int, help="field order (prime power)")
-        sp.add_argument("--p", type=int, help="characteristic (with --n)")
-        sp.add_argument("--n", type=int, help="extension degree")
-        sp.add_argument(
-            "--modulus",
-            type=_int_list,
-            help="modulus coefficients a0,a1,..,1 (constant first)",
-        )
-        sp.add_argument("--d", type=int, help="ambient dimension")
-        sp.add_argument("--poly", help="polynomial text, e.g. 'x1^2+x2^2'")
-        sp.add_argument("--setE", help="set specification for E")
-        sp.add_argument("--setF", help="set specification for F, or 'same'")
-        sp.add_argument("--setE2", help="1-d set specification (product experiments)")
-        sp.add_argument("--setF2", help="1-d set specification (product experiments)")
-        sp.add_argument("--t", type=int, help="restrict reports to one t")
-        sp.add_argument("--seed", type=int, help="base seed (64-bit)")
-        sp.add_argument("--trials", type=int, help="independent trials")
-        sp.add_argument("--grid", type=_int_list, help="target |E||F| products")
-        sp.add_argument("--kappa-sharp", type=float)
-        sp.add_argument("--kappa-fallback", type=float)
-        sp.add_argument("--C", type=float)
-        sp.add_argument("--rho", type=float)
-        sp.add_argument("--rmin", dest="r_min", type=float)
-        sp.add_argument("--out", help="output base path; writes <out>.csv/<out>.json")
-        sp.add_argument(
-            "--deterministic",
-            action="store_true",
-            help="suppress timestamps so identical runs are byte-identical",
-        )
-        sp.set_defaults(**vars(ExperimentConfig()))  # the defaults live on the config
+        sub.add_parser(name, help=help_text, parents=[common])
     return parser
 
 

@@ -9,7 +9,10 @@ operation is pure.
 
 The scalar FieldSpec methods are the reference.  The operation tables share
 one vectorized path for every q: addition is digit-wise mod p with no carries,
-products and powers go through log/antilog arrays of a primitive element.
+products and powers go through log/antilog arrays of the smallest primitive
+element g.  The antilog comes by F_p-linear doubling: multiplication by g^k
+is an n x n matrix over F_p acting on base-p digits, so each block of powers
+is the previous block times one such matrix.
 
 The additive character chi(a) = exp(2*pi*i * Tr(a) / p) is tabulated once
 per field; all downstream sum kernels index the table instead of calling
@@ -262,18 +265,37 @@ def _digits(spec: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
     return np.arange(spec.q, dtype=np.int64)[:, None] // places % spec.p, places
 
 
+def _prime_factors(m: int) -> list[int]:
+    out, f = [], 2
+    while f * f <= m:
+        if m % f == 0:
+            out.append(f)
+            while m % f == 0:
+                m //= f
+        f += 1
+    return out + [m] if m > 1 else out
+
+
 @lru_cache(maxsize=8)
 def _log_antilog(spec: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
-    """log (q,) and antilog (q-1,) arrays of the smallest primitive element."""
-    q = spec.q
-    for g in range(1, q):
-        antilog, x = [1], g
-        while x != 1:
-            antilog.append(x)
-            x = spec.mul(x, g)
-        if len(antilog) == q - 1:
-            break
-    antilog = np.array(antilog, dtype=np.int64)
+    """log (q,) and antilog (q-1,) arrays of the smallest primitive element.
+
+    g is primitive iff g^((q-1)/r) != 1 for every prime r | q-1.  The powers
+    g^0..g^(q-2) come by doubling: multiplication by c is F_p-linear on
+    base-p digit rows, with the digits of c*x^i as row i of its matrix, so
+    the digit rows of g^L..g^(2L-1) are those of g^0..g^(L-1) times the
+    matrix of c = g^L, mod p.
+    """
+    q, p = spec.q, spec.p
+    cofactors = [(q - 1) // r for r in _prime_factors(q - 1)]
+    g = next(g for g in range(1, q) if all(spec.pow(g, e) != 1 for e in cofactors))
+    digits, places = _digits(spec)
+    block, c = digits[1:2], g  # digit rows of g^0, and c = g^len(block)
+    while len(block) < q - 1:
+        mult = digits[[spec.mul(c, int(b)) for b in places]]  # row i: digits of c*x^i
+        block = np.concatenate([block, block @ mult % p])
+        c = spec.mul(c, c)
+    antilog = block[: q - 1] @ places
     log = np.zeros(q, dtype=np.int64)
     log[antilog] = np.arange(q - 1)
     return _frozen(log), _frozen(antilog)

@@ -183,17 +183,26 @@ def evaluate(P: Polynomial, x) -> int:
 
 @lru_cache(maxsize=32)
 def value_grid(P: Polynomial) -> np.ndarray:
-    """P evaluated at every point of F_q^d, flat in encoding order."""
-    spec = P.spec
-    coords = grid_coordinates(spec, P.d)
+    """P evaluated at every point of F_q^d, flat in encoding order.
+
+    Broadcast evaluation: coordinate j lives on axis d-1-j of a (q,)*d
+    grid, so each factor x_j^e is a pow_table view with length 1 on every
+    other axis, and a term's gathers broadcast only over the axes of the
+    variables it uses.  The C-order ravel of the grid is the flat encoding
+    order.
+    """
+    spec, d = P.spec, P.d
     at, mt = add_table(spec), mul_table(spec)
-    acc = np.zeros(len(coords), dtype=np.int64)
+    acc = np.zeros((1,) * d, dtype=np.int64)
     for coeff, exps in P.terms:
-        tv = np.full(len(coords), coeff, dtype=np.int64)
+        tv = coeff
         for j, e in enumerate(exps):
             if e:
-                tv = mt[tv, pow_table(spec, e)[coords[:, j]]]
+                shape = [1] * d
+                shape[d - 1 - j] = spec.q
+                tv = mt[tv, pow_table(spec, e).reshape(shape)]
         acc = at[acc, tv]
+    acc = np.broadcast_to(acc, (spec.q,) * d).reshape(-1)
     acc.setflags(write=False)
     return acc
 
@@ -218,7 +227,10 @@ class PointSet:
     indices: np.ndarray
 
     def __post_init__(self):
-        idx = np.unique(np.asarray(self.indices, dtype=np.int64))
+        # sort, then drop adjacent repeats: np.unique would import numpy.ma
+        idx = np.sort(np.asarray(self.indices, dtype=np.int64), axis=None)
+        if len(idx) > 1:
+            idx = idx[np.append(True, idx[1:] != idx[:-1])]
         if len(idx) and (idx[0] < 0 or idx[-1] >= self.spec.q**self.d):
             raise DimensionMismatch("point index outside [0, q^d)")
         self.indices = idx

@@ -268,6 +268,27 @@ class TestRoutes:
 
         check()
 
+    @pytest.mark.parametrize("spec, d", [(F7, 1), (F9, 2), (F5, 3), (make_field(2, 4), 3)])
+    def test_pair_blocks_split_by_bytes_give_the_unsplit_answers(self, monkeypatch, spec, d):
+        from ffdist import distances
+
+        P = make_polynomial(spec, d, [(1, (1,) * d), (2, (0,) * (d - 1) + (3,))])
+        E = random_set(spec, d, min(spec.q**d, 40), seed=38)
+        F = random_set(spec, d, min(spec.q**d, 25), seed=39)
+        whole = list(distances._pair_value_blocks(P, E, F))
+        counts = counting_function(P, E, F, "direct").counts
+        pinned = _pinned_sizes(P, E, F, "direct")
+        assert [b.shape for b in whole] == [(F.size, E.size)]
+        for pins in (3, 1):  # a byte short of `pins` rows: blocks of 2 pins, then of 1
+            monkeypatch.setattr(distances, "_PAIR_BLOCK_BYTES", 24 * E.size * pins - 1)
+            blocks = list(distances._pair_value_blocks(P, E, F))
+            rows = max(1, pins - 1)
+            starts = range(0, F.size, rows)
+            assert [len(b) for b in blocks] == [min(rows, F.size - i) for i in starts]
+            assert np.array_equal(np.concatenate(blocks), whole[0])
+            assert np.array_equal(counting_function(P, E, F, "direct").counts, counts)
+            assert np.array_equal(_pinned_sizes(P, E, F, "direct"), pinned)
+
     @pytest.mark.parametrize("spec", [F7, F9])
     def test_pinned_sizes_read_P_of_x_minus_pin(self, spec):
         # x1^3 + x2^2 is neither even nor odd, so P(y - x) has other

@@ -8,6 +8,7 @@ import pytest
 from ffdist.errors import DegreeOutOfRange, NonPrime, ReducibleModulus
 from ffdist.field import (
     _is_irreducible,
+    _log_antilog,
     add_table,
     decode_point,
     encode_point,
@@ -189,6 +190,42 @@ class TestArithmetic:
             assert pow_table(F, e)[a] == F.pow(a, e)
 
         check()
+
+
+def scalar_log_antilog(F):
+    """Reference: the scalar orbit walk.  g is the first element whose
+    powers reach all q - 1 nonzero elements; antilog lists g^0..g^(q-2)."""
+    for g in range(1, F.q):
+        antilog, x = [1], g
+        while x != 1:
+            antilog.append(x)
+            x = F.mul(x, g)
+        if len(antilog) == F.q - 1:
+            return g, antilog
+    raise AssertionError("every finite field has a primitive element")
+
+
+class TestLogAntilog:
+    @pytest.mark.parametrize(
+        "F",
+        [
+            make_field(2),
+            make_field(3, 2, (1, 0, 1)),  # x is not primitive
+            make_field(2, 4, (1, 1, 1, 1, 1)),  # x is not primitive
+            make_field(5, 4),
+            make_field(7, 4),
+            make_field(101),
+        ],
+        ids=lambda F: f"q{F.q}",
+    )
+    def test_matches_the_scalar_orbit_walk(self, F):
+        log, antilog = _log_antilog(F)
+        g, reference = scalar_log_antilog(F)
+        assert antilog.tolist() == reference
+        assert sorted(antilog.tolist()) == list(range(1, F.q))
+        steps = antilog.tolist()[1:] + [1]
+        assert steps == [F.mul(a, g) for a in antilog.tolist()]
+        assert log[antilog].tolist() == list(range(F.q - 1))
 
 
 class TestTrace:

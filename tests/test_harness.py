@@ -582,6 +582,38 @@ class TestCli:
             assert dests == names
             assert config_from_args(build_parser().parse_args([name])) == ExperimentConfig()
 
+    def test_ops_never_import_numpy_ma(self, tmp_path):
+        # np.unique imports numpy.ma (12-15 ms) on first use; no op needs it.
+        import os
+        import subprocess
+        import sys
+
+        import ffdist
+
+        ops = [
+            "distance --q 7 --d 2 --poly x1^2+x2^2 --setE random:20 --setF all",
+            "pinned --p 3 --n 2 --d 2 --poly x1^2+x2^2 --setE random:30 --setF random:5",
+            "scan --q 5 --d 2 --poly x1^2+x2^2 --grid 20,200 --trials 2",
+            "lift --q 7 --d 1 --poly x1^3 --setE random:4 --setF random:4",
+            "decay --q 7 --d 2 --poly x1^2+x2^2",
+            "phase --q 5 --d 2 --poly x1^2+x2^2+x1",
+            "weil --q 7 --poly x1^3",
+            "field-check --q 9",
+            "fourier-check --q 7 --d 2 --trials 2",
+        ]
+        script = (
+            "import sys\n"
+            "from ffdist.cli import main\n"
+            f"for i, op in enumerate({ops!r}):\n"
+            f"    assert main(op.split() + ['--out', {str(tmp_path)!r} + f'/op{{i}}']) == 0\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ffdist.__file__)))
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        )
+        assert done.stdout.splitlines()[-1] == "False"
+
     def test_numeric_error_exits_4(self, capsys, monkeypatch):
         from ffdist import harness
         from ffdist.errors import RoundingDivergence

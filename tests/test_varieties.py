@@ -10,11 +10,12 @@ from ffdist.errors import (
     ArityMismatch,
     CharacteristicDividesExponent,
     DegreeSharesCharacteristic,
+    DimensionMismatch,
     PolynomialSyntaxError,
     VariableOutOfRange,
     ZeroPolynomial,
 )
-from ffdist.field import decode_point, field_from_order, make_field
+from ffdist.field import _is_irreducible, decode_point, field_from_order, make_field
 from ffdist.fourier import fourier_transform, indicator_grid
 from ffdist.varieties import (
     DIAGONAL,
@@ -112,6 +113,60 @@ class TestEvaluate:
         for idx in range(25):
             assert vg[idx] == evaluate(P, decode_point(F5, idx, 2))
 
+    @pytest.mark.parametrize(
+        "F, d, terms",
+        [
+            (F5, 3, [(1, (1, 1, 1)), (3, (0, 0, 0))]),  # x1*x2*x3 + 3
+            (F7, 3, [(2, (0, 2, 0)), (1, (0, 0, 0))]),  # 2*x2^2 + 1: x1, x3 absent
+            (make_field(3, 2, (1, 0, 1)), 2, [(5, (2, 1)), (7, (0, 3)), (2, (0, 0))]),
+            (make_field(2, 4, (1, 1, 1, 1, 1)), 3, [(9, (1, 0, 2)), (3, (0, 1, 0))]),
+            (F13, 1, [(4, (5,)), (1, (0,))]),
+        ],
+    )
+    def test_value_grid_mixed_terms_match_pointwise_evaluation(self, F, d, terms):
+        P = make_polynomial(F, d, terms)
+        vg = value_grid(P)
+        assert vg.shape == (F.q**d,) and vg.dtype == np.int64
+        assert vg.tolist() == [evaluate(P, decode_point(F, i, d)) for i in range(F.q**d)]
+
+    def test_value_grid_matches_evaluate_on_random_fields_and_polynomials(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+        fixed = [make_field(3, 2, (1, 0, 1)), make_field(2, 4, (1, 1, 1, 1, 1))]
+
+        @hyp.settings(max_examples=30, deadline=None)
+        @hyp.given(d=st.integers(1, 3), data=st.data())
+        def check(d, data):
+            if data.draw(st.booleans()):
+                F = data.draw(st.sampled_from(fixed))
+            else:
+                p = data.draw(st.sampled_from([2, 3, 5, 7, 11, 13, 101]))
+                n = data.draw(st.integers(1, 3 if p < 101 else 1))
+                lower = data.draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n))
+                modulus = tuple(lower) + (1,)
+                hyp.assume(n == 1 or _is_irreducible(modulus, p))
+                F = make_field(p, n, modulus)
+            hyp.assume(F.q**d <= 40000)
+            exps = st.lists(st.integers(0, 4), min_size=d, max_size=d)
+            terms = data.draw(
+                st.lists(st.tuples(st.integers(0, F.q - 1), exps), min_size=1, max_size=4)
+            )
+            try:
+                P = make_polynomial(F, d, terms)
+            except ZeroPolynomial:
+                hyp.reject()
+            vg = value_grid(P)
+            N = F.q**d
+            if N <= 4096:
+                points = range(N)
+            else:
+                points = data.draw(st.lists(st.integers(0, N - 1), min_size=200, max_size=200))
+            assert [int(vg[i]) for i in points] == [
+                evaluate(P, decode_point(F, i, d)) for i in points
+            ]
+
+        check()
+
     def test_value_grid_cache_is_bounded(self):
         misses, bound = value_grid.cache_info().misses, value_grid.cache_info().maxsize
         polys = [
@@ -178,6 +233,19 @@ class TestVariety:
         ps = PointSet(F7, 2, np.array([5, 1, 5, 3]))
         assert ps.indices.tolist() == [1, 3, 5]
         assert ps.size == 3
+
+    @pytest.mark.parametrize("shape", [(0,), (1,), (2,), (60,), (7, 9), (0, 3), (3, 1, 4)])
+    def test_point_set_indices_equal_np_unique(self, shape):
+        raw = np.random.default_rng(len(shape) * 100 + sum(shape)).integers(0, 20, size=shape)
+        ps = PointSet(F7, 2, raw)
+        assert ps.indices.dtype == np.int64
+        assert np.array_equal(ps.indices, np.unique(raw))
+        assert PointSet(F7, 2, raw.tolist()).indices.tolist() == np.unique(raw).tolist()
+
+    @pytest.mark.parametrize("bad", [[3, 49], [-1, 3], [[48, 49]]])
+    def test_point_set_rejects_indices_off_the_grid(self, bad):
+        with pytest.raises(DimensionMismatch):
+            PointSet(F7, 2, bad)
 
 
 class TestDecay:
