@@ -39,8 +39,9 @@ from .varieties import (
     value_grid,
 )
 
-# Bytes one block of pairs may hold: its int64 flat index of x - y, the
-# int64 values P(x - y) and their int64 sort copy, 24 B a pair (2^22 pairs).
+# Bytes one block of pins may hold: its int64 flat index of x - y, the
+# int64 values P(x - y) and their int64 sort copy, 24 B a pair, plus the
+# q-entry int64 sub_table column of each pin where that column is gathered.
 _PAIR_BLOCK_BYTES = 96 << 20
 _ROUNDING_BOUND = 0.1  # worst |raw - nearest integer| a transform count may show
 
@@ -53,9 +54,6 @@ _ROUNDING_BOUND = 0.1  # worst |raw - nearest integer| a transform count may sho
 # N = 101^3) and up to 77 ns on F_16^3, whose twelve digit axes have
 # length 2.  The factor 2 sits above the worst measured ratio (77/42), so
 # the transform route is taken only where it wins on every field shape.
-# The Horner pair index has since brought the pair kernel to 10-17 ns per
-# pair counting and 18-20 ns pinning (E the full grid at 61^3, 101^2,
-# 31^3); the factor has not been re-measured against it.
 _TRANSFORM_FACTOR = 2
 
 
@@ -74,22 +72,32 @@ def _pair_value_blocks(P: Polynomial, E: PointSet, F: PointSet):
     """Yield blocks of P(x - y) encodings: one row per pin y in F, one column per x in E.
 
     The flat index of x - y comes by Horner's rule from the last coordinate
-    down, one sub_table gather per coordinate: the columns st[:, y_j] of a
-    block's pins, read at every x_j of E.  Then value_grid is read at the
-    index.  Each block of pins stays within _PAIR_BLOCK_BYTES.
+    down, one sub_table gather of the differences x_j - y_j per coordinate.
+    Where E has at least q points, each pin's sub_table column (q entries)
+    is gathered once and read at every x_j of E; a smaller E reads
+    st[x_j, y_j] pair by pair, since the columns would cost more than the
+    pairs.  Then value_grid is read at the index.  Each block of pins stays
+    within _PAIR_BLOCK_BYTES.
     """
     q, d = P.spec.q, P.d
     st = sub_table(P.spec)
     vg = value_grid(P)
     ce = np.ascontiguousarray(E.coordinates().T)  # (d, |E|)
     cf = F.coordinates().T  # (d, |F|)
-    rows = max(1, _PAIR_BLOCK_BYTES // (24 * max(1, E.size)))
+    columns = E.size >= q
+    rows = max(1, _PAIR_BLOCK_BYTES // (8 * (3 * E.size + columns * q)))
+
+    def differences(j: int, pins: np.ndarray) -> np.ndarray:
+        if columns:
+            return np.take(st[:, pins].T, ce[j], axis=1)
+        return st[ce[j], pins[:, None]]
+
     for i in range(0, F.size, rows):
         pins = cf[:, i : i + rows]
-        idx = np.take(st[:, pins[d - 1]].T, ce[d - 1], axis=1)
+        idx = differences(d - 1, pins[d - 1])
         for j in range(d - 2, -1, -1):
             idx *= q
-            idx += np.take(st[:, pins[j]].T, ce[j], axis=1)
+            idx += differences(j, pins[j])
         idx = vg[idx]  # rebinding frees the index while the caller works
         yield idx
 

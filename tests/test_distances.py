@@ -279,8 +279,10 @@ class TestRoutes:
         counts = counting_function(P, E, F, "direct").counts
         pinned = _pinned_sizes(P, E, F, "direct")
         assert [b.shape for b in whole] == [(F.size, E.size)]
+        assert E.size >= spec.q  # each pin's sub_table column is gathered
+        per_pin = 8 * (3 * E.size + spec.q)
         for pins in (3, 1):  # a byte short of `pins` rows: blocks of 2 pins, then of 1
-            monkeypatch.setattr(distances, "_PAIR_BLOCK_BYTES", 24 * E.size * pins - 1)
+            monkeypatch.setattr(distances, "_PAIR_BLOCK_BYTES", per_pin * pins - 1)
             blocks = list(distances._pair_value_blocks(P, E, F))
             rows = max(1, pins - 1)
             starts = range(0, F.size, rows)
@@ -288,6 +290,30 @@ class TestRoutes:
             assert np.array_equal(np.concatenate(blocks), whole[0])
             assert np.array_equal(counting_function(P, E, F, "direct").counts, counts)
             assert np.array_equal(_pinned_sizes(P, E, F, "direct"), pinned)
+
+    def test_pair_blocks_of_a_small_E_stay_within_the_byte_cap(self, monkeypatch):
+        # |E| < q: the q-entry sub_table column per pin would outweigh the
+        # pair itself, so the blocks gather pairwise and keep to the cap.
+        import tracemalloc
+
+        from ffdist import distances
+
+        spec = make_field(211)
+        P = diagonal_polynomial(spec, 2, 2)
+        E, F = points_from_coords(spec, 2, [[3, 5]]), full_grid(spec, 2)
+        whole = np.concatenate(list(distances._pair_value_blocks(P, E, F)))
+        cap = 1 << 20
+        monkeypatch.setattr(distances, "_PAIR_BLOCK_BYTES", cap)
+        tracemalloc.start()
+        try:
+            sizes = [len(b) for b in distances._pair_value_blocks(P, E, F)]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sizes == [cap // 24, F.size - cap // 24]
+        assert peak <= 2 * cap
+        assert np.array_equal(np.concatenate(list(distances._pair_value_blocks(P, E, F))), whole)
+        assert np.array_equal(_pinned_sizes(P, E, F, "direct"), np.ones(F.size))
 
     @pytest.mark.parametrize("spec", [F7, F9])
     def test_pinned_sizes_read_P_of_x_minus_pin(self, spec):
