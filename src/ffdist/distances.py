@@ -312,10 +312,6 @@ def product_set_experiment(
     delta = distance_set(H, e_star, f_star)
     q = P.spec.q
     ratio = (e_star.size * f_star.size) / (F_last.size * float(q) ** (P.d + 1))
-    if ratio < C:
-        verdict = "vacuous"
-    else:
-        verdict = "pass" if len(delta) >= rho * q else "fail"
     return ProductExperimentReport(
         q=q,
         d=P.d,
@@ -325,13 +321,20 @@ def product_set_experiment(
         hypothesis_ratio=ratio,
         delta_size=len(delta),
         delta_ratio=len(delta) / q,
-        verdict=verdict,
+        verdict=_verdict(ratio >= C, len(delta) >= rho * q),
         phase_max_ratio=phase_sweep(P).max_ratio,
     )
 
 
 # ---------------------------------------------------------------------------
 # Theorem-style verifiers.
+
+def _verdict(hypothesis: bool, holds: bool) -> str:
+    """'vacuous' when the size hypothesis fails, else whether the claim holds."""
+    if not hypothesis:
+        return "vacuous"
+    return "pass" if holds else "fail"
+
 
 @dataclass(eq=False)
 class FalconerVerdict:
@@ -353,12 +356,8 @@ def _falconer_verdict(
     required = q - len(set(T))
     missing = sorted(set(range(q)) - delta)
     covers = not (set(range(q)) - set(T) - delta)
-    if pair_product < threshold:
-        status = "vacuous"
-    else:
-        status = "pass" if len(delta) >= required else "fail"
     return FalconerVerdict(
-        status=status,
+        status=_verdict(pair_product >= threshold, len(delta) >= required),
         delta_size=len(delta),
         required=required,
         pair_product=pair_product,
@@ -396,12 +395,8 @@ def _erdos_verdict(
     ratio = delta_size / bound
     hypothesis_met = pair_product >= C * float(q) ** d
     unconditional = len(set(A)) == 0
-    if hypothesis_met or unconditional:
-        status = "pass" if ratio >= r_min else "fail"
-    else:
-        status = "vacuous"
     return ErdosVerdict(
-        status=status,
+        status=_verdict(hypothesis_met or unconditional, ratio >= r_min),
         ratio=ratio,
         bound=bound,
         delta_size=delta_size,

@@ -2,24 +2,20 @@
 
 Field elements are plain integers in [0, q): the base-p digits of the
 encoding are the coefficients of the residue polynomial, constant term
-first.  That representation gives O(1) table indexing and a canonical
-total order, which the dense grid kernels rely on.  A FieldSpec is
-immutable after construction and safe to share across workers; every
-operation is pure.
+first.  That gives O(1) table indexing and a canonical total order, which
+the dense grid kernels rely on.  A FieldSpec is immutable after
+construction and safe to share across workers; every operation is pure.
 
-The scalar FieldSpec methods are the reference.  The operation tables share
-one vectorized path for every q: addition is digit-wise mod p with no carries,
-products and powers go through log/antilog arrays of the smallest primitive
-element g.  The antilog comes by F_p-linear doubling: multiplication by g^k
-is an n x n matrix over F_p acting on base-p digits, so each block of powers
-is the previous block times one such matrix.
-
-The additive character chi(a) = exp(2*pi*i * Tr(a) / p) is tabulated once
-per field; all downstream sum kernels index the table instead of calling
-transcendental functions.  The trace table comes by F_p-linearity: the
-traces of the n basis elements x^i, dotted with each element's base-p
-digits, mod p.  The scalar per-element `trace` is the independent
-reference that only `field-check` uses.
+Construction and every table work on base-p digit rows.  Row i of the
+companion matrix X of the modulus holds the digits of x * x^i, so
+multiplication by c = sum_k c_k x^k is the matrix sum_k c_k X^k, mod p.
+Addition is digit-wise mod p; products and powers go through the
+log/antilog of the smallest primitive element; Tr(a) is the trace of the
+matrix of a, so the trace table needs only tr(X^i).  The scalar FieldSpec
+methods are the independent reference, which nothing here calls while
+building: the tests and `field-check` compare the tables with them.  The
+character table chi(a) = exp(2*pi*i * Tr(a) / p) is built once per field,
+and every sum kernel indexes it.
 """
 
 from __future__ import annotations
@@ -36,16 +32,22 @@ from .errors import DegreeOutOfRange, NonPrime, ReducibleModulus
 MAX_EXTENSION_DEGREE = 4
 
 
-def is_prime(p: int) -> bool:
-    """Trial division; fields here are desk-scale so this is plenty."""
-    if p < 2:
-        return False
-    f = 2
-    while f * f <= p:
-        if p % f == 0:
-            return False
+def _prime_factors(m: int) -> dict[int, int]:
+    """{prime: exponent} of m, {} for m < 2.  The one trial division here;
+    fields are desk-scale, so this is plenty."""
+    out, f = {}, 2
+    while f * f <= m:
+        while m % f == 0:
+            out[f] = out.get(f, 0) + 1
+            m //= f
         f += 1
-    return True
+    if m > 1:
+        out[m] = 1  # the rest has no factor below its square root
+    return out
+
+
+def is_prime(p: int) -> bool:
+    return _prime_factors(p) == {p: 1}
 
 
 # ---------------------------------------------------------------------------
@@ -70,33 +72,14 @@ def _poly_rem(num, den, p):
     return num[:dd]
 
 
-def _has_root(coeffs, p) -> bool:
-    for r in range(p):
-        acc = 0
-        for c in reversed(coeffs):
-            acc = (acc * r + c) % p
-        if acc == 0:
-            return True
-    return False
-
-
 def _is_irreducible(coeffs, p) -> bool:
-    """Exhaustive factor search; degree <= 4 keeps this cheap."""
+    """No monic divisor of degree 1..n//2; degree <= 4 keeps the search cheap."""
     n = _poly_degree(coeffs)
-    if n <= 0:
-        return False
-    if n == 1:
-        return True
-    if _has_root(coeffs, p):
-        return False
-    if n <= 3:
-        return True
-    # degree 4 with no roots: a factorization must use two quadratics
-    for b in range(p):
-        for c in range(p):
-            if not any(_poly_rem(coeffs, (c, b, 1), p)):
-                return False
-    return True
+    return n > 0 and all(
+        any(_poly_rem(coeffs, lower + (1,), p))
+        for k in range(1, n // 2 + 1)
+        for lower in _iter_product(range(p), repeat=k)
+    )
 
 
 def _smallest_irreducible(p: int, n: int) -> tuple[int, ...]:
@@ -149,14 +132,10 @@ class FieldSpec:
     # -- exact scalar arithmetic --
 
     def add(self, a: int, b: int) -> int:
-        if self.n == 1:
-            return (a + b) % self.p
         p = self.p
         return self.undigits([(x + y) % p for x, y in zip(self.digits(a), self.digits(b))])
 
     def neg(self, a: int) -> int:
-        if self.n == 1:
-            return (-a) % self.p
         p = self.p
         return self.undigits([(-x) % p for x in self.digits(a)])
 
@@ -195,8 +174,6 @@ class FieldSpec:
 
     def trace(self, a: int) -> int:
         """Tr(a) = a + a^p + ... + a^(p^(n-1)), landing in the prime subfield."""
-        if self.n == 1:
-            return a % self.p
         acc, b = a, a
         for _ in range(self.n - 1):
             b = self.pow(b, self.p)
@@ -226,8 +203,8 @@ def make_field(p: int, n: int = 1, modulus=None) -> FieldSpec:
     if n == 1:
         mod = None  # a degree-1 modulus carries no information
     spec = FieldSpec(p=p, n=n, q=p**n, modulus=mod)
-    digits, places = _digits(spec)  # Tr is F_p-linear: n basis traces fix it
-    traces = digits @ np.array([spec.trace(int(b)) for b in places]) % p
+    digits, _ = _digits(spec)  # Tr is F_p-linear: Tr(x^i) = tr(X^i) fixes it
+    traces = digits @ np.trace(_basis_matrices(spec), axis1=1, axis2=2) % p
     object.__setattr__(spec, "trace_table", _frozen(traces))
     object.__setattr__(spec, "char_table", np.exp((2j * math.pi / p) * traces))
     return spec
@@ -235,19 +212,10 @@ def make_field(p: int, n: int = 1, modulus=None) -> FieldSpec:
 
 def field_from_order(q: int) -> FieldSpec:
     """Resolve a prime power q = p^n into a field (smallest prime factor wins)."""
-    if q < 2:
+    factors = _prime_factors(q)
+    if len(factors) != 1:
         raise NonPrime(f"q = {q} is not a prime power")
-    p = 2
-    while p * p <= q and q % p:
-        p += 1
-    if q % p:
-        p = q
-    n, rem = 0, q
-    while rem % p == 0:
-        rem //= p
-        n += 1
-    if rem != 1:
-        raise NonPrime(f"q = {q} is not a prime power")
+    [(p, n)] = factors.items()
     return make_field(p, n)
 
 
@@ -265,36 +233,58 @@ def _digits(spec: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
     return np.arange(spec.q, dtype=np.int64)[:, None] // places % spec.p, places
 
 
-def _prime_factors(m: int) -> list[int]:
-    out, f = [], 2
-    while f * f <= m:
-        if m % f == 0:
-            out.append(f)
-            while m % f == 0:
-                m //= f
-        f += 1
-    return out + [m] if m > 1 else out
+def _companion(spec: FieldSpec) -> np.ndarray:
+    """(n, n) matrix X of multiplication by x: row i holds the digits of
+    x * x^i mod the modulus, so the last row is x^n = -(a_0 + ... + a_{n-1}
+    x^(n-1)).  For n = 1 only X^0 is ever read."""
+    X = np.eye(spec.n, k=1, dtype=np.int64)
+    if spec.modulus:
+        X[-1] = np.negative(spec.modulus[:-1]) % spec.p
+    return X
+
+
+def _basis_matrices(spec: FieldSpec) -> np.ndarray:
+    """(n, n, n) matrices X^0..X^(n-1) of multiplication by the basis x^i."""
+    X, out = _companion(spec), [np.eye(spec.n, dtype=np.int64)]
+    for _ in range(1, spec.n):
+        out.append(out[-1] @ X % spec.p)
+    return np.stack(out)
+
+
+def _matrix_power(m: np.ndarray, e: int, p: int) -> np.ndarray:
+    """m^e mod p, by squaring."""
+    acc = np.eye(len(m), dtype=np.int64)
+    while e:
+        if e & 1:
+            acc = acc @ m % p
+        m = m @ m % p
+        e >>= 1
+    return acc
 
 
 @lru_cache(maxsize=8)
 def _log_antilog(spec: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
     """log (q,) and antilog (q-1,) arrays of the smallest primitive element.
 
-    g is primitive iff g^((q-1)/r) != 1 for every prime r | q-1.  The powers
-    g^0..g^(q-2) come by doubling: multiplication by c is F_p-linear on
-    base-p digit rows, with the digits of c*x^i as row i of its matrix, so
-    the digit rows of g^L..g^(2L-1) are those of g^0..g^(L-1) times the
-    matrix of c = g^L, mod p.
+    The matrix of c = sum_k c_k x^k is sum_k c_k X^k; digit rows times it
+    are the digit rows of the products with c.  g is primitive iff
+    g^((q-1)/r) != 1 for every prime r | q-1, tested as matrix powers.
+    The digit rows of g^L..g^(2L-1) are those of g^0..g^(L-1) times the
+    matrix of g^L, whose square is the next one.
     """
     q, p = spec.q, spec.p
-    cofactors = [(q - 1) // r for r in _prime_factors(q - 1)]
-    g = next(g for g in range(1, q) if all(spec.pow(g, e) != 1 for e in cofactors))
     digits, places = _digits(spec)
-    block, c = digits[1:2], g  # digit rows of g^0, and c = g^len(block)
+    mats = np.tensordot(digits, _basis_matrices(spec), axes=1) % p  # (q, n, n)
+    unit = np.eye(spec.n, dtype=np.int64)
+    cofactors = [(q - 1) // r for r in _prime_factors(q - 1)]
+    g = next(
+        g for g in range(1, q)
+        if all((_matrix_power(mats[g], e, p) != unit).any() for e in cofactors)
+    )
+    block, mult = digits[1:2], mats[g]  # digit rows of g^0; the matrix of g^len(block)
     while len(block) < q - 1:
-        mult = digits[[spec.mul(c, int(b)) for b in places]]  # row i: digits of c*x^i
         block = np.concatenate([block, block @ mult % p])
-        c = spec.mul(c, c)
+        mult = mult @ mult % p
     antilog = block[: q - 1] @ places
     log = np.zeros(q, dtype=np.int64)
     log[antilog] = np.arange(q - 1)

@@ -46,7 +46,6 @@ from .varieties import (
     Polynomial,
     _phase_table,
     common_diagonal_exponent,
-    decay_spectrum,
     exceptional_set,
     full_grid,
     parse_polynomial,
@@ -59,6 +58,7 @@ from .distances import (
     CountingHistogram,
     _erdos_verdict,
     _falconer_verdict,
+    _verdict,
     counting_function,
     distance_set,
     paraboloid_lift,
@@ -103,10 +103,15 @@ class ExperimentConfig:
         if self.d < 1:
             raise ConfigError("d must be >= 1")
         for name in ("kappa_sharp", "kappa_fallback", "C", "rho", "r_min"):
-            if getattr(self, name) <= 0:
+            value = getattr(self, name)
+            if value <= 0:
                 raise ConfigError(f"{name} must be positive")
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite")
         if self.q is None and self.p is None:
             raise ConfigError("either --q or --p (with optional --n) is required")
+        if self.q is not None and (self.p is not None or self.n != 1 or self.modulus):
+            raise ConfigError("--q cannot be combined with --p, --n or --modulus")
 
     def resolve_field(self) -> FieldSpec:
         self.validate()
@@ -291,17 +296,20 @@ def emit(
     if out is None:
         return summary
     base = output_base(out)
-    Path(base).parent.mkdir(parents=True, exist_ok=True)
-    if rows is not None:
-        with open(base + ".csv", "w", encoding="utf-8", newline="") as fh:
-            if not deterministic:
-                fh.write(f"# generated {summary['generated']}\n")
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(columns)
-            writer.writerows(rows)
-        summary["rows_written"] = len(rows)
-    with open(base + ".json", "w", encoding="utf-8") as fh:
-        fh.write(summary_json(summary) + "\n")
+    try:
+        Path(base).parent.mkdir(parents=True, exist_ok=True)
+        if rows is not None:
+            with open(base + ".csv", "w", encoding="utf-8", newline="") as fh:
+                if not deterministic:
+                    fh.write(f"# generated {summary['generated']}\n")
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow(columns)
+                writer.writerows(rows)
+            summary["rows_written"] = len(rows)
+        with open(base + ".json", "w", encoding="utf-8") as fh:
+            fh.write(summary_json(summary) + "\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {base}: {exc}") from exc
     return summary
 
 
@@ -396,10 +404,8 @@ DECAY_COLUMNS = ("q", "d", "poly") + tuple(f.name for f in fields(DecayEntry))
 
 def run_decay(cfg: ExperimentConfig):
     spec, P = _field_and_poly(cfg)
-    entries = decay_spectrum(P, cfg.kappa_sharp, cfg.kappa_fallback)
-    report = exceptional_set(
-        P, cfg.kappa_sharp, cfg.kappa_fallback, entries=entries
-    )
+    report = exceptional_set(P, cfg.kappa_sharp, cfg.kappa_fallback)
+    entries = report.entries
     rows = [
         (spec.q, cfg.d, cfg.poly, *astuple(e))
         for e in entries
@@ -554,10 +560,8 @@ def run_pinned(cfg: ExperimentConfig):
     for trial in range(cfg.trials):
         E, F = build_pair(cfg, spec, d, P, trial)
         rep = pinned_distances(P, E, F, cfg.rho)
-        if E.size * F.size < cfg.C * float(q) ** (d + 1):
-            verdict = "vacuous"
-        else:
-            verdict = "pass" if rep.fraction_large >= MIN_FRACTION else "fail"
+        hypothesis = E.size * F.size >= cfg.C * float(q) ** (d + 1)
+        verdict = _verdict(hypothesis, rep.fraction_large >= MIN_FRACTION)
         rows.append(PinnedRow(*_trial_values(cfg, q, trial, E, F), rep.fraction_large, verdict))
     summary = {
         "q": q,

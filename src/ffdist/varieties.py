@@ -350,12 +350,10 @@ def exceptional_set(
     *,
     band: tuple[float, float] = (0.5, 2.0),
     nondegenerate: bool = False,
-    entries: list[DecayEntry] | None = None,
 ) -> ExceptionalReport:
     """T = fibers failing sharp decay or the expected-size band;
-    A = fibers with only fallback decay."""
-    if entries is None:
-        entries = decay_spectrum(P, kappa_sharp, kappa_fallback)
+    A = fibers with only fallback decay.  The report keeps the spectrum."""
+    entries = decay_spectrum(P, kappa_sharp, kappa_fallback)
     q, d = P.spec.q, P.d
     lo = band[0] * float(q) ** (d - 1)
     hi = band[1] * float(q) ** (d - 1)

@@ -9,6 +9,7 @@ from ffdist.distances import (
     _histogram,
     _pinned_sizes,
     _use_transform,
+    _verdict,
     counting_function,
     distance_set,
     paraboloid_lift,
@@ -463,6 +464,11 @@ class TestProductExperiment:
 
 
 class TestVerifiers:
+    def test_one_verdict_rule(self):
+        assert [_verdict(h, ok) for h in (False, True) for ok in (False, True)] == [
+            "vacuous", "vacuous", "fail", "pass",
+        ]
+
     def test_equal_sets_always_contain_zero(self):
         P = parse_polynomial("x1^2 + x2^2", F13, 2)
         for seed in range(5):

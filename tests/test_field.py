@@ -1,12 +1,15 @@
 """Field construction, exact arithmetic, trace, and character identities."""
 
 import cmath
+from itertools import product
 
 import numpy as np
 import pytest
 
 from ffdist.errors import DegreeOutOfRange, NonPrime, ReducibleModulus
 from ffdist.field import (
+    MAX_EXTENSION_DEGREE,
+    FieldSpec,
     _is_irreducible,
     _log_antilog,
     add_table,
@@ -32,6 +35,49 @@ def brute_first_irreducible_quadratic(p):
             if all((r * r + b * r + c) % p for r in range(p)):
                 return (c, b, 1)
     raise AssertionError
+
+
+def sieve(limit):
+    """Primes below limit by the sieve of Eratosthenes."""
+    flags = [True] * limit
+    flags[:2] = [False, False]
+    for f in range(2, int(limit**0.5) + 1):
+        if flags[f]:
+            flags[f * f :: f] = [False] * len(flags[f * f :: f])
+    return [k for k, prime in enumerate(flags) if prime]
+
+
+def poly_mul(a, b, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return tuple(out)
+
+
+def monic(p, degree):
+    return [lower + (1,) for lower in product(range(p), repeat=degree)]
+
+
+def brute_reducible(p, degree):
+    """Oracle: every product of two monic polynomials of degrees >= 1
+    whose degrees sum to `degree`."""
+    return {
+        poly_mul(f, g, p)
+        for k in range(1, degree // 2 + 1)
+        for f in monic(p, k)
+        for g in monic(p, degree - k)
+    }
+
+
+def clear_table_caches():
+    for build in (_log_antilog, add_table, mul_table, neg_table, sub_table, pow_table):
+        build.cache_clear()
+
+
+SCALAR_METHODS = (
+    "element", "digits", "undigits", "add", "neg", "sub", "mul", "pow", "inv", "trace", "chi",
+)
 
 
 class TestConstruction:
@@ -82,9 +128,34 @@ class TestConstruction:
         assert field_from_order(8).n == 3
         with pytest.raises(NonPrime):
             field_from_order(12)
+        primes = sieve(3000)
+        powers = {p**n: (p, n) for p in primes for n in range(1, 12) if p**n < 3000}
+        for q in range(-2, 3000):
+            if q not in powers:
+                with pytest.raises(NonPrime, match=rf"^q = {q} is not a prime power$"):
+                    field_from_order(q)
+                continue
+            p, n = powers[q]
+            if n > MAX_EXTENSION_DEGREE:
+                message = rf"^extension degree {n} outside 1\.\.{MAX_EXTENSION_DEGREE}$"
+                with pytest.raises(DegreeOutOfRange, match=message):
+                    field_from_order(q)
+                continue
+            F = field_from_order(q)
+            assert (F.p, F.n, F.q) == (p, n, q)
+            assert F == make_field(p, n)
 
     def test_is_prime(self):
         assert [n for n in range(2, 20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
+        assert [n for n in range(-3, 10**4) if is_prime(n)] == sieve(10**4)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_is_irreducible_matches_the_product_oracle(self, p):
+        for degree in range(1, 5):
+            reducible = brute_reducible(p, degree)
+            for f in monic(p, degree):
+                assert _is_irreducible(f, p) == (f not in reducible), f
+        assert not _is_irreducible((3,), 5) and not _is_irreducible((0, 0), 5)
 
 
 class TestArithmetic:
@@ -155,6 +226,44 @@ class TestArithmetic:
             for e in (0, 1, 2, 3, F.q - 1, F.q, F.q + 1):
                 assert pow_table(F, e).tolist() == [F.pow(a, e) for a in els]
             assert pow_table(F, 0)[0] == 1  # 0^0 convention
+
+    @pytest.mark.parametrize(
+        "p,n,modulus",
+        [
+            (2, 1, None),
+            (7, 1, None),
+            (101, 1, None),
+            (3, 2, (1, 0, 1)),
+            (2, 4, (1, 1, 1, 1, 1)),
+            (7, 3, None),
+            (5, 4, None),
+        ],
+    )
+    def test_construction_never_reaches_the_scalar_methods(self, monkeypatch, p, n, modulus):
+        def refuse(*args):
+            raise AssertionError("a scalar FieldSpec method was called")
+
+        clear_table_caches()
+        try:
+            with monkeypatch.context() as patch:
+                for name in SCALAR_METHODS:
+                    patch.setattr(FieldSpec, name, refuse)
+                F = make_field(p, n, modulus)
+                at, mt, nt, st = add_table(F), mul_table(F), neg_table(F), sub_table(F)
+                exps = (0, 1, 2, 3, F.q - 2, F.q - 1, F.q + 1)
+                pows = {e: pow_table(F, e) for e in exps}
+            # the scalar reference, now reachable again, on a spread of rows
+            els = range(F.q)
+            assert F.trace_table.tolist() == [F.trace(a) for a in els]
+            assert nt.tolist() == [F.neg(a) for a in els]
+            for a in np.linspace(0, F.q - 1, min(F.q, 9)).astype(int).tolist():
+                assert at[a].tolist() == [F.add(a, b) for b in els]
+                assert mt[a].tolist() == [F.mul(a, b) for b in els]
+                assert st[a].tolist() == [F.sub(a, b) for b in els]
+            for e, table in pows.items():
+                assert table.tolist() == [F.pow(a, e) for a in els]
+        finally:
+            clear_table_caches()
 
     def test_table_caches_are_bounded(self):
         for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):

@@ -2,6 +2,7 @@
 exit codes, and the reproducibility contract of the CLI."""
 
 import csv
+import itertools
 import json
 import math
 
@@ -314,6 +315,37 @@ class TestRunners:
         assert code == 4 and summary["pass"] is False
         assert main(["field-check", "--q", str(q)]) == 4
 
+    @pytest.mark.parametrize("q", [9, 16, 125])
+    def test_field_check_fails_on_a_corrupted_companion_row(self, monkeypatch, q):
+        from ffdist import field
+
+        companion = field._companion
+
+        def corrupted(spec):
+            # the last row of another irreducible modulus: the tables stay a
+            # field, but not the one the scalar reference computes in
+            other = next(
+                lower
+                for lower in itertools.product(range(spec.p), repeat=spec.n)
+                if lower + (1,) != spec.modulus and field._is_irreducible(lower + (1,), spec.p)
+            )
+            X = companion(spec).copy()
+            X[-1] = np.negative(other) % spec.p
+            return X
+
+        caches = (field._log_antilog, field.mul_table, field.pow_table)
+        for cache in caches:
+            cache.cache_clear()
+        try:
+            monkeypatch.setattr(field, "_companion", corrupted)
+            code, summary = run("field-check", ExperimentConfig(q=q))
+            assert code == 4 and summary["pass"] is False
+            assert not summary["checks"]["inverse_law"]["pass"]
+            assert main(["field-check", "--q", str(q)]) == 4
+        finally:
+            for cache in caches:
+                cache.cache_clear()
+
     @pytest.mark.parametrize("q", [9, 13])
     def test_field_check_fails_on_one_corrupted_trace_entry(self, monkeypatch, q):
         from ffdist import harness
@@ -526,6 +558,57 @@ class TestCli:
         assert main(["distance", "--q", "12", "--d", "2", "--poly", "x1",
                      "--setE", "all", "--setF", "all"]) == 2
         assert main(["decay", "--q", "7", "--d", "2", "--poly", "x0^2"]) == 2
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--p", "5"],
+            ["--p", "7"],
+            ["--n", "2"],
+            ["--modulus", "2,2,1"],
+            ["--C", "nan"],
+            ["--C", "inf"],
+            ["--rho", "nan"],
+            ["--rmin", "inf"],
+            ["--kappa-sharp", "nan"],
+            ["--kappa-fallback", "inf"],
+        ],
+    )
+    def test_misread_options_exit_2(self, capsys, extra):
+        argv = ["distance", "--q", "7", "--d", "2", "--poly", "x1^2+x2^2",
+                "--setE", "all", "--setF", "all", *extra]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "value,message",
+        [
+            (0.0, "C must be positive"),
+            (-math.inf, "C must be positive"),
+            (math.nan, "C must be finite"),
+            (math.inf, "C must be finite"),
+        ],
+    )
+    def test_threshold_messages(self, value, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            ExperimentConfig(q=7, C=value).validate()
+
+    def test_q_alone_or_p_with_n_and_modulus(self):
+        ExperimentConfig(q=9, n=1).validate()
+        ExperimentConfig(p=3, n=2, modulus=(1, 0, 1)).validate()
+        for extra in ({"p": 3}, {"n": 2}, {"modulus": (1, 0, 1)}):
+            with pytest.raises(ConfigError, match="--q cannot be combined"):
+                ExperimentConfig(q=9, **extra).validate()
+
+    def test_unwritable_out_exits_2(self, capsys, tmp_path):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a file where a directory should be\n", encoding="utf-8")
+        base = str(blocker / "decay")
+        assert main(["decay", "--q", "7", "--d", "2", "--poly", "x1^2+x2^2", "--out", base]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot write {base}: ") and err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker"]
 
     def test_hypothesis_error_exits_3(self, capsys):
         assert main(

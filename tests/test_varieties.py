@@ -319,6 +319,11 @@ class TestExceptionalSets:
         rep2 = exceptional_set(P)
         assert rep2.vu_bound_ok is None  # non-degeneracy is user-asserted
 
+    def test_report_keeps_the_spectrum_it_thresholds(self):
+        P = parse_polynomial("x1^2 - x2^2", F13, 2)
+        rep = exceptional_set(P, 2.5, 3.5)
+        assert rep.entries == tuple(decay_spectrum(P, 2.5, 3.5))
+
     def test_small_fiber_lands_in_T_by_size(self):
         # q = 7: the zero fiber of the circle is just the origin
         P = parse_polynomial("x1^2 + x2^2", F7, 2)
