@@ -49,11 +49,12 @@ _ROUNDING_BOUND = 0.1  # worst |raw - nearest integer| a transform count may sho
 # _TRANSFORM_FACTOR * N * bitlen(N), N = q^d; pinned distances run one
 # convolution per t, so their threshold carries a further factor q.
 # Measured on a 2-core x86 VM with numpy 2.4.6: the pair kernel costs
-# 35-50 ns per pair when counting and 47-115 ns when pinning; one
+# 10-17 ns per pair when counting and 18-20 ns when pinning; one
 # convolution costs 6-12 ns * N * bitlen(N) on prime fields (0.23 s at
 # N = 101^3) and up to 77 ns on F_16^3, whose twelve digit axes have
-# length 2.  The factor 2 sits above the worst measured ratio (77/42), so
-# the transform route is taken only where it wins on every field shape.
+# length 2.  The factor 2 was set above the worst ratio measured when
+# pairs cost 35-50 ns (77/42); it stands until the convolution is
+# re-measured per digit shape against the pair costs above (ROADMAP item 10).
 _TRANSFORM_FACTOR = 2
 
 

@@ -293,10 +293,14 @@ def _log_antilog(spec: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=8)
 def add_table(spec: FieldSpec) -> np.ndarray:
-    digits, places = _digits(spec)
-    t = np.zeros((spec.q, spec.q), dtype=np.int64)
-    for dk, place in zip(digits.T, places):
-        t += (dk[:, None] + dk[None, :]) % spec.p * place
+    """Addition is digitwise mod p: the table of the low k+1 digits puts the
+    p x p digit table on the top digit and the table of the low k below it."""
+    p = spec.p
+    one = np.add.outer(np.arange(p, dtype=np.int64), np.arange(p)) % p
+    t, size = one, p
+    for _ in range(1, spec.n):
+        t = (one[:, None, :, None] * size + t[None, :, None, :]).reshape(p * size, p * size)
+        size *= p
     return _frozen(t)
 
 

@@ -46,10 +46,12 @@ from .varieties import (
     Polynomial,
     _phase_table,
     common_diagonal_exponent,
+    decay_spectrum,
     exceptional_set,
     full_grid,
     parse_polynomial,
     points_from_coords,
+    split_fibers,
     value_grid,
     variety,
     weil_sum,
@@ -404,8 +406,10 @@ DECAY_COLUMNS = ("q", "d", "poly") + tuple(f.name for f in fields(DecayEntry))
 
 def run_decay(cfg: ExperimentConfig):
     spec, P = _field_and_poly(cfg)
-    report = exceptional_set(P, cfg.kappa_sharp, cfg.kappa_fallback)
-    entries = report.entries
+    entries = decay_spectrum(P, cfg.kappa_sharp, cfg.kappa_fallback)
+    report = split_fibers(
+        P, [e.variety_size for e in entries], [e.classification for e in entries]
+    )
     rows = [
         (spec.q, cfg.d, cfg.poly, *astuple(e))
         for e in entries

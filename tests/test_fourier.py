@@ -108,6 +108,31 @@ class TestInverse:
             err = np.max(np.abs(back.values - f.values))
             assert err < 1e-9 * F.q ** (d / 2)
 
+    def test_roundtrip_on_random_fields_and_grids(self):
+        hyp = pytest.importorskip("hypothesis")
+        hnp = pytest.importorskip("hypothesis.extra.numpy")
+        st = hyp.strategies
+
+        @hyp.settings(max_examples=40, deadline=None)
+        @hyp.given(
+            p=st.sampled_from([2, 3, 5, 7, 11, 13, 31]),
+            n=st.integers(1, 4),
+            d=st.integers(1, 3),
+            data=st.data(),
+        )
+        def check(p, n, d, data):
+            hyp.assume((p**n) ** d <= 4096)
+            F = make_field(p, n)
+            if data.draw(st.booleans()):
+                f = random_grid(F, d, SplitMix64(data.draw(st.integers(0, 2**32))))
+            else:
+                unit = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
+                f = ComplexGrid(F, d, data.draw(hnp.arrays(np.complex128, F.q**d, elements=unit)))
+            back = inverse_transform(fourier_transform(f))
+            assert np.max(np.abs(back.values - f.values)) < 1e-9 * F.q ** (d / 2)
+
+        check()
+
 
 class TestEnergy:
     def test_full_grid_both_sides_one(self):

@@ -17,10 +17,12 @@ from ffdist.errors import (
 )
 from ffdist.field import _is_irreducible, decode_point, field_from_order, make_field
 from ffdist.fourier import fourier_transform, indicator_grid
+from ffdist import varieties
 from ffdist.varieties import (
     DIAGONAL,
     PointSet,
     _phase_table,
+    _scaling_cosets,
     decay_spectrum,
     diagonal_polynomial,
     evaluate,
@@ -30,6 +32,7 @@ from ffdist.varieties import (
     parse_polynomial,
     phase_sum,
     phase_sweep,
+    split_fibers,
     value_grid,
     variety,
     weil_sum,
@@ -319,10 +322,101 @@ class TestExceptionalSets:
         rep2 = exceptional_set(P)
         assert rep2.vu_bound_ok is None  # non-degeneracy is user-asserted
 
-    def test_report_keeps_the_spectrum_it_thresholds(self):
-        P = parse_polynomial("x1^2 - x2^2", F13, 2)
-        rep = exceptional_set(P, 2.5, 3.5)
-        assert rep.entries == tuple(decay_spectrum(P, 2.5, 3.5))
+    # (q, d, polynomial, kappa_sharp, kappa_fallback): more than two cosets,
+    # extension fields, p | exponent, mixed exponents and non-diagonal P
+    ORBIT_CASES = [
+        (13, 2, "x1^2 - x2^2", 2.5, 3.5),
+        (7, 3, "x1^2 + x2^2 + x3^2", 3.0, 3.0),
+        (27, 2, "x1^2 + x2^2", 3.0, 3.0),
+        (27, 2, "x1^3 + 2*x2^3", 3.0, 3.0),
+        (125, 2, "x1^5 + x2^2", 3.0, 3.0),
+        (16, 2, "x1^3 + x2^3", 3.0, 3.0),
+        (16, 2, "x1^2 + x2^2", 2.0, 3.0),
+        (31, 3, "x1^3 + 2*x2^2 + x3^4", 3.0, 3.0),
+        (13, 2, "x1^4 + 5*x2^3", 3.0, 3.0),
+        (37, 2, "x1^6 + 3*x2^6", 3.0, 3.0),
+        (25, 2, "x1^2 - x2^2", 2.0, 3.0),
+        (11, 1, "4*x1^2", 3.0, 3.0),
+        (31, 2, "x1^2 + x2^2 + x1", 3.0, 3.0),
+        (9, 2, "x1^3 + x1 + x2^2", 3.0, 3.0),
+    ]
+
+    @pytest.mark.parametrize("q, d, text, ks, kf", ORBIT_CASES)
+    def test_orbit_route_matches_the_per_fiber_spectrum(self, q, d, text, ks, kf):
+        P = parse_polynomial(text, field_from_order(q), d)
+        entries = decay_spectrum(P, ks, kf)
+        ref = split_fibers(
+            P, [e.variety_size for e in entries], [e.classification for e in entries]
+        )
+        rep = exceptional_set(P, ks, kf)
+        assert rep == ref  # T, A, band and the flags derived from them
+
+    def test_orbit_route_on_random_diagonal_polynomials(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+
+        @hyp.settings(max_examples=40, deadline=None)
+        @hyp.given(
+            q=st.sampled_from([2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 19, 25, 27, 29, 31, 37, 49]),
+            d=st.integers(1, 3),
+            data=st.data(),
+        )
+        def check(q, d, data):
+            hyp.assume(q**d <= 2500)
+            spec = field_from_order(q)
+            coeffs = data.draw(st.lists(st.integers(1, q - 1), min_size=d, max_size=d))
+            exps = data.draw(st.lists(st.integers(1, 12), min_size=d, max_size=d))
+            P = make_polynomial(
+                spec, d, [(c, tuple(e if i == j else 0 for i in range(d)))
+                          for j, (c, e) in enumerate(zip(coeffs, exps))]
+            )
+            assert P.kind == DIAGONAL
+            labels = _scaling_cosets(P)
+            assert labels.max() == math.gcd(math.lcm(*exps), q - 1)
+            entries = decay_spectrum(P)
+            first = {}
+            for e in entries:  # fibers in one coset share size and decay
+                f = first.setdefault(int(labels[e.t]), e)
+                assert e.variety_size == f.variety_size
+                assert abs(e.max_nonzero_freq - f.max_nonzero_freq) < 1e-12
+            rep = exceptional_set(P)
+            ref = split_fibers(
+                P, [e.variety_size for e in entries], [e.classification for e in entries]
+            )
+            assert rep.band == ref.band
+            # a decay constant at a threshold in exact arithmetic is classified
+            # by float noise in the per-fiber spectrum, so only those may differ
+            tied = {
+                e.t for e in entries
+                if abs(e.c_sharp - 3.0) < 1e-9 or abs(e.c_fallback - 3.0) < 1e-9
+            }
+            assert rep.T - tied == ref.T - tied
+            assert rep.A - tied == ref.A - tied
+
+        check()
+
+    def test_one_transform_per_scaling_coset(self, monkeypatch):
+        calls = []
+        real = varieties.fourier_transform
+
+        def counting(grid):
+            calls.append(grid)
+            return real(grid)
+
+        monkeypatch.setattr(varieties, "fourier_transform", counting)
+        for q, d, text, K in [
+            (31, 3, "x1^3 + 2*x2^2 + x3^4", 12),
+            (101, 2, "x1^2 + x2^2", 2),
+            (27, 2, "x1^3 + x2^3", 3),
+            (13, 2, "x1^4 + 5*x2^3", 12),
+            (17, 1, "3*x1^5", 5),
+        ]:
+            calls.clear()
+            exceptional_set(parse_polynomial(text, field_from_order(q), d))
+            assert len(calls) == math.gcd(K, q - 1) + 1
+        calls.clear()
+        exceptional_set(parse_polynomial("x1^2 + x2^2 + x1", F13, 2))
+        assert len(calls) == 13
 
     def test_small_fiber_lands_in_T_by_size(self):
         # q = 7: the zero fiber of the circle is just the origin

@@ -8,8 +8,8 @@ that holds only `points.txt` (a two-point file for `file:` set specs).  The
 two runs must agree byte for byte in exit code, stdout, stderr and every
 file left in the working directory.  The commands are:
 
-- every op of bench/workloads.py at seeds 1 and 2, with
-  `--deterministic --out out`;
+- every op of bench/workloads.py at seeds 1 and 2, and the commands in
+  ORBIT_CASES, with `--deterministic --out out`;
 - the `ffdist` examples of README.md, with `--deterministic`;
 - `--help` of the program and of each subcommand;
 - the error cases in ERROR_CASES, with `--deterministic`.
@@ -73,6 +73,18 @@ ERROR_CASES = (
 )
 
 
+# Exceptional-set shapes no bench op reaches: more than two scaling cosets,
+# extension fields, p dividing an exponent and a non-diagonal polynomial.
+ORBIT_CASES = (
+    "distance --q 27 --d 2 --poly x1^2+x2^2 --setE random:300 --setF random:300",
+    "scan --q 31 --d 3 --poly x1^3+2*x2^2+x3^4 --grid 900,90000 --trials 2",
+    "distance --q 125 --d 2 --poly x1^5+x2^2 --setE random:500 --setF random:500",
+    "scan --q 31 --d 2 --poly x1^2+x2^2+x1 --grid 400,4000 --trials 2",
+    "distance --q 97 --d 2 --poly x1^4+x2^4 --setE all --setF random:50",
+    "distance --p 2 --n 4 --d 2 --poly x1^3+x2^3 --setE all --setF all",
+)
+
+
 def readme_examples() -> list[list[str]]:
     """The `ffdist ...` command lines of README.md, backslash continuations joined."""
     out, pending = [], ""
@@ -93,6 +105,8 @@ def commands(subcommands) -> list[list[str]]:
             for seed in SEEDS:
                 argv = op.argv(seed) + ["--deterministic", "--out", "out"]
                 cmds[tuple(argv)] = None
+    for text in ORBIT_CASES:
+        cmds[tuple(text.split() + ["--deterministic", "--out", "out"])] = None
     for argv in readme_examples():
         cmds[tuple(argv + ["--deterministic"])] = None
     cmds[("--help",)] = None
