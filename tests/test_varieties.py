@@ -322,6 +322,20 @@ class TestExceptionalSets:
         rep2 = exceptional_set(P)
         assert rep2.vu_bound_ok is None  # non-degeneracy is user-asserted
 
+    def test_report_keeps_the_spectrum_it_thresholds(self):
+        # the report is the thresholding of decay_spectrum at the same kappas
+        P = parse_polynomial("x1^2 - x2^2", F13, 2)
+        entries = decay_spectrum(P, 2.5, 3.5)
+        rep = exceptional_set(P, 2.5, 3.5)
+        lo, hi = rep.band
+        assert rep.band == (0.5 * 13, 2.0 * 13)
+        assert rep.T == {
+            e.t for e in entries
+            if e.classification != "sharp" or not lo <= e.variety_size <= hi
+        }
+        assert rep.A == {e.t for e in entries if e.classification == "fallback"}
+        assert 0 in rep.T
+
     # (q, d, polynomial, kappa_sharp, kappa_fallback): more than two cosets,
     # extension fields, p | exponent, mixed exponents and non-diagonal P
     ORBIT_CASES = [
