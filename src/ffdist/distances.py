@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptySet, MixedFields, RoundingDivergence
-from .field import FieldSpec, add_table, decode_points, encode_points, mul_table, sub_table
+from .field import FieldSpec, add_table, decode_points, encode_points, mul_table, neg_table
 from .rng import SplitMix64, derive_seed
 from .varieties import (
     Polynomial,
@@ -41,7 +41,7 @@ from .varieties import (
 
 # Bytes one block of pins may hold: its int64 flat index of x - y, the
 # int64 values P(x - y) and their int64 sort copy, 24 B a pair, plus the
-# q-entry int64 sub_table column of each pin where that column is gathered.
+# q-entry int64 add_table row of each pin where that row is gathered.
 _PAIR_BLOCK_BYTES = 96 << 20
 _ROUNDING_BOUND = 0.1  # worst |raw - nearest integer| a transform count may show
 
@@ -73,25 +73,25 @@ def _pair_value_blocks(P: Polynomial, E: PointSet, F: PointSet):
     """Yield blocks of P(x - y) encodings: one row per pin y in F, one column per x in E.
 
     The flat index of x - y comes by Horner's rule from the last coordinate
-    down, one sub_table gather of the differences x_j - y_j per coordinate.
-    Where E has at least q points, each pin's sub_table column (q entries)
-    is gathered once and read at every x_j of E; a smaller E reads
-    st[x_j, y_j] pair by pair, since the columns would cost more than the
-    pairs.  Then value_grid is read at the index.  Each block of pins stays
-    within _PAIR_BLOCK_BYTES.
+    down, one add_table gather of x_j + (-y_j) per coordinate; each pin is
+    negated once.  Where E has at least q points, each pin's add_table row
+    at -y_j (q entries) is gathered once and read at every x_j of E; a
+    smaller E reads at[-y_j, x_j] pair by pair, since the rows would cost
+    more than the pairs.  Then value_grid is read at the index.  Each block
+    of pins stays within _PAIR_BLOCK_BYTES.
     """
     q, d = P.spec.q, P.d
-    st = sub_table(P.spec)
+    at = add_table(P.spec)
     vg = value_grid(P)
     ce = np.ascontiguousarray(E.coordinates().T)  # (d, |E|)
-    cf = F.coordinates().T  # (d, |F|)
-    columns = E.size >= q
-    rows = max(1, _PAIR_BLOCK_BYTES // (8 * (3 * E.size + columns * q)))
+    cf = neg_table(P.spec)[F.coordinates().T]  # (d, |F|) of -y
+    by_row = E.size >= q
+    rows = max(1, _PAIR_BLOCK_BYTES // (8 * (3 * E.size + by_row * q)))
 
     def differences(j: int, pins: np.ndarray) -> np.ndarray:
-        if columns:
-            return np.take(st[:, pins].T, ce[j], axis=1)
-        return st[ce[j], pins[:, None]]
+        if by_row:
+            return np.take(at[pins], ce[j], axis=1)
+        return at[pins[:, None], ce[j]]
 
     for i in range(0, F.size, rows):
         pins = cf[:, i : i + rows]
@@ -421,12 +421,14 @@ def verify_erdos(
 
 def verify_square_identity(E: PointSet, trials: int = 1000, seed: int = 0) -> bool:
     """For P = sum_j x_j^2, check P(x-y) - P(x'-y) =
-    (P(x) - 2*y.x) - (P(x') - 2*y.x') on random triples from E."""
+    (P(x) - 2*y.x) - (P(x') - 2*y.x') on random triples from E, with
+    every term moved to the positive side:
+    P(x-y) + 2*y.x + P(x') = P(x'-y) + 2*y.x' + P(x)."""
     spec = E.spec
     if E.size == 0:
         raise EmptySet("need a nonempty sample set")
     vg = value_grid(diagonal_polynomial(spec, E.d, 2))
-    at, st, mt = add_table(spec), sub_table(spec), mul_table(spec)
+    at, nt, mt = add_table(spec), neg_table(spec), mul_table(spec)
     rng = SplitMix64(derive_seed(seed, 0x5153))  # 'SQ'
     # rng.below(E.size) for x, x', y of every trial, in draw order
     picks = [u * E.size >> 64 for u in rng.next_block(3 * trials).tolist()]
@@ -440,6 +442,9 @@ def verify_square_identity(E: PointSet, trials: int = 1000, seed: int = 0) -> bo
             acc = at[acc, mt[y[:, j], u[:, j]]]
         return mt[two, acc]
 
-    lhs = st[vg[encode_points(spec, st[x, y])], vg[encode_points(spec, st[xp, y])]]
-    rhs = st[st[vg[idx[:, 0]], twice_dot(x)], st[vg[idx[:, 1]], twice_dot(xp)]]
+    def side(u, other):  # P(u - y) + 2*y.u + P(other), u - y = u + (-y)
+        return at[at[vg[encode_points(spec, at[u, nt[y]])], twice_dot(u)], vg[other]]
+
+    lhs = side(x, idx[:, 1])
+    rhs = side(xp, idx[:, 0])
     return bool(np.array_equal(lhs, rhs))

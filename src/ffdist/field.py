@@ -318,11 +318,6 @@ def neg_table(spec: FieldSpec) -> np.ndarray:
     return _frozen((-digits % spec.p) @ places)
 
 
-@lru_cache(maxsize=8)
-def sub_table(spec: FieldSpec) -> np.ndarray:
-    return _frozen(np.ascontiguousarray(add_table(spec)[:, neg_table(spec)]))
-
-
 @lru_cache(maxsize=64)
 def pow_table(spec: FieldSpec, e: int) -> np.ndarray:
     """a -> a^e for every encoding a, with the convention 0^0 = 1."""

@@ -379,11 +379,12 @@ def run_fourier_check(cfg: ExperimentConfig):
     for _ in range(grids):
         f = _random_grid(spec, d, rng)
         g = _random_grid(spec, d, rng)
-        back = inverse_transform(fourier_transform(f))
+        f_hat = fourier_transform(f)
+        back = inverse_transform(f_hat)
         worst_round = max(worst_round, float(np.max(np.abs(back.values - f.values))))
         worst_plan = max(worst_plan, plancherel_residual(f))
         lhs = fourier_transform(ComplexGrid(spec, d, 2.0 * f.values + 0.5j * g.values))
-        rhs = 2.0 * fourier_transform(f).values + 0.5j * fourier_transform(g).values
+        rhs = 2.0 * f_hat.values + 0.5j * fourier_transform(g).values
         worst_lin = max(worst_lin, float(np.max(np.abs(lhs.values - rhs))))
     tol_round = 1e-9 * q ** (d / 2)
     tol_grid = 1e-9 * q**d
@@ -454,6 +455,18 @@ def run_weil(cfg: ExperimentConfig):
     return 0, summary, None, None
 
 
+def _require_memory(need: int, holds: str):
+    """Refuse a request whose peak bytes `need` exceed this machine's
+    physical memory; runners call it before any grid or table is built.
+    `holds` says what the request holds."""
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ConfigError(
+            f"{holds}, about {need / 2**30:.1f} GiB, "
+            f"but this machine has {have / 2**30:.1f} GiB"
+        )
+
+
 PHASE_COLUMNS = ("q", "d", "poly", "s", "m", "abs_sum", "ratio")
 # Peak bytes run_phase and emit hold per (s, m) entry: the complex table,
 # its magnitudes and the CSV rows (224-237 B measured with tracemalloc).
@@ -464,13 +477,8 @@ def run_phase(cfg: ExperimentConfig):
     spec, P = _field_and_poly(cfg)
     q, d = spec.q, cfg.d
     n = q**d
-    need = (q - 1) * n * _PHASE_ENTRY_BYTES
-    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > have:  # refuse before any grid or table is built
-        raise ConfigError(
-            f"phase over F_{q}^{d} holds {(q - 1) * n} sums, about {need / 2**30:.1f} GiB, "
-            f"but this machine has {have / 2**30:.1f} GiB"
-        )
+    sums = (q - 1) * n
+    _require_memory(sums * _PHASE_ENTRY_BYTES, f"phase over F_{q}^{d} holds {sums} sums")
     table = _phase_table(P)
     agreement = 0.0 if P.kind == DIAGONAL else None  # diagonal: check factored vs direct
     if agreement is not None and n <= 4096:
@@ -581,10 +589,25 @@ def run_pinned(cfg: ExperimentConfig):
     return 0, summary, rows, PINNED_COLUMNS
 
 
+# Peak bytes per entry of the lift: one int64 per point of value_grid(H),
+# and for product sets, per (s, m) entry of phase_sweep(P), the complex
+# table and its magnitudes (57-98 B measured with tracemalloc, q <= 101).
+_GRID_POINT_BYTES = 8
+_SWEEP_ENTRY_BYTES = 128
+
+
 def run_lift(cfg: ExperimentConfig):
     spec, P = _field_and_poly(cfg)
-    H = paraboloid_lift(P)
     q, d = spec.q, cfg.d
+    points = q ** (d + 1)
+    holds = f"lift over F_{q}^{d + 1} holds {points} values"
+    need = points * _GRID_POINT_BYTES
+    if cfg.setE and cfg.setF and (cfg.setE2 or cfg.setF2):
+        sums = (q - 1) * q**d
+        holds += f" and {sums} phase sums"
+        need += sums * _SWEEP_ENTRY_BYTES
+    _require_memory(need, holds)
+    H = paraboloid_lift(P)
     sizes = np.bincount(value_grid(H), minlength=q)
     fibers_ok = bool(np.all(sizes == q**d))
     summary = {

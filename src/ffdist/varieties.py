@@ -296,14 +296,21 @@ class ExceptionalReport:
     size_hypothesis_droppable: bool  # A empty: the |E||F| >= C*q^d hypothesis can go
 
 
+# |V_t| / q^(d-1) bounds of a fiber of the expected size
+SIZE_BAND = (0.5, 2.0)
+# A decay constant equal to a threshold in exact arithmetic reads a few ulps
+# either side of it, so the thresholds are compared with this relative slack.
+_TIE_SLACK = 1e-9
+
+
 def _decay_class(mx: float, q: int, d: int, kappa_sharp: float, kappa_fallback: float):
     """(c_sharp, c_fallback, classification) of a fiber whose worst
     nonzero-frequency amplitude is mx."""
     c_sharp = mx * float(q) ** ((d + 1) / 2)
     c_fallback = mx * float(q) ** (d / 2)
-    if c_sharp <= kappa_sharp:
+    if c_sharp <= kappa_sharp * (1 + _TIE_SLACK):
         return c_sharp, c_fallback, "sharp"
-    if c_fallback <= kappa_fallback:
+    if c_fallback <= kappa_fallback * (1 + _TIE_SLACK):
         return c_sharp, c_fallback, "fallback"
     return c_sharp, c_fallback, "bad"
 
@@ -313,15 +320,14 @@ def split_fibers(
     sizes,
     classes,
     *,
-    band: tuple[float, float] = (0.5, 2.0),
     nondegenerate: bool = False,
 ) -> ExceptionalReport:
-    """T = fibers failing sharp decay or the expected-size band;
+    """T = fibers failing sharp decay or the expected-size band (SIZE_BAND);
     A = fibers with only fallback decay.  sizes[t] and classes[t] are
     |V_t| and its decay classification, for t = 0..q-1."""
     q, d = P.spec.q, P.d
-    lo = band[0] * float(q) ** (d - 1)
-    hi = band[1] * float(q) ** (d - 1)
+    lo = SIZE_BAND[0] * float(q) ** (d - 1)
+    hi = SIZE_BAND[1] * float(q) ** (d - 1)
     T = frozenset(
         t for t, (size, cls) in enumerate(zip(sizes, classes))
         if cls != "sharp" or not lo <= size <= hi
@@ -397,7 +403,6 @@ def exceptional_set(
     kappa_sharp: float = 3.0,
     kappa_fallback: float = 3.0,
     *,
-    band: tuple[float, float] = (0.5, 2.0),
     nondegenerate: bool = False,
 ) -> ExceptionalReport:
     """split_fibers of P's fibers, with one transform per scaling coset
@@ -410,7 +415,7 @@ def exceptional_set(
     peak = {labels[t]: mx for t, _, mx, _ in _fiber_peaks(P, first.values())}
     classes = [_decay_class(peak[label], q, d, kappa_sharp, kappa_fallback)[2] for label in labels]
     sizes = np.bincount(value_grid(P), minlength=q)
-    return split_fibers(P, sizes, classes, band=band, nondegenerate=nondegenerate)
+    return split_fibers(P, sizes, classes, nondegenerate=nondegenerate)
 
 
 # ---------------------------------------------------------------------------

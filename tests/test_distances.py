@@ -20,7 +20,7 @@ from ffdist.distances import (
     verify_falconer,
     verify_square_identity,
 )
-from ffdist.field import field_from_order, make_field
+from ffdist.field import add_table, field_from_order, make_field, mul_table, neg_table
 from ffdist.rng import SplitMix64, derive_seed, sample_indices
 from ffdist.varieties import (
     PointSet,
@@ -280,7 +280,7 @@ class TestRoutes:
         counts = counting_function(P, E, F, "direct").counts
         pinned = _pinned_sizes(P, E, F, "direct")
         assert [b.shape for b in whole] == [(F.size, E.size)]
-        assert E.size >= spec.q  # each pin's sub_table column is gathered
+        assert E.size >= spec.q  # each pin's add_table row is gathered
         per_pin = 8 * (3 * E.size + spec.q)
         for pins in (3, 1):  # a byte short of `pins` rows: blocks of 2 pins, then of 1
             monkeypatch.setattr(distances, "_PAIR_BLOCK_BYTES", per_pin * pins - 1)
@@ -293,7 +293,7 @@ class TestRoutes:
             assert np.array_equal(_pinned_sizes(P, E, F, "direct"), pinned)
 
     def test_pair_blocks_of_a_small_E_stay_within_the_byte_cap(self, monkeypatch):
-        # |E| < q: the q-entry sub_table column per pin would outweigh the
+        # |E| < q: the q-entry add_table row per pin would outweigh the
         # pair itself, so the blocks gather pairwise and keep to the cap.
         import tracemalloc
 
@@ -315,6 +315,24 @@ class TestRoutes:
         assert peak <= 2 * cap
         assert np.array_equal(np.concatenate(list(distances._pair_value_blocks(P, E, F))), whole)
         assert np.array_equal(_pinned_sizes(P, E, F, "direct"), np.ones(F.size))
+
+    def test_pair_kernel_builds_no_q_by_q_table(self):
+        # x - y = x + (-y): with add_table, mul_table, neg_table and the value
+        # grid warm, pairs at q = 1021 cost their blocks, not a q x q table
+        import tracemalloc
+
+        spec = make_field(1021)
+        P = diagonal_polynomial(spec, 2, 2)
+        E, F = random_set(spec, 2, 300, seed=42), random_set(spec, 2, 50, seed=43)
+        add_table(spec), mul_table(spec), neg_table(spec), value_grid(P)
+        tracemalloc.start()
+        try:
+            counting_function(P, E, F, "direct")
+            pinned_distances(P, E, F)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * spec.q**2
 
     @pytest.mark.parametrize("spec", [F7, F9])
     def test_pinned_sizes_read_P_of_x_minus_pin(self, spec):
@@ -588,7 +606,7 @@ class TestSquareIdentity:
 
         check()
 
-    @pytest.mark.parametrize("name", ["sub_table", "mul_table"])
+    @pytest.mark.parametrize("name", ["add_table", "neg_table", "mul_table"])
     def test_one_corrupted_table_entry_fails_the_identity(self, monkeypatch, name):
         from ffdist import distances
 
@@ -596,7 +614,8 @@ class TestSquareIdentity:
 
         def corrupted(spec):
             t = build(spec).copy()
-            t[2, 5] = (t[2, 5] + 1) % spec.q
+            entry = (2, 5)[: t.ndim]  # neg_table is one-dimensional
+            t[entry] = (t[entry] + 1) % spec.q
             return t
 
         E = full_grid(F7, 2)

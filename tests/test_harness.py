@@ -479,6 +479,32 @@ class TestRunners:
         argv = ["phase", "--q", "101", "--d", "4", "--poly", "x1^2+x2^2+x3^2+x4^2"]
         assert main(argv) == 2
 
+    @pytest.mark.parametrize(
+        "d, sets",
+        [
+            (5, {}),  # the value grid of H alone: 8 B a point of F_101^6
+            (4, {"setE": "random:9", "setF": "random:9", "setE2": "random:3", "setF2": "random:3"}),
+        ],
+    )
+    def test_lift_refuses_an_oversize_request_before_building_grids(self, monkeypatch, d, sets):
+        from ffdist import distances, harness, varieties
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a grid was built for an oversize lift request")
+
+        for module, name in (
+            (varieties, "value_grid"), (varieties, "grid_coordinates"),
+            (harness, "value_grid"), (harness, "build_pair"),
+            (distances, "value_grid"), (distances, "phase_sweep"),
+        ):
+            monkeypatch.setattr(module, name, unreachable)
+        poly = "+".join(f"x{j}^2" for j in range(1, d + 1))
+        cfg = ExperimentConfig(q=101, d=d, poly=poly, **sets)
+        with pytest.raises(ConfigError, match="GiB"):
+            run("lift", cfg)
+        flags = [arg for name, value in sets.items() for arg in (f"--{name}", value)]
+        assert main(["lift", "--q", "101", "--d", str(d), "--poly", poly, *flags]) == 2
+
     def test_pinned_runner_rows(self, tmp_path):
         cfg = ExperimentConfig(
             q=13,

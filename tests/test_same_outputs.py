@@ -25,8 +25,8 @@ def test_commands_cover_ops_examples_help_and_errors(tool):
         for op in ops:
             for seed in (1, 2):
                 assert op.argv(seed) + ["--deterministic", "--out", "out"] in cmds
-    assert len(tool.ORBIT_CASES) == 6
-    for text in tool.ORBIT_CASES:
+    assert len(tool.ORBIT_CASES) == 6 and len(tool.EDGE_CASES) == 2
+    for text in tool.ORBIT_CASES + tool.EDGE_CASES:
         assert text.split() + ["--deterministic", "--out", "out"] in cmds
     examples = tool.readme_examples()
     assert len(examples) == 4 and examples[-1][0] == "scan" and "--grid" in examples[-1]

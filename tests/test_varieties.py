@@ -336,6 +336,20 @@ class TestExceptionalSets:
         assert rep.A == {e.t for e in entries if e.classification == "fallback"}
         assert 0 in rep.T
 
+    def test_a_decay_constant_at_the_threshold_is_sharp_on_every_route(self):
+        # over F_9 every nonzero fiber has c_sharp = 2 exactly; t = 2, 7, 8
+        # read 2.0000000000000004 in floats, the rest 2.0
+        P = parse_polynomial("7*x2^5+5*x1^5", field_from_order(9), 2)
+        entries = decay_spectrum(P, kappa_sharp=2.0)
+        assert {e.c_sharp for e in entries[1:]} == {2.0, 2.0000000000000004}
+        assert [e.classification for e in entries[1:]] == ["sharp"] * 8
+        rep = exceptional_set(P, kappa_sharp=2.0)
+        assert rep.T == rep.A == {0}
+        ref = split_fibers(
+            P, [e.variety_size for e in entries], [e.classification for e in entries]
+        )
+        assert rep == ref
+
     # (q, d, polynomial, kappa_sharp, kappa_fallback): more than two cosets,
     # extension fields, p | exponent, mixed exponents and non-diagonal P
     ORBIT_CASES = [
@@ -397,15 +411,7 @@ class TestExceptionalSets:
             ref = split_fibers(
                 P, [e.variety_size for e in entries], [e.classification for e in entries]
             )
-            assert rep.band == ref.band
-            # a decay constant at a threshold in exact arithmetic is classified
-            # by float noise in the per-fiber spectrum, so only those may differ
-            tied = {
-                e.t for e in entries
-                if abs(e.c_sharp - 3.0) < 1e-9 or abs(e.c_fallback - 3.0) < 1e-9
-            }
-            assert rep.T - tied == ref.T - tied
-            assert rep.A - tied == ref.A - tied
+            assert rep == ref
 
         check()
 

@@ -9,7 +9,7 @@ two runs must agree byte for byte in exit code, stdout, stderr and every
 file left in the working directory.  The commands are:
 
 - every op of bench/workloads.py at seeds 1 and 2, and the commands in
-  ORBIT_CASES, with `--deterministic --out out`;
+  ORBIT_CASES and EDGE_CASES, with `--deterministic --out out`;
 - the `ffdist` examples of README.md, with `--deterministic`;
 - `--help` of the program and of each subcommand;
 - the error cases in ERROR_CASES, with `--deterministic`.
@@ -84,6 +84,14 @@ ORBIT_CASES = (
     "distance --p 2 --n 4 --d 2 --poly x1^3+x2^3 --setE all --setF all",
 )
 
+# A decay constant exactly at kappa_sharp (every nonzero fiber over F_9,
+# some of which read a few ulps above it), and the pair kernel's add_table
+# row gathers at a q where a q x q table takes 8 MB.
+EDGE_CASES = (
+    "decay --q 9 --d 2 --poly 7*x2^5+5*x1^5 --kappa-sharp 2",
+    "pinned --q 1021 --d 2 --poly x1^2+x2^2 --setE random:3000 --setF random:200 --seed 1",
+)
+
 
 def readme_examples() -> list[list[str]]:
     """The `ffdist ...` command lines of README.md, backslash continuations joined."""
@@ -105,7 +113,7 @@ def commands(subcommands) -> list[list[str]]:
             for seed in SEEDS:
                 argv = op.argv(seed) + ["--deterministic", "--out", "out"]
                 cmds[tuple(argv)] = None
-    for text in ORBIT_CASES:
+    for text in ORBIT_CASES + EDGE_CASES:
         cmds[tuple(text.split() + ["--deterministic", "--out", "out"])] = None
     for argv in readme_examples():
         cmds[tuple(argv + ["--deterministic"])] = None
