@@ -32,9 +32,9 @@ from .rng import SplitMix64, derive_seed
 from .varieties import (
     Polynomial,
     PointSet,
+    _phase_rows,
     diagonal_polynomial,
     make_polynomial,
-    phase_sweep,
     require_same_space,
     value_grid,
 )
@@ -288,7 +288,7 @@ class ProductExperimentReport:
     delta_size: int
     delta_ratio: float  # |Delta_H| / q
     verdict: str  # pass | fail | vacuous
-    phase_max_ratio: float  # worst |sum_x chi(sP(x) + m.x)| / q^(d/2)
+    phase_max_ratio: float  # worst |sum_x chi(sP(x) + m.x)| / q^(d/2), one s row at a time
 
 
 def product_set_experiment(
@@ -304,8 +304,8 @@ def product_set_experiment(
     """Lifted distance set of product sets E x E_{d+1}, F x F_{d+1}.
 
     The report also carries the phase condition: the worst
-    |sum_x chi(s*P(x) + m*x)| / q^(d/2) over every s != 0 and m, read
-    from the phase sweep of P.
+    |sum_x chi(s*P(x) + m*x)| / q^(d/2) over every s != 0 and m, the
+    largest magnitude of the phase rows of P.
     """
     H = paraboloid_lift(P)
     e_star = product_set(E, E_last)
@@ -313,6 +313,7 @@ def product_set_experiment(
     delta = distance_set(H, e_star, f_star)
     q = P.spec.q
     ratio = (e_star.size * f_star.size) / (F_last.size * float(q) ** (P.d + 1))
+    peak = max(float(np.hypot(row.real, row.imag).max()) for row in _phase_rows(P))
     return ProductExperimentReport(
         q=q,
         d=P.d,
@@ -323,7 +324,7 @@ def product_set_experiment(
         delta_size=len(delta),
         delta_ratio=len(delta) / q,
         verdict=_verdict(ratio >= C, len(delta) >= rho * q),
-        phase_max_ratio=phase_sweep(P).max_ratio,
+        phase_max_ratio=peak / float(q) ** (P.d / 2),
     )
 
 

@@ -5,8 +5,11 @@ none, so round trips are exact up to float error and the energy identity
 reads  sum_m |f^(m)|^2 = q^(-d) * sum_x |f(x)|^2.
 
 Transforms factor into d one-axis passes (coordinate 1 first), each a
-dense q-by-q character matrix multiply; at desk scale this beats any
-fast-transform cleverness.  Both directions share one kernel
+dense q-by-q character matrix multiply.  It is no faster than an FFT: on
+a 2-core host one complex np.fft.fftn of a warm random grid took 0.050 s
+against 0.052 s for this transform at q = 61, d = 3, 0.141 against 0.145 s
+at q = 101, d = 3, and 0.008 against 0.048 s at q = 211, d = 2 (best of
+3).  Both directions share one kernel
 K[m, x] = chi(-x*m): the inverse pass reads its output rows at -x, which
 leaves every value bit for bit as a kernel of its own would.
 """

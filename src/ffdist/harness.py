@@ -44,6 +44,7 @@ from .varieties import (
     DecayEntry,
     PointSet,
     Polynomial,
+    _phase_rows,
     _phase_table,
     common_diagonal_exponent,
     decay_spectrum,
@@ -469,7 +470,8 @@ def _require_memory(need: int, holds: str):
 
 PHASE_COLUMNS = ("q", "d", "poly", "s", "m", "abs_sum", "ratio")
 # Peak bytes run_phase and emit hold per (s, m) entry: the complex table,
-# its magnitudes and the CSV rows (224-237 B measured with tracemalloc).
+# its magnitudes and the CSV rows (212-239 B measured with tracemalloc,
+# q = 17..67, d = 2, 3).
 _PHASE_ENTRY_BYTES = 256
 
 
@@ -480,10 +482,10 @@ def run_phase(cfg: ExperimentConfig):
     sums = (q - 1) * n
     _require_memory(sums * _PHASE_ENTRY_BYTES, f"phase over F_{q}^{d} holds {sums} sums")
     table = _phase_table(P)
-    agreement = 0.0 if P.kind == DIAGONAL else None  # diagonal: check factored vs direct
-    if agreement is not None and n <= 4096:
-        err = table - _phase_table(P, "direct")
-        agreement = float(np.hypot(err.real, err.imag).max())
+    agreement = None
+    if P.kind == DIAGONAL:  # check the factored table, one inverse transform per s
+        errs = (row - want for row, want in zip(table, _phase_rows(P)))
+        agreement = max(float(np.hypot(e.real, e.imag).max()) for e in errs)
     mag = np.hypot(table.real, table.imag).ravel()
     scale = float(q) ** (d / 2)
     abs_sum, ratio = mag.tolist(), (mag / scale).tolist()
@@ -589,11 +591,13 @@ def run_pinned(cfg: ExperimentConfig):
     return 0, summary, rows, PINNED_COLUMNS
 
 
-# Peak bytes per entry of the lift: one int64 per point of value_grid(H),
-# and for product sets, per (s, m) entry of phase_sweep(P), the complex
-# table and its magnitudes (57-98 B measured with tracemalloc, q <= 101).
-_GRID_POINT_BYTES = 8
-_SWEEP_ENTRY_BYTES = 128
+# Peak bytes of a lift, measured with tracemalloc: per point of F_q^(d+1),
+# the old and the new value grid of H while value_grid adds its last term
+# (16.0-16.7 B, q = 2..101); for product sets, per point of F_q^d, one phase
+# row of P and its transform temporaries (~105 B, q = 2..11, where the rows
+# outweigh the grid).
+_GRID_POINT_BYTES = 20
+_PHASE_ROW_BYTES = 128
 
 
 def run_lift(cfg: ExperimentConfig):
@@ -603,9 +607,8 @@ def run_lift(cfg: ExperimentConfig):
     holds = f"lift over F_{q}^{d + 1} holds {points} values"
     need = points * _GRID_POINT_BYTES
     if cfg.setE and cfg.setF and (cfg.setE2 or cfg.setF2):
-        sums = (q - 1) * q**d
-        holds += f" and {sums} phase sums"
-        need += sums * _SWEEP_ENTRY_BYTES
+        holds += f" and phase rows of {q**d} sums"
+        need += q**d * _PHASE_ROW_BYTES
     _require_memory(need, holds)
     H = paraboloid_lift(P)
     sizes = np.bincount(value_grid(H), minlength=q)

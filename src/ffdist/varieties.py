@@ -6,7 +6,9 @@ decay spectrum of each fiber comes straight from the grid transform.
 Exceptional sets of diagonal P transform one fiber per scaling coset of t
 (`_scaling_cosets`), since dilations carry the other fibers onto it.  The
 phase sums sum_x chi(s*P(x) + m*x) for all s != 0 and m come as one table
-(`_phase_table`), bit-identical to the scalar `phase_sum`.
+(`_phase_table`), bit-identical to the scalar `phase_sum`, or one row s at
+a time from the inverse transform of chi(s*P) (`_phase_rows`), which checks
+the table and gives its maxima in O(q^d) memory.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .field import (
     mul_table,
     pow_table,
 )
-from .fourier import ComplexGrid, fourier_transform
+from .fourier import ComplexGrid, fourier_transform, inverse_transform
 
 DIAGONAL = "diagonal"
 GENERAL = "general"
@@ -169,21 +171,6 @@ def diagonal_polynomial(spec: FieldSpec, d: int, exponent: int, coeffs=None) -> 
     return make_polynomial(spec, d, terms)
 
 
-def evaluate(P: Polynomial, x) -> int:
-    """Exact evaluation at a coordinate tuple of encodings."""
-    if len(x) != P.d:
-        raise ArityMismatch(f"point has {len(x)} coordinates, polynomial wants {P.d}")
-    spec = P.spec
-    acc = 0
-    for coeff, exps in P.terms:
-        v = coeff
-        for xj, e in zip(x, exps):
-            if e:
-                v = spec.mul(v, spec.pow(xj, e))
-        acc = spec.add(acc, v)
-    return acc
-
-
 @lru_cache(maxsize=32)
 def value_grid(P: Polynomial) -> np.ndarray:
     """P evaluated at every point of F_q^d, flat in encoding order.
@@ -244,11 +231,6 @@ class PointSet:
 
     def coordinates(self) -> np.ndarray:
         return decode_points(self.spec, self.indices, self.d)
-
-    def translate(self, z) -> "PointSet":
-        """The set {x + z : x in this set}."""
-        shifted = add_table(self.spec)[self.coordinates(), np.asarray(z, dtype=np.int64)]
-        return PointSet(self.spec, self.d, encode_points(self.spec, shifted))
 
 
 def full_grid(spec: FieldSpec, d: int) -> PointSet:
@@ -523,34 +505,15 @@ def _phase_table(P: Polynomial, method: str | None = None) -> np.ndarray:
     raise ValueError(f"unknown method {method!r}")
 
 
-@dataclass(frozen=True)
-class PhaseSweep:
-    """Worst case of |sum_x chi(s*P(x) + m*x)| over s != 0 and all m."""
-
-    max_abs: float
-    max_ratio: float  # max_abs / q^(d/2)
-    argmax_s: int
-    argmax_m: int  # flat encoding
-    weil_product_bound: float | None  # prod_j (c_j - 1) * q^(d/2) for diagonal P
-
-
-def phase_sweep(P: Polynomial) -> PhaseSweep:
-    """Exhaustive sweep of the phase sum over every s != 0 and every m;
-    the first maximum in (s, m) order wins."""
-    q, d = P.spec.q, P.d
-    t = _phase_table(P)
-    mag = np.hypot(t.real, t.imag)
-    s, m = divmod(int(np.argmax(mag)), q**d)
-    best = float(mag[s, m])
-    scale = float(q) ** (d / 2)
-    weil = math.prod(max(e) - 1 for _, e in P.terms) * scale
-    return PhaseSweep(
-        max_abs=best,
-        max_ratio=best / scale,
-        argmax_s=s + 1,
-        argmax_m=m,
-        weil_product_bound=weil if P.kind == DIAGONAL else None,
-    )
+def _phase_rows(P: Polynomial):
+    """Row s-1 of _phase_table for s = 1..q-1, one inverse transform each:
+    sum_x chi(s*P(x) + m*x) is inverse_transform(chi(s*P)) at m.  Holds
+    O(q^d) at a time; it agrees with the table to float error, not bit for
+    bit, so it checks the table and serves maxima, never CSV rows."""
+    spec, d = P.spec, P.d
+    vg, mt = value_grid(P), mul_table(spec)
+    for s in range(1, spec.q):
+        yield inverse_transform(ComplexGrid(spec, d, spec.char_table[mt[s, vg]])).values
 
 
 def require_same_space(a, b, what: str = "operands"):

@@ -25,7 +25,6 @@ from ffdist.rng import SplitMix64, derive_seed, sample_indices
 from ffdist.varieties import (
     PointSet,
     diagonal_polynomial,
-    evaluate,
     exceptional_set,
     full_grid,
     make_polynomial,
@@ -34,6 +33,8 @@ from ffdist.varieties import (
     value_grid,
     variety,
 )
+
+from oracles import evaluate, translate
 
 F5 = make_field(5)
 F7 = make_field(7)
@@ -104,7 +105,7 @@ class TestDistanceSet:
         E = random_set(F7, 2, 10, seed=3)
         F = random_set(F7, 2, 8, seed=4)
         for z in [(1, 4), (6, 6), (0, 2)]:
-            assert distance_set(P, E.translate(z), F.translate(z)) == distance_set(
+            assert distance_set(P, translate(E, z), translate(F, z)) == distance_set(
                 P, E, F
             )
 
@@ -479,6 +480,19 @@ class TestProductExperiment:
         zero = points_from_coords(F7, 1, [[0]])
         rep = product_set_experiment(P, E, zero, E, zero)
         assert rep.phase_max_ratio == pytest.approx(1.0)  # Gauss sum is sharp
+
+    def test_phase_condition_never_builds_the_phase_table(self, monkeypatch):
+        from ffdist import varieties
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the product experiment built the whole phase table")
+
+        monkeypatch.setattr(varieties, "_phase_table", unreachable)
+        P = parse_polynomial("x1^2 + x2^3", F7, 2)
+        E = random_set(F7, 2, 20, seed=40)
+        line = full_grid(F7, 1)
+        rep = product_set_experiment(P, E, line, E, line)
+        assert 0 < rep.phase_max_ratio <= 2.0 + 1e-9  # Weil product bound / q^(d/2)
 
 
 class TestVerifiers:

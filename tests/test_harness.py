@@ -15,7 +15,7 @@ from ffdist.errors import ConfigError, IsoUnavailable
 from ffdist.field import decode_point, field_from_order, make_field
 from ffdist.harness import RUNNERS, ExperimentConfig, _random_grid, build_set, run
 from ffdist.rng import SplitMix64, derive_seed, sample_indices
-from ffdist.varieties import parse_polynomial, phase_sum, phase_sweep, variety
+from ffdist.varieties import parse_polynomial, phase_sum, variety
 
 F7 = make_field(7)
 F9 = make_field(3, 2)
@@ -419,6 +419,26 @@ class TestRunners:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 4 * 25  # every s != 0 and every m
 
+    def test_phase_checks_its_table_above_the_old_direct_cutoff(self):
+        # 17^3 = 4913 points, 78,608 sums: the check used to skip this size
+        code, summary = run("phase", ExperimentConfig(q=17, d=3, poly="x1^2+x2^2+x3^2"))
+        assert code == 0
+        assert 0 < summary["factored_vs_direct_max_error"] < 1e-9 * 17**3
+
+    def test_phase_check_catches_a_corrupted_table(self, monkeypatch):
+        from ffdist import harness
+
+        real = harness._phase_table
+
+        def corrupted(P, *args):
+            table = real(P, *args).copy()
+            table[3, 1000] += 1.0
+            return table
+
+        monkeypatch.setattr(harness, "_phase_table", corrupted)
+        code, summary = run("phase", ExperimentConfig(q=17, d=3, poly="x1^2+x2^2+x3^2"))
+        assert summary["factored_vs_direct_max_error"] >= 0.5
+
     @pytest.mark.parametrize(
         "q, d, poly",
         [
@@ -445,8 +465,6 @@ class TestRunners:
         assert code == 0
         got = (summary["max_abs"], summary["argmax_s"], summary["argmax_m"])
         assert got == (best, bs, bm)
-        sweep = phase_sweep(P)
-        assert (sweep.max_abs, sweep.argmax_s, sweep.argmax_m) == (best, bs, bm)
 
     def test_phase_csv_rows_follow_the_table_in_row_order(self, tmp_path):
         cfg = ExperimentConfig(
@@ -482,7 +500,7 @@ class TestRunners:
     @pytest.mark.parametrize(
         "d, sets",
         [
-            (5, {}),  # the value grid of H alone: 8 B a point of F_101^6
+            (5, {}),  # the value grid of H alone: 20 B a point of F_101^6
             (4, {"setE": "random:9", "setF": "random:9", "setE2": "random:3", "setF2": "random:3"}),
         ],
     )
@@ -495,7 +513,7 @@ class TestRunners:
         for module, name in (
             (varieties, "value_grid"), (varieties, "grid_coordinates"),
             (harness, "value_grid"), (harness, "build_pair"),
-            (distances, "value_grid"), (distances, "phase_sweep"),
+            (distances, "value_grid"), (distances, "_phase_rows"),
         ):
             monkeypatch.setattr(module, name, unreachable)
         poly = "+".join(f"x{j}^2" for j in range(1, d + 1))
@@ -504,6 +522,29 @@ class TestRunners:
             run("lift", cfg)
         flags = [arg for name, value in sets.items() for arg in (f"--{name}", value)]
         assert main(["lift", "--q", "101", "--d", str(d), "--poly", poly, *flags]) == 2
+
+    @pytest.mark.parametrize("q, d", [(23, 3), (5, 6)])  # mid size; phase rows outweigh H
+    @pytest.mark.parametrize("product", [False, True])
+    def test_lift_memory_check_covers_the_measured_peak(self, monkeypatch, q, d, product):
+        import tracemalloc
+
+        from ffdist import harness, varieties
+
+        stated = []
+        monkeypatch.setattr(harness, "_require_memory", lambda need, holds: stated.append(need))
+        sets = {"setE": "random:60", "setF": "random:60"}
+        if product:
+            sets.update(setE2="random:5", setF2="random:5")
+        cfg = ExperimentConfig(q=q, d=d, poly="+".join(f"x{j}^2" for j in range(1, d + 1)), **sets)
+        varieties.value_grid.cache_clear()
+        tracemalloc.start()
+        try:
+            code, _ = run("lift", cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and len(stated) == 1
+        assert 8 * q ** (d + 1) <= peak <= stated[0]  # the grid of H was built and counted
 
     def test_pinned_runner_rows(self, tmp_path):
         cfg = ExperimentConfig(

@@ -16,27 +16,30 @@ from ffdist.errors import (
     ZeroPolynomial,
 )
 from ffdist.field import _is_irreducible, decode_point, field_from_order, make_field
+from ffdist.distances import product_set_experiment
 from ffdist.fourier import fourier_transform, indicator_grid
+from ffdist.harness import ExperimentConfig, run
 from ffdist import varieties
 from ffdist.varieties import (
     DIAGONAL,
     PointSet,
+    _phase_rows,
     _phase_table,
     _scaling_cosets,
     decay_spectrum,
     diagonal_polynomial,
-    evaluate,
     exceptional_set,
     full_grid,
     make_polynomial,
     parse_polynomial,
     phase_sum,
-    phase_sweep,
     split_fibers,
     value_grid,
     variety,
     weil_sum,
 )
+
+from oracles import evaluate
 
 F5 = make_field(5)
 F7 = make_field(7)
@@ -518,16 +521,12 @@ class TestPhaseSum:
             phase_sum(P, 1, (0, 0), method="factored")
 
     def test_mixed_diagonal_sweep_under_product_bound(self):
-        P = parse_polynomial("x1^2 + x2^3", F7, 2)
-        sweep = phase_sweep(P)
-        assert sweep.weil_product_bound == pytest.approx(14.0)
-        assert sweep.max_abs <= 14.0 + 1e-9
-        assert sweep.max_abs == pytest.approx(12.543345075283467, abs=1e-9)
-
-    def test_sweep_ratio_definition(self):
-        P = parse_polynomial("x1^2", F7, 1)
-        sweep = phase_sweep(P)
-        assert sweep.max_ratio == pytest.approx(sweep.max_abs / math.sqrt(7))
+        # the phase command's maximum over every s != 0 and m, against the
+        # Weil product bound prod_j (c_j - 1) * q^(d/2) = 1 * 2 * 7
+        code, summary = run("phase", ExperimentConfig(q=7, d=2, poly="x1^2+x2^3"))
+        assert code == 0 and summary["kind"] == DIAGONAL
+        assert summary["max_abs"] <= 14.0 + 1e-9
+        assert summary["max_abs"] == pytest.approx(12.543345075283467, abs=1e-9)
 
 
 # d -> polynomials for the phase table: general, mixed-exponent diagonal,
@@ -566,6 +565,25 @@ class TestPhaseTable:
             if P.kind != DIAGONAL:
                 with pytest.raises(ArityMismatch):
                     _phase_table(P, "factored")
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("q", [5, 7, 8, 9, 25])
+    def test_phase_rows_give_the_table_and_its_maximum(self, q, d):
+        spec = field_from_order(q)
+        n = q**d
+        E = PointSet(spec, d, [0, n - 1])
+        zero = PointSet(spec, 1, [0])
+        for text in PHASE_TABLE_POLYS[d]:
+            P = parse_polynomial(text, spec, d)
+            if P.kind != DIAGONAL and n > 5000:
+                continue  # the direct table takes (q-1) q^(2d) lookups: too slow here
+            table = _phase_table(P)
+            rows = np.array(list(_phase_rows(P)))
+            assert rows.shape == table.shape
+            assert np.abs(rows - table).max() <= 1e-12 * n
+            rep = product_set_experiment(P, E, zero, E, zero)
+            want = np.hypot(table.real, table.imag).max() / float(q) ** (d / 2)
+            assert rep.phase_max_ratio == pytest.approx(want, rel=1e-12)
 
     def test_default_route_is_factored_iff_diagonal(self):
         for text in ("x1^2 + x2^3", "x1^2 + x2^2 + x1"):
