@@ -4,14 +4,20 @@ The forward transform carries the 1/q^d factor and the inverse carries
 none, so round trips are exact up to float error and the energy identity
 reads  sum_m |f^(m)|^2 = q^(-d) * sum_x |f(x)|^2.
 
-Transforms factor into d one-axis passes (coordinate 1 first), each a
-dense q-by-q character matrix multiply.  It is no faster than an FFT: on
-a 2-core host one complex np.fft.fftn of a warm random grid took 0.050 s
-against 0.052 s for this transform at q = 61, d = 3, 0.141 against 0.145 s
-at q = 101, d = 3, and 0.008 against 0.048 s at q = 211, d = 2 (best of
-3).  Both directions share one kernel
-K[m, x] = chi(-x*m): the inverse pass reads its output rows at -x, which
-leaves every value bit for bit as a kernel of its own would.
+Transforms factor into d one-axis passes (coordinate 1 first), each one
+matrix product of the q-by-q character kernel with the whole grid.  The
+passes are cyclic: the flat values are C order over (x_d, ..., x_1), a
+pass contracts the last axis with the kernel on the left and puts its
+output axis first, so after d passes the axes are (m_d, ..., m_1) and
+the result is already in flat order.  Nothing is transposed or copied
+between passes, and a transform holds two grids at a time.  On a 2-core
+host one transform of a warm random grid took 8.9 ms against 34 ms for
+a complex np.fft.fftn at q = 61, d = 3, 42 against 129 ms at q = 101,
+d = 3, and 2.0 against 3.1 ms at q = 211, d = 2 (best of 5).
+
+Both directions share one kernel K[m, x] = chi(-x*m): the inverse pass
+reads its output rows at -x, which leaves every value bit for bit as a
+kernel of its own would.
 """
 
 from __future__ import annotations
@@ -66,14 +72,19 @@ def _forward_kernel(spec: FieldSpec) -> np.ndarray:
 
 
 def _apply_per_axis(grid: ComplexGrid, rows: np.ndarray | None = None) -> np.ndarray:
-    # Axis j of the reshaped array is coordinate j+1; transform in order.
+    # The cyclic passes of the module docstring.  The transposed operand
+    # reaches BLAS as a flag, not a copy.  Each pass stays one 2-d product
+    # with the kernel on the left: arr @ K, or a batched product over a
+    # middle axis, changes the last bit of some values, which moves decay's
+    # argmax_m among ties.
     # `rows` reorders each output axis: K[-x, m] = chi(x*m) gives the inverse pass.
-    kernel = _forward_kernel(grid.spec)
-    arr = grid.values.reshape((grid.spec.q,) * grid.d, order="F")
-    for axis in range(grid.d):
-        out = np.tensordot(kernel, arr, axes=([1], [axis]))
-        arr = np.moveaxis(out if rows is None else out[rows], 0, axis)
-    return arr.ravel(order="F")
+    kernel, q = _forward_kernel(grid.spec), grid.spec.q
+    arr = grid.values
+    for _ in range(grid.d):
+        arr = kernel @ arr.reshape(-1, q).T
+        if rows is not None:
+            arr = arr[rows]
+    return arr.reshape(-1)
 
 
 def fourier_transform(f: ComplexGrid) -> ComplexGrid:

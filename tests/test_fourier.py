@@ -1,10 +1,11 @@
-"""Grid transforms: trivial cases, round trips, energy identity, and
-equivalence with the direct double-loop transform (the oracle)."""
+"""Grid transforms: trivial cases, round trips, energy identity,
+equivalence with the direct double-loop transform, bit identity with the
+per-axis tensordot oracle, and the memory a transform holds."""
 
 import numpy as np
 import pytest
 
-from ffdist.field import decode_point, make_field, mul_table
+from ffdist.field import decode_point, make_field
 from ffdist.fourier import (
     ComplexGrid,
     fourier_transform,
@@ -14,6 +15,8 @@ from ffdist.fourier import (
     zeros_grid,
 )
 from ffdist.rng import SplitMix64
+from ffdist.varieties import parse_polynomial, value_grid
+from oracles import per_axis_transform
 
 
 def reference_transform(spec, d, values):
@@ -186,33 +189,75 @@ class TestOracleEquivalence:
         assert np.max(np.abs(fourier_transform(f).values - slow)) < 1e-10
 
 
-def explicit_kernel_inverse(g):
-    """The inverse pass with its own kernel B[x, m] = chi(x*m), axis by axis."""
-    spec = g.spec
-    kernel = spec.char_table[mul_table(spec)]
-    arr = g.values.reshape((spec.q,) * g.d, order="F")
-    for axis in range(g.d):
-        arr = np.moveaxis(np.tensordot(kernel, arr, axes=([1], [axis])), 0, axis)
-    return arr.ravel(order="F")
+CASES = [
+    (spec, d)
+    for spec in (
+        make_field(7),
+        make_field(13),
+        make_field(5),
+        make_field(2, 3),
+        make_field(3, 2, (1, 0, 1)),
+        make_field(5, 2),
+        make_field(3, 3),
+    )
+    for d in (1, 2, 3)
+]
 
 
-@pytest.mark.parametrize(
-    "spec, d",
-    [
-        (make_field(7), 1),
-        (make_field(13), 2),
-        (make_field(5), 3),
-        (make_field(2, 3), 2),
-        (make_field(3, 2, (1, 0, 1)), 2),
-        (make_field(5, 2), 2),
-        (make_field(3, 3), 1),
-    ],
-    ids=lambda v: getattr(v, "q", v),
-)
-def test_inverse_equals_the_explicit_kernel_bit_for_bit(spec, d):
+def oracle_grids(spec, d):
     rng = SplitMix64(spec.q * 10 + d)
     grids = [random_grid(spec, d, rng) for _ in range(3)]
     grids += [fourier_transform(indicator_grid(spec, d, range(k, spec.q**d, 3))) for k in range(3)]
-    for g in grids:
+    return grids
+
+
+def assert_bits_equal(got, want):
+    assert np.array_equal(got.view(np.float64), want.view(np.float64))
+
+
+# Bit identity, not closeness: decay's argmax_m picks among exact ties by
+# float noise.  The kernel stays on the left of each product because
+# x @ K differs in the last bit at F_13^2, F_5^3, F_9^2 and F_25^2, and a
+# batched product over the middle axis flips argmax_m at F_61^3, t = 2.
+@pytest.mark.parametrize("spec, d", CASES, ids=lambda v: getattr(v, "q", v))
+def test_forward_equals_the_oracle_bit_for_bit(spec, d):
+    for g in oracle_grids(spec, d):
+        assert_bits_equal(fourier_transform(g).values, per_axis_transform(g.values, spec, d))
+
+
+@pytest.mark.parametrize("spec, d", CASES, ids=lambda v: getattr(v, "q", v))
+def test_inverse_equals_the_explicit_kernel_bit_for_bit(spec, d):
+    # the oracle's inverse has its own kernel B[x, m] = chi(x*m); the
+    # package reads the forward kernel's rows at -x
+    for g in oracle_grids(spec, d):
         got = inverse_transform(g).values
-        assert np.array_equal(got.view(np.float64), explicit_kernel_inverse(g).view(np.float64))
+        assert_bits_equal(got, per_axis_transform(g.values, spec, d, inverse=True))
+
+
+def test_f61_cubed_fiber_indicators_equal_the_oracle_bit_for_bit():
+    spec = make_field(61)
+    vg = value_grid(parse_polynomial("x1^2 + x2^2 + x3^2", spec, 3))
+    for t in range(3):
+        g = ComplexGrid(spec, 3, (vg == t).astype(np.complex128))
+        for transform, inverse in ((fourier_transform, False), (inverse_transform, True)):
+            want = per_axis_transform(g.values, spec, 3, inverse)
+            assert_bits_equal(transform(g).values, want)
+
+
+@pytest.mark.parametrize("p, d", [(31, 3), (13, 4)])
+@pytest.mark.parametrize("transform", [fourier_transform, inverse_transform])
+def test_transform_holds_at_most_two_grids(transform, p, d):
+    # with the kernel and neg_table warm, a transform allocates its passes'
+    # outputs and nothing else: two grids of 16 bytes a point at a time
+    import tracemalloc
+
+    spec = make_field(p)
+    g = random_grid(spec, d, SplitMix64(p + d))
+    transform(g)
+    tracemalloc.start()
+    try:
+        transform(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.1 * 16 * spec.q**d
