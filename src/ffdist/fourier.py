@@ -10,7 +10,14 @@ passes are cyclic: the flat values are C order over (x_d, ..., x_1), a
 pass contracts the last axis with the kernel on the left and puts its
 output axis first, so after d passes the axes are (m_d, ..., m_1) and
 the result is already in flat order.  Nothing is transposed or copied
-between passes, and a transform holds two grids at a time.  On a 2-core
+between passes, and a transform holds two grids at a time.
+
+Those two grids are its workspace.  By default each transform allocates
+them; a caller that runs many transforms of one shape passes its own
+pair as `work=` and the passes write into it, ping-ponging between the
+two, so the transforms allocate no grid.  The result is then a view of
+one of the pair and lasts until the next call that shares it.
+The values are bit for bit those of a fresh workspace.  On a 2-core
 host one transform of a warm random grid took 8.9 ms against 34 ms for
 a complex np.fft.fftn at q = 61, d = 3, 42 against 129 ms at q = 101,
 d = 3, and 2.0 against 3.1 ms at q = 211, d = 2 (best of 5).
@@ -71,32 +78,42 @@ def _forward_kernel(spec: FieldSpec) -> np.ndarray:
     return k
 
 
-def _apply_per_axis(grid: ComplexGrid, rows: np.ndarray | None = None) -> np.ndarray:
+def _apply_per_axis(grid: ComplexGrid, rows: np.ndarray | None = None, work=None) -> np.ndarray:
     # The cyclic passes of the module docstring.  The transposed operand
     # reaches BLAS as a flag, not a copy.  Each pass stays one 2-d product
     # with the kernel on the left: arr @ K, or a batched product over a
     # middle axis, changes the last bit of some values, which moves decay's
     # argmax_m among ties.
     # `rows` reorders each output axis: K[-x, m] = chi(x*m) gives the inverse pass.
+    # Each step writes into the buffer it did not read; without `work` the
+    # buffers are None and numpy allocates.  mode="clip" lets np.take write
+    # into `out` directly, where the default "raise" buffers it.
     kernel, q = _forward_kernel(grid.spec), grid.spec.q
+    bufs = [None, None] if work is None else [w.reshape(q, -1) for w in work]
     arr = grid.values
     for _ in range(grid.d):
-        arr = kernel @ arr.reshape(-1, q).T
+        arr = np.matmul(kernel, arr.reshape(-1, q).T, out=bufs[0])
+        bufs.reverse()
         if rows is not None:
-            arr = arr[rows]
+            arr = np.take(arr, rows, axis=0, out=bufs[0], mode="clip")
+            bufs.reverse()
     return arr.reshape(-1)
 
 
-def fourier_transform(f: ComplexGrid) -> ComplexGrid:
-    """f^(m) = q^(-d) * sum_x f(x) chi(-x*m)."""
-    out = _apply_per_axis(f)
+def fourier_transform(f: ComplexGrid, *, work=None) -> ComplexGrid:
+    """f^(m) = q^(-d) * sum_x f(x) chi(-x*m).
+
+    work: optional pair of distinct C-contiguous complex128 arrays of q^d
+    entries that the passes write into (see the module docstring)."""
+    out = _apply_per_axis(f, work=work)
     out /= float(f.spec.q) ** f.d
     return ComplexGrid(f.spec, f.d, out)
 
 
-def inverse_transform(g: ComplexGrid) -> ComplexGrid:
-    """f(x) = sum_m chi(x*m) g(m); exact inverse of fourier_transform."""
-    return ComplexGrid(g.spec, g.d, _apply_per_axis(g, neg_table(g.spec)))
+def inverse_transform(g: ComplexGrid, *, work=None) -> ComplexGrid:
+    """f(x) = sum_m chi(x*m) g(m); exact inverse of fourier_transform.
+    `work` as for fourier_transform."""
+    return ComplexGrid(g.spec, g.d, _apply_per_axis(g, neg_table(g.spec), work))
 
 
 def plancherel_residual(f: ComplexGrid) -> float:

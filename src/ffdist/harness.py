@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import csv
 import datetime
+import io
 import json
 import math
 import os
 from collections import namedtuple
-from collections.abc import Sequence
 from dataclasses import astuple, dataclass, fields
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -253,7 +252,7 @@ def build_pair(
 # ---------------------------------------------------------------------------
 # Output plumbing.
 
-_TRIAL_COLUMNS = ("q", "d", "poly", "trial", "seed", "size_E", "size_F", "pair_ratio")
+_TRIAL_COLUMNS = ("trial", "seed", "size_E", "size_F", "pair_ratio")
 SCAN_COLUMNS = _TRIAL_COLUMNS + ("delta_size", "delta_ratio", "falconer", "erdos", "missing_t")
 ScanRow = namedtuple("ScanRow", SCAN_COLUMNS)
 
@@ -282,17 +281,106 @@ def output_base(out: str) -> str:
     return out.removesuffix(".csv").removesuffix(".json")
 
 
+@dataclass(frozen=True)
+class Table:
+    """The rows of <out>.csv, held as columns.  `shared` maps the leading
+    column names to the one value every row repeats; `columns` maps the
+    other names, at least one, to one value per row each, as a sequence or
+    a 1-d array.  len() is the number of rows."""
+
+    shared: dict
+    columns: dict
+
+    def __len__(self) -> int:
+        return len(next(iter(self.columns.values())))
+
+
+_EMIT_BLOCK = 1 << 16  # rows joined into one string per write
+
+
+def _csv_cells(values) -> list[str]:
+    """Each value as csv.writer writes it as one field of a longer row."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    cells = []
+    for value in values:
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow((value, None))
+        cells.append(buf.getvalue()[:-2])  # drop the empty field's "," and "\n"
+    return cells
+
+
+def _column_cells(values, end: str):
+    """A function (lo, hi) -> the CSV cells of rows lo..hi-1 of a column,
+    each followed by `end`, as csv.writer formats them: str for ints and
+    repr for floats, neither needing quotes.  An int64 array whose range is
+    no longer than it gathers from one cell per int of the range.  Another
+    int64 or float64 array formats each distinct value of a block of rows
+    once, by bit pattern (so -0.0 stays apart from 0.0), and gathers; a
+    block at a time, no index of the whole column is held.  Any other
+    column formats every value through csv.writer."""
+    if not (isinstance(values, np.ndarray) and values.dtype in (np.int64, np.float64)):
+        text = [cell + end for cell in _csv_cells(values)]
+        return lambda lo, hi: text[lo:hi]
+    if values.dtype == np.int64 and len(values):
+        base = int(values.min())
+        span = int(values.max()) - base + 1
+        if span <= len(values):
+            table = np.array([str(v) + end for v in range(base, base + span)], dtype=object)
+            return lambda lo, hi: table[values[lo:hi] - base].tolist()
+    key = values.view(np.int64)
+
+    def cells(lo, hi):
+        distinct, index = np.unique(key[lo:hi], return_inverse=True)
+        text = [repr(v) + end for v in distinct.view(values.dtype).tolist()]
+        return np.array(text, dtype=object)[index].tolist()
+
+    return cells
+
+
+def _write_table(fh, table: Table):
+    """What csv.writer(fh, lineterminator="\n") writes for the header and
+    the rows of `table`, built a block of rows at a time from the cells of
+    each column: the shared values are formatted once, each column's
+    distinct values once, and a row is a gather from those cells."""
+    csv.writer(fh, lineterminator="\n").writerow([*table.shared, *table.columns])
+    ends = [","] * (len(table.columns) - 1) + ["\n"]
+    pieces = [_column_cells(col, end) for col, end in zip(table.columns.values(), ends)]
+    if table.shared:
+        lead = ",".join(_csv_cells(table.shared.values())) + ","
+        pieces.insert(0, lambda lo, hi: [lead] * (hi - lo))
+    k, n = len(pieces), len(table)
+    for lo in range(0, n, _EMIT_BLOCK):
+        hi = min(lo + _EMIT_BLOCK, n)
+        parts = [None] * ((hi - lo) * k)
+        for j, cells in enumerate(pieces):
+            parts[j::k] = cells(lo, hi)
+        fh.write("".join(parts))
+
+
+def _table(cfg: ExperimentConfig, q: int, columns: dict) -> Table:
+    """A Table of `columns` led by the q, d and poly columns every CSV
+    starts with."""
+    return Table({"q": q, "d": cfg.d, "poly": cfg.poly}, columns)
+
+
+def _columns(names, rows) -> dict:
+    """The values of the row tuples `rows` as columns `names`."""
+    return {name: [row[i] for row in rows] for i, name in enumerate(names)}
+
+
 def emit(
     out: str | None,
     summary: dict,
     *,
-    rows: list[Sequence] | None = None,
-    columns: tuple[str, ...] = SCAN_COLUMNS,
+    rows: Table | None = None,
     deterministic: bool = False,
 ) -> dict:
     """Write <out>.csv (when rows exist) and <out>.json; or return the
-    summary for stdout when no output path was given.  Each row holds its
-    values in `columns` order."""
+    summary for stdout when no output path was given.  The CSV holds the
+    header and rows of the Table `rows`, byte for byte as csv.writer
+    writes them; summary["rows_written"] is len(rows)."""
     summary = dict(summary)
     if not deterministic:
         summary["generated"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
@@ -305,9 +393,7 @@ def emit(
             with open(base + ".csv", "w", encoding="utf-8", newline="") as fh:
                 if not deterministic:
                     fh.write(f"# generated {summary['generated']}\n")
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(columns)
-                writer.writerows(rows)
+                _write_table(fh, rows)
             summary["rows_written"] = len(rows)
         with open(base + ".json", "w", encoding="utf-8") as fh:
             fh.write(summary_json(summary) + "\n")
@@ -317,8 +403,8 @@ def emit(
 
 
 # ---------------------------------------------------------------------------
-# Runners.  Each returns (exit_code, summary, rows, columns); `run` adds the
-# summary's "command" key.
+# Runners.  Each returns (exit_code, summary, rows), rows a Table or None;
+# `run` adds the summary's "command" key.
 
 def run_field_check(cfg: ExperimentConfig):
     """Every pair of the tables against the scalar traces and the scalar inverse."""
@@ -358,7 +444,7 @@ def run_field_check(cfg: ExperimentConfig):
         "checks": checks,
         "pass": ok,
     }
-    return (0 if ok else 4), summary, None, None
+    return (0 if ok else 4), summary, None
 
 
 def _random_grid(spec: FieldSpec, d: int, rng: SplitMix64) -> ComplexGrid:
@@ -400,10 +486,10 @@ def run_fourier_check(cfg: ExperimentConfig):
         "tolerances": {"roundtrip": tol_round, "grid": tol_grid},
         "pass": ok,
     }
-    return (0 if ok else 4), summary, None, None
+    return (0 if ok else 4), summary, None
 
 
-DECAY_COLUMNS = ("q", "d", "poly") + tuple(f.name for f in fields(DecayEntry))
+DECAY_COLUMNS = tuple(f.name for f in fields(DecayEntry))
 
 
 def run_decay(cfg: ExperimentConfig):
@@ -412,11 +498,7 @@ def run_decay(cfg: ExperimentConfig):
     report = split_fibers(
         P, [e.variety_size for e in entries], [e.classification for e in entries]
     )
-    rows = [
-        (spec.q, cfg.d, cfg.poly, *astuple(e))
-        for e in entries
-        if cfg.t is None or e.t == cfg.t % spec.q
-    ]
+    rows = [astuple(e) for e in entries if cfg.t is None or e.t == cfg.t % spec.q]
     s = common_diagonal_exponent(P)
     nonzero = [e for e in entries if e.t != 0]
     summary = {
@@ -435,7 +517,7 @@ def run_decay(cfg: ExperimentConfig):
         "c_fallback_at_zero": entries[0].c_fallback,
         "characteristic_divides_exponent": (s is not None and s % spec.p == 0),
     }
-    return 0, summary, rows, DECAY_COLUMNS
+    return 0, summary, _table(cfg, spec.q, _columns(DECAY_COLUMNS, rows))
 
 
 def run_weil(cfg: ExperimentConfig):
@@ -453,7 +535,7 @@ def run_weil(cfg: ExperimentConfig):
         "ok": res.ok,
         "hypothesis_ok": res.hypothesis_ok,
     }
-    return 0, summary, None, None
+    return 0, summary, None
 
 
 def _require_memory(need: int, holds: str):
@@ -468,11 +550,14 @@ def _require_memory(need: int, holds: str):
         )
 
 
-PHASE_COLUMNS = ("q", "d", "poly", "s", "m", "abs_sum", "ratio")
-# Peak bytes run_phase and emit hold per (s, m) entry: the complex table,
-# its magnitudes and the CSV rows (212-239 B measured with tracemalloc,
-# q = 17..67, d = 2, 3).
-_PHASE_ENTRY_BYTES = 256
+# Peak bytes of run_phase and emit, under tracemalloc: per (s, m) entry,
+# the factored table while its last factor is multiplied in (56-57 B at
+# ~1e6 entries, q = 101, d = 2 and q = 31, d = 3; the four CSV columns
+# and a block's gather take ~44 B), plus the _EMIT_BLOCK rows of cells
+# being joined (~140 B a row).  Summed, they cover every measured peak,
+# 48-184 B an entry at q = 17..101, d = 2, 3.
+_PHASE_ENTRY_BYTES = 64
+_PHASE_BLOCK_BYTES = 12 << 20
 
 
 def run_phase(cfg: ExperimentConfig):
@@ -480,37 +565,41 @@ def run_phase(cfg: ExperimentConfig):
     q, d = spec.q, cfg.d
     n = q**d
     sums = (q - 1) * n
-    _require_memory(sums * _PHASE_ENTRY_BYTES, f"phase over F_{q}^{d} holds {sums} sums")
+    need = sums * _PHASE_ENTRY_BYTES + _PHASE_BLOCK_BYTES
+    _require_memory(need, f"phase over F_{q}^{d} holds {sums} sums")
     table = _phase_table(P)
     agreement = None
     if P.kind == DIAGONAL:  # check the factored table, one inverse transform per s
         errs = (row - want for row, want in zip(table, _phase_rows(P)))
         agreement = max(float(np.hypot(e.real, e.imag).max()) for e in errs)
     mag = np.hypot(table.real, table.imag).ravel()
-    scale = float(q) ** (d / 2)
-    abs_sum, ratio = mag.tolist(), (mag / scale).tolist()
-    s_col = np.repeat(np.arange(1, q), n).tolist()
-    m_col = np.tile(np.arange(n), q - 1).tolist()
-    rows = list(zip(repeat(q), repeat(d), repeat(cfg.poly), s_col, m_col, abs_sum, ratio))
+    ratio = mag / float(q) ** (d / 2)
     best = int(np.argmax(mag))  # the first maximum in row order
+    s_best, m_best = divmod(best, n)
     summary = {
         "q": q,
         "d": d,
         "poly": cfg.poly,
         "kind": P.kind,
-        "max_abs": abs_sum[best],
-        "max_ratio": ratio[best],
-        "argmax_s": s_col[best],
-        "argmax_m": m_col[best],
+        "max_abs": float(mag[best]),
+        "max_ratio": float(ratio[best]),
+        "argmax_s": s_best + 1,
+        "argmax_m": m_best,
         "factored_vs_direct_max_error": agreement,
     }
-    return 0, summary, rows, PHASE_COLUMNS
+    columns = {
+        "s": np.repeat(np.arange(1, q), n),
+        "m": np.tile(np.arange(n), q - 1),
+        "abs_sum": mag,
+        "ratio": ratio,
+    }
+    return 0, summary, _table(cfg, q, columns)
 
 
 def _trial_values(cfg, q: int, trial: int, E: PointSet, F: PointSet) -> tuple:
     """The _TRIAL_COLUMNS values of one trial's row; trial k reports seed + k."""
     pair_ratio = E.size * F.size / float(q) ** (cfg.d + 1)
-    return (q, cfg.d, cfg.poly, trial, cfg.seed + trial, E.size, F.size, pair_ratio)
+    return (trial, cfg.seed + trial, E.size, F.size, pair_ratio)
 
 
 def _scan_row(cfg, spec, P, trial, E, F, report, hist: CountingHistogram) -> ScanRow:
@@ -559,7 +648,7 @@ def run_distance(cfg: ExperimentConfig):
     }
     if cfg.trials == 1:
         summary["histogram"] = hist.counts.tolist()
-    return 0, summary, rows, SCAN_COLUMNS
+    return 0, summary, _table(cfg, spec.q, _columns(SCAN_COLUMNS, rows))
 
 
 PINNED_COLUMNS = _TRIAL_COLUMNS + ("fraction_large", "pinned")
@@ -588,7 +677,7 @@ def run_pinned(cfg: ExperimentConfig):
         "fractions": [r.fraction_large for r in rows],
         "verdicts": sorted({r.pinned for r in rows}),
     }
-    return 0, summary, rows, PINNED_COLUMNS
+    return 0, summary, _table(cfg, q, _columns(PINNED_COLUMNS, rows))
 
 
 # Peak bytes of a lift, measured with tracemalloc: per point of F_q^(d+1),
@@ -637,7 +726,7 @@ def run_lift(cfg: ExperimentConfig):
             match = base == lifted
             summary["restriction_matches"] = match
             ok = ok and match
-    return (0 if ok else 4), summary, None, None
+    return (0 if ok else 4), summary, None
 
 
 def run_scan(cfg: ExperimentConfig):
@@ -684,7 +773,7 @@ def run_scan(cfg: ExperimentConfig):
         "A": sorted(report.A),
         "first_grid_point_all_pass": first_all_pass,
     }
-    return 0, summary, rows, SCAN_COLUMNS
+    return 0, summary, _table(cfg, q, _columns(SCAN_COLUMNS, rows))
 
 
 RUNNERS = {
@@ -702,9 +791,8 @@ RUNNERS = {
 
 def run(command: str, cfg: ExperimentConfig) -> tuple[int, dict]:
     """Execute one subcommand and write its outputs; returns (exit, summary)."""
-    code, summary, rows, columns = RUNNERS[command](cfg)
+    code, summary, rows = RUNNERS[command](cfg)
     summary = emit(
-        cfg.out, {"command": command, **summary}, rows=rows, columns=columns,
-        deterministic=cfg.deterministic,
+        cfg.out, {"command": command, **summary}, rows=rows, deterministic=cfg.deterministic
     )
     return code, summary

@@ -325,15 +325,15 @@ def split_fibers(
 
 def _fiber_peaks(P: Polynomial, ts):
     """(t, |V_t|, max_{m != 0} |V_t^(m)|, the first flat m attaining it in
-    floats) for each t in ts, one dense transform each.  The arrays stay
-    bound until the next t replaces them: freeing them first made the
-    loop ~8 % slower at q = 61, d = 3 on a 2-core VM (0.65 against
-    0.60 s, medians of 10 fresh processes)."""
+    floats) for each t in ts, one dense transform each.  The transforms
+    share one workspace pair, allocated once per call, so the loop does not
+    fault in two fresh grids a t."""
     spec, d = P.spec, P.d
     vg = value_grid(P)
+    work = (np.empty(vg.size, np.complex128), np.empty(vg.size, np.complex128))
     for t in ts:
         mask = vg == t
-        fh = fourier_transform(ComplexGrid(spec, d, mask.astype(np.complex128)))
+        fh = fourier_transform(ComplexGrid(spec, d, mask.astype(np.complex128)), work=work)
         mag = np.abs(fh.values)
         mag[0] = -1.0  # exclude the zero frequency
         am = int(np.argmax(mag))

@@ -1,6 +1,7 @@
 """Grid transforms: trivial cases, round trips, energy identity,
 equivalence with the direct double-loop transform, bit identity with the
-per-axis tensordot oracle, and the memory a transform holds."""
+per-axis tensordot oracle, with and without a shared workspace, and the
+memory a transform holds."""
 
 import numpy as np
 import pytest
@@ -215,23 +216,32 @@ def assert_bits_equal(got, want):
     assert np.array_equal(got.view(np.float64), want.view(np.float64))
 
 
+def workspace(spec, d):
+    return np.empty(spec.q**d, np.complex128), np.empty(spec.q**d, np.complex128)
+
+
 # Bit identity, not closeness: decay's argmax_m picks among exact ties by
 # float noise.  The kernel stays on the left of each product because
 # x @ K differs in the last bit at F_13^2, F_5^3, F_9^2 and F_25^2, and a
 # batched product over the middle axis flips argmax_m at F_61^3, t = 2.
 @pytest.mark.parametrize("spec, d", CASES, ids=lambda v: getattr(v, "q", v))
 def test_forward_equals_the_oracle_bit_for_bit(spec, d):
+    work = workspace(spec, d)  # shared by every grid, as _fiber_peaks shares it
     for g in oracle_grids(spec, d):
-        assert_bits_equal(fourier_transform(g).values, per_axis_transform(g.values, spec, d))
+        want = per_axis_transform(g.values, spec, d)
+        assert_bits_equal(fourier_transform(g).values, want)
+        assert_bits_equal(fourier_transform(g, work=work).values, want)
 
 
 @pytest.mark.parametrize("spec, d", CASES, ids=lambda v: getattr(v, "q", v))
 def test_inverse_equals_the_explicit_kernel_bit_for_bit(spec, d):
     # the oracle's inverse has its own kernel B[x, m] = chi(x*m); the
     # package reads the forward kernel's rows at -x
+    work = workspace(spec, d)
     for g in oracle_grids(spec, d):
-        got = inverse_transform(g).values
-        assert_bits_equal(got, per_axis_transform(g.values, spec, d, inverse=True))
+        want = per_axis_transform(g.values, spec, d, inverse=True)
+        assert_bits_equal(inverse_transform(g).values, want)
+        assert_bits_equal(inverse_transform(g, work=work).values, want)
 
 
 def test_f61_cubed_fiber_indicators_equal_the_oracle_bit_for_bit():
@@ -261,3 +271,24 @@ def test_transform_holds_at_most_two_grids(transform, p, d):
     finally:
         tracemalloc.stop()
     assert peak <= 2.1 * 16 * spec.q**d
+
+
+@pytest.mark.parametrize("transform", [fourier_transform, inverse_transform])
+def test_transforms_sharing_a_workspace_allocate_no_grid(transform):
+    # the passes write into the caller's pair, so a batch of transforms
+    # allocates nothing of grid size, the first included
+    import tracemalloc
+
+    spec, d = make_field(31), 3
+    g = random_grid(spec, d, SplitMix64(7))
+    work = workspace(spec, d)
+    transform(g)  # warm the kernel and neg_table caches
+    tracemalloc.start()
+    try:
+        results = [transform(g, work=work) for _ in range(5)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(np.shares_memory(r.values, work[0]) or np.shares_memory(r.values, work[1])
+               for r in results)
+    assert peak < 0.1 * 16 * spec.q**d

@@ -2,6 +2,7 @@
 exit codes, and the reproducibility contract of the CLI."""
 
 import csv
+import io
 import itertools
 import json
 import math
@@ -13,9 +14,9 @@ from ffdist import errors
 from ffdist.cli import main
 from ffdist.errors import ConfigError, IsoUnavailable
 from ffdist.field import decode_point, field_from_order, make_field
-from ffdist.harness import RUNNERS, ExperimentConfig, _random_grid, build_set, run
+from ffdist.harness import RUNNERS, ExperimentConfig, Table, _random_grid, build_set, emit, run
 from ffdist.rng import SplitMix64, derive_seed, sample_indices
-from ffdist.varieties import parse_polynomial, phase_sum, variety
+from ffdist.varieties import _phase_table, parse_polynomial, phase_sum, variety
 
 F7 = make_field(7)
 F9 = make_field(3, 2)
@@ -546,6 +547,54 @@ class TestRunners:
         assert code == 0 and len(stated) == 1
         assert 8 * q ** (d + 1) <= peak <= stated[0]  # the grid of H was built and counted
 
+    @pytest.mark.parametrize("q, d", [(19, 3), (61, 2), (101, 2)])
+    def test_phase_memory_check_covers_the_measured_peak(self, monkeypatch, tmp_path, q, d):
+        import tracemalloc
+
+        from ffdist import harness, varieties
+
+        stated = []
+        monkeypatch.setattr(harness, "_require_memory", lambda need, holds: stated.append(need))
+        poly = "+".join(f"x{j}^2" for j in range(1, d + 1))
+        cfg = ExperimentConfig(q=q, d=d, poly=poly, out=str(tmp_path / "ph"), deterministic=True)
+        varieties.value_grid.cache_clear()
+        tracemalloc.start()
+        try:
+            code, summary = run("phase", cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        sums = (q - 1) * q**d
+        assert code == 0 and summary["rows_written"] == sums and len(stated) == 1
+        assert 16 * sums <= peak <= stated[0]  # the complex table was built and counted
+
+    @pytest.mark.parametrize(
+        "q, d, poly",
+        [
+            (5, 2, "x1^2+x2^3"),
+            (9, 2, "x1^2+2*x2^2"),
+            (7, 3, "x1^2+x2^2+x3^2"),
+            (31, 2, "x1^2+x2^2+x1"),
+        ],
+    )
+    def test_phase_csv_equals_the_row_tuple_writer(self, tmp_path, q, d, poly):
+        # the writer the columnar emission replaced: one tuple of builtins a row
+        cfg = ExperimentConfig(q=q, d=d, poly=poly, out=str(tmp_path / "ph"), deterministic=True)
+        run("phase", cfg)
+        table = _phase_table(parse_polynomial(poly, field_from_order(q), d))
+        mag = np.hypot(table.real, table.imag).ravel()
+        n = q**d
+        rows = zip(
+            itertools.repeat(q), itertools.repeat(d), itertools.repeat(poly),
+            np.repeat(np.arange(1, q), n).tolist(), np.tile(np.arange(n), q - 1).tolist(),
+            mag.tolist(), (mag / float(q) ** (d / 2)).tolist(),
+        )
+        want = io.StringIO(newline="")
+        writer = csv.writer(want, lineterminator="\n")
+        writer.writerow(("q", "d", "poly", "s", "m", "abs_sum", "ratio"))
+        writer.writerows(rows)
+        assert (tmp_path / "ph.csv").read_bytes() == want.getvalue().encode()
+
     def test_pinned_runner_rows(self, tmp_path):
         cfg = ExperimentConfig(
             q=13,
@@ -577,6 +626,73 @@ class TestRunners:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 1 and rows[0]["t"] == "0"
         assert summary["c_fallback_at_zero"] == pytest.approx(1 - 1 / 7)
+
+
+SPECIAL_FLOATS = [-0.0, 0.0, math.inf, -math.inf, math.nan, 5e-324, 2.2250738585072014e-308,
+                  -1e-310, 1.7976931348623157e308, 0.1, -2.5, 1e16, 1e-5]
+SPECIAL_INTS = [0, -1, 1, 2**63 - 1, -(2**63), 10**18, -(10**18)]
+SPECIAL_TEXT = ["", "plain", "a,b", 'say "hi"', '"', ",", "line\nbreak", "cr\rlf\r\n", " lead",
+                "trail ", "x1^2+x2^2", "tab\there", "ünï", "'single'"]
+
+
+def random_column(rng, n):
+    """A random column of n values and its values as csv.writer sees them."""
+    kind = rng.integers(7)
+    if kind == 0:  # float64 bit patterns: specials, a few repeats, random bits
+        pool = np.array(SPECIAL_FLOATS + rng.normal(size=3).tolist())
+        values = pool[rng.integers(len(pool), size=n)]
+        if n and rng.integers(2):
+            values[rng.integers(n, size=n // 3)] = rng.integers(-2**63, 2**63, size=n // 3,
+                                                                dtype=np.int64).view(np.float64)
+        return values, values.tolist()
+    if kind == 1:  # int64 in a short range, which may sit anywhere
+        base = int(rng.choice(SPECIAL_INTS[:3] + [2**63 - 40, -(2**63)]))
+        values = base + rng.integers(0, n // 2 + 2, size=n)  # stays inside int64
+        return values, values.tolist()
+    if kind == 2:  # int64 over the whole range
+        pool = np.array(SPECIAL_INTS + rng.integers(-2**63, 2**63, size=4, dtype=np.int64).tolist())
+        values = pool[rng.integers(len(pool), size=n)]
+        return values, values.tolist()
+    if kind == 3:  # strings that need quotes, and the empty string
+        values = [SPECIAL_TEXT[i] for i in rng.integers(len(SPECIAL_TEXT), size=n)]
+        return values, values
+    if kind == 4:  # builtin floats and ints, big ints included
+        pool = SPECIAL_FLOATS + SPECIAL_INTS + [2**70, -(3**50), True, None]
+        values = [pool[i] for i in rng.integers(len(pool), size=n)]
+        return values, values
+    if kind == 5:  # other numpy dtypes go through csv.writer value by value
+        values = rng.integers(-128, 128, size=n).astype(np.int8)
+        return values, list(values)
+    values = rng.normal(size=n).astype(np.float32)
+    return values, list(values)
+
+
+class TestEmit:
+    def test_columnar_writer_equals_csv_writer_on_random_columns(self, monkeypatch, tmp_path):
+        from ffdist import harness
+
+        monkeypatch.setattr(harness, "_EMIT_BLOCK", 5)  # many blocks, and a short last one
+        rng = np.random.default_rng(2024)
+        for trial in range(300):
+            n = int(rng.choice([0, 1, 4, 5, 6, 17, 40]))
+            shared = {f"c{j}": SPECIAL_TEXT[j] if j % 2 else SPECIAL_FLOATS[j]
+                      for j in rng.integers(len(SPECIAL_FLOATS), size=rng.integers(3))}
+            columns, seen = {}, []
+            for j in range(int(rng.integers(1, 5))):
+                values, as_seen = random_column(rng, n)
+                columns[f"col {j}, \"{j}\""] = values
+                seen.append(as_seen)
+            if not shared and len(columns) == 1:
+                columns["pad"] = ["x"] * n  # a row of one empty field is quoted: not a table row
+                seen.append(columns["pad"])
+            out = tmp_path / f"t{trial}"
+            summary = emit(str(out), {}, rows=Table(shared, columns), deterministic=True)
+            want = io.StringIO(newline="")
+            writer = csv.writer(want, lineterminator="\n")
+            writer.writerow([*shared, *columns])
+            writer.writerows(zip(*[[v] * n for v in shared.values()], *seen))
+            assert (tmp_path / f"t{trial}.csv").read_bytes() == want.getvalue().encode()
+            assert summary["rows_written"] == n
 
 
 class TestCli:

@@ -17,12 +17,13 @@ from ffdist.errors import (
 )
 from ffdist.field import _is_irreducible, decode_point, field_from_order, make_field
 from ffdist.distances import product_set_experiment
-from ffdist.fourier import fourier_transform, indicator_grid
+from ffdist.fourier import ComplexGrid, fourier_transform, indicator_grid
 from ffdist.harness import ExperimentConfig, run
 from ffdist import varieties
 from ffdist.varieties import (
     DIAGONAL,
     PointSet,
+    _fiber_peaks,
     _phase_rows,
     _phase_table,
     _scaling_cosets,
@@ -286,6 +287,25 @@ class TestDecay:
                 ).values
             assert np.max(np.abs(total[1:])) < 1e-9
 
+    @pytest.mark.parametrize(
+        "q, d, text",
+        [(9, 2, "x1^2 + x2^2"), (25, 2, "x1^2 + 2*x2^3"), (27, 2, "x1^2 + x2^2 + x1"),
+         (13, 3, "x1^2 + x2^2 + x3^2")],
+    )
+    def test_fiber_peaks_with_a_shared_workspace_equal_fresh_transforms(self, q, d, text):
+        # every t, bit for bit: argmax_m picks among exact ties by float noise
+        P = parse_polynomial(text, field_from_order(q), d)
+        vg = value_grid(P)
+        want = []
+        for t in range(q):
+            mask = vg == t
+            fh = fourier_transform(ComplexGrid(P.spec, d, mask.astype(np.complex128)))
+            mag = np.abs(fh.values)
+            mag[0] = -1.0
+            am = int(np.argmax(mag))
+            want.append((t, int(mask.sum()), max(float(mag[am]), 0.0), am))
+        assert list(_fiber_peaks(P, range(q))) == want
+
     def test_characteristic_check(self):
         F4 = make_field(2, 2)
         P = diagonal_polynomial(F4, 2, 2)
@@ -422,9 +442,9 @@ class TestExceptionalSets:
         calls = []
         real = varieties.fourier_transform
 
-        def counting(grid):
+        def counting(grid, **kwargs):  # forwards _fiber_peaks's work=
             calls.append(grid)
-            return real(grid)
+            return real(grid, **kwargs)
 
         monkeypatch.setattr(varieties, "fourier_transform", counting)
         for q, d, text, K in [
