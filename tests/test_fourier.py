@@ -1,7 +1,7 @@
 """Grid transforms: trivial cases, round trips, energy identity,
 equivalence with the direct double-loop transform, bit identity with the
-per-axis tensordot oracle, with and without a shared workspace, and the
-memory a transform holds."""
+per-axis tensordot oracle (the forward direction with and without a
+shared workspace), and the memory a transform holds."""
 
 import numpy as np
 import pytest
@@ -237,11 +237,9 @@ def test_forward_equals_the_oracle_bit_for_bit(spec, d):
 def test_inverse_equals_the_explicit_kernel_bit_for_bit(spec, d):
     # the oracle's inverse has its own kernel B[x, m] = chi(x*m); the
     # package reads the forward kernel's rows at -x
-    work = workspace(spec, d)
     for g in oracle_grids(spec, d):
-        want = per_axis_transform(g.values, spec, d, inverse=True)
-        assert_bits_equal(inverse_transform(g).values, want)
-        assert_bits_equal(inverse_transform(g, work=work).values, want)
+        got = inverse_transform(g).values
+        assert_bits_equal(got, per_axis_transform(g.values, spec, d, inverse=True))
 
 
 def test_f61_cubed_fiber_indicators_equal_the_oracle_bit_for_bit():
@@ -273,8 +271,7 @@ def test_transform_holds_at_most_two_grids(transform, p, d):
     assert peak <= 2.1 * 16 * spec.q**d
 
 
-@pytest.mark.parametrize("transform", [fourier_transform, inverse_transform])
-def test_transforms_sharing_a_workspace_allocate_no_grid(transform):
+def test_transforms_sharing_a_workspace_allocate_no_grid():
     # the passes write into the caller's pair, so a batch of transforms
     # allocates nothing of grid size, the first included
     import tracemalloc
@@ -282,10 +279,10 @@ def test_transforms_sharing_a_workspace_allocate_no_grid(transform):
     spec, d = make_field(31), 3
     g = random_grid(spec, d, SplitMix64(7))
     work = workspace(spec, d)
-    transform(g)  # warm the kernel and neg_table caches
+    fourier_transform(g)  # warm the kernel cache
     tracemalloc.start()
     try:
-        results = [transform(g, work=work) for _ in range(5)]
+        results = [fourier_transform(g, work=work) for _ in range(5)]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -547,8 +547,8 @@ class TestRunners:
         assert code == 0 and len(stated) == 1
         assert 8 * q ** (d + 1) <= peak <= stated[0]  # the grid of H was built and counted
 
-    @pytest.mark.parametrize("q, d", [(19, 3), (61, 2), (101, 2)])
-    def test_phase_memory_check_covers_the_measured_peak(self, monkeypatch, tmp_path, q, d):
+    @pytest.mark.parametrize("q, d, pad", [(19, 3, 0), (61, 2, 0), (101, 2, 0), (19, 3, 20), (61, 2, 20)])
+    def test_phase_memory_check_covers_the_measured_peak(self, monkeypatch, tmp_path, q, d, pad):
         import tracemalloc
 
         from ffdist import harness, varieties
@@ -556,6 +556,7 @@ class TestRunners:
         stated = []
         monkeypatch.setattr(harness, "_require_memory", lambda need, holds: stated.append(need))
         poly = "+".join(f"x{j}^2" for j in range(1, d + 1))
+        poly += "".join(f"+{k}*x1-{k}*x1" for k in range(1, pad + 1))  # every row repeats it
         cfg = ExperimentConfig(q=q, d=d, poly=poly, out=str(tmp_path / "ph"), deterministic=True)
         varieties.value_grid.cache_clear()
         tracemalloc.start()
