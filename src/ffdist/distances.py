@@ -213,9 +213,6 @@ class PinnedReport:
     threshold: float  # pins must beat this count (rho * q)
     fraction_large: float  # share of pins strictly above the threshold
 
-    def large_pins(self) -> list[int]:
-        return sorted(y for y, s in self.sizes.items() if s > self.threshold)
-
 
 def _pinned_sizes(P: Polynomial, E: PointSet, F: PointSet, method: str) -> np.ndarray:
     """|{P(x - y) : x in E}| for each y in F, in the order of F.indices."""

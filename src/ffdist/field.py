@@ -359,8 +359,3 @@ def decode_point(spec: FieldSpec, idx: int, d: int) -> tuple[int, ...]:
 def encode_point(spec: FieldSpec, coords) -> int:
     return int(encode_points(spec, np.asarray(coords, dtype=np.int64)))
 
-
-@lru_cache(maxsize=8)
-def grid_coordinates(spec: FieldSpec, d: int) -> np.ndarray:
-    """(q^d, d) coordinates of every point, in encoding order."""
-    return _frozen(decode_points(spec, np.arange(spec.q**d, dtype=np.int64), d))

@@ -45,7 +45,7 @@ from .varieties import (
     Polynomial,
     _phase_rows,
     _phase_table,
-    common_diagonal_exponent,
+    characteristic_divides_exponent,
     decay_spectrum,
     exceptional_set,
     full_grid,
@@ -502,7 +502,6 @@ def run_decay(cfg: ExperimentConfig):
         P, [e.variety_size for e in entries], [e.classification for e in entries]
     )
     rows = [astuple(e) for e in entries if cfg.t is None or e.t == cfg.t % spec.q]
-    s = common_diagonal_exponent(P)
     nonzero = [e for e in entries if e.t != 0]
     summary = {
         "q": spec.q,
@@ -518,7 +517,7 @@ def run_decay(cfg: ExperimentConfig):
         "size_hypothesis_droppable": report.size_hypothesis_droppable,
         "max_c_sharp_nonzero_t": max((e.c_sharp for e in nonzero), default=0.0),
         "c_fallback_at_zero": entries[0].c_fallback,
-        "characteristic_divides_exponent": (s is not None and s % spec.p == 0),
+        "characteristic_divides_exponent": characteristic_divides_exponent(P),
     }
     return 0, summary, _table(cfg, spec.q, _columns(DECAY_COLUMNS, rows))
 
@@ -554,14 +553,14 @@ def _require_memory(need: int, holds: str):
 
 
 # Peak bytes of run_phase and emit, under tracemalloc: per (s, m) entry,
-# the factored table while its last factor is multiplied in (56-57 B at
-# ~1e6 entries, q = 101, d = 2 and q = 31, d = 3; the four CSV columns
-# and a block's gather take ~44 B), plus the _EMIT_BLOCK rows of cells
-# being joined (~140 B a row with a short poly).  Summed, they cover every
-# measured peak, 48-184 B an entry at q = 17..101, d = 2, 3.  Each row's
-# text repeats the poly, once in the joined block and once more in the
-# bytes written: 2 B a character a row, measured at polys of 9-476
-# characters, q = 61, d = 2 and q = 19, d = 3.
+# the table and its four CSV columns (48 B at ~1e6 entries, q = 101,
+# d = 2 and q = 31, d = 3; the factored table alone peaks at ~32 B, while
+# its real and imaginary parts are written into it), plus the _EMIT_BLOCK
+# rows of cells being joined (~140 B a row with a short poly).  Summed,
+# they cover every measured peak, 48-184 B an entry at q = 17..101,
+# d = 2, 3.  Each row's text repeats the poly, once in the joined block
+# and once more in the bytes written: 2 B a character a row, measured at
+# polys of 9-476 characters, q = 61, d = 2 and q = 19, d = 3.
 _PHASE_ENTRY_BYTES = 64
 _PHASE_BLOCK_BYTES = 12 << 20
 

@@ -6,9 +6,13 @@ decay spectrum of each fiber comes straight from the grid transform.
 Exceptional sets of diagonal P transform one fiber per scaling coset of t
 (`_scaling_cosets`), since dilations carry the other fibers onto it.  The
 phase sums sum_x chi(s*P(x) + m*x) for all s != 0 and m come as one table
-(`_phase_table`), bit-identical to the scalar `phase_sum`, or one row s at
-a time from the inverse transform of chi(s*P) (`_phase_rows`), which checks
-the table and gives its maxima in O(q^d) memory.
+(`_phase_table`), or one row s at a time from the inverse transform of
+chi(s*P) (`_phase_rows`), which checks the table and gives its maxima in
+O(q^d) memory.  For diagonal P the table is the product of d univariate
+tables, each on the broadcast axis of its m_j; for any other P it is the
+direct table (`_direct_phase_table`), bit-identical to the scalar
+`phase_sum`.  Coordinate x_j lives on axis d-j, counted from the last, in
+every grid here, so the C-order ravel is the flat encoding order.
 """
 
 from __future__ import annotations
@@ -36,7 +40,6 @@ from .field import (
     add_table,
     decode_points,
     encode_points,
-    grid_coordinates,
     mul_table,
     pow_table,
 )
@@ -197,12 +200,14 @@ def value_grid(P: Polynomial) -> np.ndarray:
     return acc
 
 
-def common_diagonal_exponent(P: Polynomial) -> int | None:
-    """The shared exponent s when P is diagonal with all exponents equal."""
-    if P.kind != DIAGONAL:
-        return None
-    exps = {max(e) for _, e in P.terms}
-    return exps.pop() if len(exps) == 1 else None
+def characteristic_divides_exponent(P: Polynomial) -> bool:
+    """Whether P is diagonal with one exponent s shared by every term (its
+    degree) and the characteristic p divides s."""
+    return (
+        P.kind == DIAGONAL
+        and len({max(e) for _, e in P.terms}) == 1
+        and P.degree % P.spec.p == 0
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -350,12 +355,10 @@ def decay_spectrum(
     """One DecayEntry per t in F_q, classifying each fiber's decay from
     its own transform."""
     spec, d, q = P.spec, P.d, P.spec.q
-    if check_characteristic:
-        s = common_diagonal_exponent(P)
-        if s is not None and s % spec.p == 0:
-            raise CharacteristicDividesExponent(
-                f"characteristic {spec.p} divides the common exponent {s}"
-            )
+    if check_characteristic and characteristic_divides_exponent(P):
+        raise CharacteristicDividesExponent(
+            f"characteristic {spec.p} divides the common exponent {P.degree}"
+        )
     entries = []
     for t, size, mx, am in _fiber_peaks(P, range(q)):
         c_sharp, c_fallback, cls = _decay_class(mx, q, d, kappa_sharp, kappa_fallback)
@@ -430,80 +433,72 @@ def weil_sum(f: Polynomial, *, require_hypothesis: bool = False) -> WeilSumResul
 
 
 def _dot_with_grid(spec: FieldSpec, d: int, m) -> np.ndarray:
-    """Encodings of x*m, one row per frequency of the (k, d) block m."""
-    coords = grid_coordinates(spec, d)
+    """Encodings of x*m, one row per frequency of the (k, d) block m and
+    one column per x in flat order: x_j lives on axis d-j of a
+    (k, q, ..., q) grid, as in value_grid, so each term m_j*x_j is a
+    mul_table row reshaped onto its own axis."""
     at, mt = add_table(spec), mul_table(spec)
     m = np.asarray(m, dtype=np.int64).reshape(-1, d)
-    acc = np.zeros((len(m), len(coords)), dtype=np.int64)
+    acc = np.zeros((len(m),) + (1,) * d, dtype=np.int64)
     for j in range(d):
-        acc = at[acc, mt[m[:, j, None], coords[:, j]]]
-    return acc
+        shape = [len(m)] + [1] * d
+        shape[d - j] = spec.q
+        acc = at[acc, mt[m[:, j]].reshape(shape)]
+    return acc.reshape(len(m), -1)
 
 
-def phase_sum(P: Polynomial, s: int, m, method: str = "direct") -> complex:
-    """sum_x chi(s*P(x) + m*x) over all of F_q^d.
-
-    method 'factored' multiplies d univariate sums instead; it requires a
-    diagonal P and must agree with 'direct' up to float error.
-    """
+def phase_sum(P: Polynomial, s: int, m) -> complex:
+    """sum_x chi(s*P(x) + m*x) over all of F_q^d."""
     spec = P.spec
     if len(m) != P.d:
         raise ArityMismatch(f"frequency has {len(m)} coordinates, expected {P.d}")
     s = spec.element(s)
-    if method == "direct":
-        mt = mul_table(spec)
-        phases = add_table(spec)[mt[s, value_grid(P)], _dot_with_grid(spec, P.d, m)[0]]
-        return complex(spec.char_table[phases].sum())
-    if method == "factored":
-        if P.kind != DIAGONAL:
-            raise ArityMismatch("factored phase sums need a diagonal polynomial")
-        at, mt = add_table(spec), mul_table(spec)
-        u = np.arange(spec.q, dtype=np.int64)
-        out = 1.0 + 0.0j
-        for coeff, exps in P.terms:
-            j = max(range(P.d), key=lambda i: exps[i])
-            e = exps[j]
-            g = at[mt[spec.mul(s, coeff), pow_table(spec, e)], mt[int(m[j]), u]]
-            out *= complex(spec.char_table[g].sum())
-        return out
-    raise ValueError(f"unknown method {method!r}")
+    phases = add_table(spec)[mul_table(spec)[s, value_grid(P)], _dot_with_grid(spec, P.d, m)[0]]
+    return complex(spec.char_table[phases].sum())
 
 
 _PHASE_BLOCK = 1 << 16  # max phase encodings gathered at once
 
 
-def _phase_table(P: Polynomial, method: str | None = None) -> np.ndarray:
+def _direct_phase_table(P: Polynomial) -> np.ndarray:
     """phase_sum for s = 1..q-1 (rows) and every m (columns, flat order),
-    factored iff P is diagonal unless method says otherwise.  Bit-identical
-    to phase_sum: direct rows gather chi(s*P(x) + m*x) from one fused table
-    and sum contiguous vectors as it does, factors multiply by Python's
-    complex-product formula (numpy's may round apart), and magnitudes want
-    np.hypot, as abs(complex) uses; np.abs may differ."""
+    bit for bit: each row gathers chi(s*P(x) + m*x) from one fused table
+    and sums contiguous vectors as phase_sum does."""
     spec, d, q = P.spec, P.d, P.spec.q
-    if method is None:
-        method = "factored" if P.kind == DIAGONAL else "direct"
-    coords = grid_coordinates(spec, d)
-    out = np.ones((q - 1, len(coords)), dtype=np.complex128)
-    if method == "direct":
-        chi_of_sum = spec.char_table[add_table(spec)].ravel()  # [a*q + b] = chi(a + b)
-        svq = mul_table(spec)[1:, value_grid(P)] * q  # row s-1 holds s*P(x)*q
-        rows = max(1, _PHASE_BLOCK // len(coords))
-        for lo in range(0, len(coords), rows):
-            dot = _dot_with_grid(spec, d, coords[lo : lo + rows])
-            for i, sv in enumerate(svq):
-                out[i, lo : lo + rows] = np.take(chi_of_sum, sv + dot).sum(axis=1)
-        return out
-    if method == "factored":
-        if P.kind != DIAGONAL:
-            raise ArityMismatch("factored phase sums need a diagonal polynomial")
-        for coeff, exps in P.terms:
-            e = max(exps)
-            g = _phase_table(make_polynomial(spec, 1, [(coeff, (e,))]), "direct")
-            g = g[:, coords[:, exps.index(e)]]
-            re, im = out.real, out.imag
-            out.real, out.imag = re * g.real - im * g.imag, re * g.imag + im * g.real
-        return out
-    raise ValueError(f"unknown method {method!r}")
+    n = q**d
+    out = np.empty((q - 1, n), dtype=np.complex128)
+    chi_of_sum = spec.char_table[add_table(spec)].ravel()  # [a*q + b] = chi(a + b)
+    svq = mul_table(spec)[1:, value_grid(P)] * q  # row s-1 holds s*P(x)*q
+    rows = max(1, _PHASE_BLOCK // n)
+    for lo in range(0, n, rows):
+        block = decode_points(spec, np.arange(lo, min(lo + rows, n)), d)
+        dot = _dot_with_grid(spec, d, block)
+        for i, sv in enumerate(svq):
+            out[i, lo : lo + rows] = np.take(chi_of_sum, sv + dot).sum(axis=1)
+    return out
+
+
+def _phase_table(P: Polynomial) -> np.ndarray:
+    """The phase-sum table of _direct_phase_table, as the product of d
+    univariate tables when P is diagonal.  Factor j is a (q-1, q) table
+    with m_j on axis d-j, so the product broadcasts to flat m order.  The
+    factors multiply in term order by Python's complex-product formula
+    (numpy's may round apart), so each entry is bit-identical to the
+    product of the scalar univariate sums, starting from 1 + 0j.
+    Magnitudes want np.hypot, as abs(complex) uses; np.abs may differ."""
+    spec, d, q = P.spec, P.d, P.spec.q
+    if P.kind != DIAGONAL:
+        return _direct_phase_table(P)
+    re, im = 1.0, 0.0
+    for coeff, exps in P.terms:
+        e = max(exps)
+        shape = [q - 1] + [1] * d
+        shape[d - exps.index(e)] = q
+        g = _direct_phase_table(make_polynomial(spec, 1, [(coeff, (e,))])).reshape(shape)
+        re, im = re * g.real - im * g.imag, re * g.imag + im * g.real
+    out = np.empty((q - 1, q**d), dtype=np.complex128)
+    out.real, out.imag = re.reshape(q - 1, -1), im.reshape(q - 1, -1)
+    return out
 
 
 def _phase_rows(P: Polynomial):

@@ -18,6 +18,8 @@ from ffdist.harness import RUNNERS, ExperimentConfig, Table, _random_grid, build
 from ffdist.rng import SplitMix64, derive_seed, sample_indices
 from ffdist.varieties import _phase_table, parse_polynomial, phase_sum, variety
 
+from oracles import factored_phase_sum
+
 F7 = make_field(7)
 F9 = make_field(3, 2)
 F13 = make_field(13)
@@ -455,11 +457,11 @@ class TestRunners:
         # the scalar sweep in (s, m) row order, first maximum kept.
         spec = field_from_order(q)
         P = parse_polynomial(poly, spec, d)
-        method = "factored" if P.kind == "diagonal" else "direct"
+        scalar = factored_phase_sum if P.kind == "diagonal" else phase_sum
         best, bs, bm = -1.0, 0, 0
         for s in range(1, q):
             for m in range(q**d):
-                a = abs(phase_sum(P, s, decode_point(spec, m, d), method=method))
+                a = abs(scalar(P, s, decode_point(spec, m, d)))
                 if a > best:
                     best, bs, bm = a, s, m
         code, summary = run("phase", ExperimentConfig(q=q, d=d, poly=poly))
@@ -479,7 +481,7 @@ class TestRunners:
         want = []
         for s in range(1, 5):
             for m in range(25):
-                a = abs(phase_sum(P, s, decode_point(P.spec, m, 2), method="factored"))
+                a = abs(factored_phase_sum(P, s, decode_point(P.spec, m, 2)))
                 want.append(f"5,2,x1^2+x2^3,{s},{m},{a!r},{a / 5.0!r}")
         assert lines[1:] == want
 
@@ -489,8 +491,7 @@ class TestRunners:
         def unreachable(*args, **kwargs):
             raise AssertionError("a grid was built for an oversize phase request")
 
-        for name in ("value_grid", "grid_coordinates"):
-            monkeypatch.setattr(varieties, name, unreachable)
+        monkeypatch.setattr(varieties, "value_grid", unreachable)
         monkeypatch.setattr(harness, "_phase_table", unreachable)
         cfg = ExperimentConfig(q=101, d=4, poly="x1^2+x2^2+x3^2+x4^2")
         with pytest.raises(ConfigError, match="GiB"):
@@ -512,8 +513,7 @@ class TestRunners:
             raise AssertionError("a grid was built for an oversize lift request")
 
         for module, name in (
-            (varieties, "value_grid"), (varieties, "grid_coordinates"),
-            (harness, "value_grid"), (harness, "build_pair"),
+            (varieties, "value_grid"), (harness, "value_grid"), (harness, "build_pair"),
             (distances, "value_grid"), (distances, "_phase_rows"),
         ):
             monkeypatch.setattr(module, name, unreachable)

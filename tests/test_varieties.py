@@ -23,6 +23,8 @@ from ffdist import varieties
 from ffdist.varieties import (
     DIAGONAL,
     PointSet,
+    _direct_phase_table,
+    _dot_with_grid,
     _fiber_peaks,
     _phase_rows,
     _phase_table,
@@ -40,7 +42,7 @@ from ffdist.varieties import (
     weil_sum,
 )
 
-from oracles import evaluate
+from oracles import evaluate, factored_phase_sum
 
 F5 = make_field(5)
 F7 = make_field(7)
@@ -531,14 +533,18 @@ class TestPhaseSum:
         for s in range(7):
             for mi in range(49):
                 m = decode_point(F7, mi, 2)
-                a = phase_sum(P, s, m, method="direct")
-                b = phase_sum(P, s, m, method="factored")
+                a = phase_sum(P, s, m)
+                b = factored_phase_sum(P, s, m)
                 assert abs(a - b) < 1e-9 * 49
 
     def test_factored_requires_diagonal(self):
+        # x1^2 leaves x2 out, so it is not diagonal: its table is the direct one
         P = parse_polynomial("x1^2", F7, 2)
         with pytest.raises(ArityMismatch):
-            phase_sum(P, 1, (0, 0), method="factored")
+            factored_phase_sum(P, 1, (0, 0))
+        assert np.array_equal(
+            _phase_table(P).view(np.float64), _direct_phase_table(P).view(np.float64)
+        )
 
     def test_mixed_diagonal_sweep_under_product_bound(self):
         # the phase command's maximum over every s != 0 and m, against the
@@ -568,23 +574,17 @@ class TestPhaseTable:
         ms = list(range(n)) if n <= 125 else sorted(set(range(0, n, n // 50)) | {n - 1})
         for text in PHASE_TABLE_POLYS[d]:
             P = parse_polynomial(text, spec, d)
-            methods = ["direct", "factored"] if P.kind == DIAGONAL else ["direct"]
-            if n > 5000:
-                methods.remove("direct")  # (q-1) q^(2d) lookups: too slow here
-            for method in methods:
-                table = _phase_table(P, method)
+            routes = [] if n > 5000 else [(_direct_phase_table, phase_sum)]  # (q-1) q^(2d) lookups
+            if P.kind == DIAGONAL:
+                routes.append((_phase_table, factored_phase_sum))
+            for build, scalar in routes:
+                table = build(P)
                 assert table.shape == (q - 1, n)
                 got = np.ascontiguousarray(table[:, ms])
                 want = np.array(
-                    [
-                        [phase_sum(P, s, decode_point(spec, m, d), method=method) for m in ms]
-                        for s in range(1, q)
-                    ]
+                    [[scalar(P, s, decode_point(spec, m, d)) for m in ms] for s in range(1, q)]
                 )
                 assert np.array_equal(got.view(np.float64), want.view(np.float64))
-            if P.kind != DIAGONAL:
-                with pytest.raises(ArityMismatch):
-                    _phase_table(P, "factored")
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("q", [5, 7, 8, 9, 25])
@@ -606,12 +606,14 @@ class TestPhaseTable:
             assert rep.phase_max_ratio == pytest.approx(want, rel=1e-12)
 
     def test_default_route_is_factored_iff_diagonal(self):
-        for text in ("x1^2 + x2^3", "x1^2 + x2^2 + x1"):
-            P = parse_polynomial(text, F7, 2)
-            method = "factored" if P.kind == DIAGONAL else "direct"
-            assert np.array_equal(
-                _phase_table(P).view(np.float64), _phase_table(P, method).view(np.float64)
-            )
+        P = parse_polynomial("x1^2 + x2^3", F7, 2)
+        ms = [decode_point(F7, m, 2) for m in range(49)]
+        want = np.array([[factored_phase_sum(P, s, m) for m in ms] for s in range(1, 7)])
+        assert np.array_equal(_phase_table(P).view(np.float64), want.view(np.float64))
+        P = parse_polynomial("x1^2 + x2^2 + x1", F7, 2)
+        assert np.array_equal(
+            _phase_table(P).view(np.float64), _direct_phase_table(P).view(np.float64)
+        )
 
     def test_factored_and_direct_tables_agree_on_random_diagonals(self):
         hyp = pytest.importorskip("hypothesis")
@@ -634,7 +636,41 @@ class TestPhaseTable:
             ]
             P = make_polynomial(spec, d, terms)
             assert P.kind == DIAGONAL
-            err = np.abs(_phase_table(P, "factored") - _phase_table(P, "direct")).max()
+            err = np.abs(_phase_table(P) - _direct_phase_table(P)).max()
             assert err <= 1e-9 * q**d
 
         check()
+
+    @pytest.mark.parametrize("q, d", [(7, 2), (8, 3), (9, 3)])
+    def test_dot_with_grid_equals_the_scalar_dot(self, q, d):
+        # the kernel that the direct table and phase_sum share: column x of
+        # row i is m_i . x, with x in flat order
+        spec = field_from_order(q)
+        n = q**d
+        ms = np.random.default_rng(q + d).integers(0, q, size=(6, d))
+        got = _dot_with_grid(spec, d, ms)
+        assert got.shape == (6, n)
+        for row, m in zip(got.tolist(), ms.tolist()):
+            want = []
+            for x in range(n):
+                acc = 0
+                for mj, xj in zip(m, decode_point(spec, x, d)):
+                    acc = spec.add(acc, spec.mul(mj, xj))
+                want.append(acc)
+            assert row == want
+
+    @pytest.mark.parametrize("q, d", [(101, 2), (31, 3)])
+    def test_factored_table_peaks_near_its_own_size(self, q, d):
+        # the 16 B an entry of the complex table, plus its real and imaginary
+        # parts while they are written into it: ~32 B an entry
+        import tracemalloc
+
+        P = diagonal_polynomial(field_from_order(q), d, 2)
+        _phase_table(P)  # warm the field tables
+        tracemalloc.start()
+        try:
+            table = _phase_table(P)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 34 * table.size

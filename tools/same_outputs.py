@@ -87,11 +87,15 @@ ORBIT_CASES = (
 # A decay constant exactly at kappa_sharp (every nonzero fiber over F_9,
 # some of which read a few ulps above it), the pair kernel's add_table
 # row gathers at a q where a q x q table takes 8 MB, phase's self-check
-# above q^d = 4096, and lift's product experiment.
+# above q^d = 4096, phase tables of an asymmetric diagonal (factored) and
+# a general (direct) P at d = 3, whose axes a symmetric P would not tell
+# apart, and lift's product experiment.
 EDGE_CASES = (
     "decay --q 9 --d 2 --poly 7*x2^5+5*x1^5 --kappa-sharp 2",
     "pinned --q 1021 --d 2 --poly x1^2+x2^2 --setE random:3000 --setF random:200 --seed 1",
     "phase --q 17 --d 3 --poly x1^2+x2^2+x3^2",
+    "phase --q 13 --d 3 --poly 2*x1^2+x2^2+3*x3^3",
+    "phase --q 7 --d 3 --poly x1^2+x2^2+x3^2+x1",
     "lift --q 13 --d 2 --poly x1^2+x2^2 --setE random:60 --setF random:60 "
     "--setE2 random:5 --setF2 random:5",
 )
