@@ -11,8 +11,10 @@ Every answer is an exact integer count, reached by one of two routes:
   Fourier counting identity nu(t) = q^(2d) sum_m conj(E^)(m) F^(m) V_t^(m)
   of Iosevich-Rudnev, evaluated in one pass for every t.
 
-A fixed cost rule (`_use_transform`) picks the route from |E||F| and q^d,
-so small sets stay on the pair kernel.  The transform route rounds floats
+`counting_function` and `pinned_distances` check their (P, E, F) triple
+once and pick a route function by a fixed cost rule (`_use_transform`) on
+|E||F| and q^d, so small sets stay on the pair kernel; `distance_set` and
+the verifiers read `counting_function`.  The transform route rounds floats
 to integers: it records its worst rounding residual and raises
 RoundingDivergence when any value lands more than 0.1 from an integer.
 Both routes give bit-identical counts; the tests check them against each
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptySet, MixedFields, RoundingDivergence
+from .errors import DimensionMismatch, EmptySet, MixedFields, RoundingDivergence
 from .field import FieldSpec, add_table, decode_points, encode_points, mul_table, neg_table
 from .rng import SplitMix64, derive_seed
 from .varieties import (
@@ -167,7 +169,13 @@ class CountingHistogram:
         return int(self.counts[t])
 
 
-def _histogram(P: Polynomial, E: PointSet, F: PointSet, method: str) -> CountingHistogram:
+def counting_function(
+    P: Polynomial, E: PointSet, F: PointSet, method: str = "auto"
+) -> CountingHistogram:
+    """Pair counts per t by pair enumeration ('direct'), by the difference
+    convolution ('fourier'), or by whichever the cost rule picks ('auto').
+    All routes return the same integers."""
+    _check_triple(P, E, F)
     spec, q, d = P.spec, P.spec.q, P.d
     if method == "auto":
         method = "fourier" if _use_transform(E.size * F.size, q**d) else "direct"
@@ -188,18 +196,7 @@ def _histogram(P: Polynomial, E: PointSet, F: PointSet, method: str) -> Counting
 
 def distance_set(P: Polynomial, E: PointSet, F: PointSet) -> set[int]:
     """{P(x - y) : x in E, y in F}: the support of the counting function."""
-    _check_triple(P, E, F)
-    return _histogram(P, E, F, "auto").support()
-
-
-def counting_function(
-    P: Polynomial, E: PointSet, F: PointSet, method: str = "auto"
-) -> CountingHistogram:
-    """Pair counts per t by pair enumeration ('direct'), by the difference
-    convolution ('fourier'), or by whichever the cost rule picks ('auto').
-    All routes return the same integers."""
-    _check_triple(P, E, F)
-    return _histogram(P, E, F, method)
+    return counting_function(P, E, F).support()
 
 
 # ---------------------------------------------------------------------------
@@ -214,37 +211,38 @@ class PinnedReport:
     fraction_large: float  # share of pins strictly above the threshold
 
 
-def _pinned_sizes(P: Polynomial, E: PointSet, F: PointSet, method: str) -> np.ndarray:
-    """|{P(x - y) : x in E}| for each y in F, in the order of F.indices."""
+def _pinned_pair_sizes(P: Polynomial, E: PointSet, F: PointSet) -> np.ndarray:
+    """|{P(x - y) : x in E}| for each y in F, in the order of F.indices: 1 +
+    the steps along each pin's sorted row of pair values."""
+    blocks = (np.sort(v, axis=1) for v in _pair_value_blocks(P, E, F))
+    return np.concatenate([1 + np.count_nonzero(b[:, 1:] != b[:, :-1], axis=1) for b in blocks])
+
+
+def _pinned_convolution_sizes(P: Polynomial, E: PointSet, F: PointSet) -> np.ndarray:
+    """The same counts by convolution: nu_y(t) = #{x in E : x - y in V_t}
+    = D_{E, V_t}(y), one convolution per nonempty fiber, read at the pins."""
     spec, q, d = P.spec, P.spec.q, P.d
     vg = value_grid(P)
-    if method == "auto":
-        fourier = _use_transform(E.size * F.size, q**d, convolutions=q)
-        method = "fourier" if fourier else "direct"
-    if method == "direct":
-        # distinct values per pin: 1 + the steps along its sorted row
-        blocks = (np.sort(v, axis=1) for v in _pair_value_blocks(P, E, F))
-        return np.concatenate([1 + np.count_nonzero(b[:, 1:] != b[:, :-1], axis=1) for b in blocks])
-    if method == "fourier":
-        # nu_y(t) = #{x in E : x - y in V_t} = D_{E, V_t}(y): one convolution
-        # per nonempty fiber, read at the pins.
-        e_hat = _set_spectrum(spec, d, E.indices)
-        sizes = np.zeros(F.size, dtype=np.int64)
-        for t in np.nonzero(np.bincount(vg, minlength=q))[0]:
-            fiber = _set_spectrum(spec, d, np.flatnonzero(vg == t))
-            diff, _ = _correlate(spec, d, e_hat, fiber)
-            sizes += diff[F.indices] > 0
-        return sizes
-    raise ValueError(f"unknown method {method!r}")
+    e_hat = _set_spectrum(spec, d, E.indices)
+    sizes = np.zeros(F.size, dtype=np.int64)
+    for t in np.nonzero(np.bincount(vg, minlength=q))[0]:
+        fiber = _set_spectrum(spec, d, np.flatnonzero(vg == t))
+        diff, _ = _correlate(spec, d, e_hat, fiber)
+        sizes += diff[F.indices] > 0
+    return sizes
 
 
 def pinned_distances(
     P: Polynomial, E: PointSet, F: PointSet, rho: float = 0.5
 ) -> PinnedReport:
     _check_triple(P, E, F)
-    counts = _pinned_sizes(P, E, F, "auto")
+    q = P.spec.q
+    if _use_transform(E.size * F.size, q**P.d, convolutions=q):
+        counts = _pinned_convolution_sizes(P, E, F)
+    else:
+        counts = _pinned_pair_sizes(P, E, F)
     sizes = {int(y): int(s) for y, s in zip(F.indices, counts)}
-    threshold = rho * P.spec.q
+    threshold = rho * q
     large = int(np.count_nonzero(counts > threshold))
     return PinnedReport(
         sizes=sizes, threshold=threshold, fraction_large=large / len(sizes)
@@ -266,7 +264,7 @@ def paraboloid_lift(P: Polynomial) -> Polynomial:
 def product_set(base: PointSet, last: PointSet) -> PointSet:
     """base x last inside F_q^(d+1); last must be one-dimensional."""
     if last.d != 1:
-        raise EmptySet("the extra factor must be a subset of F_q (d = 1)")
+        raise DimensionMismatch("the extra factor must be a subset of F_q (d = 1)")
     if last.spec != base.spec:
         raise MixedFields("product factors live in different fields")
     w = base.spec.q**base.d
@@ -369,7 +367,6 @@ def _falconer_verdict(
 def verify_falconer(
     P: Polynomial, E: PointSet, F: PointSet, T, C: float = 1.0
 ) -> FalconerVerdict:
-    _check_triple(P, E, F)
     delta = distance_set(P, E, F)
     return _falconer_verdict(P.spec.q, P.d, E.size * F.size, delta, T, C)
 
@@ -412,7 +409,6 @@ def verify_erdos(
     C: float = 1.0,
     r_min: float = 0.25,
 ) -> ErdosVerdict:
-    _check_triple(P, E, F)
     delta = distance_set(P, E, F)
     return _erdos_verdict(P.spec.q, P.d, E.size * F.size, len(delta), A, C, r_min)
 

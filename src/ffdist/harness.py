@@ -553,12 +553,12 @@ def _require_memory(need: int, holds: str):
 
 
 # Peak bytes of run_phase and emit, under tracemalloc: per (s, m) entry,
-# the table and its four CSV columns (48 B at ~1e6 entries, q = 101,
-# d = 2 and q = 31, d = 3; the factored table alone peaks at ~32 B, while
-# its real and imaginary parts are written into it), plus the _EMIT_BLOCK
-# rows of cells being joined (~140 B a row with a short poly).  Summed,
-# they cover every measured peak, 48-184 B an entry at q = 17..101,
-# d = 2, 3.  Each row's text repeats the poly, once in the joined block
+# the table or its four CSV columns (the factored table peaks at ~32 B,
+# while its real and imaginary parts are written into it, and is dropped
+# before emission; the columns hold 32 B), plus the _EMIT_BLOCK rows of
+# cells being joined (~140 B a row with a short poly): 43-47 B at ~1e6
+# entries, q = 101, d = 2 and q = 31, d = 3.  Summed, they cover every
+# measured peak, 43-184 B an entry at q = 17..101, d = 2, 3.  Each row's text repeats the poly, once in the joined block
 # and once more in the bytes written: 2 B a character a row, measured at
 # polys of 9-476 characters, q = 61, d = 2 and q = 19, d = 3.
 _PHASE_ENTRY_BYTES = 64
@@ -578,6 +578,7 @@ def run_phase(cfg: ExperimentConfig):
         errs = (row - want for row, want in zip(table, _phase_rows(P)))
         agreement = max(float(np.hypot(e.real, e.imag).max()) for e in errs)
     mag = np.hypot(table.real, table.imag).ravel()
+    del table  # emission needs only the magnitudes
     ratio = mag / float(q) ** (d / 2)
     best = int(np.argmax(mag))  # the first maximum in row order
     s_best, m_best = divmod(best, n)

@@ -329,20 +329,19 @@ def split_fibers(
 
 
 def _fiber_peaks(P: Polynomial, ts):
-    """(t, |V_t|, max_{m != 0} |V_t^(m)|, the first flat m attaining it in
-    floats) for each t in ts, one dense transform each.  The transforms
-    share one workspace pair, allocated once per call, so the loop does not
-    fault in two fresh grids a t."""
+    """(t, max_{m != 0} |V_t^(m)|, the first flat m attaining it in floats)
+    for each t in ts, one dense transform each.  The transforms share one
+    workspace pair, allocated once per call, so the loop does not fault in
+    two fresh grids a t."""
     spec, d = P.spec, P.d
     vg = value_grid(P)
     work = (np.empty(vg.size, np.complex128), np.empty(vg.size, np.complex128))
     for t in ts:
-        mask = vg == t
-        fh = fourier_transform(ComplexGrid(spec, d, mask.astype(np.complex128)), work=work)
+        fh = fourier_transform(ComplexGrid(spec, d, (vg == t).astype(np.complex128)), work=work)
         mag = np.abs(fh.values)
         mag[0] = -1.0  # exclude the zero frequency
         am = int(np.argmax(mag))
-        yield t, int(mask.sum()), max(float(mag[am]), 0.0), am
+        yield t, max(float(mag[am]), 0.0), am
 
 
 def decay_spectrum(
@@ -359,10 +358,11 @@ def decay_spectrum(
         raise CharacteristicDividesExponent(
             f"characteristic {spec.p} divides the common exponent {P.degree}"
         )
+    sizes = np.bincount(value_grid(P), minlength=q).tolist()
     entries = []
-    for t, size, mx, am in _fiber_peaks(P, range(q)):
+    for t, mx, am in _fiber_peaks(P, range(q)):
         c_sharp, c_fallback, cls = _decay_class(mx, q, d, kappa_sharp, kappa_fallback)
-        entries.append(DecayEntry(t, size, mx, c_sharp, c_fallback, cls, am))
+        entries.append(DecayEntry(t, sizes[t], mx, c_sharp, c_fallback, cls, am))
     return entries
 
 
@@ -398,7 +398,7 @@ def exceptional_set(
     first = {}
     for t, label in enumerate(labels):
         first.setdefault(label, t)
-    peak = {labels[t]: mx for t, _, mx, _ in _fiber_peaks(P, first.values())}
+    peak = {labels[t]: mx for t, mx, _ in _fiber_peaks(P, first.values())}
     classes = [_decay_class(peak[label], q, d, kappa_sharp, kappa_fallback)[2] for label in labels]
     sizes = np.bincount(value_grid(P), minlength=q)
     return split_fibers(P, sizes, classes, nondegenerate=nondegenerate)

@@ -6,8 +6,8 @@ import pytest
 
 from ffdist.errors import DimensionMismatch, EmptySet, MixedFields, ZeroPolynomial
 from ffdist.distances import (
-    _histogram,
-    _pinned_sizes,
+    _pinned_convolution_sizes,
+    _pinned_pair_sizes,
     _use_transform,
     _verdict,
     counting_function,
@@ -44,6 +44,16 @@ F13 = make_field(13)
 
 def random_set(spec, d, k, seed):
     return PointSet(spec, d, sample_indices(SplitMix64(derive_seed(seed)), spec.q**d, k))
+
+
+# Every public entry that takes a (P, E, F) triple, by name.
+PUBLIC_TRIPLE_ENTRIES = {
+    "distance_set": distance_set,
+    "counting_function": counting_function,
+    "pinned_distances": pinned_distances,
+    "verify_falconer": lambda P, E, F: verify_falconer(P, E, F, T=()),
+    "verify_erdos": lambda P, E, F: verify_erdos(P, E, F, A=()),
+}
 
 
 def brute_distances_prime(p, coeffs_exps, E, F):
@@ -117,15 +127,39 @@ class TestDistanceSet:
 
     def test_empty_set_rejected(self):
         P = parse_polynomial("x1^2", F7, 1)
-        with pytest.raises(EmptySet):
-            distance_set(P, PointSet(F7, 1, np.array([], dtype=int)), full_grid(F7, 1))
+        empty, full = PointSet(F7, 1, np.array([], dtype=int)), full_grid(F7, 1)
+        for entry in PUBLIC_TRIPLE_ENTRIES.values():
+            for E, F in [(empty, full), (full, empty)]:
+                with pytest.raises(EmptySet):
+                    entry(P, E, F)
 
     def test_dimension_and_field_mismatches(self):
         P = parse_polynomial("x1^2 + x2^2", F7, 2)
-        with pytest.raises(DimensionMismatch):
-            distance_set(P, full_grid(F7, 1), full_grid(F7, 2))
-        with pytest.raises(MixedFields):
-            distance_set(P, full_grid(F5, 2), full_grid(F7, 2))
+        for entry in PUBLIC_TRIPLE_ENTRIES.values():
+            with pytest.raises(DimensionMismatch):
+                entry(P, full_grid(F7, 1), full_grid(F7, 2))
+            with pytest.raises(DimensionMismatch):
+                entry(P, full_grid(F7, 2), full_grid(F7, 1))
+            with pytest.raises(MixedFields):
+                entry(P, full_grid(F5, 2), full_grid(F7, 2))
+
+    def test_each_public_entry_checks_its_triple_once(self, monkeypatch):
+        from ffdist import distances
+
+        calls = []
+        real = distances._check_triple
+
+        def counting(P, E, F):
+            calls.append((P, E, F))
+            return real(P, E, F)
+
+        monkeypatch.setattr(distances, "_check_triple", counting)
+        P = parse_polynomial("x1^2 + x2^2", F7, 2)
+        E, F = random_set(F7, 2, 10, seed=3), random_set(F7, 2, 8, seed=4)
+        for name, entry in PUBLIC_TRIPLE_ENTRIES.items():
+            calls.clear()
+            entry(P, E, F)
+            assert calls == [(P, E, F)], name
 
 
 class TestCounting:
@@ -226,8 +260,8 @@ class TestRoutes:
             assert np.array_equal(direct.counts, fourier.counts)
             assert direct.total() == E.size * F.size
             assert direct.support() == fourier.support() == distance_set(P, E, F)
-            pinned = _pinned_sizes(P, E, F, "direct")
-            assert np.array_equal(pinned, _pinned_sizes(P, E, F, "fourier"))
+            pinned = _pinned_pair_sizes(P, E, F)
+            assert np.array_equal(pinned, _pinned_convolution_sizes(P, E, F))
             rep = pinned_distances(P, E, F)
             assert [rep.sizes[int(y)] for y in F.indices] == pinned.tolist()
 
@@ -265,8 +299,8 @@ class TestRoutes:
             direct = counting_function(P, E, F, "direct")
             assert np.array_equal(direct.counts, counting_function(P, E, F, "fourier").counts)
             assert direct.total() == E.size * F.size
-            pinned = _pinned_sizes(P, E, F, "direct")
-            assert np.array_equal(pinned, _pinned_sizes(P, E, F, "fourier"))
+            pinned = _pinned_pair_sizes(P, E, F)
+            assert np.array_equal(pinned, _pinned_convolution_sizes(P, E, F))
 
         check()
 
@@ -279,7 +313,7 @@ class TestRoutes:
         F = random_set(spec, d, min(spec.q**d, 25), seed=39)
         whole = list(distances._pair_value_blocks(P, E, F))
         counts = counting_function(P, E, F, "direct").counts
-        pinned = _pinned_sizes(P, E, F, "direct")
+        pinned = _pinned_pair_sizes(P, E, F)
         assert [b.shape for b in whole] == [(F.size, E.size)]
         assert E.size >= spec.q  # each pin's add_table row is gathered
         per_pin = 8 * (3 * E.size + spec.q)
@@ -291,7 +325,7 @@ class TestRoutes:
             assert [len(b) for b in blocks] == [min(rows, F.size - i) for i in starts]
             assert np.array_equal(np.concatenate(blocks), whole[0])
             assert np.array_equal(counting_function(P, E, F, "direct").counts, counts)
-            assert np.array_equal(_pinned_sizes(P, E, F, "direct"), pinned)
+            assert np.array_equal(_pinned_pair_sizes(P, E, F), pinned)
 
     def test_pair_blocks_of_a_small_E_stay_within_the_byte_cap(self, monkeypatch):
         # |E| < q: the q-entry add_table row per pin would outweigh the
@@ -315,7 +349,7 @@ class TestRoutes:
         assert sizes == [cap // 24, F.size - cap // 24]
         assert peak <= 2 * cap
         assert np.array_equal(np.concatenate(list(distances._pair_value_blocks(P, E, F))), whole)
-        assert np.array_equal(_pinned_sizes(P, E, F, "direct"), np.ones(F.size))
+        assert np.array_equal(_pinned_pair_sizes(P, E, F), np.ones(F.size))
 
     def test_pair_kernel_builds_no_q_by_q_table(self):
         # x - y = x + (-y): with add_table, mul_table, neg_table and the value
@@ -349,8 +383,8 @@ class TestRoutes:
 
         x_minus_y = pinned(spec.sub)
         assert x_minus_y != pinned(lambda a, b: spec.sub(b, a))
-        for method in ("direct", "fourier"):
-            assert _pinned_sizes(P, E, F, method).tolist() == x_minus_y
+        for route in (_pinned_pair_sizes, _pinned_convolution_sizes):
+            assert route(P, E, F).tolist() == x_minus_y
 
     def test_residual_is_recorded_and_far_below_the_bound(self):
         # largest case in the suite: 101^3 points; full x full has the known
@@ -392,7 +426,7 @@ class TestRoutes:
         assert counting_function(P, E, E).route == "fourier"
         pin = points_from_coords(F13, 2, [[1, 2]])
         assert counting_function(P, pin, E).route == "direct"
-        assert _histogram(P, pin, E, "auto").route == "direct"
+        assert counting_function(P, pin, E, "auto").route == "direct"
 
 
 class TestLift:
@@ -406,6 +440,13 @@ class TestLift:
             F7, 2, [[x, F7.mul(x, x)] for x in range(7)]
         )
         assert np.array_equal(V0.indices, expected.indices)
+
+    def test_product_set_rejects_a_multidimensional_extra_factor(self):
+        with pytest.raises(DimensionMismatch) as info:
+            product_set(full_grid(F7, 2), full_grid(F7, 2))
+        assert info.value.exit_code == 2
+        with pytest.raises(MixedFields):
+            product_set(full_grid(F7, 2), full_grid(F5, 1))
 
     @pytest.mark.parametrize("text", ["x1^2+x2^2", "x1^2+x2^3"])
     def test_every_lifted_fiber_has_q_to_the_d_points(self, text):

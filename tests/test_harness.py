@@ -569,6 +569,25 @@ class TestRunners:
         assert code == 0 and summary["rows_written"] == sums and len(stated) == 1
         assert 16 * sums <= peak <= stated[0]  # the complex table was built and counted
 
+    def test_phase_releases_its_table_before_emission(self, tmp_path):
+        # at F_101^2 only the four CSV columns (32 B an entry) and the
+        # emission block should remain once the complex table (16 B) is dropped
+        import tracemalloc
+
+        from ffdist import varieties
+
+        q, d = 101, 2
+        cfg = ExperimentConfig(q=q, d=d, poly="x1^2+x2^2", out=str(tmp_path / "ph"), deterministic=True)
+        varieties.value_grid.cache_clear()
+        tracemalloc.start()
+        try:
+            code, _ = run("phase", cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak <= 45 * (q - 1) * q**d
+
     @pytest.mark.parametrize(
         "q, d, poly",
         [

@@ -98,6 +98,15 @@ EDGE_CASES = (
     "phase --q 7 --d 3 --poly x1^2+x2^2+x3^2+x1",
     "lift --q 13 --d 2 --poly x1^2+x2^2 --setE random:60 --setF random:60 "
     "--setE2 random:5 --setF2 random:5",
+    "weil --q 13 --d 1 --poly x1^3+2*x1",
+    "decay --q 13 --d 2 --poly x1^2+x2^2 --t 5",
+    "distance --q 13 --d 2 --poly x1^2+x2^2 --setE iso-line --setF same",
+    "distance --p 3 --n 2 --d 2 --poly x1^2+x2^2 --setE subfield --setF same",
+    "distance --q 13 --d 2 --poly x1^2+x2^2 --setE sphere:1 --setF random:40 --trials 3",
+    "pinned --q 13 --d 2 --poly x1^2+x2^2 --setE all --setF same",
+    "fourier-check --p 2 --n 3 --d 2 --trials 2",
+    "field-check --p 3 --n 2",
+    "lift --q 11 --d 2 --poly x1^2+x2^2",
 )
 
 
