@@ -10,17 +10,16 @@ passes are cyclic: the flat values are C order over (x_d, ..., x_1), a
 pass contracts the last axis with the kernel on the left and puts its
 output axis first, so after d passes the axes are (m_d, ..., m_1) and
 the result is already in flat order.  Nothing is transposed or copied
-between passes, and a transform holds two grids at a time.
-
-Those two grids are its workspace.  By default each transform allocates
-them; a caller that runs many forward transforms of one shape passes its
-own pair as `work=` and the passes write into it, ping-ponging between
-the two, so the transforms allocate no grid.  The result is then a view of
-one of the pair and lasts until the next call that shares it.
-The values are bit for bit those of a fresh workspace.  On a 2-core
+between passes, and a transform holds two grids at a time.  On a 2-core
 host one transform of a warm random grid took 8.9 ms against 34 ms for
 a complex np.fft.fftn at q = 61, d = 3, 42 against 129 ms at q = 101,
 d = 3, and 2.0 against 3.1 ms at q = 211, d = 2 (best of 5).
+
+`_passes` is that loop and the one place a pass is computed.  It runs
+any number of passes from any flat operand and writes into buffers the
+caller may own, so the fiber spectra of `varieties._fiber_peaks` run
+part of a transform on a shared table and the rest per fiber, with
+every product shaped and laid out as in a whole transform.
 
 Both directions share one kernel K[m, x] = chi(-x*m): the inverse pass
 reads its output rows at -x, which leaves every value bit for bit as a
@@ -78,19 +77,22 @@ def _forward_kernel(spec: FieldSpec) -> np.ndarray:
     return k
 
 
-def _apply_per_axis(grid: ComplexGrid, rows: np.ndarray | None = None, work=None) -> np.ndarray:
-    # The cyclic passes of the module docstring.  The transposed operand
-    # reaches BLAS as a flag, not a copy.  Each pass stays one 2-d product
-    # with the kernel on the left: arr @ K, or a batched product over a
-    # middle axis, changes the last bit of some values, which moves decay's
-    # argmax_m among ties.
-    # `rows` reorders each output axis: K[-x, m] = chi(x*m) gives the inverse pass.
-    # Each pass writes into the buffer it did not read; without `work` the
-    # buffers are None and numpy allocates.
-    kernel, q = _forward_kernel(grid.spec), grid.spec.q
-    bufs = [None, None] if work is None else [w.reshape(q, -1) for w in work]
-    arr = grid.values
-    for _ in range(grid.d):
+def _passes(spec: FieldSpec, values: np.ndarray, n: int, bufs=(None, None), rows=None) -> np.ndarray:
+    """n cyclic passes over the flat C-order array `values`, unnormalized;
+    each contracts the last axis of length q and puts its output axis first.
+
+    The transposed operand reaches BLAS as a flag, not a copy.  Each pass
+    stays one 2-d product with the kernel on the left: arr @ K, or a
+    batched product over a middle axis, changes the last bit of some
+    values, which moves decay's argmax_m among ties.  `rows` reorders each
+    output axis: K[-x, m] = chi(x*m) gives the inverse pass.  Pass i writes
+    into bufs[i % 2], a C-contiguous complex128 array of values.size
+    entries, or a fresh one where that is None; without `rows` the result
+    is a flat view of the last buffer written."""
+    kernel, q = _forward_kernel(spec), spec.q
+    bufs = [None if b is None else b.reshape(q, -1) for b in bufs]
+    arr = values
+    for _ in range(n):
         arr = np.matmul(kernel, arr.reshape(-1, q).T, out=bufs[0])
         bufs.reverse()
         if rows is not None:
@@ -98,19 +100,16 @@ def _apply_per_axis(grid: ComplexGrid, rows: np.ndarray | None = None, work=None
     return arr.reshape(-1)
 
 
-def fourier_transform(f: ComplexGrid, *, work=None) -> ComplexGrid:
-    """f^(m) = q^(-d) * sum_x f(x) chi(-x*m).
-
-    work: optional pair of distinct C-contiguous complex128 arrays of q^d
-    entries that the passes write into (see the module docstring)."""
-    out = _apply_per_axis(f, work=work)
+def fourier_transform(f: ComplexGrid) -> ComplexGrid:
+    """f^(m) = q^(-d) * sum_x f(x) chi(-x*m)."""
+    out = _passes(f.spec, f.values, f.d)
     out /= float(f.spec.q) ** f.d
     return ComplexGrid(f.spec, f.d, out)
 
 
 def inverse_transform(g: ComplexGrid) -> ComplexGrid:
     """f(x) = sum_m chi(x*m) g(m); exact inverse of fourier_transform."""
-    return ComplexGrid(g.spec, g.d, _apply_per_axis(g, neg_table(g.spec)))
+    return ComplexGrid(g.spec, g.d, _passes(g.spec, g.values, g.d, rows=neg_table(g.spec)))
 
 
 def plancherel_residual(f: ComplexGrid) -> float:

@@ -6,8 +6,9 @@ The whole algorithm fits in a dozen lines, so seeds reproduce exactly on
 any platform or in any language.  `next_block` draws many outputs at
 once with wrapping numpy arithmetic, bit-identical to as many `next_u64`
 calls.  Bounded draws use the 128-bit multiply-shift trick and never
-reject; subsets come from a partial Fisher-Yates shuffle over a dict of
-displaced positions, giving exact target cardinalities in O(k).
+reject; subsets are the set a partial Fisher-Yates shuffle selects,
+found from the block of draws in array operations, giving exact target
+cardinalities in O(k log k).
 """
 
 from __future__ import annotations
@@ -65,13 +66,47 @@ def derive_seed(base: int, *salts: int) -> int:
     return s
 
 
+def _mulhi(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """(u * v) >> 64 for uint64 arrays, from 32-bit halves (no overflow:
+    every partial sum is at most the true high word)."""
+    lo32 = np.uint64(0xFFFFFFFF)
+    s32 = np.uint64(32)
+    uh, ul, vh, vl = u >> s32, u & lo32, v >> s32, v & lo32
+    lh, hl = ul * vh, uh * vl
+    mid = ((ul * vl) >> s32) + (lh & lo32) + (hl & lo32)
+    return uh * vh + (lh >> s32) + (hl >> s32) + (mid >> s32)
+
+
 def sample_indices(rng: SplitMix64, population: int, k: int) -> np.ndarray:
-    """k distinct indices from [0, population), sorted (partial shuffle)."""
+    """k distinct indices from [0, population), sorted.
+
+    The set a partial Fisher-Yates shuffle leaves in positions 0..k-1:
+    step i swaps position i with j_i = i + below(population - i).  Steps
+    never reach back below i, so a position p >= k ends holding what its
+    last draw moved there from position i, and that is the value position
+    i held just before step i: i itself, or what the last earlier draw
+    into i brought, found by following those draws back (pointer
+    doubling).  The sample is the set T of targets >= k together with
+    0..k-1 minus the values X their last draws took out."""
     k = min(k, population)
-    moved: dict[int, int] = {}  # position -> value, where it is not the identity
-    out = []
-    for i, u in enumerate(rng.next_block(k).tolist()):
-        j = i + (u * (population - i) >> 64)  # rng.below(population - i)
-        out.append(moved.get(j, j))
-        moved[j] = moved.get(i, i)
-    return np.sort(np.array(out, dtype=np.int64))
+    u = rng.next_block(k)
+    i = np.arange(k, dtype=np.int64)
+    j = i + _mulhi(u, np.uint64(population) - i.astype(np.uint64)).astype(np.int64)
+    moved = j != i  # a draw of its own position moves nothing
+    src, dst = i[moved], j[moved]
+    order = np.argsort(dst, kind="stable")
+    src, dst = src[order], dst[order]
+    last = np.ones(dst.size, dtype=bool)  # the last draw into each target
+    last[:-1] = dst[1:] != dst[:-1]
+    src, dst = src[last], dst[last]
+    inside = dst < k
+    held = i.copy()  # held[i]: the step whose value position i holds before step i
+    held[dst[inside]] = src[inside]
+    while True:
+        step = held[held]
+        if np.array_equal(step, held):
+            break
+        held = step
+    keep = np.ones(k, dtype=bool)
+    keep[held[src[~inside]]] = False
+    return np.concatenate((np.flatnonzero(keep), dst[~inside]))

@@ -2,7 +2,10 @@
 
 Everything here is exact enumeration: fibers V_t = {x : P(x) = t} are
 listed point by point, character sums are summed term by term, and the
-decay spectrum of each fiber comes straight from the grid transform.
+decay spectrum of each fiber comes from the grid transform's passes.  For
+separable P (every term in at most one variable, as every CLI polynomial
+is) the first d-1 passes of every fiber read one shared table
+(`_fiber_peaks`), so each fiber pays for one pass.
 Exceptional sets of diagonal P transform one fiber per scaling coset of t
 (`_scaling_cosets`), since dilations carry the other fibers onto it.  The
 phase sums sum_x chi(s*P(x) + m*x) for all s != 0 and m come as one table
@@ -41,9 +44,10 @@ from .field import (
     decode_points,
     encode_points,
     mul_table,
+    neg_table,
     pow_table,
 )
-from .fourier import ComplexGrid, fourier_transform, inverse_transform
+from .fourier import ComplexGrid, _passes, inverse_transform
 
 DIAGONAL = "diagonal"
 GENERAL = "general"
@@ -200,6 +204,12 @@ def value_grid(P: Polynomial) -> np.ndarray:
     return acc
 
 
+def is_separable(P: Polynomial) -> bool:
+    """Whether every term of P has at most one variable, so that
+    P = c + f_1(x_1) + ... + f_d(x_d)."""
+    return all(sum(1 for e in exps if e) <= 1 for _, exps in P.terms)
+
+
 def characteristic_divides_exponent(P: Polynomial) -> bool:
     """Whether P is diagonal with one exponent s shared by every term (its
     degree) and the characteristic p divides s."""
@@ -328,17 +338,81 @@ def split_fibers(
     )
 
 
+def _shared_table(P: Polynomial, levels: int, gathered: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """B_levels of _fiber_peaks as a (q^levels, q) array over ((m..), w).
+    Each level's operand is gathered into `gathered`, whose tail past the
+    operand must be zero (the padding), and its product is written into
+    `out`, or for the last level into a grid of its own."""
+    spec, q, vg = P.spec, P.spec.q, value_grid(P)
+    at, neg = add_table(spec), neg_table(spec)
+    table = np.zeros((1, q), np.complex128)
+    table[0, 0] = 1.0
+    for j in range(1, levels + 1):
+        # w - g_j(x) = (w + P(0)) - P(x e_j), since x_j has stride q^(j-1)
+        shift = at[at[:, vg[0]][:, None], neg[vg[: q**j : q ** (j - 1)]]]
+        np.take(table, shift, axis=1, out=gathered[: q ** (j + 1)].reshape(-1, q, q), mode="clip")
+        dest = np.empty(vg.size, np.complex128) if j == levels else out
+        table = _passes(spec, gathered, 1, (dest, None)).reshape(q, -1)[:, : q**j].reshape(-1, q)
+    return table
+
+
 def _fiber_peaks(P: Polynomial, ts):
     """(t, max_{m != 0} |V_t^(m)|, the first flat m attaining it in floats)
-    for each t in ts, one dense transform each.  The transforms share one
-    workspace pair, allocated once per call, so the loop does not fault in
-    two fresh grids a t."""
-    spec, d = P.spec, P.d
+    for each t in ts, as one whole transform of each fiber's indicator
+    gives them (tests.oracles.per_fiber_peaks).
+
+    Write P = g_1(x_1) + ... + g_L(x_L) + R(x_{L+1}, ..., x_d) with
+    g_j(0) = 0: L = d-1 when P is separable, so R holds x_d's terms and
+    the constant, and L = 0 otherwise, so R = P.  The first L passes of
+    the transform of [P = t] are then a shifted read of one table that
+    every t shares (_shared_table):
+        B_0[w] = [w = 0],
+        B_j[(m_j..m_1), w] = sum_{x_j} K[m_j, x_j] B_{j-1}[(m_{j-1}..m_1), w - g_j(x_j)],
+    and after L passes the grid holds B_L[(m_L..m_1), t - R(x)] at
+    ((m_L..m_1), (x_d..x_{L+1})).  So each t gathers those columns of B_L
+    and runs the last d-L passes: L + (d-L)*len(ts) passes instead of
+    d*len(ts).
+
+    Why the values agree: every column of a shared pass's operand equals,
+    value for value, a column that the fiber's own pass reads, and a
+    kernel-left product computes each output column from its operand
+    column alone, by the same arithmetic wherever it sits, once the
+    product has the same shape and layout.  So each shared operand is
+    padded with zero columns to the fiber's (q, q) @ (q, q^(d-1)); unpadded,
+    one argmax_m moved among exact ties at F_41^4.  The exception is the
+    last column of an odd-width product, which OpenBLAS rounds apart (at
+    1 and 2 threads alike; its column-tail kernel): a fiber value that
+    passed through it, or through the shared column in that place, can
+    differ in the last bit.  That
+    moved no peak at the sizes the tests and the benchmark use, but it
+    moves one fiber's maximum by an ulp for x1^2 + 2*x2^3 + x3 over F_31^3.
+    The 1/q^d scale multiplies the float view by the reciprocal, as
+    numpy's complex /= by a real does; only the signs of exact zeros may
+    differ, and np.abs does not see them.
+
+    The table, the gathered grid, the pass output and the magnitudes are
+    allocated once and serve every t (16 + 16 + 16 + 8 bytes a point;
+    for L = 0 the table is one row and the indices take its place)."""
+    spec, d, q = P.spec, P.d, P.spec.q
+    at, neg = add_table(spec), neg_table(spec)
     vg = value_grid(P)
-    work = (np.empty(vg.size, np.complex128), np.empty(vg.size, np.complex128))
+    shared = d - 1 if is_separable(P) else 0
+    # x_j has stride q^(j-1), so R reads the grid with x_1..x_L at 0
+    rest_neg = neg[vg.reshape(-1, q**shared)[:, 0]]  # -R(x), x in flat order
+    gathered = np.zeros(vg.size, np.complex128)
+    out = np.empty(vg.size, np.complex128)
+    table = _shared_table(P, shared, gathered, out)
+    idx = np.empty(rest_neg.size, np.int64)
+    cols = gathered.reshape(table.shape[0], -1)
+    mag = np.empty(vg.size)
+    scale = 1.0 / float(q) ** d
     for t in ts:
-        fh = fourier_transform(ComplexGrid(spec, d, (vg == t).astype(np.complex128)), work=work)
-        mag = np.abs(fh.values)
+        # every index is in range; mode="raise" would gather through a copy of out=
+        np.take(at[t], rest_neg, out=idx, mode="clip")
+        np.take(table, idx, axis=1, out=cols, mode="clip")
+        fh = _passes(spec, gathered, d - shared, (out, gathered))
+        fh.view(np.float64)[...] *= scale
+        np.abs(fh, out=mag)
         mag[0] = -1.0  # exclude the zero frequency
         am = int(np.argmax(mag))
         yield t, max(float(mag[am]), 0.0), am

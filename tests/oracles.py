@@ -1,14 +1,17 @@
 """References that only the tests use: scalar ones compute by the
 FieldSpec scalar methods what the package computes with tables,
 factored_phase_sum gives one entry of the factored phase table as a product
-of Python complex numbers, and per_axis_transform computes the grid
-transform by tensordot passes over F-order axes, a layout of its own."""
+of Python complex numbers, per_axis_transform computes the grid transform
+by tensordot passes over F-order axes, a layout of its own,
+per_fiber_peaks gives decay's fiber peaks from one whole transform a fiber,
+and dict_sample_indices runs the sampling shuffle one step at a time."""
 
 import numpy as np
 
 from ffdist.errors import ArityMismatch
 from ffdist.field import add_table, mul_table, neg_table, pow_table
-from ffdist.varieties import DIAGONAL, PointSet, points_from_coords
+from ffdist.fourier import ComplexGrid, fourier_transform
+from ffdist.varieties import DIAGONAL, PointSet, points_from_coords, value_grid
 
 
 def evaluate(P, x) -> int:
@@ -69,3 +72,33 @@ def per_axis_transform(values, spec, d, inverse=False):
     if not inverse:
         out /= float(q) ** d
     return out
+
+
+def per_fiber_peaks(P, ts):
+    """(t, max_{m != 0} |V_t^(m)|, the first flat m attaining it in floats)
+    for each t, from one whole transform of each fiber's indicator: the
+    reference that the tests hold the shared-table _fiber_peaks to, bit
+    for bit."""
+    vg = value_grid(P)
+    out = []
+    for t in ts:
+        fh = fourier_transform(ComplexGrid(P.spec, P.d, (vg == t).astype(np.complex128)))
+        mag = np.abs(fh.values)
+        mag[0] = -1.0  # exclude the zero frequency
+        am = int(np.argmax(mag))
+        out.append((t, max(float(mag[am]), 0.0), am))
+    return out
+
+
+def dict_sample_indices(rng, population, k):
+    """The partial Fisher-Yates shuffle of rng.sample_indices one step at a
+    time over a dict of displaced positions, from the same block of draws:
+    the reference its array form equals."""
+    k = min(k, population)
+    moved = {}  # position -> value, where it is not the identity
+    out = []
+    for i, u in enumerate(rng.next_block(k).tolist()):
+        j = i + (u * (population - i) >> 64)  # rng.below(population - i)
+        out.append(moved.get(j, j))
+        moved[j] = moved.get(i, i)
+    return sorted(out)

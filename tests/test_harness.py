@@ -18,7 +18,7 @@ from ffdist.harness import RUNNERS, ExperimentConfig, Table, _random_grid, build
 from ffdist.rng import SplitMix64, derive_seed, sample_indices
 from ffdist.varieties import _phase_table, parse_polynomial, phase_sum, variety
 
-from oracles import factored_phase_sum
+from oracles import dict_sample_indices, factored_phase_sum
 
 F7 = make_field(7)
 F9 = make_field(3, 2)
@@ -90,6 +90,25 @@ class TestRng:
         # exactly the drawn positions
         r = SplitMix64(11)
         assert s.tolist() == sorted(i + r.below(population - i) for i in range(k))
+
+    def test_sample_equals_the_dict_shuffle(self):
+        # many shapes: repeated targets (k near population), long chains of
+        # displaced values, populations past 2^32 and 2^62, k = 0 and k >
+        # population
+        cases = SplitMix64(2024)
+        for n in range(600):
+            population = [
+                1 + cases.below(50),
+                1 + cases.below(5000),
+                2**32 + cases.below(1000),
+                2**62 + cases.below(2**61),
+            ][n % 4]
+            k = [0, population, population + 5, cases.below(population + 1)][n // 4 % 4]
+            k = min(k, 3000)
+            seed = cases.next_u64()
+            got = sample_indices(SplitMix64(seed), population, k)
+            assert got.dtype == np.int64
+            assert got.tolist() == dict_sample_indices(SplitMix64(seed), population, k)
 
     def test_block_draws_equal_scalar_draws(self):
         hyp = pytest.importorskip("hypothesis")

@@ -89,7 +89,9 @@ ORBIT_CASES = (
 # row gathers at a q where a q x q table takes 8 MB, phase's self-check
 # above q^d = 4096, phase tables of an asymmetric diagonal (factored) and
 # a general (direct) P at d = 3, whose axes a symmetric P would not tell
-# apart, and lift's product experiment.
+# apart, lift's product experiment, and decay spectra through the shared
+# pass table at d = 4, over an extension field, for a separable P that is
+# not diagonal, and at d = 1.
 EDGE_CASES = (
     "decay --q 9 --d 2 --poly 7*x2^5+5*x1^5 --kappa-sharp 2",
     "pinned --q 1021 --d 2 --poly x1^2+x2^2 --setE random:3000 --setF random:200 --seed 1",
@@ -107,6 +109,10 @@ EDGE_CASES = (
     "fourier-check --p 2 --n 3 --d 2 --trials 2",
     "field-check --p 3 --n 2",
     "lift --q 11 --d 2 --poly x1^2+x2^2",
+    "decay --q 13 --d 4 --poly x1^2+x2^2+x3^2+x4^2",
+    "decay --p 2 --n 4 --d 3 --poly x1^3+x2^3+x3^3",
+    "decay --q 25 --d 3 --poly x1^2+2*x2^2+x3^3+x1",
+    "decay --q 101 --d 1 --poly x1^3+x1",
 )
 
 
