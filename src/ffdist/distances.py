@@ -169,29 +169,33 @@ class CountingHistogram:
         return int(self.counts[t])
 
 
-def counting_function(
-    P: Polynomial, E: PointSet, F: PointSet, method: str = "auto"
-) -> CountingHistogram:
-    """Pair counts per t by pair enumeration ('direct'), by the difference
-    convolution ('fourier'), or by whichever the cost rule picks ('auto').
-    All routes return the same integers."""
+def _pair_counts(P: Polynomial, E: PointSet, F: PointSet) -> CountingHistogram:
+    """nu by enumerating every pair, a block of pins at a time."""
+    q = P.spec.q
+    counts = np.zeros(q, dtype=np.int64)
+    for vals in _pair_value_blocks(P, E, F):
+        counts += np.bincount(vals.ravel(), minlength=q)
+    return CountingHistogram(P.spec, counts, "direct", 0.0)
+
+
+def _convolution_counts(P: Polynomial, E: PointSet, F: PointSet) -> CountingHistogram:
+    """nu by the difference convolution, summed over each fiber of P."""
+    spec, d = P.spec, P.d
+    diff, residual = _correlate(
+        spec, d, _set_spectrum(spec, d, E.indices), _set_spectrum(spec, d, F.indices)
+    )
+    # Exact: every partial sum is an integer no larger than |E||F| < 2^53.
+    counts = np.bincount(value_grid(P), weights=diff, minlength=spec.q)
+    return CountingHistogram(spec, counts.astype(np.int64), "fourier", residual)
+
+
+def counting_function(P: Polynomial, E: PointSet, F: PointSet) -> CountingHistogram:
+    """Pair counts per t, by the route the cost rule picks; both routes
+    return the same integers."""
     _check_triple(P, E, F)
-    spec, q, d = P.spec, P.spec.q, P.d
-    if method == "auto":
-        method = "fourier" if _use_transform(E.size * F.size, q**d) else "direct"
-    if method == "direct":
-        counts = np.zeros(q, dtype=np.int64)
-        for vals in _pair_value_blocks(P, E, F):
-            counts += np.bincount(vals.ravel(), minlength=q)
-        return CountingHistogram(spec, counts, "direct", 0.0)
-    if method == "fourier":
-        diff, residual = _correlate(
-            spec, d, _set_spectrum(spec, d, E.indices), _set_spectrum(spec, d, F.indices)
-        )
-        # Exact: every partial sum is an integer no larger than |E||F| < 2^53.
-        counts = np.bincount(value_grid(P), weights=diff, minlength=q)
-        return CountingHistogram(spec, counts.astype(np.int64), "fourier", residual)
-    raise ValueError(f"unknown method {method!r}")
+    if _use_transform(E.size * F.size, P.spec.q**P.d):
+        return _convolution_counts(P, E, F)
+    return _pair_counts(P, E, F)
 
 
 def distance_set(P: Polynomial, E: PointSet, F: PointSet) -> set[int]:

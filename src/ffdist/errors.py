@@ -53,18 +53,6 @@ class ArityMismatch(FFDistError):
 
 # hypothesis checks
 
-class CharacteristicDividesExponent(FFDistError):
-    """The field characteristic divides the common diagonal exponent."""
-
-    exit_code, label = 3, "hypothesis violation"
-
-
-class DegreeSharesCharacteristic(FFDistError):
-    """gcd(degree, q) != 1, so the character-sum bound does not apply."""
-
-    exit_code, label = 3, "hypothesis violation"
-
-
 class IsoUnavailable(FFDistError):
     """No element i with i*i = -1 exists in this field."""
 

@@ -116,10 +116,15 @@ class ExperimentConfig:
             raise ConfigError("--q cannot be combined with --p, --n or --modulus")
 
     def resolve_field(self) -> FieldSpec:
+        """The field, once its add and mul tables fit in memory: every
+        runner builds mul_table and add_table or the transform kernel."""
         self.validate()
         if self.p is not None:
-            return make_field(self.p, self.n, self.modulus)
-        return field_from_order(self.q)
+            spec = make_field(self.p, self.n, self.modulus)
+        else:
+            spec = field_from_order(self.q)
+        _require_memory(16 * spec.q**2, f"the tables of F_{spec.q} hold {2 * spec.q**2} entries")
+        return spec
 
 
 def require(cfg: ExperimentConfig, *names: str):
@@ -701,10 +706,17 @@ def run_lift(cfg: ExperimentConfig):
     points = q ** (d + 1)
     holds = f"lift over F_{q}^{d + 1} holds {points} values"
     need = points * _GRID_POINT_BYTES
-    if cfg.setE and cfg.setF and (cfg.setE2 or cfg.setF2):
+    product = bool(cfg.setE2 or cfg.setF2)
+    if product:
         holds += f" and phase rows of {q**d} sums"
         need += q**d * _PHASE_ROW_BYTES
     _require_memory(need, holds)
+    # a lone set is refused, not dropped: --setE2/--setF2 need --setE and --setF too
+    paired = bool(product or cfg.setE or cfg.setF)
+    if paired:
+        E, F = build_pair(cfg, spec, d, P, 0)
+    if product:
+        E2, F2 = build_pair(cfg, spec, 1, P, 0, ("E2", "F2"))
     H = paraboloid_lift(P)
     sizes = np.bincount(value_grid(H), minlength=q)
     fibers_ok = bool(np.all(sizes == q**d))
@@ -717,21 +729,16 @@ def run_lift(cfg: ExperimentConfig):
         "fibers_uniform": fibers_ok,
     }
     ok = fibers_ok
-    if cfg.setE and cfg.setF:
-        E, F = build_pair(cfg, spec, d, P, 0)
-        if cfg.setE2 or cfg.setF2:
-            E2, F2 = build_pair(cfg, spec, 1, P, 0, ("E2", "F2"))
-            rep = product_set_experiment(P, E, E2, F, F2, C=cfg.C, rho=cfg.rho)
-            summary["product"] = {
-                k: v for k, v in vars(rep).items() if k not in ("q", "d", "poly")
-            }
-        else:
-            zero = points_from_coords(spec, 1, [[0]])
-            base = distance_set(P, E, F)
-            lifted = distance_set(H, product_set(E, zero), product_set(F, zero))
-            match = base == lifted
-            summary["restriction_matches"] = match
-            ok = ok and match
+    if product:
+        rep = product_set_experiment(P, E, E2, F, F2, C=cfg.C, rho=cfg.rho)
+        summary["product"] = {k: v for k, v in vars(rep).items() if k not in ("q", "d", "poly")}
+    elif paired:
+        zero = points_from_coords(spec, 1, [[0]])
+        base = distance_set(P, E, F)
+        lifted = distance_set(H, product_set(E, zero), product_set(F, zero))
+        match = base == lifted
+        summary["restriction_matches"] = match
+        ok = ok and match
     return (0 if ok else 4), summary, None
 
 

@@ -29,8 +29,6 @@ import numpy as np
 
 from .errors import (
     ArityMismatch,
-    CharacteristicDividesExponent,
-    DegreeSharesCharacteristic,
     DimensionMismatch,
     MixedFields,
     PolynomialSyntaxError,
@@ -422,16 +420,10 @@ def decay_spectrum(
     P: Polynomial,
     kappa_sharp: float = 3.0,
     kappa_fallback: float = 3.0,
-    *,
-    check_characteristic: bool = False,
 ) -> list[DecayEntry]:
     """One DecayEntry per t in F_q, classifying each fiber's decay from
     its own transform."""
-    spec, d, q = P.spec, P.d, P.spec.q
-    if check_characteristic and characteristic_divides_exponent(P):
-        raise CharacteristicDividesExponent(
-            f"characteristic {spec.p} divides the common exponent {P.degree}"
-        )
+    d, q = P.d, P.spec.q
     sizes = np.bincount(value_grid(P), minlength=q).tolist()
     entries = []
     for t, mx, am in _fiber_peaks(P, range(q)):
@@ -489,17 +481,14 @@ class WeilSumResult:
     hypothesis_ok: bool
 
 
-def weil_sum(f: Polynomial, *, require_hypothesis: bool = False) -> WeilSumResult:
-    """sum_s chi(f(s)) against the (degree-1)*sqrt(q) bound, univariate f."""
+def weil_sum(f: Polynomial) -> WeilSumResult:
+    """sum_s chi(f(s)) against the (degree-1)*sqrt(q) bound, univariate f;
+    hypothesis_ok says whether gcd(degree, q) = 1, under which the bound holds."""
     if f.d != 1:
         raise ArityMismatch("weil_sum takes a univariate polynomial")
     spec = f.spec
     c = f.degree
     hyp_ok = c % spec.p != 0  # gcd(c, p^n) = 1  <=>  p does not divide c
-    if not hyp_ok and require_hypothesis:
-        raise DegreeSharesCharacteristic(
-            f"gcd(deg = {c}, q = {spec.q}) != 1; the bound does not apply"
-        )
     value = complex(spec.char_table[value_grid(f)].sum())
     bound = (c - 1) * math.sqrt(spec.q)
     ok = bool(abs(value) <= bound + 1e-9) if hyp_ok else None

@@ -4,14 +4,23 @@ factored_phase_sum gives one entry of the factored phase table as a product
 of Python complex numbers, per_axis_transform computes the grid transform
 by tensordot passes over F-order axes, a layout of its own,
 per_fiber_peaks gives decay's fiber peaks from one whole transform a fiber,
-and dict_sample_indices runs the sampling shuffle one step at a time."""
+fiber_peaks_by_phase_identity gives them from the phase sums instead, with
+no transform, and dict_sample_indices runs the sampling shuffle one step at
+a time."""
 
 import numpy as np
 
 from ffdist.errors import ArityMismatch
-from ffdist.field import add_table, mul_table, neg_table, pow_table
+from ffdist.field import add_table, decode_points, mul_table, neg_table, pow_table
 from ffdist.fourier import ComplexGrid, fourier_transform
-from ffdist.varieties import DIAGONAL, PointSet, points_from_coords, value_grid
+from ffdist.varieties import (
+    DIAGONAL,
+    PointSet,
+    _direct_phase_table,
+    make_polynomial,
+    points_from_coords,
+    value_grid,
+)
 
 
 def evaluate(P, x) -> int:
@@ -88,6 +97,51 @@ def per_fiber_peaks(P, ts):
         am = int(np.argmax(mag))
         out.append((t, max(float(mag[am]), 0.0), am))
     return out
+
+
+def fiber_peaks_by_phase_identity(P):
+    """max_{m != 0} |V_t^(m)| for t = 0..q-1, by the counting identity
+    V_t^(m) = q^(-d-1) sum_{s != 0} chi(-s*t) S(s, -m)  (m != 0),
+    S(s, m) = sum_x chi(s*P(x) + m*x), instead of a transform of the fiber.
+
+    For separable P = c + f_1(x_1) + ... + f_d(x_d), S(s, m) is chi(s*c)
+    times the product of the univariate _direct_phase_tables of the f_j
+    at m_j (a variable without terms contributes q*[m_j = 0]).  -m runs
+    over the nonzero frequencies as m does, so the maxima read S at m.
+    S is built a block of m columns at a time, each (q, block) complex
+    array within 4 MiB, so no (q-1) q^d table is held."""
+    spec, d, q = P.spec, P.d, P.spec.q
+    mt, neg = mul_table(spec), neg_table(spec)
+    const, parts = 0, [[] for _ in range(d)]
+    for coeff, exps in P.terms:
+        live = [j for j, e in enumerate(exps) if e]
+        if len(live) > 1:
+            raise ArityMismatch("the phase identity needs a separable polynomial")
+        if live:
+            parts[live[0]].append((coeff, (exps[live[0]],)))
+        else:
+            const = coeff
+    s = np.arange(1, q)
+    lead = spec.char_table[mt[s, const]]  # chi(s*c)
+    tables = [
+        _direct_phase_table(make_polynomial(spec, 1, terms)) if terms
+        else np.broadcast_to(np.where(np.arange(q) == 0, float(q), 0.0), (q - 1, q))
+        for terms in parts
+    ]
+    chi_st = spec.char_table[neg[mt[np.arange(q)[:, None], s]]]  # (t, s): chi(-s*t)
+    n = q**d
+    cols = max(1, (4 << 20) // (16 * q))
+    peaks = np.zeros(q)
+    for lo in range(0, n, cols):
+        m = decode_points(spec, np.arange(lo, min(lo + cols, n)), d)
+        S = np.repeat(lead[:, None], len(m), axis=1)
+        for j, table in enumerate(tables):
+            S *= table[:, m[:, j]]
+        mag = np.abs(chi_st @ S)
+        if lo == 0:
+            mag[:, 0] = 0.0  # the zero frequency
+        np.maximum(peaks, mag.max(axis=1), out=peaks)
+    return peaks / float(q) ** (d + 1)
 
 
 def dict_sample_indices(rng, population, k):

@@ -10,7 +10,8 @@ import numpy as np
 
 from ffdist.cli import main
 from ffdist.distances import (
-    counting_function,
+    _convolution_counts,
+    _pair_counts,
     distance_set,
     paraboloid_lift,
     pinned_distances,
@@ -23,6 +24,7 @@ from ffdist.harness import build_set
 from ffdist.rng import SplitMix64, derive_seed, sample_indices
 from ffdist.varieties import (
     PointSet,
+    characteristic_divides_exponent,
     decay_spectrum,
     diagonal_polynomial,
     full_grid,
@@ -90,8 +92,8 @@ def test_criterion_02_counting_oracle_equivalence():
             E, F = _random_pair(spec, 2, size_e, size_f, seed=derive_seed(2, q, pair))
             for text in polys:
                 P = parse_polynomial(text, spec, 2)
-                direct = counting_function(P, E, F, "direct")
-                transform = counting_function(P, E, F, "fourier")
+                direct = _pair_counts(P, E, F)
+                transform = _convolution_counts(P, E, F)
                 assert np.array_equal(direct.counts, transform.counts)
                 checked += 1
     elapsed = time.perf_counter() - started
@@ -131,7 +133,8 @@ def test_criterion_04_decay_constants_with_regression_pin():
                 spec = make_field(q)
                 assert s % spec.p != 0
                 P = diagonal_polynomial(spec, d, s)
-                entries = decay_spectrum(P, check_characteristic=True)
+                assert not characteristic_divides_exponent(P)
+                entries = decay_spectrum(P)
                 max_cs = max(e.c_sharp for e in entries if e.t != 0)
                 cf_zero = entries[0].c_fallback
                 if s == 2:

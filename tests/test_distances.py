@@ -6,6 +6,8 @@ import pytest
 
 from ffdist.errors import DimensionMismatch, EmptySet, MixedFields, ZeroPolynomial
 from ffdist.distances import (
+    _convolution_counts,
+    _pair_counts,
     _pinned_convolution_sizes,
     _pinned_pair_sizes,
     _use_transform,
@@ -182,8 +184,8 @@ class TestCounting:
         for seed in range(5):
             E = random_set(F7, 2, 8 + seed, seed=100 + seed)
             F = random_set(F7, 2, 14 - seed, seed=200 + seed)
-            direct = counting_function(P, E, F, "direct")
-            transform = counting_function(P, E, F, "fourier")
+            direct = _pair_counts(P, E, F)
+            transform = _convolution_counts(P, E, F)
             assert np.array_equal(direct.counts, transform.counts)
 
     def test_support_is_distance_set(self):
@@ -191,11 +193,6 @@ class TestCounting:
         E = random_set(F5, 2, 6, seed=9)
         F = random_set(F5, 2, 9, seed=10)
         assert counting_function(P, E, F).support() == distance_set(P, E, F)
-
-    def test_unknown_method_rejected(self):
-        P = parse_polynomial("x1^2", F5, 1)
-        with pytest.raises(ValueError):
-            counting_function(P, full_grid(F5, 1), full_grid(F5, 1), "magic")
 
 
 class TestPinned:
@@ -253,8 +250,8 @@ class TestRoutes:
         spec = field_from_order(q)
         P = parse_polynomial(ROUTE_POLYS[d], spec, d)
         for E, F in _route_cases(spec, d):
-            direct = counting_function(P, E, F, "direct")
-            fourier = counting_function(P, E, F, "fourier")
+            direct = _pair_counts(P, E, F)
+            fourier = _convolution_counts(P, E, F)
             assert (direct.route, fourier.route) == ("direct", "fourier")
             assert direct.counts.dtype == fourier.counts.dtype == np.int64
             assert np.array_equal(direct.counts, fourier.counts)
@@ -296,8 +293,8 @@ class TestRoutes:
             sizes = st.integers(1, min(n, 60))
             E = random_set(spec, d, data.draw(sizes), seed=data.draw(st.integers(0, 10**6)))
             F = random_set(spec, d, data.draw(sizes), seed=data.draw(st.integers(0, 10**6)))
-            direct = counting_function(P, E, F, "direct")
-            assert np.array_equal(direct.counts, counting_function(P, E, F, "fourier").counts)
+            direct = _pair_counts(P, E, F)
+            assert np.array_equal(direct.counts, _convolution_counts(P, E, F).counts)
             assert direct.total() == E.size * F.size
             pinned = _pinned_pair_sizes(P, E, F)
             assert np.array_equal(pinned, _pinned_convolution_sizes(P, E, F))
@@ -312,7 +309,7 @@ class TestRoutes:
         E = random_set(spec, d, min(spec.q**d, 40), seed=38)
         F = random_set(spec, d, min(spec.q**d, 25), seed=39)
         whole = list(distances._pair_value_blocks(P, E, F))
-        counts = counting_function(P, E, F, "direct").counts
+        counts = _pair_counts(P, E, F).counts
         pinned = _pinned_pair_sizes(P, E, F)
         assert [b.shape for b in whole] == [(F.size, E.size)]
         assert E.size >= spec.q  # each pin's add_table row is gathered
@@ -324,7 +321,7 @@ class TestRoutes:
             starts = range(0, F.size, rows)
             assert [len(b) for b in blocks] == [min(rows, F.size - i) for i in starts]
             assert np.array_equal(np.concatenate(blocks), whole[0])
-            assert np.array_equal(counting_function(P, E, F, "direct").counts, counts)
+            assert np.array_equal(_pair_counts(P, E, F).counts, counts)
             assert np.array_equal(_pinned_pair_sizes(P, E, F), pinned)
 
     def test_pair_blocks_of_a_small_E_stay_within_the_byte_cap(self, monkeypatch):
@@ -362,7 +359,7 @@ class TestRoutes:
         add_table(spec), mul_table(spec), neg_table(spec), value_grid(P)
         tracemalloc.start()
         try:
-            counting_function(P, E, F, "direct")
+            _pair_counts(P, E, F)
             pinned_distances(P, E, F)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -392,7 +389,7 @@ class TestRoutes:
         spec = make_field(101)
         P = parse_polynomial("x1^2 + x2^2 + x3^2", spec, 3)
         E = full_grid(spec, 3)
-        nu = counting_function(P, E, E, "fourier")
+        nu = _convolution_counts(P, E, E)
         assert nu.route == "fourier"
         assert 0.0 <= nu.residual < 1e-6
         assert np.array_equal(nu.counts, spec.q**3 * np.bincount(value_grid(P), minlength=101))
@@ -426,7 +423,6 @@ class TestRoutes:
         assert counting_function(P, E, E).route == "fourier"
         pin = points_from_coords(F13, 2, [[1, 2]])
         assert counting_function(P, pin, E).route == "direct"
-        assert counting_function(P, pin, E, "auto").route == "direct"
 
 
 class TestLift:

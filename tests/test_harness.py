@@ -415,6 +415,23 @@ class TestRunners:
         assert code == 0
         assert summary["product"]["size_E_star"] == 5
 
+    @pytest.mark.parametrize(
+        "sets, missing",
+        [
+            ({"setE": "all"}, "setF"),
+            ({"setF": "all"}, "setE"),
+            ({"setE2": "all", "setF2": "all"}, "setE"),
+            ({"setE": "all", "setF": "all", "setE2": "all"}, "setF2"),
+        ],
+    )
+    def test_lift_refuses_a_set_without_its_partner(self, capsys, sets, missing):
+        # a set without its partner is refused, not dropped
+        with pytest.raises(ConfigError, match=f"^--{missing} is required here$"):
+            run("lift", ExperimentConfig(q=7, d=1, poly="x1^3", **sets))
+        flags = [arg for name, value in sets.items() for arg in (f"--{name}", value)]
+        assert main(["lift", "--q", "7", "--d", "1", "--poly", "x1^3", *flags]) == 2
+        assert capsys.readouterr().err == f"config error: --{missing} is required here\n"
+
     def test_distance_missing_sets_is_config_error(self):
         with pytest.raises(ConfigError):
             run("distance", ExperimentConfig(q=7, d=2, poly="x1^2+x2^2"))
@@ -504,6 +521,30 @@ class TestRunners:
                 want.append(f"5,2,x1^2+x2^3,{s},{m},{a!r},{a / 5.0!r}")
         assert lines[1:] == want
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["weil", "--q", "1000003", "--d", "1", "--poly", "x1^3+x1"],
+            ["decay", "--q", "1000003", "--d", "1", "--poly", "x1^3"],
+            ["field-check", "--p", "1000003"],
+        ],
+    )
+    def test_an_oversize_field_is_refused_before_any_table(self, capsys, monkeypatch, argv):
+        # the q x q add and mul tables of F_1000003 would take 14.6 TiB
+        from ffdist import distances, field, fourier, harness, varieties
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a table was built for an oversize field")
+
+        for module in (field, fourier, varieties, distances, harness):
+            for name in ("add_table", "mul_table", "neg_table", "pow_table", "_log_antilog"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, unreachable)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: the tables of F_1000003 hold ") and err.count("\n") == 1
+        assert "GiB" in err
+
     def test_phase_refuses_an_oversize_table_before_building_grids(self, monkeypatch):
         from ffdist import harness, varieties
 
@@ -563,8 +604,8 @@ class TestRunners:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert code == 0 and len(stated) == 1
-        assert 8 * q ** (d + 1) <= peak <= stated[0]  # the grid of H was built and counted
+        assert code == 0 and stated[:1] == [16 * q**2] and len(stated) == 2  # the field, then lift
+        assert 8 * q ** (d + 1) <= peak <= stated[1]  # the grid of H was built and counted
 
     @pytest.mark.parametrize("q, d, pad", [(19, 3, 0), (61, 2, 0), (101, 2, 0), (19, 3, 20), (61, 2, 20)])
     def test_phase_memory_check_covers_the_measured_peak(self, monkeypatch, tmp_path, q, d, pad):
@@ -585,8 +626,9 @@ class TestRunners:
         finally:
             tracemalloc.stop()
         sums = (q - 1) * q**d
-        assert code == 0 and summary["rows_written"] == sums and len(stated) == 1
-        assert 16 * sums <= peak <= stated[0]  # the complex table was built and counted
+        assert code == 0 and summary["rows_written"] == sums
+        assert stated[:1] == [16 * q**2] and len(stated) == 2  # the field, then phase
+        assert 16 * sums <= peak <= stated[1]  # the complex table was built and counted
 
     def test_phase_releases_its_table_before_emission(self, tmp_path):
         # at F_101^2 only the four CSV columns (32 B an entry) and the
@@ -861,8 +903,6 @@ class TestCli:
     )
     def test_every_error_class_maps_to_its_exit_code(self, capsys, monkeypatch, cls):
         expected = {
-            errors.CharacteristicDividesExponent: (3, "hypothesis violation"),
-            errors.DegreeSharesCharacteristic: (3, "hypothesis violation"),
             errors.IsoUnavailable: (3, "hypothesis violation"),
             errors.RoundingDivergence: (4, "numeric failure"),
         }.get(cls, (2, "config error"))

@@ -8,8 +8,6 @@ import pytest
 
 from ffdist.errors import (
     ArityMismatch,
-    CharacteristicDividesExponent,
-    DegreeSharesCharacteristic,
     DimensionMismatch,
     PolynomialSyntaxError,
     VariableOutOfRange,
@@ -19,7 +17,7 @@ from ffdist.field import _is_irreducible, decode_point, field_from_order, make_f
 from ffdist.distances import product_set_experiment
 from ffdist.fourier import fourier_transform, indicator_grid
 from ffdist.harness import ExperimentConfig, run
-from ffdist import varieties
+from ffdist import characteristic_divides_exponent, varieties
 from ffdist.varieties import (
     DIAGONAL,
     PointSet,
@@ -42,7 +40,12 @@ from ffdist.varieties import (
     weil_sum,
 )
 
-from oracles import evaluate, factored_phase_sum, per_fiber_peaks
+from oracles import (
+    evaluate,
+    factored_phase_sum,
+    fiber_peaks_by_phase_identity,
+    per_fiber_peaks,
+)
 
 F5 = make_field(5)
 F7 = make_field(7)
@@ -332,12 +335,32 @@ class TestDecay:
             tracemalloc.stop()
         assert peak <= 64 * q**d
 
+    @pytest.mark.parametrize(
+        "q, d, text",
+        [
+            (61, 3, "x1^2+x2^2+x3^2"),
+            (31, 3, "x1^2+x2^2+x3^2+x1"),
+            (101, 2, "x1^3+2*x2^5+x1"),
+            (211, 2, "x1^2+x2^2"),
+        ],
+    )
+    def test_fiber_peaks_match_the_phase_identity(self, q, d, text):
+        # an oracle that runs no transform pass, at benchmark sizes
+        P = parse_polynomial(text, field_from_order(q), d)
+        want = fiber_peaks_by_phase_identity(P)
+        entries = decay_spectrum(P)
+        got = [e.max_nonzero_freq for e in entries]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        classes = [varieties._decay_class(mx, q, d, 3.0, 3.0)[2] for mx in want]
+        expected = split_fibers(P, [e.variety_size for e in entries], classes)
+        report = exceptional_set(P)
+        assert (report.T, report.A) == (expected.T, expected.A)
+
     def test_characteristic_check(self):
         F4 = make_field(2, 2)
         P = diagonal_polynomial(F4, 2, 2)
-        with pytest.raises(CharacteristicDividesExponent):
-            decay_spectrum(P, check_characteristic=True)
-        # without the check the spectrum is still computed
+        assert characteristic_divides_exponent(P)
+        # the hypothesis is reported, and the spectrum is still computed
         assert len(decay_spectrum(P)) == 4
 
 
@@ -521,8 +544,6 @@ class TestWeilSum:
         res = weil_sum(parse_polynomial("x1^2", F4, 1))
         assert res.ok is None
         assert not res.hypothesis_ok
-        with pytest.raises(DegreeSharesCharacteristic):
-            weil_sum(parse_polynomial("x1^2", F4, 1), require_hypothesis=True)
 
     def test_multivariate_rejected(self):
         with pytest.raises(ArityMismatch):

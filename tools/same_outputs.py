@@ -70,6 +70,13 @@ ERROR_CASES = (
     f"decay {QUAD} --kappa-fallback nan",
     # rejected with exit 2 since an unwritable --out is a configuration error
     f"decay {QUAD} --out points.txt/decay",
+    # rejected with exit 2 (not 1, numpy's allocation traceback) since a field
+    # whose q x q tables cannot fit is refused; at this q a tree without the
+    # check fails its table request at once instead of allocating
+    "weil --q 1000003 --d 1 --poly x1^3+x1",
+    "decay --q 1000003 --d 1 --poly x1^3",
+    # rejected with exit 2 (not 0) since lift refuses a set without its partner
+    "lift --q 7 --d 1 --poly x1^3 --setE all",
 )
 
 
