@@ -16,20 +16,46 @@ methods are the independent reference, which nothing here calls while
 building: the tests and `field-check` compare the tables with them.  The
 character table chi(a) = exp(2*pi*i * Tr(a) / p) is built once per field,
 and every sum kernel indexes it.
+
+One size rule decides which fields exist, _require_tables_fit: the q x q
+add and mul tables must fit in memory.  It runs before any other work.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product as _iter_product
 
 import numpy as np
 
-from .errors import DegreeOutOfRange, NonPrime, ReducibleModulus
+from .errors import ConfigError, DegreeOutOfRange, NonPrime, ReducibleModulus
 
-MAX_EXTENSION_DEGREE = 4
+
+def _require_memory(need: int, holds: str):
+    """Refuse a request whose peak bytes `need` exceed this machine's
+    physical memory, before anything is built.  `holds` says what the
+    request holds."""
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ConfigError(
+            f"{holds}, about {need / 2**30:.1f} GiB, "
+            f"but this machine has {have / 2**30:.1f} GiB"
+        )
+
+
+def _require_tables_fit(p: int, n: int = 1) -> int:
+    """q = p^n, once its q x q add and mul tables (16 q^2 bytes) fit in
+    memory.  No memory comes near them from q = 2^64 on, so such a q is
+    refused before p is raised to n."""
+    if (abs(p).bit_length() - 1) * n >= 64:
+        order = p if n == 1 else f"{p}^{n}"
+        raise ConfigError(f"the tables of F_{order} hold over 2^129 entries")
+    q = p**n
+    _require_memory(16 * q**2, f"the tables of F_{q} hold {2 * q**2} entries")
+    return q
 
 
 def _prime_factors(m: int) -> dict[int, int]:
@@ -73,7 +99,8 @@ def _poly_rem(num, den, p):
 
 
 def _is_irreducible(coeffs, p) -> bool:
-    """No monic divisor of degree 1..n//2; degree <= 4 keeps the search cheap."""
+    """No monic divisor of degree 1..n//2.  The table rule keeps the search
+    cheap: p^(n/2) <= q^(1/2), at most (memory / 16)^(1/4) divisors."""
     n = _poly_degree(coeffs)
     return n > 0 and all(
         any(_poly_rem(coeffs, lower + (1,), p))
@@ -181,17 +208,16 @@ class FieldSpec:
         assert acc < self.p, "trace left the prime subfield"
         return acc
 
-    def chi(self, a: int) -> complex:
-        return complex(self.char_table[a])
-
 
 def make_field(p: int, n: int = 1, modulus=None) -> FieldSpec:
     """Build F_{p^n}, selecting the lexicographically smallest monic
-    irreducible modulus when one is not supplied (n > 1)."""
+    irreducible modulus when one is not supplied (n > 1).  A field whose
+    tables cannot fit is refused first."""
+    if n < 1:
+        raise DegreeOutOfRange(f"extension degree {n} is below 1")
+    q = _require_tables_fit(p, n)
     if not is_prime(p):
         raise NonPrime(f"p = {p} is not prime")
-    if not 1 <= n <= MAX_EXTENSION_DEGREE:
-        raise DegreeOutOfRange(f"extension degree {n} outside 1..{MAX_EXTENSION_DEGREE}")
     if modulus is not None:
         mod = tuple(int(c) % p for c in modulus)
         if len(mod) != n + 1 or mod[-1] != 1:
@@ -202,7 +228,7 @@ def make_field(p: int, n: int = 1, modulus=None) -> FieldSpec:
         mod = _smallest_irreducible(p, n) if n > 1 else None
     if n == 1:
         mod = None  # a degree-1 modulus carries no information
-    spec = FieldSpec(p=p, n=n, q=p**n, modulus=mod)
+    spec = FieldSpec(p=p, n=n, q=q, modulus=mod)
     digits, _ = _digits(spec)  # Tr is F_p-linear: Tr(x^i) = tr(X^i) fixes it
     traces = digits @ np.trace(_basis_matrices(spec), axis1=1, axis2=2) % p
     object.__setattr__(spec, "trace_table", _frozen(traces))
@@ -211,7 +237,9 @@ def make_field(p: int, n: int = 1, modulus=None) -> FieldSpec:
 
 
 def field_from_order(q: int) -> FieldSpec:
-    """Resolve a prime power q = p^n into a field (smallest prime factor wins)."""
+    """Resolve a prime power q = p^n into a field (smallest prime factor
+    wins).  A q whose tables cannot fit is refused before it is factored."""
+    _require_tables_fit(q)
     factors = _prime_factors(q)
     if len(factors) != 1:
         raise NonPrime(f"q = {q} is not a prime power")
@@ -350,12 +378,3 @@ def encode_points(spec: FieldSpec, coords) -> np.ndarray:
         enc += coords[..., j] * w
         w *= spec.q
     return enc
-
-
-def decode_point(spec: FieldSpec, idx: int, d: int) -> tuple[int, ...]:
-    return tuple(int(c) for c in decode_points(spec, np.array([idx]), d)[0])
-
-
-def encode_point(spec: FieldSpec, coords) -> int:
-    return int(encode_points(spec, np.asarray(coords, dtype=np.int64)))
-

@@ -59,16 +59,6 @@ class ComplexGrid:
             )
 
 
-def zeros_grid(spec: FieldSpec, d: int) -> ComplexGrid:
-    return ComplexGrid(spec, d, np.zeros(spec.q**d, dtype=np.complex128))
-
-
-def indicator_grid(spec: FieldSpec, d: int, indices) -> ComplexGrid:
-    values = np.zeros(spec.q**d, dtype=np.complex128)
-    values[np.asarray(indices, dtype=np.int64)] = 1.0
-    return ComplexGrid(spec, d, values)
-
-
 @lru_cache(maxsize=8)
 def _forward_kernel(spec: FieldSpec) -> np.ndarray:
     """K[m, x] = chi(-x*m)."""

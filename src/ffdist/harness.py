@@ -14,7 +14,6 @@ import datetime
 import io
 import json
 import math
-import os
 from collections import namedtuple
 from dataclasses import astuple, dataclass, fields
 from pathlib import Path
@@ -24,6 +23,7 @@ import numpy as np
 from .errors import ConfigError, IsoUnavailable
 from .field import (
     FieldSpec,
+    _require_memory,
     add_table,
     field_from_order,
     make_field,
@@ -116,15 +116,12 @@ class ExperimentConfig:
             raise ConfigError("--q cannot be combined with --p, --n or --modulus")
 
     def resolve_field(self) -> FieldSpec:
-        """The field, once its add and mul tables fit in memory: every
-        runner builds mul_table and add_table or the transform kernel."""
+        """The field; make_field and field_from_order refuse one whose add
+        and mul tables cannot fit, which every runner builds."""
         self.validate()
         if self.p is not None:
-            spec = make_field(self.p, self.n, self.modulus)
-        else:
-            spec = field_from_order(self.q)
-        _require_memory(16 * spec.q**2, f"the tables of F_{spec.q} hold {2 * spec.q**2} entries")
-        return spec
+            return make_field(self.p, self.n, self.modulus)
+        return field_from_order(self.q)
 
 
 def require(cfg: ExperimentConfig, *names: str):
@@ -134,9 +131,15 @@ def require(cfg: ExperimentConfig, *names: str):
 
 
 def _field_and_poly(cfg: ExperimentConfig) -> tuple[FieldSpec, Polynomial]:
-    """The field and the parsed --poly, the preamble of every runner that takes one."""
+    """The field and the parsed --poly, the preamble of every runner that
+    takes one.  Each builds the q^d value grid of P, 8 bytes a point, so a
+    grid that cannot fit is refused first (at d >= 64 no memory comes near)."""
     spec = cfg.resolve_field()
     require(cfg, "poly")
+    q, d = spec.q, cfg.d
+    if d >= 64:
+        raise ConfigError(f"the value grid of F_{q}^{d} holds over 2^64 values")
+    _require_memory(8 * q**d, f"the value grid of F_{q}^{d} holds {q**d} values")
     return spec, parse_polynomial(cfg.poly, spec, cfg.d)
 
 
@@ -543,18 +546,6 @@ def run_weil(cfg: ExperimentConfig):
         "hypothesis_ok": res.hypothesis_ok,
     }
     return 0, summary, None
-
-
-def _require_memory(need: int, holds: str):
-    """Refuse a request whose peak bytes `need` exceed this machine's
-    physical memory; runners call it before any grid or table is built.
-    `holds` says what the request holds."""
-    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > have:
-        raise ConfigError(
-            f"{holds}, about {need / 2**30:.1f} GiB, "
-            f"but this machine has {have / 2**30:.1f} GiB"
-        )
 
 
 # Peak bytes of run_phase and emit, under tracemalloc: per (s, m) entry,

@@ -287,7 +287,7 @@ class ExceptionalReport:
     T: frozenset
     A: frozenset
     band: tuple[float, float]
-    vu_bound_ok: bool | None  # |T| <= degree-1, when d=2 and user asserts non-degeneracy
+    vu_bound_ok: bool | None  # d = 2: |T| <= degree-1, Vu's bound for non-degenerate P
     size_hypothesis_droppable: bool  # A empty: the |E||F| >= C*q^d hypothesis can go
 
 
@@ -310,13 +310,7 @@ def _decay_class(mx: float, q: int, d: int, kappa_sharp: float, kappa_fallback: 
     return c_sharp, c_fallback, "bad"
 
 
-def split_fibers(
-    P: Polynomial,
-    sizes,
-    classes,
-    *,
-    nondegenerate: bool = False,
-) -> ExceptionalReport:
+def split_fibers(P: Polynomial, sizes, classes) -> ExceptionalReport:
     """T = fibers failing sharp decay or the expected-size band (SIZE_BAND);
     A = fibers with only fallback decay.  sizes[t] and classes[t] are
     |V_t| and its decay classification, for t = 0..q-1."""
@@ -328,9 +322,7 @@ def split_fibers(
         if cls != "sharp" or not lo <= size <= hi
     )
     A = frozenset(t for t, cls in enumerate(classes) if cls == "fallback")
-    vu_ok = None
-    if d == 2 and nondegenerate:
-        vu_ok = len(T) <= P.degree - 1
+    vu_ok = len(T) <= P.degree - 1 if d == 2 else None
     return ExceptionalReport(
         T=T, A=A, band=(lo, hi), vu_bound_ok=vu_ok, size_hypothesis_droppable=not A
     )
@@ -454,8 +446,6 @@ def exceptional_set(
     P: Polynomial,
     kappa_sharp: float = 3.0,
     kappa_fallback: float = 3.0,
-    *,
-    nondegenerate: bool = False,
 ) -> ExceptionalReport:
     """split_fibers of P's fibers, with one transform per scaling coset
     (_scaling_cosets): the smallest t of each coset speaks for all of it."""
@@ -467,7 +457,7 @@ def exceptional_set(
     peak = {labels[t]: mx for t, mx, _ in _fiber_peaks(P, first.values())}
     classes = [_decay_class(peak[label], q, d, kappa_sharp, kappa_fallback)[2] for label in labels]
     sizes = np.bincount(value_grid(P), minlength=q)
-    return split_fibers(P, sizes, classes, nondegenerate=nondegenerate)
+    return split_fibers(P, sizes, classes)
 
 
 # ---------------------------------------------------------------------------

@@ -7,15 +7,13 @@ holds."""
 import numpy as np
 import pytest
 
-from ffdist.field import decode_point, make_field
+from ffdist.field import decode_points, make_field
 from ffdist.fourier import (
     ComplexGrid,
     _passes,
     fourier_transform,
-    indicator_grid,
     inverse_transform,
     plancherel_residual,
-    zeros_grid,
 )
 from ffdist.rng import SplitMix64
 from ffdist.varieties import parse_polynomial, value_grid
@@ -26,14 +24,14 @@ def reference_transform(spec, d, values):
     """Direct O(q^(2d)) transform; independent of the axis-factored path."""
     q = spec.q
     out = np.zeros(q**d, dtype=np.complex128)
-    points = [decode_point(spec, i, d) for i in range(q**d)]
+    points = [decode_points(spec, i, d).tolist() for i in range(q**d)]
     for mi, m in enumerate(points):
         acc = 0j
         for xi, x in enumerate(points):
             dot = 0
             for xj, mj in zip(x, m):
                 dot = spec.add(dot, spec.mul(xj, mj))
-            acc += values[xi] * spec.chi(spec.neg(dot))
+            acc += values[xi] * spec.char_table[spec.neg(dot)]
         out[mi] = acc / q**d
     return out
 
@@ -51,7 +49,7 @@ def random_grid(spec, d, rng, bounded=True):
 class TestForward:
     def test_origin_indicator_is_flat(self):
         F = make_field(7)
-        fh = fourier_transform(indicator_grid(F, 2, [0]))
+        fh = fourier_transform(ComplexGrid(F, 2, np.arange(49) == 0))
         assert np.allclose(fh.values, 1 / 49, atol=1e-12)
 
     def test_constant_one_concentrates_at_zero(self):
@@ -63,7 +61,7 @@ class TestForward:
     def test_zero_frequency_is_density(self):
         F = make_field(7)
         idx = [3, 11, 12, 40]
-        fh = fourier_transform(indicator_grid(F, 2, idx))
+        fh = fourier_transform(ComplexGrid(F, 2, np.isin(np.arange(49), idx)))
         assert abs(fh.values[0] - len(idx) / 49) < 1e-12
 
     def test_linearity(self):
@@ -81,28 +79,28 @@ class TestInverse:
     def test_single_frequency_gives_character(self):
         F = make_field(7)
         m0 = 9  # (2, 1)
-        g = zeros_grid(F, 2)
+        g = ComplexGrid(F, 2, np.zeros(49))
         g.values[m0] = 1.0
         f = inverse_transform(g)
         for xi in range(49):
-            x = decode_point(F, xi, 2)
-            m = decode_point(F, m0, 2)
+            x = decode_points(F, xi, 2).tolist()
+            m = decode_points(F, m0, 2).tolist()
             dot = 0
             for xj, mj in zip(x, m):
                 dot = F.add(dot, F.mul(xj, mj))
-            assert abs(f.values[xi] - F.chi(dot)) < 1e-12
+            assert abs(f.values[xi] - F.char_table[dot]) < 1e-12
 
     def test_roundtrip_random_ten_point_indicator(self):
         F = make_field(7)
         rng = SplitMix64(3)
         idx = sorted({rng.below(49) for _ in range(20)})[:10]
-        f = indicator_grid(F, 2, idx)
+        f = ComplexGrid(F, 2, np.isin(np.arange(49), idx))
         back = inverse_transform(fourier_transform(f))
         assert np.max(np.abs(back.values - f.values)) < 1e-9
 
     def test_zero_grid(self):
         F = make_field(5)
-        assert np.all(inverse_transform(zeros_grid(F, 2)).values == 0)
+        assert np.all(inverse_transform(ComplexGrid(F, 2, np.zeros(25))).values == 0)
 
     @pytest.mark.parametrize("p,n,d", [(3, 1, 2), (7, 1, 2), (3, 2, 2), (5, 1, 3)])
     def test_roundtrip_random_grids(self, p, n, d):
@@ -150,7 +148,7 @@ class TestEnergy:
 
     def test_singleton(self):
         F = make_field(5)
-        f = indicator_grid(F, 2, [7])
+        f = ComplexGrid(F, 2, np.arange(25) == 7)
         fh = fourier_transform(f)
         assert abs(np.sum(np.abs(fh.values) ** 2) - 1 / 25) < 1e-12
         assert plancherel_residual(f) < 1e-12
@@ -159,7 +157,7 @@ class TestEnergy:
         F = make_field(3, 2)
         rng = SplitMix64(5)
         idx = sorted({rng.below(81) for _ in range(30)})
-        f = indicator_grid(F, 2, idx)
+        f = ComplexGrid(F, 2, np.isin(np.arange(81), idx))
         # both sides evaluated independently
         fh = fourier_transform(f)
         lhs = float(np.sum(np.abs(fh.values) ** 2))
@@ -210,7 +208,8 @@ CASES = [
 def oracle_grids(spec, d):
     rng = SplitMix64(spec.q * 10 + d)
     grids = [random_grid(spec, d, rng) for _ in range(3)]
-    grids += [fourier_transform(indicator_grid(spec, d, range(k, spec.q**d, 3))) for k in range(3)]
+    thirds = np.arange(spec.q**d) % 3
+    grids += [fourier_transform(ComplexGrid(spec, d, thirds == k)) for k in range(3)]
     return grids
 
 

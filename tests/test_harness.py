@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 from ffdist import errors
-from ffdist.cli import main
+from ffdist.cli import build_parser, config_from_args, main
 from ffdist.errors import ConfigError, IsoUnavailable
-from ffdist.field import decode_point, field_from_order, make_field
+from ffdist.field import decode_points, field_from_order, make_field
 from ffdist.harness import RUNNERS, ExperimentConfig, Table, _random_grid, build_set, emit, run
 from ffdist.rng import SplitMix64, derive_seed, sample_indices
 from ffdist.varieties import _phase_table, parse_polynomial, phase_sum, variety
@@ -497,7 +497,7 @@ class TestRunners:
         best, bs, bm = -1.0, 0, 0
         for s in range(1, q):
             for m in range(q**d):
-                a = abs(scalar(P, s, decode_point(spec, m, d)))
+                a = abs(scalar(P, s, decode_points(spec, m, d).tolist()))
                 if a > best:
                     best, bs, bm = a, s, m
         code, summary = run("phase", ExperimentConfig(q=q, d=d, poly=poly))
@@ -517,7 +517,7 @@ class TestRunners:
         want = []
         for s in range(1, 5):
             for m in range(25):
-                a = abs(factored_phase_sum(P, s, decode_point(P.spec, m, 2)))
+                a = abs(factored_phase_sum(P, s, decode_points(P.spec, m, 2).tolist()))
                 want.append(f"5,2,x1^2+x2^3,{s},{m},{a!r},{a / 5.0!r}")
         assert lines[1:] == want
 
@@ -544,6 +544,71 @@ class TestRunners:
         err = capsys.readouterr().err
         assert err.startswith("config error: the tables of F_1000003 hold ") and err.count("\n") == 1
         assert "GiB" in err
+
+    @pytest.mark.parametrize(
+        "argv, order",
+        [
+            (["weil", "--q", "100000007", "--d", "1", "--poly", "x1^3"], "100000007"),
+            (["weil", "--q", str(10**18 + 3), "--d", "1", "--poly", "x1^3"], str(10**18 + 3)),
+            (["field-check", "--p", str(10**18 + 3)], str(10**18 + 3)),
+            (["field-check", "--p", "2", "--n", "100"], "2^100"),
+        ],
+    )
+    def test_an_oversize_field_is_refused_before_any_factoring(
+        self, capsys, monkeypatch, argv, order
+    ):
+        # without the table rule first, trial division of q or p alone takes
+        # seconds (10^8) to hours (10^18)
+        from ffdist import field
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("an oversize field was factored or searched")
+
+        for name in ("_prime_factors", "is_prime", "_smallest_irreducible", "_digits"):
+            monkeypatch.setattr(field, name, unreachable)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: the tables of F_{order} hold ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("p, n", [(2, 5), (2, 8), (3, 6)])
+    def test_field_check_passes_past_degree_four(self, capsys, p, n):
+        assert main(["field-check", "--p", str(p), "--n", str(n)]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["q"] == p**n and summary["pass"] is True
+
+    @pytest.mark.parametrize(
+        "argv, grid",
+        [
+            ("decay --q 101 --d 5 --poly x1^2+x2^2", "F_101^5 holds 10510100501 values"),
+            (
+                "distance --q 101 --d 10 --poly x1^2 --setE random:5 --setF random:5",
+                "F_101^10 holds 110462212541120451001 values",
+            ),
+            ("pinned --q 2 --d 64 --poly x1^2 --setE all --setF all", "F_2^64 holds over 2^64 values"),
+        ],
+    )
+    def test_an_oversize_value_grid_is_refused_before_it_is_built(
+        self, capsys, monkeypatch, argv, grid
+    ):
+        # decay's grid at F_101^5 would take 78.3 GiB; numpy's refusal exited 1
+        from ffdist import distances, harness, varieties
+
+        argv = argv.split()
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a grid was built for an oversize value grid")
+
+        for module, name in (
+            (varieties, "value_grid"), (harness, "value_grid"), (distances, "value_grid"),
+            (harness, "build_pair"), (harness, "parse_polynomial"),
+        ):
+            monkeypatch.setattr(module, name, unreachable)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: the value grid of {grid}")
+        assert err.count("\n") == 1
+        with pytest.raises(ConfigError, match="^the value grid of "):
+            run(argv[0], config_from_args(build_parser().parse_args(argv)))
 
     def test_phase_refuses_an_oversize_table_before_building_grids(self, monkeypatch):
         from ffdist import harness, varieties
@@ -604,7 +669,7 @@ class TestRunners:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert code == 0 and stated[:1] == [16 * q**2] and len(stated) == 2  # the field, then lift
+        assert code == 0 and stated[:1] == [8 * q**d] and len(stated) == 2  # P's grid, then lift
         assert 8 * q ** (d + 1) <= peak <= stated[1]  # the grid of H was built and counted
 
     @pytest.mark.parametrize("q, d, pad", [(19, 3, 0), (61, 2, 0), (101, 2, 0), (19, 3, 20), (61, 2, 20)])
@@ -627,7 +692,7 @@ class TestRunners:
             tracemalloc.stop()
         sums = (q - 1) * q**d
         assert code == 0 and summary["rows_written"] == sums
-        assert stated[:1] == [16 * q**2] and len(stated) == 2  # the field, then phase
+        assert stated[:1] == [8 * q**d] and len(stated) == 2  # P's grid, then phase
         assert 16 * sums <= peak <= stated[1]  # the complex table was built and counted
 
     def test_phase_releases_its_table_before_emission(self, tmp_path):

@@ -25,7 +25,7 @@ def test_commands_cover_ops_examples_help_and_errors(tool):
         for op in ops:
             for seed in (1, 2):
                 assert op.argv(seed) + ["--deterministic", "--out", "out"] in cmds
-    assert len(tool.ORBIT_CASES) == 6 and len(tool.EDGE_CASES) == 19
+    assert len(tool.ORBIT_CASES) == 6 and len(tool.EDGE_CASES) == 21
     for text in tool.ORBIT_CASES + tool.EDGE_CASES:
         assert text.split() + ["--deterministic", "--out", "out"] in cmds
     examples = tool.readme_examples()

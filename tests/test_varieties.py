@@ -13,9 +13,9 @@ from ffdist.errors import (
     VariableOutOfRange,
     ZeroPolynomial,
 )
-from ffdist.field import _is_irreducible, decode_point, field_from_order, make_field
+from ffdist.field import _is_irreducible, decode_points, field_from_order, make_field
 from ffdist.distances import product_set_experiment
-from ffdist.fourier import fourier_transform, indicator_grid
+from ffdist.fourier import ComplexGrid, fourier_transform
 from ffdist.harness import ExperimentConfig, run
 from ffdist import characteristic_divides_exponent, varieties
 from ffdist.varieties import (
@@ -123,7 +123,7 @@ class TestEvaluate:
         P = parse_polynomial("2*x1^3 + x2^2 + x1", F5, 2)
         vg = value_grid(P)
         for idx in range(25):
-            assert vg[idx] == evaluate(P, decode_point(F5, idx, 2))
+            assert vg[idx] == evaluate(P, decode_points(F5, idx, 2).tolist())
 
     @pytest.mark.parametrize(
         "F, d, terms",
@@ -139,7 +139,7 @@ class TestEvaluate:
         P = make_polynomial(F, d, terms)
         vg = value_grid(P)
         assert vg.shape == (F.q**d,) and vg.dtype == np.int64
-        assert vg.tolist() == [evaluate(P, decode_point(F, i, d)) for i in range(F.q**d)]
+        assert vg.tolist() == [evaluate(P, decode_points(F, i, d).tolist()) for i in range(F.q**d)]
 
     def test_value_grid_matches_evaluate_on_random_fields_and_polynomials(self):
         hyp = pytest.importorskip("hypothesis")
@@ -174,7 +174,7 @@ class TestEvaluate:
             else:
                 points = data.draw(st.lists(st.integers(0, N - 1), min_size=200, max_size=200))
             assert [int(vg[i]) for i in points] == [
-                evaluate(P, decode_point(F, i, d)) for i in points
+                evaluate(P, decode_points(F, i, d).tolist()) for i in points
             ]
 
         check()
@@ -287,9 +287,8 @@ class TestDecay:
             P = parse_polynomial(text, F7, 2)
             total = np.zeros(49, dtype=np.complex128)
             for t in range(7):
-                total += fourier_transform(
-                    indicator_grid(F7, 2, variety(P, t).indices)
-                ).values
+                fiber = np.isin(np.arange(49), variety(P, t).indices)
+                total += fourier_transform(ComplexGrid(F7, 2, fiber)).values
             assert np.max(np.abs(total[1:])) < 1e-9
 
     @pytest.mark.parametrize(
@@ -388,11 +387,13 @@ class TestExceptionalSets:
         assert rep.size_hypothesis_droppable
 
     def test_vu_cardinality_bound(self):
+        # reported for every P at d = 2, and None at other d
         P = parse_polynomial("x1^2 - x2^2", F13, 2)
-        rep = exceptional_set(P, nondegenerate=True)
+        rep = exceptional_set(P)
         assert rep.vu_bound_ok is True  # |T| = 1 <= degree - 1
-        rep2 = exceptional_set(P)
-        assert rep2.vu_bound_ok is None  # non-degeneracy is user-asserted
+        assert split_fibers(P, [rep.band[0]] * 13, ["bad"] * 13).vu_bound_ok is False
+        sphere = parse_polynomial("x1^2 + x2^2 + x3^2", F7, 3)
+        assert exceptional_set(sphere).vu_bound_ok is None
 
     def test_report_keeps_the_spectrum_it_thresholds(self):
         # the report is the thresholding of decay_spectrum at the same kappas
@@ -579,7 +580,7 @@ class TestPhaseSum:
         P = parse_polynomial("x1^2 + x2^3", F7, 2)
         for s in range(7):
             for mi in range(49):
-                m = decode_point(F7, mi, 2)
+                m = decode_points(F7, mi, 2).tolist()
                 a = phase_sum(P, s, m)
                 b = factored_phase_sum(P, s, m)
                 assert abs(a - b) < 1e-9 * 49
@@ -628,9 +629,8 @@ class TestPhaseTable:
                 table = build(P)
                 assert table.shape == (q - 1, n)
                 got = np.ascontiguousarray(table[:, ms])
-                want = np.array(
-                    [[scalar(P, s, decode_point(spec, m, d)) for m in ms] for s in range(1, q)]
-                )
+                points = decode_points(spec, ms, d).tolist()
+                want = np.array([[scalar(P, s, m) for m in points] for s in range(1, q)])
                 assert np.array_equal(got.view(np.float64), want.view(np.float64))
 
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -654,7 +654,7 @@ class TestPhaseTable:
 
     def test_default_route_is_factored_iff_diagonal(self):
         P = parse_polynomial("x1^2 + x2^3", F7, 2)
-        ms = [decode_point(F7, m, 2) for m in range(49)]
+        ms = [decode_points(F7, m, 2).tolist() for m in range(49)]
         want = np.array([[factored_phase_sum(P, s, m) for m in ms] for s in range(1, 7)])
         assert np.array_equal(_phase_table(P).view(np.float64), want.view(np.float64))
         P = parse_polynomial("x1^2 + x2^2 + x1", F7, 2)
@@ -701,7 +701,7 @@ class TestPhaseTable:
             want = []
             for x in range(n):
                 acc = 0
-                for mj, xj in zip(m, decode_point(spec, x, d)):
+                for mj, xj in zip(m, decode_points(spec, x, d).tolist()):
                     acc = spec.add(acc, spec.mul(mj, xj))
                 want.append(acc)
             assert row == want

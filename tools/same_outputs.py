@@ -41,7 +41,6 @@ ERROR_CASES = (
     "field-check --q abc",
     "field-check",
     "field-check --p 4",
-    "field-check --p 2 --n 5",
     "field-check --p 2 --n 2 --modulus 1,0,1",
     "field-check --p 3 --n 2 --modulus 1,0,2",
     "distance --q 12 --d 2 --poly x1 --setE all --setF all",
@@ -75,6 +74,9 @@ ERROR_CASES = (
     # check fails its table request at once instead of allocating
     "weil --q 1000003 --d 1 --poly x1^3+x1",
     "decay --q 1000003 --d 1 --poly x1^3",
+    # rejected with exit 2 (not 1, numpy's allocation error) since a q^d value
+    # grid that cannot fit is refused
+    "decay --q 101 --d 5 --poly x1^2+x2^2",
     # rejected with exit 2 (not 0) since lift refuses a set without its partner
     "lift --q 7 --d 1 --poly x1^3 --setE all",
 )
@@ -98,7 +100,8 @@ ORBIT_CASES = (
 # a general (direct) P at d = 3, whose axes a symmetric P would not tell
 # apart, lift's product experiment, and decay spectra through the shared
 # pass table at d = 4, over an extension field, for a separable P that is
-# not diagonal, and at d = 1.
+# not diagonal, and at d = 1; and fields past degree 4, among them the
+# cubic distances of Iosevich-Koh in characteristic 2.
 EDGE_CASES = (
     "decay --q 9 --d 2 --poly 7*x2^5+5*x1^5 --kappa-sharp 2",
     "pinned --q 1021 --d 2 --poly x1^2+x2^2 --setE random:3000 --setF random:200 --seed 1",
@@ -120,6 +123,8 @@ EDGE_CASES = (
     "decay --p 2 --n 4 --d 3 --poly x1^3+x2^3+x3^3",
     "decay --q 25 --d 3 --poly x1^2+2*x2^2+x3^3+x1",
     "decay --q 101 --d 1 --poly x1^3+x1",
+    "field-check --p 2 --n 5",
+    "decay --p 2 --n 6 --d 3 --poly x1^3+x2^3+x3^3",
 )
 
 
