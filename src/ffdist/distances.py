@@ -3,7 +3,9 @@ paraboloid lift, and the theorem-style verifiers built on them.
 
 Every answer is an exact integer count, reached by one of two routes:
 
-* direct: enumerate all |E||F| pairs through vectorized table lookups;
+* direct: enumerate all |E||F| pairs through vectorized table lookups, a
+  cache-sized block of pins at a time; a pin's distinct values are the
+  marks they set in a (pins, q) boolean array, so no row is sorted;
 * fourier: the difference convolution D(z) = #{(x, y) in E x F : x - y = z}
   as a cyclic cross-correlation of the indicators of E and F over the
   n*d base-p digit axes of F_q^d (three real FFTs of q^d points), rounded
@@ -41,10 +43,41 @@ from .varieties import (
     value_grid,
 )
 
-# Bytes one block of pins may hold: its int64 flat index of x - y, the
-# int64 values P(x - y) and their int64 sort copy, 24 B a pair, plus the
-# q-entry int64 add_table row of each pin where that row is gathered.
-_PAIR_BLOCK_BYTES = 96 << 20
+# Bytes one block of pins may hold: its int64 flat index of x - y and the
+# int64 values P(x - y), 16 B a pair, plus q B of marks a pin and, where the
+# add_table rows are gathered, the pin's scaled q-entry int64 row.  Measured
+# with E = the full grid, P = sum x_j^2, on a 2-core x86 VM (numpy 2.4.6,
+# 2 MiB of L2 a core), median of 7 runs of _pinned_pair_sizes in seconds:
+#
+#   case                          1 MiB   4 MiB   8 MiB   16 MiB  32 MiB
+#   q = 61, d = 3, |F| = 500      0.98    0.78    0.72    0.81    1.00
+#   q = 211, d = 2, |F| = 2000    0.44    0.43    0.45    0.42    0.59
+#   q = 101, d = 2, |F| = 2000    0.09    0.10    0.15    0.12    0.10
+#
+# Blocks far past the cache lose; 96 MiB read 1.93 s on the first case.
+_PAIR_BLOCK_BYTES = 8 << 20
+
+# Gather rule: a block reads each pin's add_table row once E holds at least
+# q/3 points, and reads add_table pair by pair below that.  Both give the
+# same blocks.  Best of 20 for one block, the value_grid read included,
+# P = sum x_j^2, same VM, in ms:
+#
+#   case                          |E|/q   pairwise  by row
+#   q = 101, d = 2, 64 pins       0.10    0.013     0.019
+#                                 0.34    0.041     0.038
+#                                 0.63    0.039     0.029
+#   q = 4001, d = 1, 200 pins     0.25    1.35      1.65
+#                                 0.33    1.70      1.44
+#                                 1.00    4.82      2.25
+#   q = 625, d = 2, 100 pins      0.16    0.11      0.14
+#                                 0.33    0.23      0.26
+#                                 0.48    0.33      0.27
+#   q = 61, d = 3, 500 pins       0.25    0.10      0.12
+#                                 0.33    0.14      0.13
+#                                 0.49    0.20      0.17
+#
+# Near |E| = q/3 the two are within the noise of each other.
+
 _ROUNDING_BOUND = 0.1  # worst |raw - nearest integer| a transform count may show
 
 # Route rule: the transform route is taken once |E||F| exceeds
@@ -74,35 +107,34 @@ def _check_triple(P: Polynomial, E: PointSet, F: PointSet):
 def _pair_value_blocks(P: Polynomial, E: PointSet, F: PointSet):
     """Yield blocks of P(x - y) encodings: one row per pin y in F, one column per x in E.
 
-    The flat index of x - y comes by Horner's rule from the last coordinate
-    down, one add_table gather of x_j + (-y_j) per coordinate; each pin is
-    negated once.  Where E has at least q points, each pin's add_table row
-    at -y_j (q entries) is gathered once and read at every x_j of E; a
-    smaller E reads at[-y_j, x_j] pair by pair, since the rows would cost
-    more than the pairs.  Then value_grid is read at the index.  Each block
-    of pins stays within _PAIR_BLOCK_BYTES.
+    The flat index of x - y is sum_j q^j * at[-y_j, x_j], one add_table
+    gather per coordinate, scaled by q^j and added in place; each pin is
+    negated once.  By row, each pin's add_table row at -y_j (q entries) is
+    gathered and scaled once, then read at every x_j of E; pairwise, at is
+    read pair by pair and the gather is scaled.  Then value_grid is read at
+    the index.  Each block of pins stays within _PAIR_BLOCK_BYTES as long as
+    the caller drops it before asking for the next, as map does.
     """
     q, d = P.spec.q, P.d
     at = add_table(P.spec)
     vg = value_grid(P)
     ce = np.ascontiguousarray(E.coordinates().T)  # (d, |E|)
     cf = neg_table(P.spec)[F.coordinates().T]  # (d, |F|) of -y
-    by_row = E.size >= q
-    rows = max(1, _PAIR_BLOCK_BYTES // (8 * (3 * E.size + by_row * q)))
+    by_row = 3 * E.size >= q  # the gather rule above
+    rows = max(1, _PAIR_BLOCK_BYTES // (16 * E.size + (8 * by_row + 1) * q))
 
-    def differences(j: int, pins: np.ndarray) -> np.ndarray:
-        if by_row:
-            return np.take(at[pins], ce[j], axis=1)
-        return at[pins[:, None], ce[j]]
+    def differences(j: int, pins: np.ndarray) -> np.ndarray:  # q^j (x_j - y_j)
+        part = at[pins] if by_row else at[pins[:, None], ce[j]]
+        if j:
+            part *= q**j
+        return np.take(part, ce[j], axis=1) if by_row else part
 
     for i in range(0, F.size, rows):
         pins = cf[:, i : i + rows]
-        idx = differences(d - 1, pins[d - 1])
-        for j in range(d - 2, -1, -1):
-            idx *= q
+        idx = differences(0, pins[0])
+        for j in range(1, d):
             idx += differences(j, pins[j])
-        idx = vg[idx]  # rebinding frees the index while the caller works
-        yield idx
+        yield vg[idx]
 
 
 # ---------------------------------------------------------------------------
@@ -172,9 +204,7 @@ class CountingHistogram:
 def _pair_counts(P: Polynomial, E: PointSet, F: PointSet) -> CountingHistogram:
     """nu by enumerating every pair, a block of pins at a time."""
     q = P.spec.q
-    counts = np.zeros(q, dtype=np.int64)
-    for vals in _pair_value_blocks(P, E, F):
-        counts += np.bincount(vals.ravel(), minlength=q)
+    counts = sum(map(lambda v: np.bincount(v.ravel(), minlength=q), _pair_value_blocks(P, E, F)))
     return CountingHistogram(P.spec, counts, "direct", 0.0)
 
 
@@ -216,10 +246,18 @@ class PinnedReport:
 
 
 def _pinned_pair_sizes(P: Polynomial, E: PointSet, F: PointSet) -> np.ndarray:
-    """|{P(x - y) : x in E}| for each y in F, in the order of F.indices: 1 +
-    the steps along each pin's sorted row of pair values."""
-    blocks = (np.sort(v, axis=1) for v in _pair_value_blocks(P, E, F))
-    return np.concatenate([1 + np.count_nonzero(b[:, 1:] != b[:, :-1], axis=1) for b in blocks])
+    """|{P(x - y) : x in E}| for each y in F, in the order of F.indices:
+    each block's values, offset by pin * q, mark a (pins, q) boolean array,
+    and each pin counts its marks."""
+    q = P.spec.q
+
+    def distinct(vals: np.ndarray) -> np.ndarray:
+        vals += q * np.arange(len(vals))[:, None]
+        marks = np.zeros((len(vals), q), dtype=bool)
+        marks.ravel()[vals] = True
+        return np.count_nonzero(marks, axis=1)
+
+    return np.concatenate(list(map(distinct, _pair_value_blocks(P, E, F))))
 
 
 def _pinned_convolution_sizes(P: Polynomial, E: PointSet, F: PointSet) -> np.ndarray:

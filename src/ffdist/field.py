@@ -334,9 +334,11 @@ def add_table(spec: FieldSpec) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def mul_table(spec: FieldSpec) -> np.ndarray:
+    """a * b = antilog[log a + log b]; the sum stays below 2(q - 1), so a
+    doubled antilog takes it without a reduction mod q - 1."""
     log, antilog = _log_antilog(spec)
     t = np.zeros((spec.q, spec.q), dtype=np.int64)
-    t[1:, 1:] = antilog[(log[1:, None] + log[None, 1:]) % (spec.q - 1)]
+    t[1:, 1:] = np.concatenate([antilog, antilog])[log[1:, None] + log[None, 1:]]
     return _frozen(t)
 
 

@@ -313,7 +313,7 @@ class TestRoutes:
         pinned = _pinned_pair_sizes(P, E, F)
         assert [b.shape for b in whole] == [(F.size, E.size)]
         assert E.size >= spec.q  # each pin's add_table row is gathered
-        per_pin = 8 * (3 * E.size + spec.q)
+        per_pin = 16 * E.size + 9 * spec.q  # index and values, the scaled row, the marks
         for pins in (3, 1):  # a byte short of `pins` rows: blocks of 2 pins, then of 1
             monkeypatch.setattr(distances, "_PAIR_BLOCK_BYTES", per_pin * pins - 1)
             blocks = list(distances._pair_value_blocks(P, E, F))
@@ -343,10 +343,68 @@ class TestRoutes:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert sizes == [cap // 24, F.size - cap // 24]
+        rows = cap // (16 * E.size + spec.q)  # index and values, the marks
+        assert sizes == [min(rows, F.size - i) for i in range(0, F.size, rows)]
         assert peak <= 2 * cap
         assert np.array_equal(np.concatenate(list(distances._pair_value_blocks(P, E, F))), whole)
         assert np.array_equal(_pinned_pair_sizes(P, E, F), np.ones(F.size))
+
+    def test_pinned_pair_sizes_match_a_per_pin_set_oracle(self, monkeypatch):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+        from ffdist import distances
+
+        cap = distances._PAIR_BLOCK_BYTES
+
+        @hyp.settings(max_examples=40, deadline=None)
+        @hyp.given(
+            q=st.sampled_from([5, 7, 8, 9, 11, 16, 25, 27, 31, 49]),
+            d=st.integers(1, 3),
+            data=st.data(),
+        )
+        def check(q, d, data):
+            hyp.assume(q**d <= 3000)
+            spec = field_from_order(q)
+            P = make_polynomial(spec, d, [(1, (2,) * d), (q - 1, (0,) * (d - 1) + (3,))])
+            seeds = st.integers(0, 10**6)
+            # |E| on both sides of q and of the gather rule's q/3
+            E = random_set(spec, d, data.draw(st.integers(1, min(q**d, 2 * q))), data.draw(seeds))
+            F = random_set(spec, d, data.draw(st.integers(1, min(q**d, 30))), data.draw(seeds))
+            one_pin = data.draw(st.booleans())
+            monkeypatch.setattr(distances, "_PAIR_BLOCK_BYTES", 1 if one_pin else cap)
+            ce, cf = E.coordinates().tolist(), F.coordinates().tolist()
+            oracle = [len({evaluate(P, tuple(map(spec.sub, x, y))) for x in ce}) for y in cf]
+            assert _pinned_pair_sizes(P, E, F).tolist() == oracle
+
+        check()
+
+    @pytest.mark.parametrize("q, d, size_E, size_F", [(1021, 1, 50, 1021), (101, 2, 3000, 400)])
+    def test_pinned_peak_stays_within_the_block_cap(self, monkeypatch, q, d, size_E, size_F):
+        # (1021, 1, 50) gathers pairwise and its marks (q B a pin) outweigh
+        # its pairs (16 B each): blocks sized without them would take every
+        # pin at once and hold 1.8x the cap.  (101, 2, 3000) gathers each
+        # pin's add_table row.
+        import tracemalloc
+
+        from ffdist import distances
+
+        spec = make_field(q)
+        P = diagonal_polynomial(spec, d, 2)
+        E, F = random_set(spec, d, size_E, seed=44), random_set(spec, d, size_F, seed=45)
+        add_table(spec), neg_table(spec), value_grid(P)
+        whole = _pinned_pair_sizes(P, E, F)
+        cap = 1 << 20
+        monkeypatch.setattr(distances, "_PAIR_BLOCK_BYTES", cap)
+        tracemalloc.start()
+        try:
+            sizes = _pinned_pair_sizes(P, E, F)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(sizes, whole)
+        # beyond the cap: E's coordinates twice over, the pins and their
+        # sizes, and numpy's iteration buffers (8192 entries of 8 B)
+        assert peak <= cap + 16 * d * E.size + 16 * F.size + (96 << 10)
 
     def test_pair_kernel_builds_no_q_by_q_table(self):
         # x - y = x + (-y): with add_table, mul_table, neg_table and the value

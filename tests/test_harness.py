@@ -385,6 +385,45 @@ class TestRunners:
         assert [k for k, c in summary["checks"].items() if not c["pass"]] == ["trace_linear"]
         assert main(["field-check", "--q", str(q)]) == 4
 
+    @pytest.mark.parametrize("name", ["add_table", "mul_table"])
+    @pytest.mark.parametrize("q", [13, 16])
+    def test_field_check_in_one_row_blocks_reads_every_row(self, monkeypatch, name, q):
+        from ffdist import harness
+
+        whole = run("field-check", ExperimentConfig(q=q))[1]["checks"]
+        monkeypatch.setattr(harness, "_CHECK_BLOCK_ENTRIES", 1)
+        assert run("field-check", ExperimentConfig(q=q))[1]["checks"] == whole
+        build = getattr(harness, name)
+
+        def corrupted(spec):  # in the last row, which only the last block reads
+            t = build(spec).copy()
+            v = int(t[-1, 5])
+            t[-1, 5] = next(c for c in range(spec.q) if spec.trace(c) != spec.trace(v))
+            return t
+
+        monkeypatch.setattr(harness, name, corrupted)
+        code, summary = run("field-check", ExperimentConfig(q=q))
+        assert code == 4 and summary["pass"] is False
+
+    def test_field_check_holds_one_row_block_beyond_its_tables(self):
+        # The add and mul tables take 16 q^2 bytes; held whole, the checks'
+        # three q x q complex arrays would take 40 q^2 bytes more.
+        import tracemalloc
+
+        from ffdist.field import add_table, mul_table
+
+        q = 1009
+        spec = make_field(q)
+        add_table(spec), mul_table(spec)
+        tracemalloc.start()
+        try:
+            code, summary = run("field-check", ExperimentConfig(q=q))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and summary["pass"]
+        assert peak <= q**2
+
     def test_fourier_check_passes(self):
         code, summary = run(
             "fourier-check", ExperimentConfig(q=5, d=2, trials=5, seed=1)

@@ -100,8 +100,10 @@ ORBIT_CASES = (
 # a general (direct) P at d = 3, whose axes a symmetric P would not tell
 # apart, lift's product experiment, and decay spectra through the shared
 # pass table at d = 4, over an extension field, for a separable P that is
-# not diagonal, and at d = 1; and fields past degree 4, among them the
-# cubic distances of Iosevich-Koh in characteristic 2.
+# not diagonal, and at d = 1; fields past degree 4, among them the cubic
+# distances of Iosevich-Koh in characteristic 2; and pinned distances on
+# the pair kernel at the north-star size and over F_243 with |E| < q/3,
+# where the kernel reads add_table pair by pair.
 EDGE_CASES = (
     "decay --q 9 --d 2 --poly 7*x2^5+5*x1^5 --kappa-sharp 2",
     "pinned --q 1021 --d 2 --poly x1^2+x2^2 --setE random:3000 --setF random:200 --seed 1",
@@ -125,6 +127,8 @@ EDGE_CASES = (
     "decay --q 101 --d 1 --poly x1^3+x1",
     "field-check --p 2 --n 5",
     "decay --p 2 --n 6 --d 3 --poly x1^3+x2^3+x3^3",
+    "pinned --q 61 --d 3 --poly x1^2+x2^2+x3^2 --setE all --setF random:500",
+    "pinned --p 3 --n 5 --d 2 --poly x1^2+x2^2 --setE random:60 --setF random:300 --trials 2",
 )
 
 
