@@ -12,7 +12,7 @@ import sys
 from dataclasses import fields
 
 from .errors import FFDistError
-from .harness import ExperimentConfig, output_base, run, summary_json
+from .harness import RUNNERS, ExperimentConfig, output_base, run, summary_json
 
 
 class _Parser(argparse.ArgumentParser):
@@ -31,55 +31,55 @@ def _int_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers: {text!r}") from exc
 
 
+_COMMANDS = {  # the help line of each harness.RUNNERS command
+    "field-check": "verify field arithmetic and character identities",
+    "fourier-check": "round-trip and energy checks on random grids",
+    "decay": "per-t fiber sizes and transform-decay constants",
+    "weil": "one univariate character sum against its bound",
+    "phase": "sweep sum_x chi(s*P(x) + m*x) over all s != 0, m",
+    "distance": "distance set of two point sets, with verifier verdicts",
+    "pinned": "per-pin distance counts and the large-pin fraction",
+    "lift": "one-dimension-up lift: fiber sizes, restriction, products",
+    "scan": "sweep target |E||F| products and locate verdict flips",
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)  # the options every subcommand takes
-    common.add_argument("--q", type=int, help="field order (prime power)")
-    common.add_argument("--p", type=int, help="characteristic (with --n)")
-    common.add_argument("--n", type=int, help="extension degree")
-    common.add_argument(
-        "--modulus",
-        type=_int_list,
-        help="modulus coefficients a0,a1,..,1 (constant first)",
+    """One parser: every command takes the same options, before or after its name."""
+    parser = _Parser(
+        prog="ffdist",
+        description="Exact distance-set and character-sum experiments over F_q^d.",
+        epilog="commands:\n" + "\n".join(f"  {name:<15}{_COMMANDS[name]}" for name in RUNNERS),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    common.add_argument("--d", type=int, help="ambient dimension")
-    common.add_argument("--poly", help="polynomial text, e.g. 'x1^2+x2^2'")
-    common.add_argument("--setE", help="set specification for E")
-    common.add_argument("--setF", help="set specification for F, or 'same'")
-    common.add_argument("--setE2", help="1-d set specification (product experiments)")
-    common.add_argument("--setF2", help="1-d set specification (product experiments)")
-    common.add_argument("--t", type=int, help="restrict reports to one t")
-    common.add_argument("--seed", type=int, help="base seed (64-bit)")
-    common.add_argument("--trials", type=int, help="independent trials")
-    common.add_argument("--grid", type=_int_list, help="target |E||F| products")
-    common.add_argument("--kappa-sharp", type=float)
-    common.add_argument("--kappa-fallback", type=float)
-    common.add_argument("--C", type=float)
-    common.add_argument("--rho", type=float)
-    common.add_argument("--rmin", dest="r_min", type=float)
-    common.add_argument("--out", help="output base path; writes <out>.csv/<out>.json")
-    common.add_argument(
+    add = parser.add_argument
+    add("command", choices=list(RUNNERS), metavar="command", help="one of the commands below")
+    add("--q", type=int, help="field order (prime power)")
+    add("--p", type=int, help="characteristic (with --n)")
+    add("--n", type=int, help="extension degree")
+    add("--modulus", type=_int_list, help="modulus coefficients a0,a1,..,1 (constant first)")
+    add("--d", type=int, help="ambient dimension")
+    add("--poly", help="polynomial text, e.g. 'x1^2+x2^2'")
+    add("--setE", help="set specification for E")
+    add("--setF", help="set specification for F, or 'same'")
+    add("--setE2", help="1-d set specification (product experiments)")
+    add("--setF2", help="1-d set specification (product experiments)")
+    add("--t", type=int, help="restrict reports to one t")
+    add("--seed", type=int, help="base seed (64-bit)")
+    add("--trials", type=int, help="independent trials")
+    add("--grid", type=_int_list, help="target |E||F| products")
+    add("--kappa-sharp", type=float)
+    add("--kappa-fallback", type=float)
+    add("--C", type=float)
+    add("--rho", type=float)
+    add("--rmin", dest="r_min", type=float)
+    add("--out", help="output base path; writes <out>.csv/<out>.json")
+    add(
         "--deterministic",
         action="store_true",
         help="suppress timestamps so identical runs are byte-identical",
     )
-    common.set_defaults(**vars(ExperimentConfig()))  # the defaults live on the config
-    parser = _Parser(
-        prog="ffdist",
-        description="Exact distance-set and character-sum experiments over F_q^d.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("field-check", "verify field arithmetic and character identities"),
-        ("fourier-check", "round-trip and energy checks on random grids"),
-        ("decay", "per-t fiber sizes and transform-decay constants"),
-        ("weil", "one univariate character sum against its bound"),
-        ("phase", "sweep sum_x chi(s*P(x) + m*x) over all s != 0, m"),
-        ("distance", "distance set of two point sets, with verifier verdicts"),
-        ("pinned", "per-pin distance counts and the large-pin fraction"),
-        ("lift", "one-dimension-up lift: fiber sizes, restriction, products"),
-        ("scan", "sweep target |E||F| products and locate verdict flips"),
-    ):
-        sub.add_parser(name, help=help_text, parents=[common])
+    parser.set_defaults(**vars(ExperimentConfig()))  # the defaults live on the config
     return parser
 
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, EmptySet, MixedFields, RoundingDivergence
 from .field import FieldSpec, add_table, decode_points, encode_points, mul_table, neg_table
-from .rng import SplitMix64, derive_seed
+from .rng import SplitMix64, _mulhi, derive_seed
 from .varieties import (
     Polynomial,
     PointSet,
@@ -467,8 +467,8 @@ def verify_square_identity(E: PointSet, trials: int = 1000, seed: int = 0) -> bo
     at, nt, mt = add_table(spec), neg_table(spec), mul_table(spec)
     rng = SplitMix64(derive_seed(seed, 0x5153))  # 'SQ'
     # rng.below(E.size) for x, x', y of every trial, in draw order
-    picks = [u * E.size >> 64 for u in rng.next_block(3 * trials).tolist()]
-    idx = E.indices[np.array(picks, dtype=np.int64).reshape(trials, 3)]
+    picks = _mulhi(rng.next_block(3 * trials), np.uint64(E.size)).astype(np.int64)
+    idx = E.indices[picks.reshape(trials, 3)]
     x, xp, y = (decode_points(spec, idx[:, k], E.d) for k in range(3))
     two = at[1, 1]
 

@@ -324,7 +324,8 @@ def add_table(spec: FieldSpec) -> np.ndarray:
     """Addition is digitwise mod p: the table of the low k+1 digits puts the
     p x p digit table on the top digit and the table of the low k below it."""
     p = spec.p
-    one = np.add.outer(np.arange(p, dtype=np.int64), np.arange(p)) % p
+    one = np.add.outer(np.arange(p, dtype=np.int64), np.arange(p))
+    one %= p  # in place: for n = 1 this is the table
     t, size = one, p
     for _ in range(1, spec.n):
         t = (one[:, None, :, None] * size + t[None, :, None, :]).reshape(p * size, p * size)
@@ -332,13 +333,23 @@ def add_table(spec: FieldSpec) -> np.ndarray:
     return _frozen(t)
 
 
+# Bytes of the temporaries of one block of mul_table rows: their log sums
+# and the gathered products, 16 B an entry.
+_TABLE_BLOCK = 1 << 20
+
+
 @lru_cache(maxsize=8)
 def mul_table(spec: FieldSpec) -> np.ndarray:
     """a * b = antilog[log a + log b]; the sum stays below 2(q - 1), so a
-    doubled antilog takes it without a reduction mod q - 1."""
+    doubled antilog takes it without a reduction mod q - 1.  Rows are
+    filled a block at a time, so the build holds the table plus one block."""
+    q = spec.q
     log, antilog = _log_antilog(spec)
-    t = np.zeros((spec.q, spec.q), dtype=np.int64)
-    t[1:, 1:] = np.concatenate([antilog, antilog])[log[1:, None] + log[None, 1:]]
+    doubled = np.concatenate([antilog, antilog])
+    t = np.zeros((q, q), dtype=np.int64)
+    rows = max(1, _TABLE_BLOCK // (16 * q))
+    for lo in range(1, q, rows):
+        t[lo : lo + rows, 1:] = doubled[log[lo : lo + rows, None] + log[None, 1:]]
     return _frozen(t)
 
 

@@ -1,5 +1,5 @@
 """Experiment harness: set-specification grammar, seeded set generation,
-experiment runners for every CLI subcommand, and CSV/JSON emission.
+experiment runners for every CLI command, and CSV/JSON emission.
 
 Determinism contract: (config, seed) fully determines every generated set
 and every emitted number.  Random sets draw from splitmix64 streams keyed
@@ -519,9 +519,21 @@ def run_fourier_check(cfg: ExperimentConfig):
 
 DECAY_COLUMNS = tuple(f.name for f in fields(DecayEntry))
 
+# Peak bytes of run_decay and emit, under tracemalloc: per point of F_q^d,
+# P's value grid and the four grids _fiber_peaks shares across fibers
+# (8 + 56 B; 64.1-65.4 B at 1.6e4-2.3e5 points, q = 13..211, d = 2..4); per t,
+# its DecayEntry, row and CSV cells (300-830 B at q = 101..1009, d = 1); and
+# the open CSV file's buffer (~140 KB, the file system's block size).
+_DECAY_POINT_BYTES = 64
+_DECAY_T_BYTES = 1024
+_DECAY_FIXED_BYTES = 1 << 20
+
 
 def run_decay(cfg: ExperimentConfig):
     spec, P = _field_and_poly(cfg)
+    q, points = spec.q, spec.q**cfg.d
+    need = points * _DECAY_POINT_BYTES + q * _DECAY_T_BYTES + _DECAY_FIXED_BYTES
+    _require_memory(need, f"decay over F_{q}^{cfg.d} holds grids of {points} points")
     entries = decay_spectrum(P, cfg.kappa_sharp, cfg.kappa_fallback)
     report = split_fibers(
         P, [e.variety_size for e in entries], [e.classification for e in entries]
@@ -571,9 +583,10 @@ def run_weil(cfg: ExperimentConfig):
 # before emission; the columns hold 32 B), plus the _EMIT_BLOCK rows of
 # cells being joined (~140 B a row with a short poly): 43-47 B at ~1e6
 # entries, q = 101, d = 2 and q = 31, d = 3.  Summed, they cover every
-# measured peak, 43-184 B an entry at q = 17..101, d = 2, 3.  Each row's text repeats the poly, once in the joined block
-# and once more in the bytes written: 2 B a character a row, measured at
-# polys of 9-476 characters, q = 61, d = 2 and q = 19, d = 3.
+# measured peak, 43-184 B an entry at q = 17..101, d = 2, 3.  Each row's
+# text repeats the poly, once in the joined block and once more in the
+# bytes written: 2 B a character a row, measured at polys of 9-476
+# characters, q = 61, d = 2 and q = 19, d = 3.
 _PHASE_ENTRY_BYTES = 64
 _PHASE_BLOCK_BYTES = 12 << 20
 
@@ -811,7 +824,7 @@ RUNNERS = {
 
 
 def run(command: str, cfg: ExperimentConfig) -> tuple[int, dict]:
-    """Execute one subcommand and write its outputs; returns (exit, summary)."""
+    """Execute one command and write its outputs; returns (exit, summary)."""
     code, summary, rows = RUNNERS[command](cfg)
     summary = emit(
         cfg.out, {"command": command, **summary}, rows=rows, deterministic=cfg.deterministic

@@ -310,6 +310,32 @@ class TestArithmetic:
             info = table.cache_info()
             assert info.maxsize is not None and info.currsize <= info.maxsize
 
+    def test_table_builds_hold_the_tables_plus_one_block(self):
+        # the size rule admits 16 B per q^2 (add and mul, int64); the add
+        # table is reduced in place and mul_table fills a block of rows at a
+        # time, so the build peaks at the tables, one block and the doubled
+        # antilog (2q entries), where one whole-table gather peaked at 32 B
+        import tracemalloc
+
+        q = 1009
+        F = field_from_order(q)
+        _log_antilog(F)
+        add_table.cache_clear(), mul_table.cache_clear()
+        tracemalloc.start()
+        try:
+            add_table(F), mul_table(F)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * q**2 + field._TABLE_BLOCK + 32 * q
+
+    def test_mul_table_blocks_give_the_one_block_table(self, monkeypatch):
+        for F in (make_field(31), make_field(3, 3)):
+            whole = mul_table.__wrapped__(F)
+            monkeypatch.setattr(field, "_TABLE_BLOCK", 16 * F.q * 4)  # 4 rows a block
+            assert np.array_equal(mul_table.__wrapped__(F), whole)
+            monkeypatch.undo()
+
     def test_tables_agree_with_scalar_ops_on_random_fields(self):
         hyp = pytest.importorskip("hypothesis")
         st = hyp.strategies

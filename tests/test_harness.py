@@ -663,6 +663,24 @@ class TestRunners:
         argv = ["phase", "--q", "101", "--d", "4", "--poly", "x1^2+x2^2+x3^2+x4^2"]
         assert main(argv) == 2
 
+    def test_decay_refuses_its_spectra_before_building_them(self, monkeypatch):
+        # with 32 MiB, F_101^3's value grid (8 MB) fits but its spectra
+        # (64 B a point) do not
+        import os
+
+        from ffdist import harness, varieties
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a grid was built for an oversize decay request")
+
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": (32 << 20) // 4096}
+        monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+        for module, name in ((varieties, "value_grid"), (harness, "decay_spectrum")):
+            monkeypatch.setattr(module, name, unreachable)
+        cfg = ExperimentConfig(q=101, d=3, poly="x1^2+x2^2+x3^2")
+        with pytest.raises(ConfigError, match=r"^decay over F_101\^3 holds grids of 1030301 points"):
+            run("decay", cfg)
+
     @pytest.mark.parametrize(
         "d, sets",
         [
@@ -733,6 +751,29 @@ class TestRunners:
         assert code == 0 and summary["rows_written"] == sums
         assert stated[:1] == [8 * q**d] and len(stated) == 2  # P's grid, then phase
         assert 16 * sums <= peak <= stated[1]  # the complex table was built and counted
+
+    @pytest.mark.parametrize("q, d", [(31, 3), (101, 2)])
+    def test_decay_memory_check_covers_the_measured_peak(self, monkeypatch, tmp_path, q, d):
+        import tracemalloc
+
+        from ffdist import harness, varieties
+
+        stated = []
+        monkeypatch.setattr(harness, "_require_memory", lambda need, holds: stated.append(need))
+        poly = "+".join(f"x{j}^2" for j in range(1, d + 1))
+        cfg = ExperimentConfig(q=q, d=d, poly=poly, out=str(tmp_path / "dc"), deterministic=True)
+        run("decay", cfg)  # the field's tables are built once, and cached
+        stated.clear()
+        varieties.value_grid.cache_clear()
+        tracemalloc.start()
+        try:
+            code, summary = run("decay", cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and summary["rows_written"] == q
+        assert stated[:1] == [8 * q**d] and len(stated) == 2  # P's grid, then decay
+        assert 64 * q**d <= peak <= stated[1]  # the grid and the spectra were counted
 
     def test_phase_releases_its_table_before_emission(self, tmp_path):
         # at F_101^2 only the four CSV columns (32 B an entry) and the
@@ -1024,12 +1065,64 @@ class TestCli:
         from ffdist.cli import build_parser, config_from_args
 
         names = {f.name for f in fields(ExperimentConfig)}
-        sub = next(a for a in build_parser()._actions if a.dest == "command")
-        assert set(sub.choices) == set(RUNNERS)
-        for name, parser in sub.choices.items():
-            dests = {a.dest for a in parser._actions if a.dest != "help"}
-            assert dests == names
+        parser = build_parser()
+        command = next(a for a in parser._actions if a.dest == "command")
+        assert command.choices == list(RUNNERS)
+        dests = {a.dest for a in parser._actions if a.dest not in ("help", "command")}
+        assert dests == names
+        for name in RUNNERS:
             assert config_from_args(build_parser().parse_args([name])) == ExperimentConfig()
+
+    def test_one_parser_holds_every_option_once(self):
+        import argparse
+
+        actions = build_parser()._actions
+        assert not any(isinstance(a, argparse._SubParsersAction) for a in actions)
+        assert len(actions) == 23  # -h, the command and 21 options
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ([], "the following arguments are required: command"),
+            (
+                ["not-a-command"],
+                "argument command: invalid choice: 'not-a-command' (choose from 'field-check',"
+                " 'fourier-check', 'decay', 'weil', 'phase', 'distance', 'pinned', 'lift',"
+                " 'scan')",
+            ),
+            (["field-check", "--q", "abc"], "argument --q: invalid int value: 'abc'"),
+            (["decay", "--q"], "argument --q: expected one argument"),
+            (
+                ["decay", "--q", "7", "--d", "2", "--poly", "x1^2", "--bogus", "1"],
+                "unrecognized arguments: --bogus 1",
+            ),
+        ],
+    )
+    def test_usage_errors_print_one_line_and_exit_1(self, capsys, argv, message):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"usage error: {message}\n"
+
+    def test_help_lists_every_command_with_its_description(self, capsys):
+        from ffdist.cli import _COMMANDS
+
+        with pytest.raises(SystemExit) as exit_:
+            main(["--help"])
+        assert exit_.value.code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert list(_COMMANDS) == list(RUNNERS)
+        for name, text in _COMMANDS.items():
+            assert f"  {name:<15}{text}" in lines
+
+    def test_options_may_come_before_the_command(self):
+        after = ["decay", "--q", "7", "--d", "2", "--poly", "x1^2+x2^2", "--t", "3"]
+        before = after[1:] + after[:1]
+        mixed = ["--q", "7", "decay", "--d", "2", "--poly", "x1^2+x2^2", "--t", "3"]
+        want = config_from_args(build_parser().parse_args(after))
+        assert want.q == 7 and want.t == 3
+        for argv in (before, mixed):
+            args = build_parser().parse_args(argv)
+            assert args.command == "decay" and config_from_args(args) == want
 
     def test_ops_never_import_numpy_ma(self, tmp_path):
         # np.unique imports numpy.ma (12-15 ms) on first use; no op needs it.

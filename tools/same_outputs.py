@@ -11,7 +11,7 @@ file left in the working directory.  The commands are:
 - every op of bench/workloads.py at seeds 1 and 2, and the commands in
   ORBIT_CASES and EDGE_CASES, with `--deterministic --out out`;
 - the `ffdist` examples of README.md, with `--deterministic`;
-- `--help` of the program and of each subcommand;
+- `--help` of the program and after each command name;
 - the error cases in ERROR_CASES, with `--deterministic`.
 
 The script prints each command whose runs differ, and what differs, and
@@ -79,6 +79,11 @@ ERROR_CASES = (
     "decay --q 101 --d 5 --poly x1^2+x2^2",
     # rejected with exit 2 (not 0) since lift refuses a set without its partner
     "lift --q 7 --d 1 --poly x1^3 --setE all",
+    # parse errors, each one `usage error:` line and exit 1
+    "decay --q 7 --d 2 --poly x1^2 --bogus 1",
+    "decay --q",
+    "nope --q 7",
+    "decay --q 7 --d 2 --poly x1^2 extra",
 )
 
 
