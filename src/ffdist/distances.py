@@ -7,18 +7,22 @@ Every answer is an exact integer count, reached by one of two routes:
   cache-sized block of pins at a time; a pin's distinct values are the
   marks they set in a (pins, q) boolean array, so no row is sorted;
 * fourier: the difference convolution D(z) = #{(x, y) in E x F : x - y = z}
-  as a cyclic cross-correlation of the indicators of E and F over the
-  n*d base-p digit axes of F_q^d (three real FFTs of q^d points), rounded
-  to integers, then nu(t) = sum of D over the fiber {P = t}.  This is the
-  Fourier counting identity nu(t) = q^(2d) sum_m conj(E^)(m) F^(m) V_t^(m)
-  of Iosevich-Rudnev, evaluated in one pass for every t.
+  through the transform passes of `fourier._passes`: the forward passes
+  of the indicators of E and F, the product of E's with the conjugate of
+  F's, and the inverse passes (3d passes in all), rounded to integers,
+  then nu(t) = sum of D over the fiber {P = t}.  This is the Fourier
+  counting identity nu(t) = q^(2d) sum_m conj(E^)(m) F^(m) V_t^(m) of
+  Iosevich-Rudnev, evaluated in one pass for every t.  The products run
+  on one BLAS thread (`fourier._one_blas_thread`).
 
-`counting_function` and `pinned_distances` check their (P, E, F) triple
-once and pick a route function by a fixed cost rule (`_use_transform`) on
-|E||F| and q^d, so small sets stay on the pair kernel; `distance_set` and
-the verifiers read `counting_function`.  The transform route rounds floats
-to integers: it records its worst rounding residual and raises
-RoundingDivergence when any value lands more than 0.1 from an integer.
+Pinned distances convolve E with each nonempty fiber of P: d passes for
+E, then 2d a fiber.  `counting_function` and `pinned_distances` check
+their (P, E, F) triple once and pick a route function by a fixed cost
+rule (`_use_transform`) on |E||F| and the passes a convolution takes, so
+small sets stay on the pair kernel; `distance_set` and the verifiers read
+`counting_function`.  The transform route rounds floats to integers: it
+records its worst rounding residual and raises RoundingDivergence when
+any value lands more than 0.1 from an integer.
 Both routes give bit-identical counts; the tests check them against each
 other.
 """
@@ -32,6 +36,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, EmptySet, MixedFields, RoundingDivergence
 from .field import FieldSpec, add_table, decode_points, encode_points, mul_table, neg_table
+from .fourier import _one_blas_thread, _passes
 from .rng import SplitMix64, _mulhi, derive_seed
 from .varieties import (
     Polynomial,
@@ -81,20 +86,36 @@ _PAIR_BLOCK_BYTES = 8 << 20
 _ROUNDING_BOUND = 0.1  # worst |raw - nearest integer| a transform count may show
 
 # Route rule: the transform route is taken once |E||F| exceeds
-# _TRANSFORM_FACTOR * N * bitlen(N), N = q^d; pinned distances run one
-# convolution per t, so their threshold carries a further factor q.
-# Measured on a 2-core x86 VM with numpy 2.4.6: the pair kernel costs
-# 10-17 ns per pair when counting and 18-20 ns when pinning; one
-# convolution costs 6-12 ns * N * bitlen(N) on prime fields (0.23 s at
-# N = 101^3) and up to 77 ns on F_16^3, whose twelve digit axes have
-# length 2.  The factor 2 was set above the worst ratio measured when
-# pairs cost 35-50 ns (77/42); it stands until the convolution is
-# re-measured per digit shape against the pair costs above (ROADMAP item 10).
-_TRANSFORM_FACTOR = 2
+# _PASS_COST * passes * q * q^d, a pass being q^d products of length q.
+# Counting takes 3d passes; pinned distances take d for E and 2d for each
+# nonempty fiber.  The constant at break-even is the convolution's time
+# per pass unit (q products) over the pair kernel's time per pair; with
+# P = sum x_j^2 on a 2-core x86 VM (numpy 2.4.6, best of 5, pinned best
+# of 3) it read:
+#
+#   counting, random |E| = |F|      pinned, E = F_q^d
+#   F_101^2, 2000    0.023          F_101^2, |F| = 2000    0.029
+#   F_125^2, 2000    0.025          F_71^2, |F| = 5041     0.040
+#   F_243^2, 3000    0.025          F_256^2, |F| = 300     0.020
+#   F_256^2, 1500    0.023          F_31^3, |F| = 3000     0.032
+#   F_31^3, 3000     0.030          F_61^3, |F| = 500      0.035
+#   F_61^3, 8000     0.030          F_16^3, |F| = 500      0.053
+#   F_64^3, 5000     0.028
+#   F_49^3, 8000     0.037
+#   F_16^3, 700      0.065
+#   F_1009^1, 1009   0.17
+#
+# 0.03 sits in the middle of the d >= 2 values; the north-star pin case,
+# F_61^3 against 500 pins, asks 0.022 of its pass units and stays on pairs.
+# At d = 1 a pass is one matrix-vector product that reads the whole q x q
+# kernel, so the break-even is higher: between 0.03 and 0.17 of the pass
+# units the rule takes the convolution where pairs are faster, losing at
+# most the convolution's own cost (2.1 ms at q = 1009 with full sets).
+_PASS_COST = 0.03
 
 
-def _use_transform(pairs: int, N: int, convolutions: int = 1) -> bool:
-    return pairs > _TRANSFORM_FACTOR * convolutions * N * N.bit_length()
+def _use_transform(pairs: int, q: int, d: int, passes: int) -> bool:
+    return pairs > _PASS_COST * passes * q ** (d + 1)
 
 
 def _check_triple(P: Polynomial, E: PointSet, F: PointSet):
@@ -139,39 +160,26 @@ def _pair_value_blocks(P: Polynomial, E: PointSet, F: PointSet):
 
 # ---------------------------------------------------------------------------
 # The difference convolution.
-#
-# With base-p element encodings and index(x) = sum_j enc(x_j) q^(j-1), digit
-# k of coordinate j is base-p digit k + n*j of the flat index, so an
-# order="F" reshape to (p,)*(n*d) puts one digit on each axis.  Subtraction
-# in F_q^d is then cyclic subtraction along every axis: the additive group
-# is (Z/p)^(nd), for prime and extension fields alike, and a plain FFT over
-# those axes diagonalizes it.  np.fft is looked up at call time; numpy >= 2
-# loads it lazily, so importing ffdist does not pay for it.
 
-def _digit_shape(spec: FieldSpec, d: int) -> tuple[int, ...]:
-    return (spec.p,) * (spec.n * d)
+def _indicator_spectrum(spec: FieldSpec, d: int, where) -> np.ndarray:
+    """The d unnormalized forward passes of the indicator of `where` (flat
+    indices or a mask) on F_q^d: sum_x 1(x) chi(-x*m) at each m."""
+    grid = np.zeros(spec.q**d, dtype=np.complex128)
+    grid[where] = 1.0
+    return _passes(spec, grid, d, bufs=(None, grid))
 
 
-def _set_spectrum(spec: FieldSpec, d: int, indices: np.ndarray) -> np.ndarray:
-    """Real FFT of a set's indicator on F_q^d over its digit axes."""
-    shape = _digit_shape(spec, d)
-    grid = np.zeros(spec.q**d)
-    grid[indices] = 1.0
-    return np.fft.rfftn(grid.reshape(shape, order="F"), axes=range(len(shape)))
-
-
-def _correlate(
-    spec: FieldSpec, d: int, e_hat: np.ndarray, f_hat: np.ndarray
-) -> tuple[np.ndarray, float]:
-    """D(z) = #{(x, y) in E x F : x - y = z} from the spectra of E and F,
-    flat in encoding order as integral floats, and the worst rounding
-    residual |raw - D| over the whole grid."""
-    shape = _digit_shape(spec, d)
-    raw = np.fft.irfftn(
-        e_hat * np.conj(f_hat), s=shape, axes=range(len(shape))
-    ).ravel(order="F")
-    counts = np.rint(raw)
-    residual = float(np.max(np.abs(raw - counts)))
+def _difference_counts(spec: FieldSpec, d: int, prod: np.ndarray) -> tuple[np.ndarray, float]:
+    """D(z) = #{(x, y) in E x F : x - y = z} from prod = E^ * conj(F^), the
+    product of the forward passes of E and F, whose d inverse passes give
+    q^d * D.  D comes flat in encoding order as integral floats, with the
+    worst rounding residual |raw - D| over the whole grid.  The passes
+    write into prod, so the convolution holds three grids at a time."""
+    raw = _passes(spec, prod, d, bufs=(None, prod), rows=neg_table(spec))
+    raw /= float(spec.q) ** d
+    counts = np.rint(raw.real)
+    raw -= counts
+    residual = float(np.max(np.abs(raw)))
     if residual > _ROUNDING_BOUND:
         raise RoundingDivergence(
             f"difference convolution value off an integer by {residual!r}"
@@ -211,9 +219,10 @@ def _pair_counts(P: Polynomial, E: PointSet, F: PointSet) -> CountingHistogram:
 def _convolution_counts(P: Polynomial, E: PointSet, F: PointSet) -> CountingHistogram:
     """nu by the difference convolution, summed over each fiber of P."""
     spec, d = P.spec, P.d
-    diff, residual = _correlate(
-        spec, d, _set_spectrum(spec, d, E.indices), _set_spectrum(spec, d, F.indices)
-    )
+    with _one_blas_thread():
+        prod = _indicator_spectrum(spec, d, E.indices)
+        prod *= np.conj(_indicator_spectrum(spec, d, F.indices))
+        diff, residual = _difference_counts(spec, d, prod)
     # Exact: every partial sum is an integer no larger than |E||F| < 2^53.
     counts = np.bincount(value_grid(P), weights=diff, minlength=spec.q)
     return CountingHistogram(spec, counts.astype(np.int64), "fourier", residual)
@@ -223,7 +232,7 @@ def counting_function(P: Polynomial, E: PointSet, F: PointSet) -> CountingHistog
     """Pair counts per t, by the route the cost rule picks; both routes
     return the same integers."""
     _check_triple(P, E, F)
-    if _use_transform(E.size * F.size, P.spec.q**P.d):
+    if _use_transform(E.size * F.size, P.spec.q, P.d, 3 * P.d):
         return _convolution_counts(P, E, F)
     return _pair_counts(P, E, F)
 
@@ -260,17 +269,23 @@ def _pinned_pair_sizes(P: Polynomial, E: PointSet, F: PointSet) -> np.ndarray:
     return np.concatenate(list(map(distinct, _pair_value_blocks(P, E, F))))
 
 
+def _fibers(vg: np.ndarray, q: int) -> np.ndarray:
+    """The values t whose fiber {P = t} is nonempty, from P's value grid."""
+    return np.flatnonzero(np.bincount(vg, minlength=q))
+
+
 def _pinned_convolution_sizes(P: Polynomial, E: PointSet, F: PointSet) -> np.ndarray:
     """The same counts by convolution: nu_y(t) = #{x in E : x - y in V_t}
     = D_{E, V_t}(y), one convolution per nonempty fiber, read at the pins."""
     spec, q, d = P.spec, P.spec.q, P.d
     vg = value_grid(P)
-    e_hat = _set_spectrum(spec, d, E.indices)
     sizes = np.zeros(F.size, dtype=np.int64)
-    for t in np.nonzero(np.bincount(vg, minlength=q))[0]:
-        fiber = _set_spectrum(spec, d, np.flatnonzero(vg == t))
-        diff, _ = _correlate(spec, d, e_hat, fiber)
-        sizes += diff[F.indices] > 0
+    with _one_blas_thread():
+        e_hat = _indicator_spectrum(spec, d, E.indices)
+        for t in _fibers(vg, q):
+            prod = np.conj(_indicator_spectrum(spec, d, vg == t))
+            prod *= e_hat
+            sizes += _difference_counts(spec, d, prod)[0][F.indices] > 0
     return sizes
 
 
@@ -278,8 +293,11 @@ def pinned_distances(
     P: Polynomial, E: PointSet, F: PointSet, rho: float = 0.5
 ) -> PinnedReport:
     _check_triple(P, E, F)
-    q = P.spec.q
-    if _use_transform(E.size * F.size, q**P.d, convolutions=q):
+    q, d, pairs = P.spec.q, P.d, E.size * F.size
+    # one fiber is the least a convolution takes; past that, count them
+    if _use_transform(pairs, q, d, 3 * d) and _use_transform(
+        pairs, q, d, d * (1 + 2 * len(_fibers(value_grid(P), q)))
+    ):
         counts = _pinned_convolution_sizes(P, E, F)
     else:
         counts = _pinned_pair_sizes(P, E, F)

@@ -34,15 +34,50 @@ import numpy as np
 from .errors import ConfigError, DegreeOutOfRange, NonPrime, ReducibleModulus
 
 
+# Files that may cap this process's memory: MemAvailable, then the cgroup's
+# limit as mounted here (v2, then v1); a value of "max" sets no limit.
+_MEMINFO = "/proc/meminfo"
+_CGROUP_LIMITS = ("/sys/fs/cgroup/memory.max", "/sys/fs/cgroup/memory/memory.limit_in_bytes")
+
+
+def _available_memory() -> int:
+    """The bytes a request may hold: the least of the physical memory, the
+    kernel's MemAvailable estimate, the cgroup's memory limit and
+    RLIMIT_AS, each where it can be read.  Nothing is set."""
+    limits = [os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")]
+    try:
+        with open(_MEMINFO, encoding="ascii") as fh:
+            limits += [int(line.split()[1]) << 10 for line in fh if line.startswith("MemAvailable:")]
+    except (OSError, ValueError, IndexError):
+        pass
+    for path in _CGROUP_LIMITS:
+        try:
+            with open(path, encoding="ascii") as fh:
+                text = fh.read().strip()
+            if text != "max":
+                limits.append(int(text))
+        except (OSError, ValueError):
+            pass
+    try:
+        import resource
+
+        soft = resource.getrlimit(resource.RLIMIT_AS)[0]
+        if soft != resource.RLIM_INFINITY:
+            limits.append(soft)
+    except ImportError:  # a platform without resource limits
+        pass
+    return min(limits)
+
+
 def _require_memory(need: int, holds: str):
-    """Refuse a request whose peak bytes `need` exceed this machine's
-    physical memory, before anything is built.  `holds` says what the
-    request holds."""
-    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    """Refuse a request whose peak bytes `need` exceed the memory this
+    process may still take (_available_memory), before anything is built.
+    `holds` says what the request holds."""
+    have = _available_memory()
     if need > have:
         raise ConfigError(
             f"{holds}, about {need / 2**30:.1f} GiB, "
-            f"but this machine has {have / 2**30:.1f} GiB"
+            f"but this machine has {have / 2**30:.1f} GiB free"
         )
 
 

@@ -12,7 +12,7 @@ output axis first, so after d passes the axes are (m_d, ..., m_1) and
 the result is already in flat order.  Nothing is transposed or copied
 between passes, and a transform holds two grids at a time.  On a 2-core
 host one transform of a warm random grid took 8.9 ms against 34 ms for
-a complex np.fft.fftn at q = 61, d = 3, 42 against 129 ms at q = 101,
+numpy's complex fftn at q = 61, d = 3, 42 against 129 ms at q = 101,
 d = 3, and 2.0 against 3.1 ms at q = 211, d = 2 (best of 5).
 
 `_passes` is that loop and the one place a pass is computed.  It runs
@@ -24,10 +24,23 @@ every product shaped and laid out as in a whole transform.
 Both directions share one kernel K[m, x] = chi(-x*m): the inverse pass
 reads its output rows at -x, which leaves every value bit for bit as a
 kernel of its own would.
+
+`_passes` is also the one transform of the package: the difference
+convolution of `distances` runs its forward and inverse passes.  Those
+products run inside `_one_blas_thread`, which caps the OpenBLAS that
+numpy bundles at one thread and restores the count after.  With numpy's
+two threads on a 2-core host, `pinned --q 71 --d 2 --poly x1^2+x2^2
+--setE all --setF all` took 0.95-1.08 s in 4 of 16 fresh processes
+started after 2 s idle, against 0.03-0.04 s in the rest: OpenBLAS hands
+products far too small to share to its second thread.  With one thread,
+8 of 8 such runs read 0.027-0.046 s.  Counts are rounded integers, so
+the cap cannot move an output.  The spectra keep numpy's own thread
+count, which leaves their bits where they were.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -88,6 +101,45 @@ def _passes(spec: FieldSpec, values: np.ndarray, n: int, bufs=(None, None), rows
         if rows is not None:
             arr = arr[rows]
     return arr.reshape(-1)
+
+
+@lru_cache(maxsize=1)
+def _blas_thread_calls():
+    """(get, set) of the thread count of the OpenBLAS that numpy bundles,
+    found on first use, or None where the library or its symbols are
+    missing."""
+    import ctypes
+    from pathlib import Path
+
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))  # the loaded copy, not a second one
+            get = lib.scipy_openblas_get_num_threads64_
+            put = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        return get, put
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block's products on one BLAS thread and restore the previous
+    count after, also when the block raises; where the thread count cannot
+    be reached, the products run as numpy would run them."""
+    calls = _blas_thread_calls()
+    if calls is None:
+        yield
+        return
+    get, put = calls
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
 
 
 def fourier_transform(f: ComplexGrid) -> ComplexGrid:

@@ -57,6 +57,7 @@ from .varieties import (
     weil_sum,
 )
 from .distances import (
+    _PAIR_BLOCK_BYTES,
     CountingHistogram,
     _erdos_verdict,
     _falconer_verdict,
@@ -128,6 +129,14 @@ def require(cfg: ExperimentConfig, *names: str):
     for name in names:
         if getattr(cfg, name) is None:
             raise ConfigError(f"--{name.replace('_', '-')} is required here")
+
+
+def _require_with_kernel(spec: FieldSpec, need: int, holds: str):
+    """Refuse a request that holds `need` bytes beside the field's add and
+    mul tables and the transform kernel of fourier._forward_kernel, 16 q^2
+    bytes each, when all of it cannot fit."""
+    q = spec.q
+    _require_memory(need + 32 * q**2, f"{holds} beside the tables and transform kernel of F_{q}")
 
 
 def _field_and_poly(cfg: ExperimentConfig) -> tuple[FieldSpec, Polynomial]:
@@ -484,10 +493,20 @@ def _random_grid(spec: FieldSpec, d: int, rng: SplitMix64) -> ComplexGrid:
     return ComplexGrid(spec, d, ((2 * re - 1) + 1j * (2 * im - 1)) * scale)
 
 
+# Peak bytes of run_fourier_check, under tracemalloc: per point of F_q^d,
+# two random grids, their transforms and the round-trip and linearity
+# grids (128.1-128.7 B at q^d = 1e4-3e4, q = 7..101, d = 2..5), plus 1 MiB
+# for the fixed costs that show on small grids (155 B at q = 1009, d = 1).
+_FOURIER_CHECK_POINT_BYTES = 144
+
+
 def run_fourier_check(cfg: ExperimentConfig):
     spec = cfg.resolve_field()
     d = cfg.d
     q = spec.q
+    points = q**d
+    need = points * _FOURIER_CHECK_POINT_BYTES + (1 << 20)
+    _require_with_kernel(spec, need, f"fourier-check over F_{q}^{d} holds grids of {points} points")
     grids = cfg.trials
     rng = SplitMix64(derive_seed(cfg.seed, 0xF0))
     worst_round, worst_plan, worst_lin = 0.0, 0.0, 0.0
@@ -533,7 +552,7 @@ def run_decay(cfg: ExperimentConfig):
     spec, P = _field_and_poly(cfg)
     q, points = spec.q, spec.q**cfg.d
     need = points * _DECAY_POINT_BYTES + q * _DECAY_T_BYTES + _DECAY_FIXED_BYTES
-    _require_memory(need, f"decay over F_{q}^{cfg.d} holds grids of {points} points")
+    _require_with_kernel(spec, need, f"decay over F_{q}^{cfg.d} holds grids of {points} points")
     entries = decay_spectrum(P, cfg.kappa_sharp, cfg.kappa_fallback)
     report = split_fibers(
         P, [e.variety_size for e in entries], [e.classification for e in entries]
@@ -597,7 +616,7 @@ def run_phase(cfg: ExperimentConfig):
     n = q**d
     sums = (q - 1) * n
     need = sums * _PHASE_ENTRY_BYTES + _PHASE_BLOCK_BYTES + 2 * _EMIT_BLOCK * len(cfg.poly)
-    _require_memory(need, f"phase over F_{q}^{d} holds {sums} sums")
+    _require_with_kernel(spec, need, f"phase over F_{q}^{d} holds {sums} sums")
     table = _phase_table(P)
     agreement = None
     if P.kind == DIAGONAL:  # check the factored table, one inverse transform per s
@@ -651,8 +670,26 @@ def _scan_row(cfg, spec, P, trial, E, F, report, hist: CountingHistogram) -> Sca
     )
 
 
+# Peak bytes of distance, scan and pinned, under tracemalloc: per point of
+# F_q^d, P's value grid, E and F as full grids, then the exceptional set's
+# decay grids (64 B) or the difference convolution's complex grids (three
+# when counting, four when pinning) and the per-pin sizes: 64-119 B at
+# q = 31, 101 and d = 2, 3 with E = F = F_q^d; plus one block of the pair
+# kernel, which is most of the peak at d = 1.
+_CONVOLUTION_POINT_BYTES = 128
+
+
+def _require_convolution(spec: FieldSpec, d: int, command: str):
+    """Refuse a distance, scan or pinned request whose decay grids or
+    difference convolution cannot fit."""
+    points = spec.q**d
+    need = points * _CONVOLUTION_POINT_BYTES + _PAIR_BLOCK_BYTES
+    _require_with_kernel(spec, need, f"{command} over F_{spec.q}^{d} holds grids of {points} points")
+
+
 def run_distance(cfg: ExperimentConfig):
     spec, P = _field_and_poly(cfg)
+    _require_convolution(spec, cfg.d, "distance")
     report = exceptional_set(P, cfg.kappa_sharp, cfg.kappa_fallback)
     rows = []
     deltas = []
@@ -691,6 +728,7 @@ MIN_FRACTION = 0.5  # share of pins that must carry many distances for a pass
 def run_pinned(cfg: ExperimentConfig):
     spec, P = _field_and_poly(cfg)
     q, d = spec.q, cfg.d
+    _require_convolution(spec, d, "pinned")
     rows = []
     for trial in range(cfg.trials):
         E, F = build_pair(cfg, spec, d, P, trial)
@@ -731,11 +769,13 @@ def run_lift(cfg: ExperimentConfig):
     if product:
         holds += f" and phase rows of {q**d} sums"
         need += q**d * _PHASE_ROW_BYTES
-    _require_memory(need, holds)
     # a lone set is refused, not dropped: --setE2/--setF2 need --setE and --setF too
     paired = bool(product or cfg.setE or cfg.setF)
-    if paired:
+    if paired:  # the distance sets of H may take a convolution over F_q^(d+1)
+        _require_with_kernel(spec, need + points * _CONVOLUTION_POINT_BYTES, holds)
         E, F = build_pair(cfg, spec, d, P, 0)
+    else:
+        _require_memory(need, holds)
     if product:
         E2, F2 = build_pair(cfg, spec, 1, P, 0, ("E2", "F2"))
     H = paraboloid_lift(P)
@@ -767,6 +807,7 @@ def run_scan(cfg: ExperimentConfig):
     spec, P = _field_and_poly(cfg)
     if not cfg.grid:
         raise ConfigError("scan needs --grid with target |E||F| products")
+    _require_convolution(spec, cfg.d, "scan")
     report = exceptional_set(P, cfg.kappa_sharp, cfg.kappa_fallback)
     q, d = spec.q, cfg.d
     capacity = q**d

@@ -4,7 +4,13 @@ lift, product experiments, and the theorem-style verifiers."""
 import numpy as np
 import pytest
 
-from ffdist.errors import DimensionMismatch, EmptySet, MixedFields, ZeroPolynomial
+from ffdist.errors import (
+    DimensionMismatch,
+    EmptySet,
+    MixedFields,
+    RoundingDivergence,
+    ZeroPolynomial,
+)
 from ffdist.distances import (
     _convolution_counts,
     _pair_counts,
@@ -245,7 +251,7 @@ class TestRoutes:
     """The pair kernel and the difference convolution give the same integers."""
 
     @pytest.mark.parametrize("d", [1, 2, 3])
-    @pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 25, 27])
+    @pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 16, 25, 27, 32])
     def test_direct_and_transform_routes_agree(self, q, d):
         spec = field_from_order(q)
         P = parse_polynomial(ROUTE_POLYS[d], spec, d)
@@ -469,11 +475,55 @@ class TestRoutes:
             (71, 2, 71**2, 71**2, True, True),
             (31, 3, 1733, 1733, False, True),
             (31, 3, 5000, 5000, False, True),
+            # the north-star pin case, faster on pairs
+            (61, 3, 61**3, 500, True, False),
         ],
     )
     def test_cost_rule_routes(self, q, d, size_e, size_f, pins, fourier):
-        convolutions = q if pins else 1
-        assert _use_transform(size_e * size_f, q**d, convolutions) == fourier
+        # every fiber of sum x_j^2 is nonempty at d >= 2
+        passes = d * (1 + 2 * q) if pins else 3 * d
+        assert _use_transform(size_e * size_f, q, d, passes) == fourier
+
+    def test_convolutions_restore_the_blas_thread_count(self, monkeypatch):
+        from ffdist import distances, fourier
+
+        calls = fourier._blas_thread_calls()
+        if calls is None:
+            pytest.skip("the BLAS thread count of numpy cannot be reached here")
+        get, put = calls
+        seen = []
+
+        def counted_passes(*args, **kwargs):
+            seen.append(get())
+            return fourier._passes(*args, **kwargs)
+
+        monkeypatch.setattr(distances, "_passes", counted_passes)
+        P = parse_polynomial("x1^2 + x2^2", F13, 2)
+        E = full_grid(F13, 2)
+        before = get()
+        put(2)
+        try:
+            for route in (_convolution_counts, _pinned_convolution_sizes):
+                route(P, E, E)
+                assert get() == 2
+            monkeypatch.setattr(distances, "_ROUNDING_BOUND", -1.0)
+            for route in (_convolution_counts, _pinned_convolution_sizes):
+                with pytest.raises(RoundingDivergence):
+                    route(P, E, E)
+                assert get() == 2
+        finally:
+            put(before)
+        assert seen and set(seen) == {1}
+
+    def test_counts_stand_without_the_blas_thread_count(self, monkeypatch):
+        from ffdist import fourier
+
+        monkeypatch.setattr(fourier, "_blas_thread_calls", lambda: None)
+        P = parse_polynomial("x1^2 + 3*x2^3", F13, 2)
+        E = random_set(F13, 2, 90, seed=40)
+        F = random_set(F13, 2, 70, seed=41)
+        assert np.array_equal(_convolution_counts(P, E, F).counts, _pair_counts(P, E, F).counts)
+        assert np.array_equal(_pinned_convolution_sizes(P, E, F), _pinned_pair_sizes(P, E, F))
 
     def test_auto_route_follows_the_cost_rule(self):
         P = parse_polynomial("x1^2 + x2^2", F13, 2)

@@ -129,8 +129,33 @@ class TestConstruction:
             monkeypatch.setattr(field, name, unreachable)
         monkeypatch.setattr(field, "_digits", unreachable)
         message = rf"^the tables of F_{order} hold \d+ entries, about [\d.]+ GiB, but this "
-        with pytest.raises(ConfigError, match=message + r"machine has [\d.]+ GiB$"):
+        with pytest.raises(ConfigError, match=message + r"machine has [\d.]+ GiB free$"):
             build()
+
+    def test_free_memory_is_the_least_readable_limit(self, monkeypatch, tmp_path):
+        import os
+        import resource
+
+        unlimited = (resource.RLIM_INFINITY, resource.RLIM_INFINITY)
+        meminfo, v2, v1 = tmp_path / "meminfo", tmp_path / "memory.max", tmp_path / "v1"
+        meminfo.write_text("MemTotal: 8000000 kB\nMemAvailable: 3000000 kB\n")
+        v2.write_text("max\n")
+        v1.write_text("2000000000\n")
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": (8 << 30) // 4096}
+        monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+        monkeypatch.setattr(resource, "getrlimit", lambda which: unlimited)
+        monkeypatch.setattr(field, "_MEMINFO", str(meminfo))
+        monkeypatch.setattr(field, "_CGROUP_LIMITS", (str(v2), str(v1), str(tmp_path / "none")))
+        assert field._available_memory() == 2000000000  # the cgroup's
+        v1.write_text("max\n")
+        assert field._available_memory() == 3000000 << 10  # MemAvailable
+        monkeypatch.setattr(resource, "getrlimit", lambda which: (1 << 30, resource.RLIM_INFINITY))
+        assert field._available_memory() == 1 << 30  # RLIMIT_AS
+        monkeypatch.setattr(resource, "getrlimit", lambda which: unlimited)
+        meminfo.write_text("MemTotal: 8000000 kB\n")
+        assert field._available_memory() == 8 << 30  # nothing else: physical memory
+        monkeypatch.setattr(field, "_MEMINFO", str(tmp_path / "none"))
+        assert field._available_memory() == 8 << 30
 
     @pytest.mark.parametrize(
         "build, order",

@@ -775,6 +775,63 @@ class TestRunners:
         assert stated[:1] == [8 * q**d] and len(stated) == 2  # P's grid, then decay
         assert 64 * q**d <= peak <= stated[1]  # the grid and the spectra were counted
 
+    def test_decay_counts_the_transform_kernel_against_free_memory(self, capsys, monkeypatch):
+        # F_4001's add and mul tables take 256 MB and the transform kernel
+        # 256 MB more: with 384 MB free the field is admitted, decay is not
+        from ffdist import field, harness, varieties
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a grid was built for an oversize decay request")
+
+        q = 4001
+        monkeypatch.setattr(field, "_available_memory", lambda: 24 * q**2)
+        for module, name in ((varieties, "value_grid"), (harness, "decay_spectrum")):
+            monkeypatch.setattr(module, name, unreachable)
+        field_from_order(q)
+        assert main(["decay", "--q", str(q), "--d", "1", "--poly", "x1^3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"config error: decay over F_{q}^1 holds grids of {q} points beside the tables "
+            f"and transform kernel of F_{q}, about "
+        )
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "pinned --q 31 --d 3 --poly x1^2+x2^2+x3^2 --setE all --setF all",
+            "pinned --q 101 --d 2 --poly x1^2+x2^2 --setE all --setF all",
+            "pinned --q 1009 --d 1 --poly x1^3 --setE all --setF all",
+            "distance --q 101 --d 2 --poly x1^2+x2^2 --setE all --setF all",
+            "distance --q 1009 --d 1 --poly x1^3 --setE all --setF all",
+            "scan --q 31 --d 3 --poly x1^2+x2^2+x3^2 --grid 30000,3000000 --trials 2",
+            "fourier-check --q 101 --d 2 --trials 2",
+            "fourier-check --q 1009 --d 1",
+        ],
+    )
+    def test_convolution_and_fourier_check_memory_checks_cover_the_measured_peak(
+        self, monkeypatch, argv
+    ):
+        import tracemalloc
+
+        from ffdist import harness, varieties
+
+        stated = []
+        monkeypatch.setattr(harness, "_require_memory", lambda need, holds: stated.append(need))
+        argv = argv.split()
+        cfg = config_from_args(build_parser().parse_args(argv))
+        run(argv[0], cfg)  # the field's tables and kernel are built once, and cached
+        stated.clear()
+        varieties.value_grid.cache_clear()
+        tracemalloc.start()
+        try:
+            code, _ = run(argv[0], cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and len(stated) == (1 if argv[0] == "fourier-check" else 2)
+        assert peak <= stated[-1]
+
     def test_phase_releases_its_table_before_emission(self, tmp_path):
         # at F_101^2 only the four CSV columns (32 B an entry) and the
         # emission block should remain once the complex table (16 B) is dropped

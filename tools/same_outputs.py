@@ -108,7 +108,9 @@ ORBIT_CASES = (
 # not diagonal, and at d = 1; fields past degree 4, among them the cubic
 # distances of Iosevich-Koh in characteristic 2; and pinned distances on
 # the pair kernel at the north-star size and over F_243 with |E| < q/3,
-# where the kernel reads add_table pair by pair.
+# where the kernel reads add_table pair by pair; and counting by the
+# difference convolution over F_16^3, whose twelve base-2 digit axes the
+# convolution once ran on, and at d = 1.
 EDGE_CASES = (
     "decay --q 9 --d 2 --poly 7*x2^5+5*x1^5 --kappa-sharp 2",
     "pinned --q 1021 --d 2 --poly x1^2+x2^2 --setE random:3000 --setF random:200 --seed 1",
@@ -134,6 +136,8 @@ EDGE_CASES = (
     "decay --p 2 --n 6 --d 3 --poly x1^3+x2^3+x3^3",
     "pinned --q 61 --d 3 --poly x1^2+x2^2+x3^2 --setE all --setF random:500",
     "pinned --p 3 --n 5 --d 2 --poly x1^2+x2^2 --setE random:60 --setF random:300 --trials 2",
+    "distance --p 2 --n 4 --d 3 --poly x1^2+x2^2+x3^2 --setE random:700 --setF random:700 --seed 1",
+    "distance --q 1009 --d 1 --poly x1^3 --setE all --setF all",
 )
 
 
