@@ -16,10 +16,13 @@ Every answer is an exact integer count, reached by one of two routes:
   on one BLAS thread (`fourier._one_blas_thread`).
 
 Pinned distances convolve E with each nonempty fiber of P: d passes for
-E, then 2d a fiber.  `counting_function` and `pinned_distances` check
-their (P, E, F) triple once and pick a route function by a fixed cost
-rule (`_use_transform`) on |E||F| and the passes a convolution takes, so
-small sets stay on the pair kernel; `distance_set` and the verifiers read
+E, then each fiber's spectrum from `varieties._fiber_spectra`, the one
+producer of fiber spectra (for separable P, d - 1 passes shared by every
+fiber and one a fiber), and d inverse passes a fiber.
+`counting_function` and `pinned_distances` check their (P, E, F) triple
+once and pick a route function by a fixed cost rule (`_use_transform`)
+on |E||F| and the passes a convolution takes, so small sets stay on the
+pair kernel; `distance_set` and the verifiers read
 `counting_function`.  The transform route rounds floats to integers: it
 records its worst rounding residual and raises RoundingDivergence when
 any value lands more than 0.1 from an integer.
@@ -41,6 +44,7 @@ from .rng import SplitMix64, _mulhi, derive_seed
 from .varieties import (
     Polynomial,
     PointSet,
+    _fiber_spectra,
     _phase_rows,
     diagonal_polynomial,
     make_polynomial,
@@ -87,11 +91,17 @@ _ROUNDING_BOUND = 0.1  # worst |raw - nearest integer| a transform count may sho
 
 # Route rule: the transform route is taken once |E||F| exceeds
 # _PASS_COST * passes * q * q^d, a pass being q^d products of length q.
-# Counting takes 3d passes; pinned distances take d for E and 2d for each
-# nonempty fiber.  The constant at break-even is the convolution's time
-# per pass unit (q products) over the pair kernel's time per pair; with
-# P = sum x_j^2 on a 2-core x86 VM (numpy 2.4.6, best of 5, pinned best
-# of 3) it read:
+# Counting takes 3d passes.  Pinned distances are charged d for E and 2d
+# for each nonempty fiber, an upper bound: for separable P they take
+# 2d - 1 + (d + 1) per fiber, since the fiber spectra share d - 1 passes
+# and take one each.  The bound is kept because the actual count would
+# move the north-star pin case (F_61^3 against 500 pins) onto the
+# convolution, where the two routes measured alike (convolution
+# 0.92-1.21 s, pairs 1.02-1.15 s).  The constant at break-even is the
+# convolution's time per pass unit (q products) over the pair kernel's
+# time per pair, the pinned column measured with d forward passes a
+# fiber; with P = sum x_j^2 on a 2-core x86 VM (numpy 2.4.6, best of 5,
+# pinned best of 3) it read:
 #
 #   counting, random |E| = |F|      pinned, E = F_q^d
 #   F_101^2, 2000    0.023          F_101^2, |F| = 2000    0.029
@@ -161,11 +171,11 @@ def _pair_value_blocks(P: Polynomial, E: PointSet, F: PointSet):
 # ---------------------------------------------------------------------------
 # The difference convolution.
 
-def _indicator_spectrum(spec: FieldSpec, d: int, where) -> np.ndarray:
-    """The d unnormalized forward passes of the indicator of `where` (flat
-    indices or a mask) on F_q^d: sum_x 1(x) chi(-x*m) at each m."""
+def _indicator_spectrum(spec: FieldSpec, d: int, indices: np.ndarray) -> np.ndarray:
+    """The d unnormalized forward passes of the indicator of a point set,
+    given by its flat indices, on F_q^d: sum_x 1(x) chi(-x*m) at each m."""
     grid = np.zeros(spec.q**d, dtype=np.complex128)
-    grid[where] = 1.0
+    grid[indices] = 1.0
     return _passes(spec, grid, d, bufs=(None, grid))
 
 
@@ -276,14 +286,15 @@ def _fibers(vg: np.ndarray, q: int) -> np.ndarray:
 
 def _pinned_convolution_sizes(P: Polynomial, E: PointSet, F: PointSet) -> np.ndarray:
     """The same counts by convolution: nu_y(t) = #{x in E : x - y in V_t}
-    = D_{E, V_t}(y), one convolution per nonempty fiber, read at the pins."""
-    spec, q, d = P.spec, P.spec.q, P.d
-    vg = value_grid(P)
+    = D_{E, V_t}(y), one convolution per nonempty fiber, read at the pins.
+    Each fiber's spectrum comes from varieties._fiber_spectra and is
+    consumed in place: its grid becomes the product, then the counts."""
+    spec, d = P.spec, P.d
     sizes = np.zeros(F.size, dtype=np.int64)
     with _one_blas_thread():
         e_hat = _indicator_spectrum(spec, d, E.indices)
-        for t in _fibers(vg, q):
-            prod = np.conj(_indicator_spectrum(spec, d, vg == t))
+        for _, prod in _fiber_spectra(P, _fibers(value_grid(P), spec.q)):
+            np.conj(prod, out=prod)
             prod *= e_hat
             sizes += _difference_counts(spec, d, prod)[0][F.indices] > 0
     return sizes

@@ -34,23 +34,51 @@ import numpy as np
 from .errors import ConfigError, DegreeOutOfRange, NonPrime, ReducibleModulus
 
 
-# Files that may cap this process's memory: MemAvailable, then the cgroup's
-# limit as mounted here (v2, then v1); a value of "max" sets no limit.
+# Files that may cap this process's memory: MemAvailable, then the cgroup
+# limits under the mount root (v2, then v1), at the root and in the
+# process's own cgroup as /proc/self/cgroup names it; "max" sets no limit.
 _MEMINFO = "/proc/meminfo"
-_CGROUP_LIMITS = ("/sys/fs/cgroup/memory.max", "/sys/fs/cgroup/memory/memory.limit_in_bytes")
+_CGROUP_ROOT = "/sys/fs/cgroup"
+_PROC_CGROUP = "/proc/self/cgroup"
+
+
+def _cgroup_limit_files() -> list[str]:
+    """The memory-limit files of the cgroup root, v2 `memory.max` and v1
+    `memory/memory.limit_in_bytes`, then those of this process's own
+    cgroup: the `0::<path>` line gives `<root><path>/memory.max` and the
+    line whose controllers hold `memory` gives
+    `<root>/memory<path>/memory.limit_in_bytes`."""
+    root = _CGROUP_ROOT
+    files = [f"{root}/memory.max", f"{root}/memory/memory.limit_in_bytes"]
+    try:
+        with open(_PROC_CGROUP, encoding="ascii") as fh:
+            lines = fh.read().splitlines()
+    except (OSError, ValueError):
+        return files
+    for line in lines:
+        parts = line.split(":", 2)
+        if len(parts) != 3 or not parts[2].startswith("/"):
+            continue
+        hierarchy, controllers, path = parts[0], parts[1], parts[2].rstrip("/")
+        if hierarchy == "0" and not controllers:
+            files.append(f"{root}{path}/memory.max")
+        elif "memory" in controllers.split(","):
+            files.append(f"{root}/memory{path}/memory.limit_in_bytes")
+    return files
 
 
 def _available_memory() -> int:
     """The bytes a request may hold: the least of the physical memory, the
-    kernel's MemAvailable estimate, the cgroup's memory limit and
-    RLIMIT_AS, each where it can be read.  Nothing is set."""
+    kernel's MemAvailable estimate, the memory limits of the cgroup root
+    and of this process's own cgroup (_cgroup_limit_files) and RLIMIT_AS,
+    each where it can be read.  Nothing is set."""
     limits = [os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")]
     try:
         with open(_MEMINFO, encoding="ascii") as fh:
             limits += [int(line.split()[1]) << 10 for line in fh if line.startswith("MemAvailable:")]
     except (OSError, ValueError, IndexError):
         pass
-    for path in _CGROUP_LIMITS:
+    for path in _cgroup_limit_files():
         try:
             with open(path, encoding="ascii") as fh:
                 text = fh.read().strip()

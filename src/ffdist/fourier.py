@@ -17,7 +17,7 @@ d = 3, and 2.0 against 3.1 ms at q = 211, d = 2 (best of 5).
 
 `_passes` is that loop and the one place a pass is computed.  It runs
 any number of passes from any flat operand and writes into buffers the
-caller may own, so the fiber spectra of `varieties._fiber_peaks` run
+caller may own, so the fiber spectra of `varieties._fiber_spectra` run
 part of a transform on a shared table and the rest per fiber, with
 every product shaped and laid out as in a whole transform.
 
@@ -34,8 +34,9 @@ two threads on a 2-core host, `pinned --q 71 --d 2 --poly x1^2+x2^2
 started after 2 s idle, against 0.03-0.04 s in the rest: OpenBLAS hands
 products far too small to share to its second thread.  With one thread,
 8 of 8 such runs read 0.027-0.046 s.  Counts are rounded integers, so
-the cap cannot move an output.  The spectra keep numpy's own thread
-count, which leaves their bits where they were.
+the cap cannot move an output; the fiber spectra that the pinned
+convolution reads run under it too.  Decay's spectra keep numpy's own
+thread count, which leaves their bits where they were.
 """
 
 from __future__ import annotations

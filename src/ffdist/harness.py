@@ -539,9 +539,9 @@ def run_fourier_check(cfg: ExperimentConfig):
 DECAY_COLUMNS = tuple(f.name for f in fields(DecayEntry))
 
 # Peak bytes of run_decay and emit, under tracemalloc: per point of F_q^d,
-# P's value grid and the four grids _fiber_peaks shares across fibers
-# (8 + 56 B; 64.1-65.4 B at 1.6e4-2.3e5 points, q = 13..211, d = 2..4); per t,
-# its DecayEntry, row and CSV cells (300-830 B at q = 101..1009, d = 1); and
+# P's value grid, the three grids _fiber_spectra shares across fibers and
+# the magnitudes of _fiber_peaks (8 + 56 B; 64.1-65.4 B at 1.6e4-2.3e5
+# points, q = 13..211, d = 2..4); per t, its DecayEntry, row and CSV cells (300-830 B at q = 101..1009, d = 1); and
 # the open CSV file's buffer (~140 KB, the file system's block size).
 _DECAY_POINT_BYTES = 64
 _DECAY_T_BYTES = 1024
@@ -670,20 +670,32 @@ def _scan_row(cfg, spec, P, trial, E, F, report, hist: CountingHistogram) -> Sca
     )
 
 
-# Peak bytes of distance, scan and pinned, under tracemalloc: per point of
-# F_q^d, P's value grid, E and F as full grids, then the exceptional set's
-# decay grids (64 B) or the difference convolution's complex grids (three
-# when counting, four when pinning) and the per-pin sizes: 64-119 B at
-# q = 31, 101 and d = 2, 3 with E = F = F_q^d; plus one block of the pair
+# Peak bytes of distance and scan, under tracemalloc: per point of F_q^d,
+# P's value grid, E and F as full grids, then the exceptional set's decay
+# grids (64 B) or the difference convolution's three complex grids: 64-119 B
+# at q = 31, 101 and d = 2, 3 with E = F = F_q^d; plus one block of the pair
 # kernel, which is most of the peak at d = 1.
 _CONVOLUTION_POINT_BYTES = 128
+# pinned holds, per point, the value grid, E and F, then either the pinned
+# convolution (E's spectrum, the fiber spectra's table, gathered grid and
+# pass output, one more pass grid and the rounded counts: 104 B) or, once
+# that is dropped, the per-pin counts and PinnedReport.sizes, a dict of one
+# entry a pin.  The dict peaks while it resizes, holding its old and new
+# slots beside the int keys (and, past q = 256, the int values); so the
+# peak per point jumps where the pin count passes 2/3 of a power of two.
+# run_pinned with E = F = F_q^d read 128.1-174.8 B at 1.0e4-1.04e5 points
+# (q = 101..307 at d = 2, 31..47 at d = 3, 16 and 17 at d = 4), the top at
+# F_307^2 and 151.7 B at F_211^2, just past a resize.
+_PINNED_POINT_BYTES = 192
 
 
-def _require_convolution(spec: FieldSpec, d: int, command: str):
+def _require_convolution(
+    spec: FieldSpec, d: int, command: str, point_bytes: int = _CONVOLUTION_POINT_BYTES
+):
     """Refuse a distance, scan or pinned request whose decay grids or
-    difference convolution cannot fit."""
+    difference convolution cannot fit, at `point_bytes` a point of F_q^d."""
     points = spec.q**d
-    need = points * _CONVOLUTION_POINT_BYTES + _PAIR_BLOCK_BYTES
+    need = points * point_bytes + _PAIR_BLOCK_BYTES
     _require_with_kernel(spec, need, f"{command} over F_{spec.q}^{d} holds grids of {points} points")
 
 
@@ -728,7 +740,7 @@ MIN_FRACTION = 0.5  # share of pins that must carry many distances for a pass
 def run_pinned(cfg: ExperimentConfig):
     spec, P = _field_and_poly(cfg)
     q, d = spec.q, cfg.d
-    _require_convolution(spec, d, "pinned")
+    _require_convolution(spec, d, "pinned", _PINNED_POINT_BYTES)
     rows = []
     for trial in range(cfg.trials):
         E, F = build_pair(cfg, spec, d, P, trial)

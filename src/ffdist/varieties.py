@@ -2,10 +2,12 @@
 
 Everything here is exact enumeration: fibers V_t = {x : P(x) = t} are
 listed point by point, character sums are summed term by term, and the
-decay spectrum of each fiber comes from the grid transform's passes.  For
-separable P (every term in at most one variable, as every CLI polynomial
-is) the first d-1 passes of every fiber read one shared table
-(`_fiber_peaks`), so each fiber pays for one pass.
+decay spectrum of each fiber comes from the grid transform's passes.
+`_fiber_spectra` is the one producer of fiber spectra: decay, the
+exceptional set and the pinned convolution of `distances` all read it.
+For separable P (every term in at most one variable, as every CLI
+polynomial is) the first d-1 passes of every fiber read one shared table,
+so each fiber pays for one pass.
 Exceptional sets of diagonal P transform one fiber per scaling coset of t
 (`_scaling_cosets`), since dilations carry the other fibers onto it.  The
 phase sums sum_x chi(s*P(x) + m*x) for all s != 0 and m come as one table
@@ -329,7 +331,7 @@ def split_fibers(P: Polynomial, sizes, classes) -> ExceptionalReport:
 
 
 def _shared_table(P: Polynomial, levels: int, gathered: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """B_levels of _fiber_peaks as a (q^levels, q) array over ((m..), w).
+    """B_levels of _fiber_spectra as a (q^levels, q) array over ((m..), w).
     Each level's operand is gathered into `gathered`, whose tail past the
     operand must be zero (the padding), and its product is written into
     `out`, or for the last level into a grid of its own."""
@@ -346,10 +348,11 @@ def _shared_table(P: Polynomial, levels: int, gathered: np.ndarray, out: np.ndar
     return table
 
 
-def _fiber_peaks(P: Polynomial, ts):
-    """(t, max_{m != 0} |V_t^(m)|, the first flat m attaining it in floats)
-    for each t in ts, as one whole transform of each fiber's indicator
-    gives them (tests.oracles.per_fiber_peaks).
+def _fiber_spectra(P: Polynomial, ts):
+    """(t, V_t^) for each t in ts, where V_t^(m) = sum_x [P(x) = t] chi(-x*m)
+    is the unnormalized transform of the fiber's indicator, flat in encoding
+    order.  Every fiber spectrum of the package comes from here: decay's
+    peaks (_fiber_peaks) and the pinned convolution of distances.
 
     Write P = g_1(x_1) + ... + g_L(x_L) + R(x_{L+1}, ..., x_d) with
     g_j(0) = 0: L = d-1 when P is separable, so R holds x_d's terms and
@@ -376,13 +379,12 @@ def _fiber_peaks(P: Polynomial, ts):
     differ in the last bit.  That
     moved no peak at the sizes the tests and the benchmark use, but it
     moves one fiber's maximum by an ulp for x1^2 + 2*x2^3 + x3 over F_31^3.
-    The 1/q^d scale multiplies the float view by the reciprocal, as
-    numpy's complex /= by a real does; only the signs of exact zeros may
-    differ, and np.abs does not see them.
 
-    The table, the gathered grid, the pass output and the magnitudes are
-    allocated once and serve every t (16 + 16 + 16 + 8 bytes a point;
-    for L = 0 the table is one row and the indices take its place)."""
+    The table, the gathered grid and the pass output are allocated once
+    and serve every t (16 + 16 + 16 bytes a point; for L = 0 the table is
+    one row and the indices take its place).  The grid yielded is one of
+    the last two: the consumer may overwrite it, but must be done with it
+    before it asks for the next t."""
     spec, d, q = P.spec, P.d, P.spec.q
     at, neg = add_table(spec), neg_table(spec)
     vg = value_grid(P)
@@ -394,15 +396,28 @@ def _fiber_peaks(P: Polynomial, ts):
     table = _shared_table(P, shared, gathered, out)
     idx = np.empty(rest_neg.size, np.int64)
     cols = gathered.reshape(table.shape[0], -1)
-    mag = np.empty(vg.size)
-    scale = 1.0 / float(q) ** d
     for t in ts:
         # every index is in range; mode="raise" would gather through a copy of out=
         np.take(at[t], rest_neg, out=idx, mode="clip")
         np.take(table, idx, axis=1, out=cols, mode="clip")
-        fh = _passes(spec, gathered, d - shared, (out, gathered))
+        yield t, _passes(spec, gathered, d - shared, (out, gathered))
+
+
+def _fiber_peaks(P: Polynomial, ts):
+    """(t, max_{m != 0} |V_t^(m)|, the first flat m attaining it in floats)
+    for each t in ts, from the normalized spectra of _fiber_spectra, as one
+    whole transform of each fiber's indicator gives them
+    (tests.oracles.per_fiber_peaks).
+
+    The 1/q^d scale multiplies the float view by the reciprocal, as
+    numpy's complex /= by a real does; only the signs of exact zeros may
+    differ, and np.abs does not see them.  The magnitudes take one more
+    grid beside those of _fiber_spectra (8 bytes a point)."""
+    mag = None  # allocated by the first np.abs, once the shared table is built
+    scale = 1.0 / float(P.spec.q) ** P.d
+    for t, fh in _fiber_spectra(P, ts):
         fh.view(np.float64)[...] *= scale
-        np.abs(fh, out=mag)
+        mag = np.abs(fh, out=mag)
         mag[0] = -1.0  # exclude the zero frequency
         am = int(np.argmax(mag))
         yield t, max(float(mag[am]), 0.0), am

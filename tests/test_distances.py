@@ -525,6 +525,40 @@ class TestRoutes:
         assert np.array_equal(_convolution_counts(P, E, F).counts, _pair_counts(P, E, F).counts)
         assert np.array_equal(_pinned_convolution_sizes(P, E, F), _pinned_pair_sizes(P, E, F))
 
+    @pytest.mark.parametrize(
+        "q, d, text",
+        [(13, 2, "x1^4"), (7, 3, "x1^2 + 2*x2^3 + x3"), (9, 3, "x1^2 + x2^2 + x3^2")],
+    )
+    def test_pinned_convolution_reads_the_shared_fiber_spectra(self, monkeypatch, q, d, text):
+        # for separable P: d passes for E, the d - 1 passes of the shared
+        # table, then one forward and d inverse passes a nonempty fiber, and
+        # no fiber indicator transformed on its own
+        from ffdist import distances, fourier, varieties
+
+        passes, indicators = [], []
+        indicator_spectrum = distances._indicator_spectrum
+
+        def counted_passes(spec, values, n, bufs=(None, None), rows=None):
+            passes.append((n, rows is not None))
+            return fourier._passes(spec, values, n, bufs, rows)
+
+        def counted_indicator(spec, d, indices):
+            indicators.append(indices)
+            return indicator_spectrum(spec, d, indices)
+
+        monkeypatch.setattr(distances, "_passes", counted_passes)
+        monkeypatch.setattr(varieties, "_passes", counted_passes)
+        monkeypatch.setattr(distances, "_indicator_spectrum", counted_indicator)
+        spec = field_from_order(q)
+        P = parse_polynomial(text, spec, d)
+        E, F = random_set(spec, d, q ** (d - 1), seed=46), random_set(spec, d, 2 * q, seed=47)
+        sizes = _pinned_convolution_sizes(P, E, F)
+        fibers = np.count_nonzero(np.bincount(value_grid(P), minlength=q))
+        assert fibers < q or d == 3  # x1^4 over F_13 leaves fibers empty
+        assert passes == [(d, False)] + [(1, False)] * (d - 1) + [(1, False), (d, True)] * fibers
+        assert len(indicators) == 1 and indicators[0] is E.indices
+        assert np.array_equal(sizes, _pinned_pair_sizes(P, E, F))
+
     def test_auto_route_follows_the_cost_rule(self):
         P = parse_polynomial("x1^2 + x2^2", F13, 2)
         E = full_grid(F13, 2)

@@ -137,15 +137,33 @@ class TestConstruction:
         import resource
 
         unlimited = (resource.RLIM_INFINITY, resource.RLIM_INFINITY)
-        meminfo, v2, v1 = tmp_path / "meminfo", tmp_path / "memory.max", tmp_path / "v1"
+        root, meminfo, own = tmp_path / "cgroup", tmp_path / "meminfo", tmp_path / "self"
+        v2, v1 = root / "memory.max", root / "memory" / "memory.limit_in_bytes"
+        nested_v2 = root / "jobs" / "a" / "memory.max"
+        nested_v1 = root / "memory" / "api" / "b" / "memory.limit_in_bytes"
+        for path in (nested_v2, nested_v1):
+            path.parent.mkdir(parents=True)
         meminfo.write_text("MemTotal: 8000000 kB\nMemAvailable: 3000000 kB\n")
         v2.write_text("max\n")
         v1.write_text("2000000000\n")
+        nested_v2.write_text("1500000000\n")
+        nested_v1.write_text("1000000000\n")
         pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": (8 << 30) // 4096}
         monkeypatch.setattr(os, "sysconf", pages.__getitem__)
         monkeypatch.setattr(resource, "getrlimit", lambda which: unlimited)
         monkeypatch.setattr(field, "_MEMINFO", str(meminfo))
-        monkeypatch.setattr(field, "_CGROUP_LIMITS", (str(v2), str(v1), str(tmp_path / "none")))
+        monkeypatch.setattr(field, "_CGROUP_ROOT", str(root))
+        monkeypatch.setattr(field, "_PROC_CGROUP", str(own))
+        # the process's own cgroup, v1 and v2, below the root's limit
+        own.write_text("5:cpu,memory:/api/b\n4:pids:/\n0::/jobs/a\n")
+        assert field._available_memory() == 1000000000  # the nested v1 limit
+        own.write_text("4:memory:/api/b/\n0::/jobs/a\n")
+        assert field._available_memory() == 1000000000  # a trailing slash reads the same
+        own.write_text("0::/jobs/a\n")
+        assert field._available_memory() == 1500000000  # the nested v2 limit
+        own.write_text("0::/jobs/none\n4:memory\nnot a line\n")
+        assert field._available_memory() == 2000000000  # unreadable: the root's
+        monkeypatch.setattr(field, "_PROC_CGROUP", str(tmp_path / "none"))
         assert field._available_memory() == 2000000000  # the cgroup's
         v1.write_text("max\n")
         assert field._available_memory() == 3000000 << 10  # MemAvailable

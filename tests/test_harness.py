@@ -832,6 +832,31 @@ class TestRunners:
         assert code == 0 and len(stated) == (1 if argv[0] == "fourier-check" else 2)
         assert peak <= stated[-1]
 
+    def test_pinned_states_its_per_pin_report_a_point(self, monkeypatch):
+        # F_211^2 has 44521 pins, just past the 43690 at which the sizes dict
+        # resizes: its peak outweighs the convolution's grids, and without the
+        # pair block term it passes the 128 B a point that distance states
+        import tracemalloc
+
+        from ffdist import harness, varieties
+        from ffdist.field import add_table, mul_table, neg_table
+        from ffdist.fourier import _forward_kernel
+
+        monkeypatch.setattr(harness, "_require_memory", lambda need, holds: None)
+        q, d = 211, 2
+        spec = field_from_order(q)
+        add_table(spec), mul_table(spec), neg_table(spec), _forward_kernel(spec)
+        cfg = ExperimentConfig(q=q, d=d, poly="x1^2+x2^2", setE="all", setF="all")
+        varieties.value_grid.cache_clear()
+        tracemalloc.start()
+        try:
+            code, _ = run("pinned", cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert harness._CONVOLUTION_POINT_BYTES * q**d < peak <= harness._PINNED_POINT_BYTES * q**d
+
     def test_phase_releases_its_table_before_emission(self, tmp_path):
         # at F_101^2 only the four CSV columns (32 B an entry) and the
         # emission block should remain once the complex table (16 B) is dropped

@@ -25,7 +25,7 @@ def test_commands_cover_ops_examples_help_and_errors(tool):
         for op in ops:
             for seed in (1, 2):
                 assert op.argv(seed) + ["--deterministic", "--out", "out"] in cmds
-    assert len(tool.ORBIT_CASES) == 6 and len(tool.EDGE_CASES) == 25
+    assert len(tool.ORBIT_CASES) == 6 and len(tool.EDGE_CASES) == 27
     for text in tool.ORBIT_CASES + tool.EDGE_CASES:
         assert text.split() + ["--deterministic", "--out", "out"] in cmds
     examples = tool.readme_examples()
@@ -64,3 +64,20 @@ def test_compare_reports_each_kind_of_difference(tool, tmp_path):
         ("--help", ["exit 0 != 4", "stdout", "stderr", "file out.json"]),
     ]
     assert tool.run_one(a, ["x"])[3] == {"points.txt": tool.POINTS.encode()}
+
+
+def test_compare_masks_only_the_free_memory_figure(tool, tmp_path):
+    refusal = (
+        "import sys\n"
+        "print('config error: decay over F_7^9 holds grids of 40353607 points, "
+        "about 4.8 GiB, but this machine has {} GiB free', file=sys.stderr)\n"
+        "sys.exit(2)\n"
+    )
+    a = fake_src(tmp_path / "a", refusal.format("7.3"))
+    b = fake_src(tmp_path / "b", refusal.format("12.0"))
+    c = fake_src(tmp_path / "c", refusal.format("7.3").replace("4.8 GiB", "4.9 GiB"))
+    d = fake_src(tmp_path / "d", refusal.format("7.3").replace("machine has", "host has"))
+    cmds = [["decay", "--q", "7"]]
+    assert tool.compare(a, b, cmds) == []
+    assert tool.compare(a, c, cmds) == [("decay --q 7", ["stderr"])]
+    assert tool.compare(b, d, cmds) == [("decay --q 7", ["stderr"])]

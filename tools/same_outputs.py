@@ -6,7 +6,10 @@ Each command below runs twice, as `python -m ffdist ARGS` with PYTHONPATH
 set to OLD_SRC and then to NEW_SRC, each time in a fresh working directory
 that holds only `points.txt` (a two-point file for `file:` set specs).  The
 two runs must agree byte for byte in exit code, stdout, stderr and every
-file left in the working directory.  The commands are:
+file left in the working directory.  One figure is masked first: a memory
+refusal ends `... has X GiB free`, the memory free at that moment, so X
+is replaced in both stderr texts (FREE_MEMORY); every other byte is
+compared.  The commands are:
 
 - every op of bench/workloads.py at seeds 1 and 2, and the commands in
   ORBIT_CASES and EDGE_CASES, with `--deterministic --out out`;
@@ -21,6 +24,7 @@ exits 1 if any do.
 from __future__ import annotations
 
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -34,6 +38,8 @@ sys.path.insert(0, str(ROOT / "bench"))
 from workloads import WORKLOADS  # noqa: E402
 
 SEEDS = (1, 2)
+# the free-memory figure of a refusal, which moves between runs on a busy host
+FREE_MEMORY = re.compile(rb"has [0-9.]+ GiB free")
 POINTS = "0,0\n1,2\n"
 QUAD = "--q 7 --d 2 --poly x1^2+x2^2"
 ERROR_CASES = (
@@ -110,7 +116,9 @@ ORBIT_CASES = (
 # the pair kernel at the north-star size and over F_243 with |E| < q/3,
 # where the kernel reads add_table pair by pair; and counting by the
 # difference convolution over F_16^3, whose twelve base-2 digit axes the
-# convolution once ran on, and at d = 1.
+# convolution once ran on, and at d = 1; and pinned distances on the
+# convolution route, whose fiber spectra come from the shared pass table,
+# for a separable P that is not diagonal and over F_16^3.
 EDGE_CASES = (
     "decay --q 9 --d 2 --poly 7*x2^5+5*x1^5 --kappa-sharp 2",
     "pinned --q 1021 --d 2 --poly x1^2+x2^2 --setE random:3000 --setF random:200 --seed 1",
@@ -138,6 +146,8 @@ EDGE_CASES = (
     "pinned --p 3 --n 5 --d 2 --poly x1^2+x2^2 --setE random:60 --setF random:300 --trials 2",
     "distance --p 2 --n 4 --d 3 --poly x1^2+x2^2+x3^2 --setE random:700 --setF random:700 --seed 1",
     "distance --q 1009 --d 1 --poly x1^3 --setE all --setF all",
+    "pinned --q 31 --d 2 --poly x1^2+x2^2+x1 --setE all --setF all",
+    "pinned --p 2 --n 4 --d 3 --poly x1^3+x2^3+x3^3 --setE all --setF random:500",
 )
 
 
@@ -189,12 +199,20 @@ def run_one(src: str, argv: list[str]) -> tuple:
     return done.returncode, done.stdout, done.stderr, files
 
 
+def masked(stderr: bytes) -> bytes:
+    """stderr with each free-memory figure replaced by `_`."""
+    return FREE_MEMORY.sub(b"has _ GiB free", stderr)
+
+
 def differences(old: tuple, new: tuple) -> list[str]:
     """What differs between two run_one results."""
     out = []
     if old[0] != new[0]:
         out.append(f"exit {old[0]} != {new[0]}")
-    out += [name for name, k in (("stdout", 1), ("stderr", 2)) if old[k] != new[k]]
+    if old[1] != new[1]:
+        out.append("stdout")
+    if masked(old[2]) != masked(new[2]):
+        out.append("stderr")
     names = sorted(set(old[3]) | set(new[3]))
     out += [f"file {name}" for name in names if old[3].get(name) != new[3].get(name)]
     return out
