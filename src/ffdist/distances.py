@@ -257,11 +257,17 @@ def distance_set(P: Polynomial, E: PointSet, F: PointSet) -> set[int]:
 
 @dataclass(eq=False)
 class PinnedReport:
-    """Per-pin distance counts |{P(x - y) : x in E}| for each y in F."""
+    """Per-pin distance counts |{P(x - y) : x in E}| for each y in F.
+    Array callers read `pins` and `counts`; `sizes` is built on access."""
 
-    sizes: dict[int, int]  # pin index -> pinned distance count
+    pins: np.ndarray  # F.indices, the pins in order
+    counts: np.ndarray  # int64, the pinned distance count of each pin
     threshold: float  # pins must beat this count (rho * q)
     fraction_large: float  # share of pins strictly above the threshold
+
+    @property
+    def sizes(self) -> dict[int, int]:  # pin index -> pinned distance count
+        return dict(zip(self.pins.tolist(), self.counts.tolist()))
 
 
 def _pinned_pair_sizes(P: Polynomial, E: PointSet, F: PointSet) -> np.ndarray:
@@ -284,16 +290,18 @@ def _fibers(vg: np.ndarray, q: int) -> np.ndarray:
     return np.flatnonzero(np.bincount(vg, minlength=q))
 
 
-def _pinned_convolution_sizes(P: Polynomial, E: PointSet, F: PointSet) -> np.ndarray:
+def _pinned_convolution_sizes(
+    P: Polynomial, E: PointSet, F: PointSet, fibers: np.ndarray
+) -> np.ndarray:
     """The same counts by convolution: nu_y(t) = #{x in E : x - y in V_t}
-    = D_{E, V_t}(y), one convolution per nonempty fiber, read at the pins.
-    Each fiber's spectrum comes from varieties._fiber_spectra and is
+    = D_{E, V_t}(y), one convolution per nonempty fiber t in `fibers`, read
+    at the pins.  Each fiber's spectrum from varieties._fiber_spectra is
     consumed in place: its grid becomes the product, then the counts."""
     spec, d = P.spec, P.d
     sizes = np.zeros(F.size, dtype=np.int64)
     with _one_blas_thread():
         e_hat = _indicator_spectrum(spec, d, E.indices)
-        for _, prod in _fiber_spectra(P, _fibers(value_grid(P), spec.q)):
+        for _, prod in _fiber_spectra(P, fibers):
             np.conj(prod, out=prod)
             prod *= e_hat
             sizes += _difference_counts(spec, d, prod)[0][F.indices] > 0
@@ -303,21 +311,20 @@ def _pinned_convolution_sizes(P: Polynomial, E: PointSet, F: PointSet) -> np.nda
 def pinned_distances(
     P: Polynomial, E: PointSet, F: PointSet, rho: float = 0.5
 ) -> PinnedReport:
+    """|{P(x - y) : x in E}| for each pin y in F, in the order of F.indices,
+    and the share of pins above rho * q.  The cost rule picks the pair
+    kernel or one convolution a fiber; both give the same integers."""
     _check_triple(P, E, F)
     q, d, pairs = P.spec.q, P.d, E.size * F.size
     # one fiber is the least a convolution takes; past that, count them
-    if _use_transform(pairs, q, d, 3 * d) and _use_transform(
-        pairs, q, d, d * (1 + 2 * len(_fibers(value_grid(P), q)))
-    ):
-        counts = _pinned_convolution_sizes(P, E, F)
+    fibers = _fibers(value_grid(P), q) if _use_transform(pairs, q, d, 3 * d) else ()
+    if len(fibers) and _use_transform(pairs, q, d, d * (1 + 2 * len(fibers))):
+        counts = _pinned_convolution_sizes(P, E, F, fibers)
     else:
         counts = _pinned_pair_sizes(P, E, F)
-    sizes = {int(y): int(s) for y, s in zip(F.indices, counts)}
     threshold = rho * q
     large = int(np.count_nonzero(counts > threshold))
-    return PinnedReport(
-        sizes=sizes, threshold=threshold, fraction_large=large / len(sizes)
-    )
+    return PinnedReport(F.indices, counts, threshold, large / F.size)
 
 
 # ---------------------------------------------------------------------------

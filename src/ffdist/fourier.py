@@ -157,7 +157,11 @@ def inverse_transform(g: ComplexGrid) -> ComplexGrid:
 
 def plancherel_residual(f: ComplexGrid) -> float:
     """|sum_m |f^(m)|^2 - q^(-d) sum_x |f(x)|^2|; zero in exact arithmetic."""
-    fh = fourier_transform(f)
-    lhs = float(np.sum(np.abs(fh.values) ** 2))
+    return _energy_residual(f, fourier_transform(f))
+
+
+def _energy_residual(f: ComplexGrid, f_hat: ComplexGrid) -> float:
+    """plancherel_residual of f, given its transform f_hat."""
+    lhs = float(np.sum(np.abs(f_hat.values) ** 2))
     rhs = float(np.sum(np.abs(f.values) ** 2)) / float(f.spec.q) ** f.d
     return abs(lhs - rhs)

@@ -33,9 +33,9 @@ from .field import (
 )
 from .fourier import (
     ComplexGrid,
+    _energy_residual,
     fourier_transform,
     inverse_transform,
-    plancherel_residual,
 )
 from .rng import SplitMix64, derive_seed, sample_indices
 from .varieties import (
@@ -516,7 +516,7 @@ def run_fourier_check(cfg: ExperimentConfig):
         f_hat = fourier_transform(f)
         back = inverse_transform(f_hat)
         worst_round = max(worst_round, float(np.max(np.abs(back.values - f.values))))
-        worst_plan = max(worst_plan, plancherel_residual(f))
+        worst_plan = max(worst_plan, _energy_residual(f, f_hat))
         lhs = fourier_transform(ComplexGrid(spec, d, 2.0 * f.values + 0.5j * g.values))
         rhs = 2.0 * f_hat.values + 0.5j * fourier_transform(g).values
         worst_lin = max(worst_lin, float(np.max(np.abs(lhs.values - rhs))))
@@ -670,32 +670,24 @@ def _scan_row(cfg, spec, P, trial, E, F, report, hist: CountingHistogram) -> Sca
     )
 
 
-# Peak bytes of distance and scan, under tracemalloc: per point of F_q^d,
-# P's value grid, E and F as full grids, then the exceptional set's decay
-# grids (64 B) or the difference convolution's three complex grids: 64-119 B
-# at q = 31, 101 and d = 2, 3 with E = F = F_q^d; plus one block of the pair
-# kernel, which is most of the peak at d = 1.
+# Peak bytes of distance, scan and pinned, under tracemalloc: per point of
+# F_q^d, P's value grid, E and F as full grids, then the exceptional set's
+# decay grids (64 B), the difference convolution's three complex grids, or
+# the pinned convolution (E's spectrum, the fiber spectra's table, gathered
+# grid and pass output, one more pass grid and the rounded counts: 104 B):
+# 64-119 B at q = 31, 101 and d = 2, 3 with E = F = F_q^d, and run_pinned
+# 128.1-128.5 B at F_211^2, F_307^2 and F_47^3 (134.8 B at F_101^2, where
+# ~70 KB of fixed cost shows); plus one block of the pair kernel, which is
+# most of the peak at d = 1.
 _CONVOLUTION_POINT_BYTES = 128
-# pinned holds, per point, the value grid, E and F, then either the pinned
-# convolution (E's spectrum, the fiber spectra's table, gathered grid and
-# pass output, one more pass grid and the rounded counts: 104 B) or, once
-# that is dropped, the per-pin counts and PinnedReport.sizes, a dict of one
-# entry a pin.  The dict peaks while it resizes, holding its old and new
-# slots beside the int keys (and, past q = 256, the int values); so the
-# peak per point jumps where the pin count passes 2/3 of a power of two.
-# run_pinned with E = F = F_q^d read 128.1-174.8 B at 1.0e4-1.04e5 points
-# (q = 101..307 at d = 2, 31..47 at d = 3, 16 and 17 at d = 4), the top at
-# F_307^2 and 151.7 B at F_211^2, just past a resize.
-_PINNED_POINT_BYTES = 192
 
 
-def _require_convolution(
-    spec: FieldSpec, d: int, command: str, point_bytes: int = _CONVOLUTION_POINT_BYTES
-):
-    """Refuse a distance, scan or pinned request whose decay grids or
-    difference convolution cannot fit, at `point_bytes` a point of F_q^d."""
+def _require_convolution(spec: FieldSpec, d: int, command: str):
+    """Refuse a distance, scan or pinned request whose decay grids,
+    difference convolution or pinned convolution cannot fit, at
+    _CONVOLUTION_POINT_BYTES a point of F_q^d and one pair block."""
     points = spec.q**d
-    need = points * point_bytes + _PAIR_BLOCK_BYTES
+    need = points * _CONVOLUTION_POINT_BYTES + _PAIR_BLOCK_BYTES
     _require_with_kernel(spec, need, f"{command} over F_{spec.q}^{d} holds grids of {points} points")
 
 
@@ -740,7 +732,7 @@ MIN_FRACTION = 0.5  # share of pins that must carry many distances for a pass
 def run_pinned(cfg: ExperimentConfig):
     spec, P = _field_and_poly(cfg)
     q, d = spec.q, cfg.d
-    _require_convolution(spec, d, "pinned", _PINNED_POINT_BYTES)
+    _require_convolution(spec, d, "pinned")
     rows = []
     for trial in range(cfg.trials):
         E, F = build_pair(cfg, spec, d, P, trial)

@@ -13,6 +13,7 @@ from ffdist.errors import (
 )
 from ffdist.distances import (
     _convolution_counts,
+    _fibers,
     _pair_counts,
     _pinned_convolution_sizes,
     _pinned_pair_sizes,
@@ -231,6 +232,11 @@ class TestPinned:
 ROUTE_POLYS = {1: "x1^3", 2: "x1^2 + 3*x2^3", 3: "x1^2 + 2*x2^2 + x3^3"}
 
 
+def _pinned_convolution(P, E, F):
+    """The pinned convolution over every nonempty fiber of P."""
+    return _pinned_convolution_sizes(P, E, F, _fibers(value_grid(P), P.spec.q))
+
+
 def _route_cases(spec, d):
     """(E, F) pairs for route agreement: full grids where the direct pair
     kernel stays cheap, singletons, a full grid against a small set, and
@@ -252,7 +258,9 @@ class TestRoutes:
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 16, 25, 27, 32])
-    def test_direct_and_transform_routes_agree(self, q, d):
+    def test_direct_and_transform_routes_agree(self, monkeypatch, q, d):
+        from ffdist import distances
+
         spec = field_from_order(q)
         P = parse_polynomial(ROUTE_POLYS[d], spec, d)
         for E, F in _route_cases(spec, d):
@@ -264,9 +272,15 @@ class TestRoutes:
             assert direct.total() == E.size * F.size
             assert direct.support() == fourier.support() == distance_set(P, E, F)
             pinned = _pinned_pair_sizes(P, E, F)
-            assert np.array_equal(pinned, _pinned_convolution_sizes(P, E, F))
-            rep = pinned_distances(P, E, F)
-            assert [rep.sizes[int(y)] for y in F.indices] == pinned.tolist()
+            assert np.array_equal(pinned, _pinned_convolution(P, E, F))
+            for convolve in (False, True):  # pinned_distances on each route
+                monkeypatch.setattr(distances, "_use_transform", lambda *_: convolve)
+                rep = pinned_distances(P, E, F)
+                assert rep.counts.dtype == np.int64
+                assert np.array_equal(rep.counts, pinned)
+                assert rep.pins is F.indices
+                assert rep.sizes == dict(zip(F.indices.tolist(), pinned.tolist()))
+            monkeypatch.undo()
 
     def test_routes_agree_on_random_fields_sets_and_polynomials(self):
         hyp = pytest.importorskip("hypothesis")
@@ -303,7 +317,7 @@ class TestRoutes:
             assert np.array_equal(direct.counts, _convolution_counts(P, E, F).counts)
             assert direct.total() == E.size * F.size
             pinned = _pinned_pair_sizes(P, E, F)
-            assert np.array_equal(pinned, _pinned_convolution_sizes(P, E, F))
+            assert np.array_equal(pinned, _pinned_convolution(P, E, F))
 
         check()
 
@@ -444,7 +458,7 @@ class TestRoutes:
 
         x_minus_y = pinned(spec.sub)
         assert x_minus_y != pinned(lambda a, b: spec.sub(b, a))
-        for route in (_pinned_pair_sizes, _pinned_convolution_sizes):
+        for route in (_pinned_pair_sizes, _pinned_convolution):
             assert route(P, E, F).tolist() == x_minus_y
 
     def test_residual_is_recorded_and_far_below_the_bound(self):
@@ -503,11 +517,11 @@ class TestRoutes:
         before = get()
         put(2)
         try:
-            for route in (_convolution_counts, _pinned_convolution_sizes):
+            for route in (_convolution_counts, _pinned_convolution):
                 route(P, E, E)
                 assert get() == 2
             monkeypatch.setattr(distances, "_ROUNDING_BOUND", -1.0)
-            for route in (_convolution_counts, _pinned_convolution_sizes):
+            for route in (_convolution_counts, _pinned_convolution):
                 with pytest.raises(RoundingDivergence):
                     route(P, E, E)
                 assert get() == 2
@@ -523,7 +537,7 @@ class TestRoutes:
         E = random_set(F13, 2, 90, seed=40)
         F = random_set(F13, 2, 70, seed=41)
         assert np.array_equal(_convolution_counts(P, E, F).counts, _pair_counts(P, E, F).counts)
-        assert np.array_equal(_pinned_convolution_sizes(P, E, F), _pinned_pair_sizes(P, E, F))
+        assert np.array_equal(_pinned_convolution(P, E, F), _pinned_pair_sizes(P, E, F))
 
     @pytest.mark.parametrize(
         "q, d, text",
@@ -552,12 +566,30 @@ class TestRoutes:
         spec = field_from_order(q)
         P = parse_polynomial(text, spec, d)
         E, F = random_set(spec, d, q ** (d - 1), seed=46), random_set(spec, d, 2 * q, seed=47)
-        sizes = _pinned_convolution_sizes(P, E, F)
+        sizes = _pinned_convolution(P, E, F)
         fibers = np.count_nonzero(np.bincount(value_grid(P), minlength=q))
         assert fibers < q or d == 3  # x1^4 over F_13 leaves fibers empty
         assert passes == [(d, False)] + [(1, False)] * (d - 1) + [(1, False), (d, True)] * fibers
         assert len(indicators) == 1 and indicators[0] is E.indices
         assert np.array_equal(sizes, _pinned_pair_sizes(P, E, F))
+
+    def test_pinned_convolution_builds_the_fiber_list_once(self, monkeypatch):
+        from ffdist import distances
+
+        calls = []
+
+        def counted_fibers(vg, q):
+            calls.append(q)
+            return _fibers(vg, q)
+
+        monkeypatch.setattr(distances, "_fibers", counted_fibers)
+        monkeypatch.setattr(distances, "_pinned_pair_sizes", lambda *_: pytest.fail("pair route"))
+        spec = make_field(31)
+        P = diagonal_polynomial(spec, 2, 2)
+        E = full_grid(spec, 2)
+        rep = pinned_distances(P, E, E)
+        assert calls == [31]  # the route rule's list is the convolution's
+        assert np.array_equal(rep.counts, _pinned_pair_sizes(P, E, E))
 
     def test_auto_route_follows_the_cost_rule(self):
         P = parse_polynomial("x1^2 + x2^2", F13, 2)

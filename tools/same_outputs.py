@@ -118,7 +118,8 @@ ORBIT_CASES = (
 # difference convolution over F_16^3, whose twelve base-2 digit axes the
 # convolution once ran on, and at d = 1; and pinned distances on the
 # convolution route, whose fiber spectra come from the shared pass table,
-# for a separable P that is not diagonal and over F_16^3.
+# for a separable P that is not diagonal, over F_16^3, and over all of
+# F_211^2, whose 44521 pins are past a dict resize.
 EDGE_CASES = (
     "decay --q 9 --d 2 --poly 7*x2^5+5*x1^5 --kappa-sharp 2",
     "pinned --q 1021 --d 2 --poly x1^2+x2^2 --setE random:3000 --setF random:200 --seed 1",
@@ -148,6 +149,7 @@ EDGE_CASES = (
     "distance --q 1009 --d 1 --poly x1^3 --setE all --setF all",
     "pinned --q 31 --d 2 --poly x1^2+x2^2+x1 --setE all --setF all",
     "pinned --p 2 --n 4 --d 3 --poly x1^3+x2^3+x3^3 --setE all --setF random:500",
+    "pinned --q 211 --d 2 --poly x1^2+x2^2 --setE all --setF all",
 )
 
 
