@@ -117,15 +117,23 @@ _ROUNDING_BOUND = 0.1  # worst |raw - nearest integer| a transform count may sho
 #
 # 0.03 sits in the middle of the d >= 2 values; the north-star pin case,
 # F_61^3 against 500 pins, asks 0.022 of its pass units and stays on pairs.
-# At d = 1 a pass is one matrix-vector product that reads the whole q x q
-# kernel, so the break-even is higher: between 0.03 and 0.17 of the pass
-# units the rule takes the convolution where pairs are faster, losing at
-# most the convolution's own cost (2.1 ms at q = 1009 with full sets).
+#
+# At d = 1 a pass is one matrix-vector product that streams the whole
+# 16q^2-byte kernel for q^2 products, so a product costs more than in a
+# d >= 2 pass and d = 1 has a constant of its own.  Counting with
+# P = x1^3 + x1 and random |E| = |F| (same host, kernel warm, medians of 9)
+# broke even at 0.12 at F_503 and F_1009, 0.13 at F_2003, and above 0.30 at
+# F_4001, whose 256 MB kernel comes from memory.  0.15 keeps F_1009 and
+# F_2003 with |E||F| = q^2/4 (0.083) on pairs, 1.8 against 2.4 ms and 12
+# against 10-18 ms.  Pinned distances at d = 1 ask for about 1 + 4q/3
+# passes, far more pass units than q pins can reach, so they stay on pairs.
 _PASS_COST = 0.03
+_LINE_PASS_COST = 0.15
 
 
 def _use_transform(pairs: int, q: int, d: int, passes: int) -> bool:
-    return pairs > _PASS_COST * passes * q ** (d + 1)
+    cost = _PASS_COST if d > 1 else _LINE_PASS_COST
+    return pairs > cost * passes * q ** (d + 1)
 
 
 def _check_triple(P: Polynomial, E: PointSet, F: PointSet):

@@ -541,7 +541,10 @@ DECAY_COLUMNS = tuple(f.name for f in fields(DecayEntry))
 # Peak bytes of run_decay and emit, under tracemalloc: per point of F_q^d,
 # P's value grid, the three grids _fiber_spectra shares across fibers and
 # the magnitudes of _fiber_peaks (8 + 56 B; 64.1-65.4 B at 1.6e4-2.3e5
-# points, q = 13..211, d = 2..4); per t, its DecayEntry, row and CSV cells (300-830 B at q = 101..1009, d = 1); and
+# points, q = 13..211, d = 2..4).  The column ranges that run on threads
+# of their own each write a slice of the same grids and hold a slice of
+# the magnitudes, so the split adds nothing a point.  Per t, its
+# DecayEntry, row and CSV cells (300-830 B at q = 101..1009, d = 1); and
 # the open CSV file's buffer (~140 KB, the file system's block size).
 _DECAY_POINT_BYTES = 64
 _DECAY_T_BYTES = 1024

@@ -7,7 +7,11 @@ decay spectrum of each fiber comes from the grid transform's passes.
 exceptional set and the pinned convolution of `distances` all read it.
 For separable P (every term in at most one variable, as every CLI
 polynomial is) the first d-1 passes of every fiber read one shared table,
-so each fiber pays for one pass.
+so each fiber pays for one pass.  Decay's peaks run that pass on one
+thread a usable CPU, each over one range of its output columns for every
+fiber, with every product on one BLAS thread: a column of the pass is
+computed alike in any range, so the bits do not depend on the number of
+CPUs or of BLAS threads.
 Exceptional sets of diagonal P transform one fiber per scaling coset of t
 (`_scaling_cosets`), since dilations carry the other fibers onto it.  The
 phase sums sum_x chi(s*P(x) + m*x) for all s != 0 and m come as one table
@@ -23,9 +27,11 @@ every grid here, so the C-order ravel is the flat encoding order.
 from __future__ import annotations
 
 import math
+import os
 import re
+import threading
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -47,7 +53,7 @@ from .field import (
     neg_table,
     pow_table,
 )
-from .fourier import ComplexGrid, _passes, inverse_transform
+from .fourier import ComplexGrid, _one_blas_thread, _passes, inverse_transform
 
 DIAGONAL = "diagonal"
 GENERAL = "general"
@@ -348,7 +354,21 @@ def _shared_table(P: Polynomial, levels: int, gathered: np.ndarray, out: np.ndar
     return table
 
 
-def _fiber_spectra(P: Polynomial, ts):
+def _fiber_work(P: Polynomial):
+    """(L, the shared table B_L, -R(x) for x in flat order, the gathered
+    grid, the pass output) of _fiber_spectra: the table is built once, and
+    the two grids that built it are the buffers every fiber reuses."""
+    spec, d, q = P.spec, P.d, P.spec.q
+    vg = value_grid(P)
+    shared = d - 1 if is_separable(P) else 0
+    # x_j has stride q^(j-1), so R reads the grid with x_1..x_L at 0
+    rest_neg = neg_table(spec)[vg.reshape(-1, q**shared)[:, 0]]
+    gathered = np.zeros(vg.size, np.complex128)
+    out = np.empty(vg.size, np.complex128)
+    return shared, _shared_table(P, shared, gathered, out), rest_neg, gathered, out
+
+
+def _fiber_spectra(P: Polynomial, ts, work=None, lo=0, hi=None):
     """(t, V_t^) for each t in ts, where V_t^(m) = sum_x [P(x) = t] chi(-x*m)
     is the unnormalized transform of the fiber's indicator, flat in encoding
     order.  Every fiber spectrum of the package comes from here: decay's
@@ -380,47 +400,130 @@ def _fiber_spectra(P: Polynomial, ts):
     moved no peak at the sizes the tests and the benchmark use, but it
     moves one fiber's maximum by an ulp for x1^2 + 2*x2^3 + x3 over F_31^3.
 
+    Column ranges.  The N = q^L rows of B_L become the N output columns of
+    the last pass, and each output column reads its operand column alone.
+    So with `work` from _fiber_work and lo:hi a range of those columns, the
+    generator gathers only B_L[lo:hi] and runs the last pass on them: it
+    yields the output columns lo:hi of V_t^, flat as q^(d-L) rows of hi-lo
+    entries, so column c of row m is V_t^(m*N + c).  The same arithmetic
+    holds for a narrower product as long as the range starts where the
+    whole product's column blocks do and the whole product's odd last
+    column stays last in its range: _column_ranges puts bounds at
+    multiples of 64.  Ranges that partition 0:N may run at once on threads
+    of their own: each writes the slice lo*r:hi*r of the two reused grids
+    (r = q^(d-L) entries a column), so no grid is added.  The default is
+    the whole range, and a fresh `work`.
+
     The table, the gathered grid and the pass output are allocated once
     and serve every t (16 + 16 + 16 bytes a point; for L = 0 the table is
     one row and the indices take its place).  The grid yielded is one of
     the last two: the consumer may overwrite it, but must be done with it
     before it asks for the next t."""
-    spec, d, q = P.spec, P.d, P.spec.q
-    at, neg = add_table(spec), neg_table(spec)
-    vg = value_grid(P)
-    shared = d - 1 if is_separable(P) else 0
-    # x_j has stride q^(j-1), so R reads the grid with x_1..x_L at 0
-    rest_neg = neg[vg.reshape(-1, q**shared)[:, 0]]  # -R(x), x in flat order
-    gathered = np.zeros(vg.size, np.complex128)
-    out = np.empty(vg.size, np.complex128)
-    table = _shared_table(P, shared, gathered, out)
-    idx = np.empty(rest_neg.size, np.int64)
-    cols = gathered.reshape(table.shape[0], -1)
+    spec, d = P.spec, P.d
+    at = add_table(spec)
+    shared, table, rest_neg, gathered, out = work or _fiber_work(P)
+    hi = table.shape[0] if hi is None else hi
+    r = rest_neg.size
+    gathered, out = gathered[lo * r : hi * r], out[lo * r : hi * r]
+    rows, cols = table[lo:hi], gathered.reshape(hi - lo, r)
+    idx = np.empty(r, np.int64)
     for t in ts:
         # every index is in range; mode="raise" would gather through a copy of out=
         np.take(at[t], rest_neg, out=idx, mode="clip")
-        np.take(table, idx, axis=1, out=cols, mode="clip")
+        np.take(rows, idx, axis=1, out=cols, mode="clip")
         yield t, _passes(spec, gathered, d - shared, (out, gathered))
 
 
-def _fiber_peaks(P: Polynomial, ts):
+# Column-range bounds of the last pass fall at multiples of this, so a
+# range starts on a column block boundary of the whole product (at 1, 2, 3
+# and 5 ranges every peak is the one-range bits, F_17^5 to F_61^3).
+_RANGE_COLUMNS = 64
+
+
+def _column_ranges(n: int, workers: int) -> list[tuple[int, int]]:
+    """Up to `workers` ranges that partition 0:n, each at least
+    _RANGE_COLUMNS wide, with every bound but n a multiple of it and each
+    bound as near an even split as those rules allow; the last range keeps
+    the tail past the last whole block.  n < 2*_RANGE_COLUMNS is one range."""
+    blocks = n // _RANGE_COLUMNS
+    k = max(1, min(workers, blocks))
+    cuts = [min(max(round(n * i / (_RANGE_COLUMNS * k)), i), blocks - k + i) for i in range(1, k)]
+    bounds = [0] + [_RANGE_COLUMNS * c for c in cuts] + [n]
+    return list(zip(bounds, bounds[1:]))
+
+
+def _workers() -> int:
+    """The CPUs this process may run on."""
+    return len(os.sched_getaffinity(0))
+
+
+def _run_all(jobs):
+    """[job() for job in jobs], the first on the calling thread and every
+    other on a thread of its own.  Every thread is joined before the
+    first exception raised, if any, is raised again on the caller."""
+    results, errors = [None] * len(jobs), []
+
+    def run(i):
+        try:
+            results[i] = jobs[i]()
+        except BaseException as exc:  # re-raised on the caller below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(1, len(jobs))]
+    for thread in threads:
+        thread.start()
+    try:
+        run(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+    return results
+
+
+def _fiber_peaks(P: Polynomial, ts) -> list[tuple[int, float, int]]:
     """(t, max_{m != 0} |V_t^(m)|, the first flat m attaining it in floats)
     for each t in ts, from the normalized spectra of _fiber_spectra, as one
-    whole transform of each fiber's indicator gives them
+    whole transform of each fiber's indicator on one BLAS thread gives them
     (tests.oracles.per_fiber_peaks).
+
+    Every product runs on one BLAS thread (fourier._one_blas_thread), from
+    the shared table on, so the bits do not depend on the thread count
+    numpy starts with.  The last pass's columns are split into one range a
+    usable CPU (_column_ranges), each run on a thread of its own over every
+    t; the range with the largest maximum wins, and a tie goes to the
+    smallest flat m, which is where the whole grid's first maximum lies.
+    Where the BLAS thread count cannot be reached, one range runs on the
+    calling thread, since BLAS may then start threads of its own.
 
     The 1/q^d scale multiplies the float view by the reciprocal, as
     numpy's complex /= by a real does; only the signs of exact zeros may
     differ, and np.abs does not see them.  The magnitudes take one more
-    grid beside those of _fiber_spectra (8 bytes a point)."""
-    mag = None  # allocated by the first np.abs, once the shared table is built
+    grid beside those of _fiber_spectra (8 bytes a point), split among
+    the ranges."""
+    ts = list(ts)
     scale = 1.0 / float(P.spec.q) ** P.d
-    for t, fh in _fiber_spectra(P, ts):
-        fh.view(np.float64)[...] *= scale
-        mag = np.abs(fh, out=mag)
-        mag[0] = -1.0  # exclude the zero frequency
-        am = int(np.argmax(mag))
-        yield t, max(float(mag[am]), 0.0), am
+
+    def peaks(lo, hi):  # (max, first flat m) per t, over columns lo:hi
+        width, mag, found = hi - lo, None, []
+        for _, fh in _fiber_spectra(P, ts, work, lo, hi):
+            fh.view(np.float64)[...] *= scale
+            mag = np.abs(fh, out=mag)  # allocated once the shared table is built
+            if lo == 0:
+                mag[0] = -1.0  # exclude the zero frequency
+            i = int(np.argmax(mag))
+            m, c = divmod(i, width)
+            found.append((float(mag[i]), m * n + lo + c))
+        return found
+
+    with _one_blas_thread() as capped:
+        work = _fiber_work(P)
+        n = work[1].shape[0]  # output columns of the last pass
+        ranges = _column_ranges(n, _workers() if capped else 1)
+        parts = _run_all([partial(peaks, lo, hi) for lo, hi in ranges])
+    peaks_of = (max(found, key=lambda p: (p[0], -p[1])) for found in zip(*parts))
+    return [(t, max(mx, 0.0), am) for t, (mx, am) in zip(ts, peaks_of)]
 
 
 def decay_spectrum(

@@ -12,7 +12,7 @@ import numpy as np
 
 from ffdist.errors import ArityMismatch
 from ffdist.field import add_table, decode_points, mul_table, neg_table, pow_table
-from ffdist.fourier import ComplexGrid, fourier_transform
+from ffdist.fourier import ComplexGrid, _one_blas_thread, fourier_transform
 from ffdist.varieties import (
     DIAGONAL,
     PointSet,
@@ -85,13 +85,14 @@ def per_axis_transform(values, spec, d, inverse=False):
 
 def per_fiber_peaks(P, ts):
     """(t, max_{m != 0} |V_t^(m)|, the first flat m attaining it in floats)
-    for each t, from one whole transform of each fiber's indicator: the
-    reference that the tests hold the shared-table _fiber_peaks to, bit
-    for bit."""
+    for each t, from one whole transform of each fiber's indicator on one
+    BLAS thread, as _fiber_peaks runs its products: the reference that the
+    tests hold the shared-table _fiber_peaks to, bit for bit."""
     vg = value_grid(P)
     out = []
     for t in ts:
-        fh = fourier_transform(ComplexGrid(P.spec, P.d, (vg == t).astype(np.complex128)))
+        with _one_blas_thread():
+            fh = fourier_transform(ComplexGrid(P.spec, P.d, (vg == t).astype(np.complex128)))
         mag = np.abs(fh.values)
         mag[0] = -1.0  # exclude the zero frequency
         am = int(np.argmax(mag))

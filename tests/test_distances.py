@@ -33,6 +33,7 @@ from ffdist.field import add_table, field_from_order, make_field, mul_table, neg
 from ffdist.rng import SplitMix64, derive_seed, sample_indices
 from ffdist.varieties import (
     PointSet,
+    decay_spectrum,
     diagonal_polynomial,
     exceptional_set,
     full_grid,
@@ -491,6 +492,12 @@ class TestRoutes:
             (31, 3, 5000, 5000, False, True),
             # the north-star pin case, faster on pairs
             (61, 3, 61**3, 500, True, False),
+            # d = 1: pairs up to about 0.45 q^2, where a pass streams the kernel
+            (1009, 1, 504, 504, False, False),
+            (2003, 1, 1002, 1002, False, False),
+            (4001, 1, 1200, 1200, False, False),
+            (1009, 1, 1009, 1009, False, True),
+            (1009, 1, 1009, 1009, True, False),
         ],
     )
     def test_cost_rule_routes(self, q, d, size_e, size_f, pins, fourier):
@@ -498,8 +505,21 @@ class TestRoutes:
         passes = d * (1 + 2 * q) if pins else 3 * d
         assert _use_transform(size_e * size_f, q, d, passes) == fourier
 
+    @pytest.mark.parametrize("q, size", [(1009, 504), (2003, 1002), (1009, 1009)])
+    def test_line_routes_count_alike(self, q, size):
+        # the d = 1 sizes whose route the line charge moved to pairs, and
+        # full sets, which stay on the convolution
+        spec = field_from_order(q)
+        P = parse_polynomial("x1^3 + x1", spec, 1)
+        E, F = random_set(spec, 1, size, seed=50), random_set(spec, 1, size, seed=51)
+        nu = counting_function(P, E, F)
+        assert nu.route == ("fourier" if size == q else "direct")
+        assert np.array_equal(nu.counts, _convolution_counts(P, E, F).counts)
+        assert np.array_equal(nu.counts, _pair_counts(P, E, F).counts)
+
     def test_convolutions_restore_the_blas_thread_count(self, monkeypatch):
-        from ffdist import distances, fourier
+        # and so do decay's fiber peaks, whose column ranges run on threads
+        from ffdist import distances, fourier, varieties
 
         calls = fourier._blas_thread_calls()
         if calls is None:
@@ -512,13 +532,19 @@ class TestRoutes:
             return fourier._passes(*args, **kwargs)
 
         monkeypatch.setattr(distances, "_passes", counted_passes)
+        monkeypatch.setattr(varieties, "_passes", counted_passes)
+        monkeypatch.setattr(varieties, "_workers", lambda: 2)
         P = parse_polynomial("x1^2 + x2^2", F13, 2)
         E = full_grid(F13, 2)
+        P3 = parse_polynomial("x1^2 + x2^2 + x3^2", F13, 3)  # 169 columns: two ranges
         before = get()
         put(2)
         try:
             for route in (_convolution_counts, _pinned_convolution):
                 route(P, E, E)
+                assert get() == 2
+            for spectra in (decay_spectrum, exceptional_set):
+                spectra(P3)
                 assert get() == 2
             monkeypatch.setattr(distances, "_ROUNDING_BOUND", -1.0)
             for route in (_convolution_counts, _pinned_convolution):

@@ -1240,6 +1240,31 @@ class TestCli:
         )
         assert done.stdout.splitlines()[-1] == "False"
 
+    def test_decay_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # 87 CSV rows of this run differed between 1 and 2 OpenBLAS threads
+        # while decay's products ran at numpy's own count
+        import os
+        import subprocess
+        import sys
+
+        import ffdist
+        from ffdist import fourier
+
+        if fourier._blas_thread_calls() is None:
+            pytest.skip("the BLAS thread count of numpy cannot be reached here")
+        argv = "decay --q 211 --d 2 --poly x1^2+x2^2 --deterministic --out".split()
+        src = os.path.dirname(os.path.dirname(ffdist.__file__))
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+            subprocess.run(
+                [sys.executable, "-m", "ffdist", *argv, str(out)],
+                env=env, capture_output=True, check=True,
+            )
+            outputs.append([out.with_suffix(ext).read_bytes() for ext in (".csv", ".json")])
+        assert outputs[0] == outputs[1]
+
     def test_numeric_error_exits_4(self, capsys, monkeypatch):
         from ffdist import harness
         from ffdist.errors import RoundingDivergence

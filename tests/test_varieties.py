@@ -23,6 +23,7 @@ from ffdist.varieties import (
     PointSet,
     _direct_phase_table,
     _dot_with_grid,
+    _column_ranges,
     _fiber_peaks,
     _phase_rows,
     _phase_table,
@@ -317,11 +318,12 @@ class TestDecay:
         P = make_polynomial(field_from_order(q), d, terms)
         assert list(_fiber_peaks(P, range(q))) == per_fiber_peaks(P, range(q))
 
-    @pytest.mark.parametrize("q, d", [(31, 3), (101, 2)])
+    @pytest.mark.parametrize("q, d", [(31, 3), (101, 2), (61, 3)])
     def test_decay_spectrum_holds_at_most_64_bytes_a_point(self, q, d):
         # beyond value_grid and the field tables, which a first call caches:
         # the shared table, the gathered grid, the pass output and the
-        # magnitudes (56 B), and no setup temporary left over
+        # magnitudes (56 B), and no setup temporary left over; F_61^3's
+        # last pass splits into two column ranges on two CPUs and more
         import tracemalloc
 
         P = diagonal_polynomial(field_from_order(q), d, 2)
@@ -333,6 +335,87 @@ class TestDecay:
         finally:
             tracemalloc.stop()
         assert peak <= 64 * q**d
+
+    @pytest.mark.parametrize(
+        "q, d, text",
+        [(61, 3, "x1^2 + x2^2 + x3^2"), (31, 3, "x1^2 + x2^2 + x3^2 + x1"),
+         (41, 4, "x1^2 + x2^2 + x3^2 + x4^2"), (17, 5, "x1^2 + x2^2 + x3^2 + x4^2 + x5^2")],
+    )
+    def test_fiber_peaks_do_not_depend_on_the_worker_count(self, monkeypatch, q, d, text):
+        # more workers than cores, switching threads often
+        import sys
+
+        P = parse_polynomial(text, field_from_order(q), d)
+        ts = (0, 1, 6, 40) if q**d > 2 * 10**6 else range(q)
+        got = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for workers in (1, 2, 3, 5):
+                monkeypatch.setattr(varieties, "_workers", lambda: workers)
+                got[workers] = _fiber_peaks(P, ts)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got[2] == got[3] == got[5] == got[1]
+
+    def test_column_ranges_partition_the_columns_at_multiples_of_64(self):
+        for n in range(1, 1200):
+            for workers in range(1, 7):
+                ranges = _column_ranges(n, workers)
+                bounds = [lo for lo, _ in ranges] + [ranges[-1][1]]
+                assert bounds[0] == 0 and bounds[-1] == n
+                assert all(lo < hi for lo, hi in ranges)
+                assert all(b % 64 == 0 for b in bounds[:-1])
+                assert len(ranges) <= workers
+                if n < 128:
+                    assert len(ranges) == 1
+                else:
+                    assert min(hi - lo for lo, hi in ranges) >= 64
+                    assert len(ranges) == min(workers, n // 64)
+        # F_61^3 on two CPUs: near-even halves, the odd tail in the last
+        assert _column_ranges(61**2, 2) == [(0, 1856), (1856, 3721)]
+
+    def test_a_worker_exception_reaches_the_caller(self, monkeypatch):
+        import threading
+
+        from ffdist import fourier
+
+        if fourier._blas_thread_calls() is None:
+            pytest.skip("the BLAS thread count of numpy cannot be reached here")
+        get = fourier._blas_thread_calls()[0]
+
+        def failing_passes(*args, **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                raise FloatingPointError("synthetic failure in a worker")
+            return fourier._passes(*args, **kwargs)
+
+        P = diagonal_polynomial(F13, 3, 2)  # 169 columns: two ranges
+        monkeypatch.setattr(varieties, "_workers", lambda: 2)
+        monkeypatch.setattr(varieties, "_passes", failing_passes)
+        before, threads = get(), threading.active_count()
+        with pytest.raises(FloatingPointError, match="synthetic"):
+            _fiber_peaks(P, range(13))
+        assert get() == before and threading.active_count() == threads
+
+    @pytest.mark.parametrize("q, d, text", [(61, 3, "x1^2+x2^2+x3^2"), (211, 2, "x1^2+x2^2")])
+    def test_decay_stands_without_the_blas_thread_count(self, monkeypatch, q, d, text):
+        # numpy's own thread count then runs every product, so the loop
+        # takes one range on the calling thread, as the whole transform does
+        from ffdist import fourier
+
+        ranges = []
+        real = varieties._run_all
+
+        def counted(jobs):
+            ranges.append(len(jobs))
+            return real(jobs)
+
+        monkeypatch.setattr(fourier, "_blas_thread_calls", lambda: None)
+        monkeypatch.setattr(varieties, "_run_all", counted)
+        P = parse_polynomial(text, field_from_order(q), d)
+        entries = [(e.t, e.max_nonzero_freq, e.argmax_m) for e in decay_spectrum(P)]
+        assert ranges == [1]
+        assert entries == per_fiber_peaks(P, range(q))
 
     @pytest.mark.parametrize(
         "q, d, text",
