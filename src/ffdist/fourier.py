@@ -39,8 +39,9 @@ convolution reads run under it too.  Decay's fiber peaks
 (`varieties._fiber_peaks`) run under it as well, so their bits are the
 one-thread bits at any thread count; they use the other cores through
 threads of their own, one column range of the last pass each.  Whole
-transforms keep numpy's own thread count: capped, `fourier-check --q 211
---d 2 --trials 5` took 0.113 s against 0.076 s.
+transforms keep numpy's own thread count, which is faster for some
+shapes: a warm in-process `fourier-check --q 211 --d 2 --trials 5` took
+0.063 s at two threads and 0.068 s at one (medians of 7).
 """
 
 from __future__ import annotations
