@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, EmptySet, MixedFields, RoundingDivergence
 from .field import FieldSpec, add_table, decode_points, encode_points, mul_table, neg_table
-from .fourier import _one_blas_thread, _passes
+from .fourier import _kernel_built, _one_blas_thread, _passes
 from .rng import SplitMix64, _mulhi, derive_seed
 from .varieties import (
     Polynomial,
@@ -127,13 +127,28 @@ _ROUNDING_BOUND = 0.1  # worst |raw - nearest integer| a transform count may sho
 # F_2003 with |E||F| = q^2/4 (0.083) on pairs, 1.8 against 2.4 ms and 12
 # against 10-18 ms.  Pinned distances at d = 1 ask for about 1 + 4q/3
 # passes, far more pass units than q pins can reach, so they stay on pairs.
+#
+# A d = 1 convolution whose 16q^2-byte kernel is not built yet builds it
+# first, which costs as much as a few passes.  Counting with E = F = F_q,
+# P = x1^3 + x1, the first (cold) convolution of a fresh process against
+# the warm median of 5, in pass units of the warm convolution (a third of
+# it), read 8.0-11.6 at F_1009, 5.2-9.2 at F_2003 and 2.5-10.7 at F_4001
+# (5 processes each, same host; median 7.4).  So a d = 1 route decision
+# with no kernel built charges _LINE_KERNEL_PASSES more passes: F_4001,
+# whose full sets took 0.14-0.36 s cold against 0.09-0.11 s on pairs,
+# then counts on pairs, as do full sets at F_1009 and F_2003.  At d >= 2
+# the kernel is q^2 against q^(d+1) products a pass, so it is not charged.
 _PASS_COST = 0.03
 _LINE_PASS_COST = 0.15
+_LINE_KERNEL_PASSES = 7
 
 
-def _use_transform(pairs: int, q: int, d: int, passes: int) -> bool:
-    cost = _PASS_COST if d > 1 else _LINE_PASS_COST
-    return pairs > cost * passes * q ** (d + 1)
+def _use_transform(pairs: int, spec: FieldSpec, d: int, passes: int) -> bool:
+    if d > 1:
+        return pairs > _PASS_COST * passes * spec.q ** (d + 1)
+    if not _kernel_built(spec):
+        passes += _LINE_KERNEL_PASSES
+    return pairs > _LINE_PASS_COST * passes * spec.q**2
 
 
 def _check_triple(P: Polynomial, E: PointSet, F: PointSet):
@@ -250,7 +265,7 @@ def counting_function(P: Polynomial, E: PointSet, F: PointSet) -> CountingHistog
     """Pair counts per t, by the route the cost rule picks; both routes
     return the same integers."""
     _check_triple(P, E, F)
-    if _use_transform(E.size * F.size, P.spec.q, P.d, 3 * P.d):
+    if _use_transform(E.size * F.size, P.spec, P.d, 3 * P.d):
         return _convolution_counts(P, E, F)
     return _pair_counts(P, E, F)
 
@@ -325,8 +340,8 @@ def pinned_distances(
     _check_triple(P, E, F)
     q, d, pairs = P.spec.q, P.d, E.size * F.size
     # one fiber is the least a convolution takes; past that, count them
-    fibers = _fibers(value_grid(P), q) if _use_transform(pairs, q, d, 3 * d) else ()
-    if len(fibers) and _use_transform(pairs, q, d, d * (1 + 2 * len(fibers))):
+    fibers = _fibers(value_grid(P), q) if _use_transform(pairs, P.spec, d, 3 * d) else ()
+    if len(fibers) and _use_transform(pairs, P.spec, d, d * (1 + 2 * len(fibers))):
         counts = _pinned_convolution_sizes(P, E, F, fibers)
     else:
         counts = _pinned_pair_sizes(P, E, F)

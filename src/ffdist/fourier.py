@@ -46,6 +46,7 @@ shapes: a warm in-process `fourier-check --q 211 --d 2 --trials 5` took
 
 from __future__ import annotations
 
+import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
@@ -78,12 +79,24 @@ class ComplexGrid:
             )
 
 
+_built_kernels = weakref.WeakValueDictionary()  # spec -> each kernel still held
+
+
 @lru_cache(maxsize=8)
 def _forward_kernel(spec: FieldSpec) -> np.ndarray:
     """K[m, x] = chi(-x*m)."""
     k = spec.char_table[neg_table(spec)][mul_table(spec)]
     k.setflags(write=False)
+    _built_kernels[spec] = k
     return k
+
+
+def _kernel_built(spec: FieldSpec) -> bool:
+    """Whether a kernel of spec is alive: from _forward_kernel(spec) on,
+    until the cache drops it and no caller holds it.  A pass builds the
+    kernel again only if the cache dropped it, so True may (rarely) be
+    a kernel that a caller holds past the cache."""
+    return spec in _built_kernels
 
 
 def _passes(spec: FieldSpec, values: np.ndarray, n: int, bufs=(None, None), rows=None) -> np.ndarray:

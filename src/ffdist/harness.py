@@ -34,6 +34,7 @@ from .field import (
 from .fourier import (
     ComplexGrid,
     _energy_residual,
+    _one_blas_thread,
     fourier_transform,
     inverse_transform,
 )
@@ -43,6 +44,7 @@ from .varieties import (
     DecayEntry,
     PointSet,
     Polynomial,
+    _phase_gather_bytes,
     _phase_rows,
     _phase_table,
     characteristic_divides_exponent,
@@ -608,9 +610,11 @@ def run_weil(cfg: ExperimentConfig):
 # measured peak, 43-184 B an entry at q = 17..101, d = 2, 3.  Each row's
 # text repeats the poly, once in the joined block and once more in the
 # bytes written: 2 B a character a row, measured at polys of 9-476
-# characters, q = 61, d = 2 and q = 19, d = 3.
+# characters, q = 61, d = 2 and q = 19, d = 3.  The blocks that the
+# table's workers gather come on top, one a worker
+# (varieties._phase_gather_bytes), so the need grows with the CPUs used.
 _PHASE_ENTRY_BYTES = 64
-_PHASE_BLOCK_BYTES = 12 << 20
+_PHASE_EMIT_BYTES = 12 << 20
 
 
 def run_phase(cfg: ExperimentConfig):
@@ -618,13 +622,15 @@ def run_phase(cfg: ExperimentConfig):
     q, d = spec.q, cfg.d
     n = q**d
     sums = (q - 1) * n
-    need = sums * _PHASE_ENTRY_BYTES + _PHASE_BLOCK_BYTES + 2 * _EMIT_BLOCK * len(cfg.poly)
+    need = sums * _PHASE_ENTRY_BYTES + _PHASE_EMIT_BYTES + 2 * _EMIT_BLOCK * len(cfg.poly)
+    need += _phase_gather_bytes(P)
     _require_with_kernel(spec, need, f"phase over F_{q}^{d} holds {sums} sums")
     table = _phase_table(P)
     agreement = None
     if P.kind == DIAGONAL:  # check the factored table, one inverse transform per s
-        errs = (row - want for row, want in zip(table, _phase_rows(P)))
-        agreement = max(float(np.hypot(e.real, e.imag).max()) for e in errs)
+        with _one_blas_thread():  # so the error's bits do not depend on numpy's thread count
+            errs = (row - want for row, want in zip(table, _phase_rows(P)))
+            agreement = max(float(np.hypot(e.real, e.imag).max()) for e in errs)
     mag = np.hypot(table.real, table.imag).ravel()
     del table  # emission needs only the magnitudes
     ratio = mag / float(q) ** (d / 2)

@@ -20,7 +20,10 @@ chi(s*P) (`_phase_rows`), which checks the table and gives its maxima in
 O(q^d) memory.  For diagonal P the table is the product of d univariate
 tables, each on the broadcast axis of its m_j; for any other P it is the
 direct table (`_direct_phase_table`), bit-identical to the scalar
-`phase_sum`.  Coordinate x_j lives on axis d-j, counted from the last, in
+`phase_sum`.  The direct table's blocks of m are dealt among threads, one
+a usable CPU, and each entry is the same pairwise sum of the same vector
+on any thread, so its bits do not depend on the number of CPUs; it calls
+no BLAS.  Coordinate x_j lives on axis d-j, counted from the last, in
 every grid here, so the C-order ravel is the flat encoding order.
 """
 
@@ -603,17 +606,18 @@ def weil_sum(f: Polynomial) -> WeilSumResult:
     return WeilSumResult(value=value, bound=bound, ok=ok, hypothesis_ok=hyp_ok)
 
 
-def _dot_with_grid(spec: FieldSpec, d: int, m) -> np.ndarray:
+def _dot_with_grid(at: np.ndarray, mt: np.ndarray, d: int, m) -> np.ndarray:
     """Encodings of x*m, one row per frequency of the (k, d) block m and
-    one column per x in flat order: x_j lives on axis d-j of a
-    (k, q, ..., q) grid, as in value_grid, so each term m_j*x_j is a
-    mul_table row reshaped onto its own axis."""
-    at, mt = add_table(spec), mul_table(spec)
+    one column per x in flat order, from the add and mul tables at, mt of
+    F_q: x_j lives on axis d-j of a (k, q, ..., q) grid, as in
+    value_grid, so each term m_j*x_j is a mul_table row reshaped onto its
+    own axis."""
+    q = len(at)
     m = np.asarray(m, dtype=np.int64).reshape(-1, d)
     acc = np.zeros((len(m),) + (1,) * d, dtype=np.int64)
     for j in range(d):
         shape = [len(m)] + [1] * d
-        shape[d - j] = spec.q
+        shape[d - j] = q
         acc = at[acc, mt[m[:, j]].reshape(shape)]
     return acc.reshape(len(m), -1)
 
@@ -624,28 +628,75 @@ def phase_sum(P: Polynomial, s: int, m) -> complex:
     if len(m) != P.d:
         raise ArityMismatch(f"frequency has {len(m)} coordinates, expected {P.d}")
     s = spec.element(s)
-    phases = add_table(spec)[mul_table(spec)[s, value_grid(P)], _dot_with_grid(spec, P.d, m)[0]]
+    at, mt = add_table(spec), mul_table(spec)
+    phases = at[mt[s, value_grid(P)], _dot_with_grid(at, mt, P.d, m)[0]]
     return complex(spec.char_table[phases].sum())
 
 
-_PHASE_BLOCK = 1 << 16  # max phase encodings gathered at once
+_PHASE_BLOCK = 1 << 16  # max phase encodings gathered at once by one worker
+# Bytes a worker of _direct_phase_table holds an entry of its block: the
+# index and value blocks (24 B), the block's dot (8 B) and the two grids
+# that build the next block's dot (16 B).  Under tracemalloc, net of the
+# table, the s*P(x)*q rows and the fused table, one worker read 42-43 B
+# and four 37-41 B an entry at F_31^2, F_13^3, F_7^4 and F_17^3.
+_PHASE_WORKER_BYTES = 48
+
+
+def _phase_blocks(n: int) -> tuple[int, int]:
+    """(columns a block, workers) of _direct_phase_table with n columns:
+    a block gathers at most _PHASE_BLOCK entries, or one column, and
+    there is a worker a usable CPU, but no more than there are blocks."""
+    cols = max(1, _PHASE_BLOCK // n)
+    return cols, min(_workers(), -(-n // cols))
+
+
+def _phase_gather_bytes(P: Polynomial) -> int:
+    """The bytes that the workers of _direct_phase_table hold at once
+    while _phase_table(P) is built: a block each, and for diagonal P the
+    blocks of its univariate tables."""
+    n = P.spec.q ** (1 if P.kind == DIAGONAL else P.d)
+    cols, workers = _phase_blocks(n)
+    return _PHASE_WORKER_BYTES * cols * n * workers
 
 
 def _direct_phase_table(P: Polynomial) -> np.ndarray:
     """phase_sum for s = 1..q-1 (rows) and every m (columns, flat order),
-    bit for bit: each row gathers chi(s*P(x) + m*x) from one fused table
-    and sums contiguous vectors as phase_sum does."""
+    bit for bit: each entry gathers chi(s*P(x) + m*x) from one fused table
+    and sums the same contiguous vector as phase_sum does.
+
+    The columns come in blocks of frequencies, dealt in turn to the
+    workers of _phase_blocks, each on a thread of its own (_run_all).  A
+    worker allocates one index block and one value block once (24 bytes
+    an entry) and runs every s over each of its blocks: the indices, the
+    gather and the row sums are written into them and into the table, and
+    no product or BLAS call is made.  An entry is the pairwise sum of the
+    same vector whichever worker computes it, so the table does not
+    depend on the number of workers.  The caller fetches every table, so
+    the workers call no public function and run no traced span."""
     spec, d, q = P.spec, P.d, P.spec.q
     n = q**d
+    at, mt = add_table(spec), mul_table(spec)
     out = np.empty((q - 1, n), dtype=np.complex128)
-    chi_of_sum = spec.char_table[add_table(spec)].ravel()  # [a*q + b] = chi(a + b)
-    svq = mul_table(spec)[1:, value_grid(P)] * q  # row s-1 holds s*P(x)*q
-    rows = max(1, _PHASE_BLOCK // n)
-    for lo in range(0, n, rows):
-        block = decode_points(spec, np.arange(lo, min(lo + rows, n)), d)
-        dot = _dot_with_grid(spec, d, block)
-        for i, sv in enumerate(svq):
-            out[i, lo : lo + rows] = np.take(chi_of_sum, sv + dot).sum(axis=1)
+    chi_of_sum = spec.char_table[at].ravel()  # [a*q + b] = chi(a + b)
+    svq = mt[1:, value_grid(P)] * q  # row s-1 holds s*P(x)*q
+    cols, workers = _phase_blocks(n)
+    starts = range(0, n, cols)
+    digits = q ** np.arange(d)
+
+    def fill(mine):  # every s over the blocks of m that start at `mine`
+        idx = np.empty((cols, n), dtype=np.int64)
+        vals = np.empty((cols, n), dtype=np.complex128)
+        for lo in mine:
+            hi = min(lo + cols, n)
+            dot = _dot_with_grid(at, mt, d, np.arange(lo, hi)[:, None] // digits % q)
+            block_idx, block_vals = idx[: hi - lo], vals[: hi - lo]
+            for i, sv in enumerate(svq):
+                np.add(sv, dot, out=block_idx)
+                # every index is in range; mode="raise" would gather through a copy of out=
+                np.take(chi_of_sum, block_idx, out=block_vals, mode="clip")
+                block_vals.sum(axis=1, out=out[i, lo:hi])
+
+    _run_all([partial(fill, starts[k::workers]) for k in range(workers)])
     return out
 
 

@@ -729,15 +729,25 @@ class TestRunners:
         assert code == 0 and stated[:1] == [8 * q**d] and len(stated) == 2  # P's grid, then lift
         assert 8 * q ** (d + 1) <= peak <= stated[1]  # the grid of H was built and counted
 
-    @pytest.mark.parametrize("q, d, pad", [(19, 3, 0), (61, 2, 0), (101, 2, 0), (19, 3, 20), (61, 2, 20)])
-    def test_phase_memory_check_covers_the_measured_peak(self, monkeypatch, tmp_path, q, d, pad):
+    @pytest.mark.parametrize("workers", [1, 4, 16])
+    @pytest.mark.parametrize(
+        "q, d, pad, tail",
+        [(19, 3, 0, ""), (61, 2, 0, ""), (101, 2, 0, ""), (19, 3, 20, ""), (61, 2, 20, ""),
+         # not diagonal: the direct table, a block gathered by each worker; at
+         # 16 workers the blocks alone pass the fixed bytes of emission
+         (31, 2, 0, "+x1"), (13, 3, 0, "+x1"), (7, 4, 0, "+x1"), (31, 2, 20, "+x1")],
+    )
+    def test_phase_memory_check_covers_the_measured_peak(
+        self, monkeypatch, tmp_path, q, d, pad, tail, workers
+    ):
         import tracemalloc
 
         from ffdist import harness, varieties
 
         stated = []
         monkeypatch.setattr(harness, "_require_memory", lambda need, holds: stated.append(need))
-        poly = "+".join(f"x{j}^2" for j in range(1, d + 1))
+        monkeypatch.setattr(varieties, "_workers", lambda: workers)
+        poly = "+".join(f"x{j}^2" for j in range(1, d + 1)) + tail
         poly += "".join(f"+{k}*x1-{k}*x1" for k in range(1, pad + 1))  # every row repeats it
         cfg = ExperimentConfig(q=q, d=d, poly=poly, out=str(tmp_path / "ph"), deterministic=True)
         varieties.value_grid.cache_clear()
@@ -1240,9 +1250,10 @@ class TestCli:
         )
         assert done.stdout.splitlines()[-1] == "False"
 
-    def test_decay_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path):
-        # 87 CSV rows of this run differed between 1 and 2 OpenBLAS threads
-        # while decay's products ran at numpy's own count
+    @staticmethod
+    def outputs_at_blas_threads(tmp_path, command: str) -> list:
+        """The CSV and JSON bytes of `ffdist COMMAND --deterministic` run
+        in a fresh process at OPENBLAS_NUM_THREADS 1 and then 2."""
         import os
         import subprocess
         import sys
@@ -1252,18 +1263,29 @@ class TestCli:
 
         if fourier._blas_thread_calls() is None:
             pytest.skip("the BLAS thread count of numpy cannot be reached here")
-        argv = "decay --q 211 --d 2 --poly x1^2+x2^2 --deterministic --out".split()
         src = os.path.dirname(os.path.dirname(ffdist.__file__))
         outputs = []
         for threads in ("1", "2"):
             out = tmp_path / f"threads{threads}"
             env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
             subprocess.run(
-                [sys.executable, "-m", "ffdist", *argv, str(out)],
+                [sys.executable, "-m", "ffdist", *command.split(), "--deterministic", "--out", str(out)],
                 env=env, capture_output=True, check=True,
             )
             outputs.append([out.with_suffix(ext).read_bytes() for ext in (".csv", ".json")])
-        assert outputs[0] == outputs[1]
+        return outputs
+
+    def test_decay_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # 87 CSV rows of this run differed between 1 and 2 OpenBLAS threads
+        # while decay's products ran at numpy's own count
+        one, two = self.outputs_at_blas_threads(tmp_path, "decay --q 211 --d 2 --poly x1^2+x2^2")
+        assert one == two
+
+    def test_phase_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # the self-check of a factored table, factored_vs_direct_max_error,
+        # runs its inverse transforms on one BLAS thread
+        one, two = self.outputs_at_blas_threads(tmp_path, "phase --q 23 --d 2 --poly x1^3+x2^3")
+        assert one == two
 
     def test_numeric_error_exits_4(self, capsys, monkeypatch):
         from ffdist import harness

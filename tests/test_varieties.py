@@ -13,7 +13,14 @@ from ffdist.errors import (
     VariableOutOfRange,
     ZeroPolynomial,
 )
-from ffdist.field import _is_irreducible, decode_points, field_from_order, make_field
+from ffdist.field import (
+    _is_irreducible,
+    add_table,
+    decode_points,
+    field_from_order,
+    make_field,
+    mul_table,
+)
 from ffdist.distances import product_set_experiment
 from ffdist.fourier import ComplexGrid, fourier_transform
 from ffdist.harness import ExperimentConfig, run
@@ -778,7 +785,7 @@ class TestPhaseTable:
         spec = field_from_order(q)
         n = q**d
         ms = np.random.default_rng(q + d).integers(0, q, size=(6, d))
-        got = _dot_with_grid(spec, d, ms)
+        got = _dot_with_grid(add_table(spec), mul_table(spec), d, ms)
         assert got.shape == (6, n)
         for row, m in zip(got.tolist(), ms.tolist()):
             want = []
@@ -804,3 +811,99 @@ class TestPhaseTable:
         finally:
             tracemalloc.stop()
         assert peak <= 34 * table.size
+
+    @pytest.mark.parametrize(
+        "q, d, text",
+        [
+            (31, 2, "x1^2 + x2^2 + x1"),  # 15 blocks of 68 columns
+            (8, 3, "x1^2 + x2^2 + x3^2 + x1"),  # an extension field
+            (101, 1, "x1^3 + 2*x1"),  # one block
+            (13, 3, "x1^2 + x2^2 + x3^2 + x1"),  # 76 blocks, dealt unevenly
+        ],
+    )
+    def test_direct_table_does_not_depend_on_the_worker_count(self, monkeypatch, q, d, text):
+        # more workers than cores, switching threads often
+        import sys
+
+        spec = field_from_order(q)
+        P = parse_polynomial(text, spec, d)
+        n = q**d
+        tables = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for workers in (1, 2, 3, 5):
+                monkeypatch.setattr(varieties, "_workers", lambda: workers)
+                tables[workers] = _direct_phase_table(P).view(np.float64)
+        finally:
+            sys.setswitchinterval(interval)
+        for workers in (2, 3, 5):
+            assert np.array_equal(tables[workers], tables[1])
+        ms = sorted(set(range(0, n, max(1, n // 40))) | {n - 1})
+        want = np.array(
+            [[phase_sum(P, s, m) for m in decode_points(spec, ms, d).tolist()] for s in range(1, q)]
+        )
+        got = np.ascontiguousarray(tables[5].view(np.complex128)[:, ms])
+        assert np.array_equal(got.view(np.float64), want.view(np.float64))
+
+    def test_phase_workers_call_no_public_function(self, monkeypatch):
+        # the field and varieties functions that a traced run wraps run on
+        # the calling thread only, since its spans share one stack
+        import inspect
+        import threading
+        from functools import _lru_cache_wrapper
+
+        from ffdist import field
+
+        threads = []
+
+        def recorded(fn):
+            def call(*args, **kwargs):
+                threads.append(threading.get_ident())
+                return fn(*args, **kwargs)
+
+            return call
+
+        wrappers = {}
+        for module in (field, varieties):
+            for name, obj in vars(module).items():
+                public = not name.startswith("_") and getattr(obj, "__module__", "") == module.__name__
+                if public and (inspect.isfunction(obj) or isinstance(obj, _lru_cache_wrapper)):
+                    wrappers[id(obj)] = recorded(obj)
+        for module in (field, varieties):
+            for name, obj in list(vars(module).items()):
+                if id(obj) in wrappers:
+                    monkeypatch.setattr(module, name, wrappers[id(obj)])
+        monkeypatch.setattr(varieties, "_workers", lambda: 3)
+        P = parse_polynomial("x1^2 + x2^2 + x3^2 + x1", F13, 3)
+        _direct_phase_table(P)
+        assert threads and set(threads) == {threading.get_ident()}
+
+    def test_a_phase_worker_exception_reaches_the_caller_after_every_join(self, monkeypatch):
+        # of three workers over F_13^3's 76 blocks of 29 columns, the second
+        # fails on its first block and the third is slow on its first: the
+        # caller sees the failure only once the third has done every block
+        import threading
+        import time
+
+        q, cols = 13, 29
+        done, real = [], varieties._dot_with_grid
+
+        def dot(at, mt, d, m):
+            lo = int(np.asarray(m)[0] @ q ** np.arange(d))
+            worker = lo // cols % 3
+            if worker == 1:
+                raise FloatingPointError("synthetic failure in a worker")
+            if worker == 2:
+                if lo == 2 * cols:
+                    time.sleep(0.2)
+                done.append(lo)
+            return real(at, mt, d, m)
+
+        monkeypatch.setattr(varieties, "_workers", lambda: 3)
+        monkeypatch.setattr(varieties, "_dot_with_grid", dot)
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError, match="synthetic"):
+            _direct_phase_table(parse_polynomial("x1^2 + x2^2 + x3^2 + x1", F13, 3))
+        assert done == list(range(2 * cols, q**3, 3 * cols))
+        assert threading.active_count() == before
