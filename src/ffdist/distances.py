@@ -13,7 +13,7 @@ Every answer is an exact integer count, reached by one of two routes:
   then nu(t) = sum of D over the fiber {P = t}.  This is the Fourier
   counting identity nu(t) = q^(2d) sum_m conj(E^)(m) F^(m) V_t^(m) of
   Iosevich-Rudnev, evaluated in one pass for every t.  The products run
-  on one BLAS thread (`fourier._one_blas_thread`).
+  on one BLAS thread, as the execution policy of `fourier` sets out.
 
 Pinned distances convolve E with each nonempty fiber of P: d passes for
 E, then each fiber's spectrum from `varieties._fiber_spectra`, the one

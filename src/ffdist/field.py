@@ -34,22 +34,21 @@ import numpy as np
 from .errors import ConfigError, DegreeOutOfRange, NonPrime, ReducibleModulus
 
 
-# Files that may cap this process's memory: MemAvailable, then the cgroup
-# limits under the mount root (v2, then v1), at the root and in the
-# process's own cgroup as /proc/self/cgroup names it; "max" sets no limit.
+# Files that may cap this process's memory or CPUs: MemAvailable, then
+# the cgroup limits under the mount root (v2, then v1), at the root and in
+# the process's own cgroup as /proc/self/cgroup names it; "max" sets no limit.
 _MEMINFO = "/proc/meminfo"
 _CGROUP_ROOT = "/sys/fs/cgroup"
 _PROC_CGROUP = "/proc/self/cgroup"
 
 
-def _cgroup_limit_files() -> list[str]:
-    """The memory-limit files of the cgroup root, v2 `memory.max` and v1
-    `memory/memory.limit_in_bytes`, then those of this process's own
-    cgroup: the `0::<path>` line gives `<root><path>/memory.max` and the
-    line whose controllers hold `memory` gives
-    `<root>/memory<path>/memory.limit_in_bytes`."""
+def _cgroup_files(controller: str, v2: str, v1: str) -> list[str]:
+    """The limit files of one controller at the cgroup root, v2 `<v2>` and
+    v1 `<controller>/<v1>`, then those of this process's own cgroup: the
+    `0::<path>` line gives `<root><path>/<v2>` and the line whose
+    controllers hold `controller` gives `<root>/<controller><path>/<v1>`."""
     root = _CGROUP_ROOT
-    files = [f"{root}/memory.max", f"{root}/memory/memory.limit_in_bytes"]
+    files = [f"{root}/{v2}", f"{root}/{controller}/{v1}"]
     try:
         with open(_PROC_CGROUP, encoding="ascii") as fh:
             lines = fh.read().splitlines()
@@ -61,16 +60,38 @@ def _cgroup_limit_files() -> list[str]:
             continue
         hierarchy, controllers, path = parts[0], parts[1], parts[2].rstrip("/")
         if hierarchy == "0" and not controllers:
-            files.append(f"{root}{path}/memory.max")
-        elif "memory" in controllers.split(","):
-            files.append(f"{root}/memory{path}/memory.limit_in_bytes")
+            files.append(f"{root}{path}/{v2}")
+        elif controller in controllers.split(","):
+            files.append(f"{root}/{controller}{path}/{v1}")
     return files
+
+
+def _cpu_quota() -> int | None:
+    """The CPUs that the cgroup CPU quotas allow, ceil(quota / period), the
+    least over the root and this process's own cgroup (_cgroup_files): v2
+    `cpu.max` holds "<quota> <period>", v1 `cpu.cfs_quota_us` the quota
+    beside `cpu.cfs_period_us`.  None where no quota is set ("max" or -1)
+    or none can be read.  Nothing is set."""
+    quotas = []
+    for path in _cgroup_files("cpu", "cpu.max", "cpu.cfs_quota_us"):
+        try:
+            with open(path, encoding="ascii") as fh:
+                words = fh.read().split()
+            if path.endswith("quota_us"):  # v1 keeps the period in a file of its own
+                with open(path.removesuffix("quota_us") + "period_us", encoding="ascii") as fh:
+                    words += fh.read().split()
+            quota, period = int(words[0]), int(words[1])  # "max" raises
+            if quota > 0 and period > 0:
+                quotas.append(-(-quota // period))
+        except (OSError, ValueError, IndexError):
+            pass
+    return min(quotas, default=None)
 
 
 def _available_memory() -> int:
     """The bytes a request may hold: the least of the physical memory, the
     kernel's MemAvailable estimate, the memory limits of the cgroup root
-    and of this process's own cgroup (_cgroup_limit_files) and RLIMIT_AS,
+    and of this process's own cgroup (_cgroup_files) and RLIMIT_AS,
     each where it can be read.  Nothing is set."""
     limits = [os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")]
     try:
@@ -78,7 +99,7 @@ def _available_memory() -> int:
             limits += [int(line.split()[1]) << 10 for line in fh if line.startswith("MemAvailable:")]
     except (OSError, ValueError, IndexError):
         pass
-    for path in _cgroup_limit_files():
+    for path in _cgroup_files("memory", "memory.max", "memory.limit_in_bytes"):
         try:
             with open(path, encoding="ascii") as fh:
                 text = fh.read().strip()

@@ -26,26 +26,46 @@ reads its output rows at -x, which leaves every value bit for bit as a
 kernel of its own would.
 
 `_passes` is also the one transform of the package: the difference
-convolution of `distances` runs its forward and inverse passes.  Those
-products run inside `_one_blas_thread`, which caps the OpenBLAS that
-numpy bundles at one thread and restores the count after.  With numpy's
-two threads on a 2-core host, `pinned --q 71 --d 2 --poly x1^2+x2^2
---setE all --setF all` took 0.95-1.08 s in 4 of 16 fresh processes
-started after 2 s idle, against 0.03-0.04 s in the rest: OpenBLAS hands
-products far too small to share to its second thread.  With one thread,
-8 of 8 such runs read 0.027-0.046 s.  Counts are rounded integers, so
-the cap cannot move an output; the fiber spectra that the pinned
-convolution reads run under it too.  Decay's fiber peaks
-(`varieties._fiber_peaks`) run under it as well, so their bits are the
-one-thread bits at any thread count; they use the other cores through
-threads of their own, one column range of the last pass each.  Whole
-transforms keep numpy's own thread count, which is faster for some
-shapes: a warm in-process `fourier-check --q 211 --d 2 --trials 5` took
-0.063 s at two threads and 0.068 s at one (medians of 7).
+convolution of `distances` runs its forward and inverse passes.
+
+How work uses the machine is decided here, and only here:
+- `_workers()` is the number of CPUs this process may use: those it may
+  run on, but no more than its cgroup's CPU quota allows
+  (`field._cpu_quota`), and at least one.
+- `_run_all` runs a list of jobs, the first on the calling thread and
+  each other on a thread of its own, and joins them all.
+- `_column_ranges` splits the output columns of a pass into at most that
+  many ranges, with bounds at multiples of `_RANGE_COLUMNS`, where the
+  column blocks of the whole product start; a column is then computed
+  alike in any range.  Decay's fiber peaks (`varieties._fiber_peaks`)
+  run one range of their last pass a worker, and the direct phase table
+  (`varieties._direct_phase_table`) deals its blocks of m to the
+  workers; neither moves a bit with the number of workers.
+- A worker receives every table from its caller and calls no public
+  function, so the one span stack of a traced run sees the same spans
+  at any worker count.
+- `_one_blas_thread` caps the OpenBLAS that numpy bundles at one thread
+  over one process-wide scope: the first region in saves the count, the
+  last one out restores it, so overlapping regions on several threads
+  keep the cap until all are done.  With numpy's two threads on a 2-core
+  host, `pinned --q 71 --d 2 --poly x1^2+x2^2 --setE all --setF all`
+  took 0.95-1.08 s in 4 of 16 fresh processes started after 2 s idle,
+  against 0.03-0.04 s in the rest: OpenBLAS hands products far too small
+  to share to its second thread.  With one thread, 8 of 8 such runs read
+  0.027-0.046 s.  The difference convolution, the fiber spectra that
+  the pinned convolution reads, decay's fiber peaks and `phase`'s
+  self-check (`varieties._factored_table_error`) run under the cap, so
+  their bits are the one-thread bits at any thread count; decay's peaks
+  use the other cores through workers instead.  Whole transforms keep
+  numpy's own thread count, which is faster for some shapes: a warm
+  in-process `fourier-check --q 211 --d 2 --trials 5` took 0.063 s at
+  two threads and 0.068 s at one (medians of 7).
 """
 
 from __future__ import annotations
 
+import os
+import threading
 import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -54,7 +74,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DimensionMismatch
-from .field import FieldSpec, mul_table, neg_table
+from .field import FieldSpec, _cpu_quota, mul_table, neg_table
 
 
 @dataclass(eq=False)
@@ -143,23 +163,87 @@ def _blas_thread_calls():
     return None
 
 
+# The BLAS thread count is process state, so the cap's scope is too.
+_blas_cap_lock = threading.Lock()
+_blas_regions = 0  # regions of _one_blas_thread open, on any thread
+_blas_saved = None  # the count that the first region in found
+
+
 @contextmanager
 def _one_blas_thread():
-    """Run the block's products on one BLAS thread and restore the previous
-    count after, also when the block raises; where the thread count cannot
-    be reached, the products run as numpy would run them.  Yields whether
-    the count was set."""
+    """Run the block's products on one BLAS thread, also when the block
+    raises; where the thread count cannot be reached, the products run as
+    numpy would run them.  Regions share one process-wide scope: the first
+    region in, on any thread, saves the count and sets it to 1, and the
+    last one out restores it.  Yields whether the count was set."""
     calls = _blas_thread_calls()
     if calls is None:
         yield False
         return
+    global _blas_regions, _blas_saved
     get, put = calls
-    before = get()
-    put(1)
+    with _blas_cap_lock:
+        if not _blas_regions:
+            _blas_saved = get()
+            put(1)
+        _blas_regions += 1
     try:
         yield True
     finally:
-        put(before)
+        with _blas_cap_lock:
+            _blas_regions -= 1
+            if not _blas_regions:
+                put(_blas_saved)
+
+
+# Column-range bounds of a pass fall at multiples of this, so a range
+# starts on a column block boundary of the whole product (at 1, 2, 3 and
+# 5 ranges every decay peak is the one-range bits, F_17^5 to F_61^3).
+_RANGE_COLUMNS = 64
+
+
+def _column_ranges(n: int, workers: int) -> list[tuple[int, int]]:
+    """Up to `workers` ranges that partition 0:n, each at least
+    _RANGE_COLUMNS wide, with every bound but n a multiple of it and each
+    bound as near an even split as those rules allow; the last range keeps
+    the tail past the last whole block.  n < 2*_RANGE_COLUMNS is one range."""
+    blocks = n // _RANGE_COLUMNS
+    k = max(1, min(workers, blocks))
+    cuts = [min(max(round(n * i / (_RANGE_COLUMNS * k)), i), blocks - k + i) for i in range(1, k)]
+    bounds = [0] + [_RANGE_COLUMNS * c for c in cuts] + [n]
+    return list(zip(bounds, bounds[1:]))
+
+
+def _workers() -> int:
+    """The CPUs this process may use: those it may run on, but no more
+    than its cgroup's CPU quota allows, and at least one."""
+    cpus, quota = len(os.sched_getaffinity(0)), _cpu_quota()
+    return max(1, min(cpus, quota or cpus))
+
+
+def _run_all(jobs):
+    """[job() for job in jobs], the first on the calling thread and every
+    other on a thread of its own.  Every thread is joined before the
+    first exception raised, if any, is raised again on the caller."""
+    results, errors = [None] * len(jobs), []
+
+    def run(i):
+        try:
+            results[i] = jobs[i]()
+        except BaseException as exc:  # re-raised on the caller below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(1, len(jobs))]
+    for thread in threads:
+        thread.start()
+    try:
+        run(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+    return results
 
 
 def fourier_transform(f: ComplexGrid) -> ComplexGrid:

@@ -34,18 +34,16 @@ from .field import (
 from .fourier import (
     ComplexGrid,
     _energy_residual,
-    _one_blas_thread,
     fourier_transform,
     inverse_transform,
 )
 from .rng import SplitMix64, derive_seed, sample_indices
 from .varieties import (
-    DIAGONAL,
     DecayEntry,
     PointSet,
     Polynomial,
+    _factored_table_error,
     _phase_gather_bytes,
-    _phase_rows,
     _phase_table,
     characteristic_divides_exponent,
     decay_spectrum,
@@ -626,11 +624,7 @@ def run_phase(cfg: ExperimentConfig):
     need += _phase_gather_bytes(P)
     _require_with_kernel(spec, need, f"phase over F_{q}^{d} holds {sums} sums")
     table = _phase_table(P)
-    agreement = None
-    if P.kind == DIAGONAL:  # check the factored table, one inverse transform per s
-        with _one_blas_thread():  # so the error's bits do not depend on numpy's thread count
-            errs = (row - want for row, want in zip(table, _phase_rows(P)))
-            agreement = max(float(np.hypot(e.real, e.imag).max()) for e in errs)
+    agreement = _factored_table_error(P, table)  # None unless the table is factored
     mag = np.hypot(table.real, table.imag).ravel()
     del table  # emission needs only the magnitudes
     ratio = mag / float(q) ** (d / 2)

@@ -7,11 +7,9 @@ decay spectrum of each fiber comes from the grid transform's passes.
 exceptional set and the pinned convolution of `distances` all read it.
 For separable P (every term in at most one variable, as every CLI
 polynomial is) the first d-1 passes of every fiber read one shared table,
-so each fiber pays for one pass.  Decay's peaks run that pass on one
-thread a usable CPU, each over one range of its output columns for every
-fiber, with every product on one BLAS thread: a column of the pass is
-computed alike in any range, so the bits do not depend on the number of
-CPUs or of BLAS threads.
+so each fiber pays for one pass.  Decay's peaks run that pass in column
+ranges, one a worker, on one BLAS thread: `fourier` states that execution
+policy and owns the helpers it runs on.
 Exceptional sets of diagonal P transform one fiber per scaling coset of t
 (`_scaling_cosets`), since dilations carry the other fibers onto it.  The
 phase sums sum_x chi(s*P(x) + m*x) for all s != 0 and m come as one table
@@ -20,19 +18,15 @@ chi(s*P) (`_phase_rows`), which checks the table and gives its maxima in
 O(q^d) memory.  For diagonal P the table is the product of d univariate
 tables, each on the broadcast axis of its m_j; for any other P it is the
 direct table (`_direct_phase_table`), bit-identical to the scalar
-`phase_sum`.  The direct table's blocks of m are dealt among threads, one
-a usable CPU, and each entry is the same pairwise sum of the same vector
-on any thread, so its bits do not depend on the number of CPUs; it calls
-no BLAS.  Coordinate x_j lives on axis d-j, counted from the last, in
+`phase_sum` with its blocks of m dealt to the workers of `fourier`'s
+policy.  Coordinate x_j lives on axis d-j, counted from the last, in
 every grid here, so the C-order ravel is the flat encoding order.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import re
-import threading
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
@@ -56,7 +50,8 @@ from .field import (
     neg_table,
     pow_table,
 )
-from .fourier import ComplexGrid, _one_blas_thread, _passes, inverse_transform
+from .fourier import ComplexGrid, _passes, inverse_transform
+from .fourier import _column_ranges, _one_blas_thread, _run_all, _workers  # the thread rule
 
 DIAGONAL = "diagonal"
 GENERAL = "general"
@@ -358,9 +353,10 @@ def _shared_table(P: Polynomial, levels: int, gathered: np.ndarray, out: np.ndar
 
 
 def _fiber_work(P: Polynomial):
-    """(L, the shared table B_L, -R(x) for x in flat order, the gathered
-    grid, the pass output) of _fiber_spectra: the table is built once, and
-    the two grids that built it are the buffers every fiber reuses."""
+    """(L, the shared table B_L, the add table, -R(x) for x in flat order,
+    the gathered grid, the pass output) of _fiber_spectra: the table is
+    built once, the two grids that built it are the buffers every fiber
+    reuses, and a range worker fetches no table of its own."""
     spec, d, q = P.spec, P.d, P.spec.q
     vg = value_grid(P)
     shared = d - 1 if is_separable(P) else 0
@@ -368,7 +364,8 @@ def _fiber_work(P: Polynomial):
     rest_neg = neg_table(spec)[vg.reshape(-1, q**shared)[:, 0]]
     gathered = np.zeros(vg.size, np.complex128)
     out = np.empty(vg.size, np.complex128)
-    return shared, _shared_table(P, shared, gathered, out), rest_neg, gathered, out
+    table = _shared_table(P, shared, gathered, out)
+    return shared, table, add_table(spec), rest_neg, gathered, out
 
 
 def _fiber_spectra(P: Polynomial, ts, work=None, lo=0, hi=None):
@@ -411,7 +408,7 @@ def _fiber_spectra(P: Polynomial, ts, work=None, lo=0, hi=None):
     entries, so column c of row m is V_t^(m*N + c).  The same arithmetic
     holds for a narrower product as long as the range starts where the
     whole product's column blocks do and the whole product's odd last
-    column stays last in its range: _column_ranges puts bounds at
+    column stays last in its range: fourier._column_ranges puts bounds at
     multiples of 64.  Ranges that partition 0:N may run at once on threads
     of their own: each writes the slice lo*r:hi*r of the two reused grids
     (r = q^(d-L) entries a column), so no grid is added.  The default is
@@ -423,8 +420,7 @@ def _fiber_spectra(P: Polynomial, ts, work=None, lo=0, hi=None):
     the last two: the consumer may overwrite it, but must be done with it
     before it asks for the next t."""
     spec, d = P.spec, P.d
-    at = add_table(spec)
-    shared, table, rest_neg, gathered, out = work or _fiber_work(P)
+    shared, table, at, rest_neg, gathered, out = work or _fiber_work(P)
     hi = table.shape[0] if hi is None else hi
     r = rest_neg.size
     gathered, out = gathered[lo * r : hi * r], out[lo * r : hi * r]
@@ -437,54 +433,6 @@ def _fiber_spectra(P: Polynomial, ts, work=None, lo=0, hi=None):
         yield t, _passes(spec, gathered, d - shared, (out, gathered))
 
 
-# Column-range bounds of the last pass fall at multiples of this, so a
-# range starts on a column block boundary of the whole product (at 1, 2, 3
-# and 5 ranges every peak is the one-range bits, F_17^5 to F_61^3).
-_RANGE_COLUMNS = 64
-
-
-def _column_ranges(n: int, workers: int) -> list[tuple[int, int]]:
-    """Up to `workers` ranges that partition 0:n, each at least
-    _RANGE_COLUMNS wide, with every bound but n a multiple of it and each
-    bound as near an even split as those rules allow; the last range keeps
-    the tail past the last whole block.  n < 2*_RANGE_COLUMNS is one range."""
-    blocks = n // _RANGE_COLUMNS
-    k = max(1, min(workers, blocks))
-    cuts = [min(max(round(n * i / (_RANGE_COLUMNS * k)), i), blocks - k + i) for i in range(1, k)]
-    bounds = [0] + [_RANGE_COLUMNS * c for c in cuts] + [n]
-    return list(zip(bounds, bounds[1:]))
-
-
-def _workers() -> int:
-    """The CPUs this process may run on."""
-    return len(os.sched_getaffinity(0))
-
-
-def _run_all(jobs):
-    """[job() for job in jobs], the first on the calling thread and every
-    other on a thread of its own.  Every thread is joined before the
-    first exception raised, if any, is raised again on the caller."""
-    results, errors = [None] * len(jobs), []
-
-    def run(i):
-        try:
-            results[i] = jobs[i]()
-        except BaseException as exc:  # re-raised on the caller below
-            errors.append(exc)
-
-    threads = [threading.Thread(target=run, args=(i,)) for i in range(1, len(jobs))]
-    for thread in threads:
-        thread.start()
-    try:
-        run(0)
-    finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[0]
-    return results
-
-
 def _fiber_peaks(P: Polynomial, ts) -> list[tuple[int, float, int]]:
     """(t, max_{m != 0} |V_t^(m)|, the first flat m attaining it in floats)
     for each t in ts, from the normalized spectra of _fiber_spectra, as one
@@ -494,8 +442,8 @@ def _fiber_peaks(P: Polynomial, ts) -> list[tuple[int, float, int]]:
     Every product runs on one BLAS thread (fourier._one_blas_thread), from
     the shared table on, so the bits do not depend on the thread count
     numpy starts with.  The last pass's columns are split into one range a
-    usable CPU (_column_ranges), each run on a thread of its own over every
-    t; the range with the largest maximum wins, and a tie goes to the
+    worker (fourier._column_ranges), each run on a thread of its own over
+    every t; the range with the largest maximum wins, and a tie goes to the
     smallest flat m, which is where the whole grid's first maximum lies.
     Where the BLAS thread count cannot be reached, one range runs on the
     calling thread, since BLAS may then start threads of its own.
@@ -732,6 +680,18 @@ def _phase_rows(P: Polynomial):
     vg, mt = value_grid(P), mul_table(spec)
     for s in range(1, spec.q):
         yield inverse_transform(ComplexGrid(spec, d, spec.char_table[mt[s, vg]])).values
+
+
+def _factored_table_error(P: Polynomial, table: np.ndarray) -> float | None:
+    """The largest |table - _phase_rows(P)| when P is diagonal, so that
+    `table` (as _phase_table gives it) is the factored one, else None.  The
+    inverse transforms run on one BLAS thread, so the error's bits do not
+    depend on numpy's thread count."""
+    if P.kind != DIAGONAL:
+        return None
+    with _one_blas_thread():
+        errs = (row - want for row, want in zip(table, _phase_rows(P)))
+        return max(float(np.hypot(e.real, e.imag).max()) for e in errs)
 
 
 def require_same_space(a, b, what: str = "operands"):

@@ -1,16 +1,19 @@
 """Grid transforms: trivial cases, round trips, energy identity,
 equivalence with the direct double-loop transform, bit identity with the
 per-axis tensordot oracle (the forward direction also through the pass
-helper writing into caller-owned buffers), and the memory a transform
-holds."""
+helper writing into caller-owned buffers), the memory a transform
+holds, and the execution policy: the BLAS cap and the worker count."""
 
 import numpy as np
 import pytest
 
 from ffdist.field import decode_points, make_field
+from ffdist import fourier
 from ffdist.fourier import (
     ComplexGrid,
+    _one_blas_thread,
     _passes,
+    _workers,
     fourier_transform,
     inverse_transform,
     plancherel_residual,
@@ -291,3 +294,110 @@ def test_transforms_sharing_a_workspace_allocate_no_grid():
         tracemalloc.stop()
     assert all(np.shares_memory(r, work[0]) or np.shares_memory(r, work[1]) for r in results)
     assert peak < 0.1 * 16 * spec.q**d
+
+
+def test_the_blas_cap_holds_until_the_last_overlapping_region_exits():
+    # the first region exits while the second's products still run: the
+    # count stays 1 until the second exits, and then reads what it did
+    # before either began; so too with many regions switching often
+    import sys
+    import threading
+
+    calls = fourier._blas_thread_calls()
+    if calls is None:
+        pytest.skip("the BLAS thread count of numpy cannot be reached here")
+    get, put = calls
+    first_in, second_in, first_out = threading.Event(), threading.Event(), threading.Event()
+    seen, inside = {}, []
+
+    def first():
+        with _one_blas_thread():
+            first_in.set()
+            second_in.wait(10)
+        first_out.set()
+
+    def second():
+        first_in.wait(10)
+        with _one_blas_thread():
+            second_in.set()
+            first_out.wait(10)
+            seen["second, after the first exits"] = get()
+
+    def churn():
+        for _ in range(200):
+            with _one_blas_thread():
+                inside.append(get())
+
+    def run(jobs):
+        threads = [threading.Thread(target=job) for job in jobs]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30)
+        assert not any(thread.is_alive() for thread in threads)
+
+    before, interval = get(), sys.getswitchinterval()
+    put(2)
+    try:
+        run([first, second])
+        seen["after both"] = get()
+        with _one_blas_thread():  # nested regions on one thread, as before
+            with _one_blas_thread():
+                seen["nested"] = get()
+            seen["outer, after the inner exits"] = get()
+        seen["after the nest"] = get()
+        sys.setswitchinterval(1e-5)
+        run([churn] * 6)
+        seen["after the churn"] = get()
+    finally:
+        sys.setswitchinterval(interval)
+        put(before)
+    assert seen == {
+        "second, after the first exits": 1,
+        "after both": 2,
+        "nested": 1,
+        "outer, after the inner exits": 1,
+        "after the nest": 2,
+        "after the churn": 2,
+    }
+    assert len(inside) == 1200 and set(inside) == {1}
+
+
+def test_workers_honour_the_cgroup_cpu_quota(monkeypatch, tmp_path):
+    import os
+
+    from ffdist import field
+
+    root, own = tmp_path / "cgroup", tmp_path / "self"
+    v2, v1 = root / "jobs" / "a" / "cpu.max", root / "cpu" / "api" / "b" / "cpu.cfs_quota_us"
+    for path in (v2, v1):
+        path.parent.mkdir(parents=True)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    monkeypatch.setattr(field, "_CGROUP_ROOT", str(root))
+    monkeypatch.setattr(field, "_PROC_CGROUP", str(own))
+    assert _workers() == 8  # nothing readable: the affinity CPUs
+    own.write_text("5:cpu,cpuacct:/api/b/\n0::/jobs/a\n")
+    v2.write_text("max 100000\n")
+    v1.write_text("-1\n")
+    (v1.parent / "cpu.cfs_period_us").write_text("100000\n")
+    assert _workers() == 8  # no quota set
+    v2.write_text("150000 100000\n")
+    assert _workers() == 2  # v2: 1.5 CPUs take 2 workers
+    v1.write_text("250000\n")
+    assert _workers() == 2  # v1 allows 3, v2 fewer
+    v2.write_text("max 100000\n")
+    assert _workers() == 3  # v1: 2.5 CPUs
+    v1.write_text("1000\n")
+    assert _workers() == 1  # a hundredth of a CPU
+    v1.write_text("2000000\n")
+    assert _workers() == 8  # a quota above the affinity CPUs
+    (v1.parent / "cpu.cfs_period_us").unlink()
+    assert _workers() == 8  # a v1 quota without its period
+    (root / "cpu.max").write_text("400000 100000\n")
+    assert _workers() == 4  # the root's quota
+    own.write_text("0::/jobs/none\n4:cpu\nnot a line\n")
+    assert _workers() == 4  # unreadable lines: the root's
+    monkeypatch.setattr(field, "_PROC_CGROUP", str(tmp_path / "none"))
+    assert _workers() == 4
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert _workers() == 2

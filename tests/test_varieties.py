@@ -22,7 +22,7 @@ from ffdist.field import (
     mul_table,
 )
 from ffdist.distances import product_set_experiment
-from ffdist.fourier import ComplexGrid, fourier_transform
+from ffdist.fourier import ComplexGrid, _column_ranges, fourier_transform
 from ffdist.harness import ExperimentConfig, run
 from ffdist import characteristic_divides_exponent, varieties
 from ffdist.varieties import (
@@ -30,7 +30,6 @@ from ffdist.varieties import (
     PointSet,
     _direct_phase_table,
     _dot_with_grid,
-    _column_ranges,
     _fiber_peaks,
     _phase_rows,
     _phase_table,
@@ -846,7 +845,18 @@ class TestPhaseTable:
         got = np.ascontiguousarray(tables[5].view(np.complex128)[:, ms])
         assert np.array_equal(got.view(np.float64), want.view(np.float64))
 
-    def test_phase_workers_call_no_public_function(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("_direct_phase_table", "x1^2 + x2^2 + x3^2 + x1"),
+            # decay's and the exceptional set's peaks, 169 columns in two ranges
+            ("decay_spectrum", "x1^2 + x2^2 + x3^2"),
+            ("decay_spectrum", "x1^2 + x2^2 + x3^2 + x1"),
+            ("exceptional_set", "x1^2 + x2^2 + x3^2"),
+            ("exceptional_set", "x1^2 + x2^2 + x3^2 + x1"),
+        ],
+    )
+    def test_workers_call_no_public_function(self, monkeypatch, name, text):
         # the field and varieties functions that a traced run wraps run on
         # the calling thread only, since its spans share one stack
         import inspect
@@ -866,17 +876,17 @@ class TestPhaseTable:
 
         wrappers = {}
         for module in (field, varieties):
-            for name, obj in vars(module).items():
-                public = not name.startswith("_") and getattr(obj, "__module__", "") == module.__name__
+            for attr, obj in vars(module).items():
+                public = not attr.startswith("_") and getattr(obj, "__module__", "") == module.__name__
                 if public and (inspect.isfunction(obj) or isinstance(obj, _lru_cache_wrapper)):
                     wrappers[id(obj)] = recorded(obj)
         for module in (field, varieties):
-            for name, obj in list(vars(module).items()):
+            for attr, obj in list(vars(module).items()):
                 if id(obj) in wrappers:
-                    monkeypatch.setattr(module, name, wrappers[id(obj)])
+                    monkeypatch.setattr(module, attr, wrappers[id(obj)])
         monkeypatch.setattr(varieties, "_workers", lambda: 3)
-        P = parse_polynomial("x1^2 + x2^2 + x3^2 + x1", F13, 3)
-        _direct_phase_table(P)
+        P = parse_polynomial(text, F13, 3)
+        getattr(varieties, name)(P)
         assert threads and set(threads) == {threading.get_ident()}
 
     def test_a_phase_worker_exception_reaches_the_caller_after_every_join(self, monkeypatch):

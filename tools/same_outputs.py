@@ -94,7 +94,8 @@ ERROR_CASES = (
 
 
 # Exceptional-set shapes no bench op reaches: more than two scaling cosets,
-# extension fields, p dividing an exponent and a non-diagonal polynomial.
+# extension fields, p dividing an exponent and non-diagonal polynomials,
+# the last one with 961 columns, so its last pass runs in column ranges.
 ORBIT_CASES = (
     "distance --q 27 --d 2 --poly x1^2+x2^2 --setE random:300 --setF random:300",
     "scan --q 31 --d 3 --poly x1^3+2*x2^2+x3^4 --grid 900,90000 --trials 2",
@@ -102,6 +103,7 @@ ORBIT_CASES = (
     "scan --q 31 --d 2 --poly x1^2+x2^2+x1 --grid 400,4000 --trials 2",
     "distance --q 97 --d 2 --poly x1^4+x2^4 --setE all --setF random:50",
     "distance --p 2 --n 4 --d 2 --poly x1^3+x2^3 --setE all --setF all",
+    "distance --q 31 --d 3 --poly x1^2+x2^2+x3^2+x1 --setE random:900 --setF random:900",
 )
 
 # A decay constant exactly at kappa_sharp (every nonzero fiber over F_9,
