@@ -5,7 +5,11 @@ Every answer is an exact integer count, reached by one of two routes:
 
 * direct: enumerate all |E||F| pairs through vectorized table lookups, a
   cache-sized block of pins at a time; a pin's distinct values are the
-  marks they set in a (pins, q) boolean array, so no row is sorted;
+  marks they set in a (pins, q) boolean array, so no row is sorted.  Past
+  _PAIR_RANGE_PAIRS pairs a worker, F's pins run in one contiguous range
+  a worker, on the CPUs of the execution policy of `fourier`; the ranges'
+  histograms add up and their pin counts concatenate in pin order, so
+  the integers do not depend on the number of workers;
 * fourier: the difference convolution D(z) = #{(x, y) in E x F : x - y = z}
   through the transform passes of `fourier._passes`: the forward passes
   of the indicators of E and F, the product of E's with the conjugate of
@@ -34,12 +38,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import DimensionMismatch, EmptySet, MixedFields, RoundingDivergence
 from .field import FieldSpec, add_table, decode_points, encode_points, mul_table, neg_table
-from .fourier import _kernel_built, _one_blas_thread, _passes
+from .fourier import _kernel_built, _one_blas_thread, _passes, _run_all, _workers  # the thread rule
 from .rng import SplitMix64, _mulhi, derive_seed
 from .varieties import (
     Polynomial,
@@ -64,7 +69,32 @@ from .varieties import (
 #   q = 101, d = 2, |F| = 2000    0.09    0.10    0.15    0.12    0.10
 #
 # Blocks far past the cache lose; 96 MiB read 1.93 s on the first case.
+# The budget is shared: where F's pins run in ranges on several workers
+# (_pin_ranges), each range keeps to _PAIR_BLOCK_BYTES // ranges, so all
+# the blocks held at once stay within it, and 4 MiB a range measured as
+# 8 MiB does above.
 _PAIR_BLOCK_BYTES = 8 << 20
+
+# Split rule: the pins run in ranges on several workers only where every
+# range gets at least this many pairs; below twice this, one range runs on
+# the calling thread and fourier._workers() is not asked.  Starting the
+# second thread and passing the interpreter lock between the two cost
+# about 0.45 ms.  _pinned_pair_sizes and _pair_counts, one range against
+# two, P = sum x_j^2, random E and F at F_81^2, F_101^2, F_16^3, F_31^3
+# and F_1021 (|E| = 400) and F_625^2 and F_101^3 (|E| = 2000), same VM,
+# best of 3 alternated medians of 15, in ms:
+#
+#   pairs   two ranges won   worst case (one -> two)
+#   40k     0 of 14          F_81^2 counts     0.22 -> 0.40
+#   100k    6 of 14          F_31^3 pinned     0.80 -> 1.05
+#   150k    13 of 14         F_16^3 counts     0.97 -> 1.08
+#   175k    14 of 14         F_81^2 pinned     1.20 -> 1.19
+#   200k    13 of 14         F_101^2 pinned    1.35 -> 1.50
+#
+# At 200k pairs F_101^3 pinned read 3.88 -> 1.93 ms.  So the sparse
+# benchmark's pinned trials (200k pairs) split, and scan targets up to
+# 40k pairs and lift's 1.6k stay on the calling thread.
+_PAIR_RANGE_PAIRS = 75_000
 
 # Gather rule: a block reads each pin's add_table row once E holds at least
 # q/3 points, and reads add_table pair by pair below that.  Both give the
@@ -158,24 +188,35 @@ def _check_triple(P: Polynomial, E: PointSet, F: PointSet):
         raise EmptySet("E and F must be nonempty")
 
 
-def _pair_value_blocks(P: Polynomial, E: PointSet, F: PointSet):
-    """Yield blocks of P(x - y) encodings: one row per pin y in F, one column per x in E.
+def _pair_work(P: Polynomial, E: PointSet, F: PointSet):
+    """(the add table, P's value grid, E's coordinates as a (d, |E|) array,
+    the negated coordinates of F's pins as a (d, |F|) array): every table
+    that _pair_value_blocks reads, fetched once, so a range of pins run on
+    a worker fetches none of its own."""
+    spec = P.spec
+    ce = np.ascontiguousarray(E.coordinates().T)
+    return add_table(spec), value_grid(P), ce, neg_table(spec)[F.coordinates().T]
+
+
+def _pair_value_blocks(P: Polynomial, E: PointSet, F: PointSet, work=None, lo=0, hi=None, ranges=1):
+    """Yield blocks of P(x - y) encodings: one row per pin y in F[lo:hi], one column per x in E.
 
     The flat index of x - y is sum_j q^j * at[-y_j, x_j], one add_table
     gather per coordinate, scaled by q^j and added in place; each pin is
     negated once.  By row, each pin's add_table row at -y_j (q entries) is
     gathered and scaled once, then read at every x_j of E; pairwise, at is
     read pair by pair and the gather is scaled.  Then value_grid is read at
-    the index.  Each block of pins stays within _PAIR_BLOCK_BYTES as long as
-    the caller drops it before asking for the next, as map does.
+    the index.  Each block of pins stays within _PAIR_BLOCK_BYTES // ranges
+    as long as the caller drops it before asking for the next, as map does.
+    With `work` from _pair_work the generator runs numpy alone and calls no
+    public function; the default is every pin, in whole-budget blocks, and
+    a fresh `work`.
     """
     q, d = P.spec.q, P.d
-    at = add_table(P.spec)
-    vg = value_grid(P)
-    ce = np.ascontiguousarray(E.coordinates().T)  # (d, |E|)
-    cf = neg_table(P.spec)[F.coordinates().T]  # (d, |F|) of -y
+    at, vg, ce, cf = work or _pair_work(P, E, F)
+    hi = F.size if hi is None else hi
     by_row = 3 * E.size >= q  # the gather rule above
-    rows = max(1, _PAIR_BLOCK_BYTES // (16 * E.size + (8 * by_row + 1) * q))
+    rows = max(1, _PAIR_BLOCK_BYTES // ranges // (16 * E.size + (8 * by_row + 1) * q))
 
     def differences(j: int, pins: np.ndarray) -> np.ndarray:  # q^j (x_j - y_j)
         part = at[pins] if by_row else at[pins[:, None], ce[j]]
@@ -183,12 +224,30 @@ def _pair_value_blocks(P: Polynomial, E: PointSet, F: PointSet):
             part *= q**j
         return np.take(part, ce[j], axis=1) if by_row else part
 
-    for i in range(0, F.size, rows):
-        pins = cf[:, i : i + rows]
+    for i in range(lo, hi, rows):
+        pins = cf[:, i : min(i + rows, hi)]
         idx = differences(0, pins[0])
         for j in range(1, d):
             idx += differences(j, pins[j])
         yield vg[idx]
+
+
+def _pin_ranges(P: Polynomial, E: PointSet, F: PointSet, reduce) -> list:
+    """[reduce(blocks) for each range of F's pins]: contiguous ranges in pin
+    order, each reduce given the _pair_value_blocks of its range.  Where
+    every range gets _PAIR_RANGE_PAIRS pairs or more, there is a range a
+    worker (fourier._workers), each on a thread of its own
+    (fourier._run_all), and the ranges share _PAIR_BLOCK_BYTES equally;
+    otherwise one range runs on the calling thread.  The caller fetches
+    every table (_pair_work), so the workers call no public function."""
+    pins, pairs = F.size, E.size * F.size
+    k = 1
+    if pairs >= 2 * _PAIR_RANGE_PAIRS:
+        k = min(_workers(), pins, pairs // _PAIR_RANGE_PAIRS)
+    work = _pair_work(P, E, F)
+    bounds = [pins * i // k for i in range(k + 1)]
+    ranges = [_pair_value_blocks(P, E, F, work, lo, hi, k) for lo, hi in zip(bounds, bounds[1:])]
+    return _run_all([partial(reduce, blocks) for blocks in ranges])
 
 
 # ---------------------------------------------------------------------------
@@ -243,10 +302,14 @@ class CountingHistogram:
 
 
 def _pair_counts(P: Polynomial, E: PointSet, F: PointSet) -> CountingHistogram:
-    """nu by enumerating every pair, a block of pins at a time."""
+    """nu by enumerating every pair, a block of pins at a time: the int64
+    histograms of the pin ranges (_pin_ranges) add up exactly."""
     q = P.spec.q
-    counts = sum(map(lambda v: np.bincount(v.ravel(), minlength=q), _pair_value_blocks(P, E, F)))
-    return CountingHistogram(P.spec, counts, "direct", 0.0)
+
+    def histogram(blocks) -> np.ndarray:  # map drops each block before the next
+        return sum(map(lambda v: np.bincount(v.ravel(), minlength=q), blocks))
+
+    return CountingHistogram(P.spec, sum(_pin_ranges(P, E, F, histogram)), "direct", 0.0)
 
 
 def _convolution_counts(P: Polynomial, E: PointSet, F: PointSet) -> CountingHistogram:
@@ -296,7 +359,8 @@ class PinnedReport:
 def _pinned_pair_sizes(P: Polynomial, E: PointSet, F: PointSet) -> np.ndarray:
     """|{P(x - y) : x in E}| for each y in F, in the order of F.indices:
     each block's values, offset by pin * q, mark a (pins, q) boolean array,
-    and each pin counts its marks."""
+    and each pin counts its marks; the pin ranges (_pin_ranges) come back
+    in pin order."""
     q = P.spec.q
 
     def distinct(vals: np.ndarray) -> np.ndarray:
@@ -305,7 +369,8 @@ def _pinned_pair_sizes(P: Polynomial, E: PointSet, F: PointSet) -> np.ndarray:
         marks.ravel()[vals] = True
         return np.count_nonzero(marks, axis=1)
 
-    return np.concatenate(list(map(distinct, _pair_value_blocks(P, E, F))))
+    parts = _pin_ranges(P, E, F, lambda blocks: list(map(distinct, blocks)))
+    return np.concatenate([sizes for part in parts for sizes in part])
 
 
 def _fibers(vg: np.ndarray, q: int) -> np.ndarray:
