@@ -77,24 +77,29 @@ _PAIR_BLOCK_BYTES = 8 << 20
 
 # Split rule: the pins run in ranges on several workers only where every
 # range gets at least this many pairs; below twice this, one range runs on
-# the calling thread and fourier._workers() is not asked.  Starting the
-# second thread and passing the interpreter lock between the two cost
-# about 0.45 ms.  _pinned_pair_sizes and _pair_counts, one range against
-# two, P = sum x_j^2, random E and F at F_81^2, F_101^2, F_16^3, F_31^3
-# and F_1021 (|E| = 400) and F_625^2 and F_101^3 (|E| = 2000), same VM,
-# best of 3 alternated medians of 15, in ms:
+# the calling thread and fourier._workers() is not asked.  Measured as
+# whole CLI runs in fresh processes, since warm in-process loops mislead
+# here: there one range faulted its blocks' pages in afresh at every call
+# (749 faults a call at F_101^3, |E| = 2000, |F| = 100) and two ranges did
+# not, so two ranges read 2.5 against 6.9 ms, a gain the CLI never saw.
+# P = sum x_j^2, random E and F, 10 trials an op, median ms of `main` over
+# 6-8 alternated fresh processes, one range -> two, same VM:
 #
-#   pairs   two ranges won   worst case (one -> two)
-#   40k     0 of 14          F_81^2 counts     0.22 -> 0.40
-#   100k    6 of 14          F_31^3 pinned     0.80 -> 1.05
-#   150k    13 of 14         F_16^3 counts     0.97 -> 1.08
-#   175k    14 of 14         F_81^2 pinned     1.20 -> 1.19
-#   200k    13 of 14         F_101^2 pinned    1.35 -> 1.50
+#   pairs a trial   op
+#   200k    pinned F_101^3 62.3 -> 65.6, pinned F_625^2 56.1 -> 60.0,
+#           distance F_211^2 43.7 -> 55.3
+#   300k    pinned F_101^3 78.8 -> 75.8, pinned F_625^2 85.3 -> 76.0,
+#           distance F_211^2 57.0 -> 60.5
+#   400k    pinned F_101^3 102.4 -> 89.3, pinned F_625^2 98.4 -> 85.7,
+#           pinned F_61^3 74.1 -> 74.6, distance F_211^2 69.9 -> 70.2,
+#           distance F_625^2 170.1 -> 159.0
+#   600k    distance F_211^2 85.2 -> 77.7
+#   800k    pinned F_101^3 164.3 -> 114.5
 #
-# At 200k pairs F_101^3 pinned read 3.88 -> 1.93 ms.  So the sparse
-# benchmark's pinned trials (200k pairs) split, and scan targets up to
-# 40k pairs and lift's 1.6k stay on the calling thread.
-_PAIR_RANGE_PAIRS = 75_000
+# The north-star pin case, F_61^3 against 500 pins (113M pairs), read
+# 1.31 -> 0.73 s.  The sparse benchmark's pinned trials (200k pairs), its
+# scan targets (up to 40k) and lift (1.6k) stay on the calling thread.
+_PAIR_RANGE_PAIRS = 200_000
 
 # Gather rule: a block reads each pin's add_table row once E holds at least
 # q/3 points, and reads add_table pair by pair below that.  Both give the

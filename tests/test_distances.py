@@ -760,14 +760,15 @@ class TestPinRanges:
 
     @pytest.mark.parametrize(
         "q, d, size_E, size_F",
-        [(101, 2, 200, 200), (31, 3, 174, 174), (343, 1, 40, 40), (101, 2, 749, 200)],
+        [(101, 2, 200, 200), (31, 3, 174, 174), (343, 1, 40, 40), (101, 3, 2000, 100),
+         (211, 2, 1000, 399)],
     )
     def test_below_the_floor_one_range_runs_and_no_cpu_is_counted(
         self, monkeypatch, q, d, size_E, size_F
     ):
         # scan-q101-d2's largest target, scan-q31-d3's pair-route target,
-        # lift-q343-d1, and 149,800 pairs at F_101^2, where one pin more
-        # takes two ranges
+        # lift-q343-d1, a trial of pinned-q101-d3-random, and 399,000 pairs
+        # at F_211^2, where one pin more takes two ranges
         from ffdist import distances, fourier
 
         spec = field_from_order(q)

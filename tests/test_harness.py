@@ -884,7 +884,7 @@ class TestRunners:
             # d = 1, where the pair block is most of the stated bytes
             "pinned --q 1021 --d 1 --poly x1^3 --setE random:1000 --setF random:1000",
             "pinned --q 211 --d 2 --poly x1^2+x2^2 --setE random:3000 --setF random:400",
-            "distance --q 211 --d 2 --poly x1^2+x2^2 --setE random:1000 --setF random:400",
+            "distance --q 211 --d 2 --poly x1^2+x2^2 --setE random:1000 --setF random:800",
         ],
     )
     def test_pair_ranges_on_four_workers_stay_within_the_stated_rule(self, monkeypatch, argv):
