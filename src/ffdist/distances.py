@@ -5,11 +5,7 @@ Every answer is an exact integer count, reached by one of two routes:
 
 * direct: enumerate all |E||F| pairs through vectorized table lookups, a
   cache-sized block of pins at a time; a pin's distinct values are the
-  marks they set in a (pins, q) boolean array, so no row is sorted.  Past
-  _PAIR_RANGE_PAIRS pairs a worker, F's pins run in one contiguous range
-  a worker, on the CPUs of the execution policy of `fourier`; the ranges'
-  histograms add up and their pin counts concatenate in pin order, so
-  the integers do not depend on the number of workers;
+  marks they set in a (pins, q) boolean array, so no row is sorted;
 * fourier: the difference convolution D(z) = #{(x, y) in E x F : x - y = z}
   through the transform passes of `fourier._passes`: the forward passes
   of the indicators of E and F, the product of E's with the conjugate of
@@ -38,13 +34,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .errors import DimensionMismatch, EmptySet, MixedFields, RoundingDivergence
 from .field import FieldSpec, add_table, decode_points, encode_points, mul_table, neg_table
-from .fourier import _kernel_built, _one_blas_thread, _passes, _run_all, _workers  # the thread rule
+from .fourier import _kernel_built, _one_blas_thread, _passes
 from .rng import SplitMix64, _mulhi, derive_seed
 from .varieties import (
     Polynomial,
@@ -60,46 +55,24 @@ from .varieties import (
 # Bytes one block of pins may hold: its int64 flat index of x - y and the
 # int64 values P(x - y), 16 B a pair, plus q B of marks a pin and, where the
 # add_table rows are gathered, the pin's scaled q-entry int64 row.  Measured
-# with E = the full grid, P = sum x_j^2, on a 2-core x86 VM (numpy 2.4.6,
-# 2 MiB of L2 a core), median of 7 runs of _pinned_pair_sizes in seconds:
+# as whole CLI runs in fresh processes (the time in `main`), P = sum x_j^2,
+# on a 2-core x86 VM (numpy 2.4.6, 2 MiB of L2 a core), each row's budgets
+# alternated, median of 5-7 runs in ms:
 #
-#   case                          1 MiB   4 MiB   8 MiB   16 MiB  32 MiB
-#   q = 61, d = 3, |F| = 500      0.98    0.78    0.72    0.81    1.00
-#   q = 211, d = 2, |F| = 2000    0.44    0.43    0.45    0.42    0.59
-#   q = 101, d = 2, |F| = 2000    0.09    0.10    0.15    0.12    0.10
+#   case                                  256 KiB 512 KiB 1 MiB  2 MiB  8 MiB
+#   pinned F_101^3, 2000 x 100, 10 trials   52.9    52.0   61.2   63.6   77.8
+#   pinned F_625^2, 2000 x 100, 5 trials    35.9    35.8   34.6   37.5   44.3
+#   distance F_211^2, 1000 x 800, 5 trials  43.5    41.6   40.7   47.5   66.5
+#   pinned F_211^2, all x 500               124     122    126    115    138
+#   pinned F_61^3, all x 500                877     832    839    848    907
 #
-# Blocks far past the cache lose; 96 MiB read 1.93 s on the first case.
-# The budget is shared: where F's pins run in ranges on several workers
-# (_pin_ranges), each range keeps to _PAIR_BLOCK_BYTES // ranges, so all
-# the blocks held at once stay within it, and 4 MiB a range measured as
-# 8 MiB does above.
-_PAIR_BLOCK_BYTES = 8 << 20
-
-# Split rule: the pins run in ranges on several workers only where every
-# range gets at least this many pairs; below twice this, one range runs on
-# the calling thread and fourier._workers() is not asked.  Measured as
-# whole CLI runs in fresh processes, since warm in-process loops mislead
-# here: there one range faulted its blocks' pages in afresh at every call
-# (749 faults a call at F_101^3, |E| = 2000, |F| = 100) and two ranges did
-# not, so two ranges read 2.5 against 6.9 ms, a gain the CLI never saw.
-# P = sum x_j^2, random E and F, 10 trials an op, median ms of `main` over
-# 6-8 alternated fresh processes, one range -> two, same VM:
-#
-#   pairs a trial   op
-#   200k    pinned F_101^3 62.3 -> 65.6, pinned F_625^2 56.1 -> 60.0,
-#           distance F_211^2 43.7 -> 55.3
-#   300k    pinned F_101^3 78.8 -> 75.8, pinned F_625^2 85.3 -> 76.0,
-#           distance F_211^2 57.0 -> 60.5
-#   400k    pinned F_101^3 102.4 -> 89.3, pinned F_625^2 98.4 -> 85.7,
-#           pinned F_61^3 74.1 -> 74.6, distance F_211^2 69.9 -> 70.2,
-#           distance F_625^2 170.1 -> 159.0
-#   600k    distance F_211^2 85.2 -> 77.7
-#   800k    pinned F_101^3 164.3 -> 114.5
-#
-# The north-star pin case, F_61^3 against 500 pins (113M pairs), read
-# 1.31 -> 0.73 s.  The sparse benchmark's pinned trials (200k pairs), its
-# scan targets (up to 40k) and lift (1.6k) stay on the calling thread.
-_PAIR_RANGE_PAIRS = 200_000
+# Past the cache a block's arrays come from the allocator as fresh pages
+# and go back to it when dropped, so every trial faults them in again: the
+# first case took 8,548 page faults at 8 MiB and 1,025 at 512 KiB.  Warm
+# loops in one process hide this, since there the allocator keeps the
+# pages; they had measured 8 MiB best (0.72 s against 0.98 s at 1 MiB on
+# the last case).
+_PAIR_BLOCK_BYTES = 512 << 10
 
 # Gather rule: a block reads each pin's add_table row once E holds at least
 # q/3 points, and reads add_table pair by pair below that.  Both give the
@@ -193,35 +166,24 @@ def _check_triple(P: Polynomial, E: PointSet, F: PointSet):
         raise EmptySet("E and F must be nonempty")
 
 
-def _pair_work(P: Polynomial, E: PointSet, F: PointSet):
-    """(the add table, P's value grid, E's coordinates as a (d, |E|) array,
-    the negated coordinates of F's pins as a (d, |F|) array): every table
-    that _pair_value_blocks reads, fetched once, so a range of pins run on
-    a worker fetches none of its own."""
-    spec = P.spec
-    ce = np.ascontiguousarray(E.coordinates().T)
-    return add_table(spec), value_grid(P), ce, neg_table(spec)[F.coordinates().T]
-
-
-def _pair_value_blocks(P: Polynomial, E: PointSet, F: PointSet, work=None, lo=0, hi=None, ranges=1):
-    """Yield blocks of P(x - y) encodings: one row per pin y in F[lo:hi], one column per x in E.
+def _pair_value_blocks(P: Polynomial, E: PointSet, F: PointSet):
+    """Yield blocks of P(x - y) encodings: one row per pin y in F, one column per x in E.
 
     The flat index of x - y is sum_j q^j * at[-y_j, x_j], one add_table
     gather per coordinate, scaled by q^j and added in place; each pin is
     negated once.  By row, each pin's add_table row at -y_j (q entries) is
     gathered and scaled once, then read at every x_j of E; pairwise, at is
     read pair by pair and the gather is scaled.  Then value_grid is read at
-    the index.  Each block of pins stays within _PAIR_BLOCK_BYTES // ranges
-    as long as the caller drops it before asking for the next, as map does.
-    With `work` from _pair_work the generator runs numpy alone and calls no
-    public function; the default is every pin, in whole-budget blocks, and
-    a fresh `work`.
+    the index.  Each block of pins stays within _PAIR_BLOCK_BYTES as long as
+    the caller drops it before asking for the next, as map does.
     """
     q, d = P.spec.q, P.d
-    at, vg, ce, cf = work or _pair_work(P, E, F)
-    hi = F.size if hi is None else hi
+    at = add_table(P.spec)
+    vg = value_grid(P)
+    ce = np.ascontiguousarray(E.coordinates().T)  # (d, |E|)
+    cf = neg_table(P.spec)[F.coordinates().T]  # (d, |F|) of -y
     by_row = 3 * E.size >= q  # the gather rule above
-    rows = max(1, _PAIR_BLOCK_BYTES // ranges // (16 * E.size + (8 * by_row + 1) * q))
+    rows = max(1, _PAIR_BLOCK_BYTES // (16 * E.size + (8 * by_row + 1) * q))
 
     def differences(j: int, pins: np.ndarray) -> np.ndarray:  # q^j (x_j - y_j)
         part = at[pins] if by_row else at[pins[:, None], ce[j]]
@@ -229,30 +191,12 @@ def _pair_value_blocks(P: Polynomial, E: PointSet, F: PointSet, work=None, lo=0,
             part *= q**j
         return np.take(part, ce[j], axis=1) if by_row else part
 
-    for i in range(lo, hi, rows):
-        pins = cf[:, i : min(i + rows, hi)]
+    for i in range(0, F.size, rows):
+        pins = cf[:, i : i + rows]
         idx = differences(0, pins[0])
         for j in range(1, d):
             idx += differences(j, pins[j])
         yield vg[idx]
-
-
-def _pin_ranges(P: Polynomial, E: PointSet, F: PointSet, reduce) -> list:
-    """[reduce(blocks) for each range of F's pins]: contiguous ranges in pin
-    order, each reduce given the _pair_value_blocks of its range.  Where
-    every range gets _PAIR_RANGE_PAIRS pairs or more, there is a range a
-    worker (fourier._workers), each on a thread of its own
-    (fourier._run_all), and the ranges share _PAIR_BLOCK_BYTES equally;
-    otherwise one range runs on the calling thread.  The caller fetches
-    every table (_pair_work), so the workers call no public function."""
-    pins, pairs = F.size, E.size * F.size
-    k = 1
-    if pairs >= 2 * _PAIR_RANGE_PAIRS:
-        k = min(_workers(), pins, pairs // _PAIR_RANGE_PAIRS)
-    work = _pair_work(P, E, F)
-    bounds = [pins * i // k for i in range(k + 1)]
-    ranges = [_pair_value_blocks(P, E, F, work, lo, hi, k) for lo, hi in zip(bounds, bounds[1:])]
-    return _run_all([partial(reduce, blocks) for blocks in ranges])
 
 
 # ---------------------------------------------------------------------------
@@ -307,14 +251,10 @@ class CountingHistogram:
 
 
 def _pair_counts(P: Polynomial, E: PointSet, F: PointSet) -> CountingHistogram:
-    """nu by enumerating every pair, a block of pins at a time: the int64
-    histograms of the pin ranges (_pin_ranges) add up exactly."""
+    """nu by enumerating every pair, a block of pins at a time."""
     q = P.spec.q
-
-    def histogram(blocks) -> np.ndarray:  # map drops each block before the next
-        return sum(map(lambda v: np.bincount(v.ravel(), minlength=q), blocks))
-
-    return CountingHistogram(P.spec, sum(_pin_ranges(P, E, F, histogram)), "direct", 0.0)
+    counts = sum(map(lambda v: np.bincount(v.ravel(), minlength=q), _pair_value_blocks(P, E, F)))
+    return CountingHistogram(P.spec, counts, "direct", 0.0)
 
 
 def _convolution_counts(P: Polynomial, E: PointSet, F: PointSet) -> CountingHistogram:
@@ -364,8 +304,7 @@ class PinnedReport:
 def _pinned_pair_sizes(P: Polynomial, E: PointSet, F: PointSet) -> np.ndarray:
     """|{P(x - y) : x in E}| for each y in F, in the order of F.indices:
     each block's values, offset by pin * q, mark a (pins, q) boolean array,
-    and each pin counts its marks; the pin ranges (_pin_ranges) come back
-    in pin order."""
+    and each pin counts its marks."""
     q = P.spec.q
 
     def distinct(vals: np.ndarray) -> np.ndarray:
@@ -374,8 +313,7 @@ def _pinned_pair_sizes(P: Polynomial, E: PointSet, F: PointSet) -> np.ndarray:
         marks.ravel()[vals] = True
         return np.count_nonzero(marks, axis=1)
 
-    parts = _pin_ranges(P, E, F, lambda blocks: list(map(distinct, blocks)))
-    return np.concatenate([sizes for part in parts for sizes in part])
+    return np.concatenate(list(map(distinct, _pair_value_blocks(P, E, F))))
 
 
 def _fibers(vg: np.ndarray, q: int) -> np.ndarray:

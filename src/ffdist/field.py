@@ -43,28 +43,6 @@ _CGROUP_ROOT = "/sys/fs/cgroup"
 _PROC_CGROUP = "/proc/self/cgroup"
 
 
-_cgroup_read = (None, [])  # (the key of _cgroup_lines, its lines) of the last read
-
-
-def _cgroup_lines() -> list[str]:
-    """The lines of _PROC_CGROUP, or none where it cannot be read.  They
-    are read again only when the file at that path is another one or has
-    changed (its inode, size or modification time), since a first read
-    took 0.4-0.7 ms in a process and ~0.1 ms after, against a few
-    microseconds for the stat."""
-    global _cgroup_read
-    path = _PROC_CGROUP
-    try:
-        st = os.stat(path)
-        key = (path, st.st_ino, st.st_size, st.st_mtime_ns)
-        if key != _cgroup_read[0]:
-            with open(path, encoding="ascii") as fh:
-                _cgroup_read = (key, fh.read().splitlines())
-        return _cgroup_read[1]
-    except (OSError, ValueError):
-        return []
-
-
 def _cgroup_files(controller: str, v2: str, v1: str) -> list[str]:
     """The limit files of one controller at the cgroup root, v2 `<v2>` and
     v1 `<controller>/<v1>`, then those of this process's own cgroup: the
@@ -72,7 +50,12 @@ def _cgroup_files(controller: str, v2: str, v1: str) -> list[str]:
     controllers hold `controller` gives `<root>/<controller><path>/<v1>`."""
     root = _CGROUP_ROOT
     files = [f"{root}/{v2}", f"{root}/{controller}/{v1}"]
-    for line in _cgroup_lines():
+    try:
+        with open(_PROC_CGROUP, encoding="ascii") as fh:
+            lines = fh.read().splitlines()
+    except (OSError, ValueError):
+        return files
+    for line in lines:
         parts = line.split(":", 2)
         if len(parts) != 3 or not parts[2].startswith("/"):
             continue

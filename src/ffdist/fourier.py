@@ -37,16 +37,10 @@ How work uses the machine is decided here, and only here:
 - `_column_ranges` splits the output columns of a pass into at most that
   many ranges, with bounds at multiples of `_RANGE_COLUMNS`, where the
   column blocks of the whole product start; a column is then computed
-  alike in any range.
-- Three loops run on the workers, and none moves a bit with their
-  number.  Decay's fiber peaks (`varieties._fiber_peaks`) run one column
-  range of their last pass a worker.  The direct phase table
+  alike in any range.  Decay's fiber peaks (`varieties._fiber_peaks`)
+  run one range of their last pass a worker, and the direct phase table
   (`varieties._direct_phase_table`) deals its blocks of m to the
-  workers.  The pair kernel (`distances._pin_ranges`) runs one
-  contiguous range of F's pins a worker, once every range gets
-  `distances._PAIR_RANGE_PAIRS` pairs, and the ranges share the one
-  `distances._PAIR_BLOCK_BYTES`; it makes no BLAS call, and its counts
-  are integers that the caller adds up or concatenates in pin order.
+  workers; neither moves a bit with the number of workers.
 - A worker receives every table from its caller and calls no public
   function, so the one span stack of a traced run sees the same spans
   at any worker count.

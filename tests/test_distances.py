@@ -399,13 +399,12 @@ class TestRoutes:
 
         check()
 
-    @pytest.mark.parametrize("workers", [1, 4])
     @pytest.mark.parametrize("q, d, size_E, size_F", [(1021, 1, 50, 1021), (101, 2, 3000, 400)])
-    def test_pinned_peak_stays_within_the_block_cap(self, monkeypatch, q, d, size_E, size_F, workers):
+    def test_pinned_peak_stays_within_the_block_cap(self, monkeypatch, q, d, size_E, size_F):
         # (1021, 1, 50) gathers pairwise and its marks (q B a pin) outweigh
         # its pairs (16 B each): blocks sized without them would take every
         # pin at once and hold 1.8x the cap.  (101, 2, 3000) gathers each
-        # pin's add_table row.  Four ranges at once hold a quarter each.
+        # pin's add_table row.
         import tracemalloc
 
         from ffdist import distances
@@ -417,8 +416,6 @@ class TestRoutes:
         whole = _pinned_pair_sizes(P, E, F)
         cap = 1 << 20
         monkeypatch.setattr(distances, "_PAIR_BLOCK_BYTES", cap)
-        monkeypatch.setattr(distances, "_PAIR_RANGE_PAIRS", 1)
-        monkeypatch.setattr(distances, "_workers", lambda: workers)
         tracemalloc.start()
         try:
             sizes = _pinned_pair_sizes(P, E, F)
@@ -427,9 +424,8 @@ class TestRoutes:
             tracemalloc.stop()
         assert np.array_equal(sizes, whole)
         # beyond the cap: E's coordinates twice over, the pins and their
-        # sizes, and numpy's iteration buffers (8192 entries of 8 B) in
-        # each range's thread
-        assert peak <= cap + 16 * d * E.size + 16 * F.size + workers * (96 << 10)
+        # sizes, and numpy's iteration buffers (8192 entries of 8 B)
+        assert peak <= cap + 16 * d * E.size + 16 * F.size + (96 << 10)
 
     def test_pair_kernel_builds_no_q_by_q_table(self):
         # x - y = x + (-y): with add_table, mul_table, neg_table and the value
@@ -678,154 +674,6 @@ class TestRoutes:
         assert counting_function(P, E, E).route == "fourier"
         pin = points_from_coords(F13, 2, [[1, 2]])
         assert counting_function(P, pin, E).route == "direct"
-
-
-class TestPinRanges:
-    """The pair kernel's pins in ranges, one a worker (distances._pin_ranges)."""
-
-    @pytest.mark.parametrize(
-        "spec, d, size_E, size_F",
-        [
-            (make_field(101), 2, 20, 9),  # 3|E| < q: add_table read pair by pair
-            (make_field(101), 2, 60, 9),  # 3|E| >= q: each pin's row gathered
-            (F13, 1, 13, 3),  # fewer pins than workers
-            (F9, 3, 50, 1),  # one pin, over an extension field
-            (make_field(2, 4), 3, 100, 11),
-            (make_field(1021), 1, 50, 7),
-        ],
-    )
-    def test_pair_counts_do_not_depend_on_the_worker_count(self, monkeypatch, spec, d, size_E, size_F):
-        # more workers than cores, switching threads often, with whole-budget
-        # blocks and with one pin a block
-        import sys
-
-        from ffdist import distances, fourier
-
-        P = make_polynomial(spec, d, [(1, (2,) * d), (2, (0,) * (d - 1) + (3,))])
-        E = random_set(spec, d, size_E, seed=46)
-        F = random_set(spec, d, size_F, seed=47)
-        ranges = []
-
-        def counted(jobs):
-            ranges.append(len(jobs))
-            return fourier._run_all(jobs)
-
-        monkeypatch.setattr(distances, "_PAIR_RANGE_PAIRS", 1)
-        monkeypatch.setattr(distances, "_run_all", counted)
-        got = {}
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for cap in (distances._PAIR_BLOCK_BYTES, 1):
-                monkeypatch.setattr(distances, "_PAIR_BLOCK_BYTES", cap)
-                for workers in (1, 2, 3, 5):
-                    monkeypatch.setattr(distances, "_workers", lambda: workers)
-                    ranges.clear()
-                    counts = _pair_counts(P, E, F).counts
-                    got[cap, workers] = counts.tolist(), _pinned_pair_sizes(P, E, F).tolist()
-                    assert ranges == [min(workers, F.size)] * 2
-                    assert counts.dtype == np.int64
-        finally:
-            sys.setswitchinterval(interval)
-        assert len({repr(v) for v in got.values()}) == 1
-        ce, cf = E.coordinates().tolist(), F.coordinates().tolist()
-        values = [[evaluate(P, tuple(map(spec.sub, x, y))) for x in ce] for y in cf]
-        assert got[1, 1][0] == np.bincount(np.ravel(values), minlength=spec.q).tolist()
-        assert got[1, 1][1] == [len(set(row)) for row in values]
-
-    def test_ranges_split_the_pins_and_share_the_block_budget(self, monkeypatch):
-        from ffdist import distances
-
-        spec = make_field(101)
-        P = diagonal_polynomial(spec, 2, 2)
-        E, F = random_set(spec, 2, 60, seed=48), random_set(spec, 2, 10, seed=49)
-        per_pin = 16 * E.size + 9 * spec.q
-        seen = []
-        real = distances._pair_value_blocks
-
-        def recorded(P, E, F, work=None, lo=0, hi=None, ranges=1):
-            for block in real(P, E, F, work, lo, hi, ranges):
-                seen.append((lo, len(block)))
-                yield block
-
-        monkeypatch.setattr(distances, "_pair_value_blocks", recorded)
-        monkeypatch.setattr(distances, "_PAIR_RANGE_PAIRS", 1)
-        monkeypatch.setattr(distances, "_PAIR_BLOCK_BYTES", 4 * per_pin)  # 4 pins, or 1 a range
-        monkeypatch.setattr(distances, "_workers", lambda: 3)
-        _pinned_pair_sizes(P, E, F)
-        # pins 0:3, 3:6 and 6:10, in blocks of 4 // 3 = 1 pin
-        assert sorted(seen) == [(0, 1)] * 3 + [(3, 1)] * 3 + [(6, 1)] * 4
-        # a direct call keeps the whole budget
-        assert [len(b) for b in real(P, E, F)] == [4, 4, 2]
-
-    @pytest.mark.parametrize(
-        "q, d, size_E, size_F",
-        [(101, 2, 200, 200), (31, 3, 174, 174), (343, 1, 40, 40), (101, 3, 2000, 100),
-         (211, 2, 1000, 399)],
-    )
-    def test_below_the_floor_one_range_runs_and_no_cpu_is_counted(
-        self, monkeypatch, q, d, size_E, size_F
-    ):
-        # scan-q101-d2's largest target, scan-q31-d3's pair-route target,
-        # lift-q343-d1, a trial of pinned-q101-d3-random, and 399,000 pairs
-        # at F_211^2, where one pin more takes two ranges
-        from ffdist import distances, fourier
-
-        spec = field_from_order(q)
-        P = diagonal_polynomial(spec, d, 2)
-        E = random_set(spec, d, size_E, seed=50)
-        F = random_set(spec, d, size_F, seed=51)
-        assert E.size * F.size < 2 * distances._PAIR_RANGE_PAIRS
-        ranges = []
-
-        def counted(jobs):
-            ranges.append(len(jobs))
-            return fourier._run_all(jobs)
-
-        def no_workers():
-            raise AssertionError("the CPUs were counted below the floor")
-
-        monkeypatch.setattr(distances, "_run_all", counted)
-        monkeypatch.setattr(distances, "_workers", no_workers)
-        _pair_counts(P, E, F), _pinned_pair_sizes(P, E, F)
-        assert ranges == [1, 1]
-        F = random_set(spec, d, size_F + 1, seed=51)
-        if E.size * F.size >= 2 * distances._PAIR_RANGE_PAIRS:
-            monkeypatch.setattr(distances, "_workers", lambda: 2)
-            _pair_counts(P, E, F)
-            assert ranges[-1] == 2
-
-    def test_a_range_exception_reaches_the_caller_after_every_join(self, monkeypatch):
-        # of three ranges, the second fails at once and the third is slow:
-        # the caller sees the failure only once the third has run its blocks
-        import threading
-        import time
-
-        from ffdist import distances
-
-        spec = make_field(101)
-        P = diagonal_polynomial(spec, 2, 2)
-        E, F = random_set(spec, 2, 60, seed=52), random_set(spec, 2, 30, seed=53)
-        done, real = [], distances._pair_value_blocks
-
-        def blocks(P, E, F, work=None, lo=0, hi=None, ranges=1):
-            if lo == 10:
-                raise FloatingPointError("synthetic failure in a worker")
-            if lo == 20:
-                time.sleep(0.2)
-            yield from real(P, E, F, work, lo, hi, ranges)
-            done.append(lo)
-
-        monkeypatch.setattr(distances, "_pair_value_blocks", blocks)
-        monkeypatch.setattr(distances, "_PAIR_RANGE_PAIRS", 1)
-        monkeypatch.setattr(distances, "_workers", lambda: 3)
-        before = threading.active_count()
-        for route in (_pair_counts, _pinned_pair_sizes):
-            done.clear()
-            with pytest.raises(FloatingPointError, match="synthetic"):
-                route(P, E, F)
-            assert sorted(done) == [0, 20]
-            assert threading.active_count() == before
 
 
 class TestLift:

@@ -132,32 +132,6 @@ class TestConstruction:
         with pytest.raises(ConfigError, match=message + r"machine has [\d.]+ GiB free$"):
             build()
 
-    def test_the_cgroup_file_is_read_again_only_when_it_changes(self, monkeypatch, tmp_path):
-        # the quota and limit files are read fresh at every call
-        import builtins
-
-        own, reads = tmp_path / "self", []
-        real_open = builtins.open
-
-        def counted(path, *args, **kwargs):
-            reads.append(str(path))
-            return real_open(path, *args, **kwargs)
-
-        monkeypatch.setattr(builtins, "open", counted)
-        monkeypatch.setattr(field, "_CGROUP_ROOT", str(tmp_path / "cgroup"))
-        monkeypatch.setattr(field, "_PROC_CGROUP", str(own))
-        own.write_text("0::/jobs/a\n")
-        for _ in range(3):
-            assert field._cgroup_files("cpu", "cpu.max", "cpu.cfs_quota_us")[-1].endswith("/jobs/a/cpu.max")
-        assert reads.count(str(own)) == 1
-        field._cpu_quota()
-        assert reads.count(str(own)) == 1 and reads.count(str(tmp_path / "cgroup" / "cpu.max")) == 1
-        own.write_text("0::/jobs/other\n")
-        assert field._cgroup_files("cpu", "cpu.max", "cpu.cfs_quota_us")[-1].endswith("/jobs/other/cpu.max")
-        assert reads.count(str(own)) == 2
-        own.unlink()
-        assert len(field._cgroup_files("cpu", "cpu.max", "cpu.cfs_quota_us")) == 2  # the root's alone
-
     def test_free_memory_is_the_least_readable_limit(self, monkeypatch, tmp_path):
         import os
         import resource

@@ -878,44 +878,6 @@ class TestRunners:
         assert code == 0
         assert peak <= harness._CONVOLUTION_POINT_BYTES * q**d + (256 << 10)
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            # d = 1, where the pair block is most of the stated bytes
-            "pinned --q 1021 --d 1 --poly x1^3 --setE random:1000 --setF random:1000",
-            "pinned --q 211 --d 2 --poly x1^2+x2^2 --setE random:3000 --setF random:400",
-            "distance --q 211 --d 2 --poly x1^2+x2^2 --setE random:1000 --setF random:800",
-        ],
-    )
-    def test_pair_ranges_on_four_workers_stay_within_the_stated_rule(self, monkeypatch, argv):
-        # four ranges at once share the one pair block that the rule adds
-        import tracemalloc
-
-        from ffdist import distances, fourier, harness, varieties
-
-        stated, ranges = [], []
-
-        def counted(jobs):
-            ranges.append(len(jobs))
-            return fourier._run_all(jobs)
-
-        monkeypatch.setattr(harness, "_require_memory", lambda need, holds: stated.append(need))
-        monkeypatch.setattr(distances, "_workers", lambda: 4)
-        monkeypatch.setattr(distances, "_run_all", counted)
-        argv = argv.split()
-        cfg = config_from_args(build_parser().parse_args(argv))
-        run(argv[0], cfg)  # the field's tables are built once, and cached
-        stated.clear(), ranges.clear()
-        varieties.value_grid.cache_clear()
-        tracemalloc.start()
-        try:
-            code, _ = run(argv[0], cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert code == 0 and ranges == [4]
-        assert peak <= stated[-1]
-
     def test_phase_releases_its_table_before_emission(self, tmp_path):
         # at F_101^2 only the four CSV columns (32 B an entry) and the
         # emission block should remain once the complex table (16 B) is dropped

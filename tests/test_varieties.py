@@ -854,23 +854,18 @@ class TestPhaseTable:
             ("decay_spectrum", "x1^2 + x2^2 + x3^2 + x1"),
             ("exceptional_set", "x1^2 + x2^2 + x3^2"),
             ("exceptional_set", "x1^2 + x2^2 + x3^2 + x1"),
-            # the pair kernel's pin ranges, three of them
-            ("counting_function", "x1^2 + x2^2 + x3^2"),
-            ("pinned_distances", "x1^2 + x2^2 + x3^2 + x1"),
         ],
     )
     def test_workers_call_no_public_function(self, monkeypatch, name, text):
-        # the field, varieties and distances functions that a traced run
-        # wraps, and their copies bound in the modules that import them,
-        # run on the calling thread only, since its spans share one stack
+        # the field and varieties functions that a traced run wraps run on
+        # the calling thread only, since its spans share one stack
         import inspect
         import threading
         from functools import _lru_cache_wrapper
 
-        from ffdist import distances, field, fourier
+        from ffdist import field
 
-        threads, ranges = [], []
-        modules = (field, varieties, distances)
+        threads = []
 
         def recorded(fn):
             def call(*args, **kwargs):
@@ -879,32 +874,19 @@ class TestPhaseTable:
 
             return call
 
-        def counted(jobs):
-            ranges.append(len(jobs))
-            return fourier._run_all(jobs)
-
         wrappers = {}
-        for module in modules:
+        for module in (field, varieties):
             for attr, obj in vars(module).items():
                 public = not attr.startswith("_") and getattr(obj, "__module__", "") == module.__name__
                 if public and (inspect.isfunction(obj) or isinstance(obj, _lru_cache_wrapper)):
                     wrappers[id(obj)] = recorded(obj)
-        for module in modules:
+        for module in (field, varieties):
             for attr, obj in list(vars(module).items()):
                 if id(obj) in wrappers:
                     monkeypatch.setattr(module, attr, wrappers[id(obj)])
         monkeypatch.setattr(varieties, "_workers", lambda: 3)
-        monkeypatch.setattr(distances, "_workers", lambda: 3)
-        monkeypatch.setattr(distances, "_PAIR_RANGE_PAIRS", 1)
-        monkeypatch.setattr(distances, "_run_all", counted)
         P = parse_polynomial(text, F13, 3)
-        if hasattr(varieties, name):
-            getattr(varieties, name)(P)
-        else:  # 1500 pairs: the pair route of both
-            E = PointSet(F13, 3, np.arange(0, 13**3, 22))
-            F = PointSet(F13, 3, np.arange(7, 13**3, 150))
-            getattr(distances, name)(P, E, F)
-            assert ranges == [3]
+        getattr(varieties, name)(P)
         assert threads and set(threads) == {threading.get_ident()}
 
     def test_a_phase_worker_exception_reaches_the_caller_after_every_join(self, monkeypatch):

@@ -123,9 +123,7 @@ ORBIT_CASES = (
 # for a separable P that is not diagonal, over F_16^3, and over all of
 # F_211^2, whose 44521 pins are past a dict resize; and direct phase tables
 # in many blocks dealt unevenly among the workers (F_13^3, 76 blocks) and
-# over an extension field in one block (F_9^2); and the pair kernel's pins
-# in ranges, one a worker: pinned distances and counting at 400,000 pairs
-# a trial, past the split floor and below the convolution.
+# over an extension field in one block (F_9^2).
 EDGE_CASES = (
     "decay --q 9 --d 2 --poly 7*x2^5+5*x1^5 --kappa-sharp 2",
     "pinned --q 1021 --d 2 --poly x1^2+x2^2 --setE random:3000 --setF random:200 --seed 1",
@@ -158,8 +156,6 @@ EDGE_CASES = (
     "pinned --q 211 --d 2 --poly x1^2+x2^2 --setE all --setF all",
     "phase --q 13 --d 3 --poly x1^2+x2^2+x3^2+x1",
     "phase --p 3 --n 2 --d 2 --poly x1^2+x2^2+x1",
-    "pinned --q 101 --d 3 --poly x1^2+x2^2+x3^2 --setE random:2000 --setF random:200",
-    "distance --q 211 --d 2 --poly x1^2+x2^2 --setE random:1000 --setF random:400 --trials 2",
 )
 
 
