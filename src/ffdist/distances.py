@@ -56,7 +56,7 @@ from .varieties import (
 # int64 values P(x - y), 16 B a pair, plus q B of marks a pin and, where the
 # add_table rows are gathered, the pin's scaled q-entry int64 row.  Measured
 # as whole CLI runs in fresh processes (the time in `main`), P = sum x_j^2,
-# on a 2-core x86 VM (numpy 2.4.6, 2 MiB of L2 a core), each row's budgets
+# E and F random at --seed 1 where not all of F_q^d, on a 2-core x86 VM (numpy 2.4.6, 2 MiB of L2 a core), each row's budgets
 # alternated, median of 5-7 runs in ms:
 #
 #   case                                  256 KiB 512 KiB 1 MiB  2 MiB  8 MiB
@@ -70,8 +70,7 @@ from .varieties import (
 # and go back to it when dropped, so every trial faults them in again: the
 # first case took 8,548 page faults at 8 MiB and 1,025 at 512 KiB.  Warm
 # loops in one process hide this, since there the allocator keeps the
-# pages; they had measured 8 MiB best (0.72 s against 0.98 s at 1 MiB on
-# the last case).
+# pages, so the budget is measured as whole runs.
 _PAIR_BLOCK_BYTES = 512 << 10
 
 # Gather rule: a block reads each pin's add_table row once E holds at least
