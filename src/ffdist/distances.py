@@ -21,9 +21,9 @@ producer of fiber spectra (for separable P, d - 1 passes shared by every
 fiber and one a fiber), and d inverse passes a fiber.
 `counting_function` and `pinned_distances` check their (P, E, F) triple
 once and pick a route function by a fixed cost rule (`_use_transform`)
-on |E||F| and the passes a convolution takes, so small sets stay on the
-pair kernel; `distance_set` and the verifiers read
-`counting_function`.  The transform route rounds floats to integers: it
+on |E||F| and the passes a convolution takes, so small sets, and every
+set at d = 1, stay on the pair kernel; `distance_set` and the verifiers
+read `counting_function`.  The transform route rounds floats to integers: it
 records its worst rounding residual and raises RoundingDivergence when
 any value lands more than 0.1 from an integer.
 Both routes give bit-identical counts; the tests check them against each
@@ -39,12 +39,13 @@ import numpy as np
 
 from .errors import DimensionMismatch, EmptySet, MixedFields, RoundingDivergence
 from .field import FieldSpec, add_table, decode_points, encode_points, mul_table, neg_table
-from .fourier import _kernel_built, _one_blas_thread, _passes
+from .fourier import _one_blas_thread, _passes
 from .rng import SplitMix64, _mulhi, derive_seed
 from .varieties import (
     Polynomial,
     PointSet,
     _fiber_spectra,
+    _fiber_work,
     _phase_rows,
     diagonal_polynomial,
     make_polynomial,
@@ -120,42 +121,21 @@ _ROUNDING_BOUND = 0.1  # worst |raw - nearest integer| a transform count may sho
 #   F_64^3, 5000     0.028
 #   F_49^3, 8000     0.037
 #   F_16^3, 700      0.065
-#   F_1009^1, 1009   0.17
 #
 # 0.03 sits in the middle of the d >= 2 values; the north-star pin case,
 # F_61^3 against 500 pins, asks 0.022 of its pass units and stays on pairs.
 #
-# At d = 1 a pass is one matrix-vector product that streams the whole
-# 16q^2-byte kernel for q^2 products, so a product costs more than in a
-# d >= 2 pass and d = 1 has a constant of its own.  Counting with
-# P = x1^3 + x1 and random |E| = |F| (same host, kernel warm, medians of 9)
-# broke even at 0.12 at F_503 and F_1009, 0.13 at F_2003, and above 0.30 at
-# F_4001, whose 256 MB kernel comes from memory.  0.15 keeps F_1009 and
-# F_2003 with |E||F| = q^2/4 (0.083) on pairs, 1.8 against 2.4 ms and 12
-# against 10-18 ms.  Pinned distances at d = 1 ask for about 1 + 4q/3
-# passes, far more pass units than q pins can reach, so they stay on pairs.
-#
-# A d = 1 convolution whose 16q^2-byte kernel is not built yet builds it
-# first, which costs as much as a few passes.  Counting with E = F = F_q,
-# P = x1^3 + x1, the first (cold) convolution of a fresh process against
-# the warm median of 5, in pass units of the warm convolution (a third of
-# it), read 8.0-11.6 at F_1009, 5.2-9.2 at F_2003 and 2.5-10.7 at F_4001
-# (5 processes each, same host; median 7.4).  So a d = 1 route decision
-# with no kernel built charges _LINE_KERNEL_PASSES more passes: F_4001,
-# whose full sets took 0.14-0.36 s cold against 0.09-0.11 s on pairs,
-# then counts on pairs, as do full sets at F_1009 and F_2003.  At d >= 2
-# the kernel is q^2 against q^(d+1) products a pass, so it is not charged.
+# At d = 1 every count takes the pair kernel: a pass there is a
+# matrix-vector product that streams the whole 16q^2-byte kernel, and even
+# full sets with the kernel built (P = x1^3 + x1, E = F = F_q, warm, medians
+# of 7 over two rounds, same VM) gained only 4.6-5.5 -> 2.4-2.5 ms at
+# F_1009, 17-22 -> 12-13 ms at F_2003 and 67-70 -> 53-54 ms at F_4001,
+# 1-3 % of their whole CLI runs.
 _PASS_COST = 0.03
-_LINE_PASS_COST = 0.15
-_LINE_KERNEL_PASSES = 7
 
 
-def _use_transform(pairs: int, spec: FieldSpec, d: int, passes: int) -> bool:
-    if d > 1:
-        return pairs > _PASS_COST * passes * spec.q ** (d + 1)
-    if not _kernel_built(spec):
-        passes += _LINE_KERNEL_PASSES
-    return pairs > _LINE_PASS_COST * passes * spec.q**2
+def _use_transform(pairs: int, q: int, d: int, passes: int) -> bool:
+    return d > 1 and pairs > _PASS_COST * passes * q ** (d + 1)
 
 
 def _check_triple(P: Polynomial, E: PointSet, F: PointSet):
@@ -272,7 +252,7 @@ def counting_function(P: Polynomial, E: PointSet, F: PointSet) -> CountingHistog
     """Pair counts per t, by the route the cost rule picks; both routes
     return the same integers."""
     _check_triple(P, E, F)
-    if _use_transform(E.size * F.size, P.spec, P.d, 3 * P.d):
+    if _use_transform(E.size * F.size, P.spec.q, P.d, 3 * P.d):
         return _convolution_counts(P, E, F)
     return _pair_counts(P, E, F)
 
@@ -331,7 +311,8 @@ def _pinned_convolution_sizes(
     sizes = np.zeros(F.size, dtype=np.int64)
     with _one_blas_thread():
         e_hat = _indicator_spectrum(spec, d, E.indices)
-        for _, prod in _fiber_spectra(P, fibers):
+        work = _fiber_work(P)
+        for _, prod in _fiber_spectra(P, fibers, work, 0, work[1].shape[0]):
             np.conj(prod, out=prod)
             prod *= e_hat
             sizes += _difference_counts(spec, d, prod)[0][F.indices] > 0
@@ -347,8 +328,8 @@ def pinned_distances(
     _check_triple(P, E, F)
     q, d, pairs = P.spec.q, P.d, E.size * F.size
     # one fiber is the least a convolution takes; past that, count them
-    fibers = _fibers(value_grid(P), q) if _use_transform(pairs, P.spec, d, 3 * d) else ()
-    if len(fibers) and _use_transform(pairs, P.spec, d, d * (1 + 2 * len(fibers))):
+    fibers = _fibers(value_grid(P), q) if _use_transform(pairs, q, d, 3 * d) else ()
+    if len(fibers) and _use_transform(pairs, q, d, d * (1 + 2 * len(fibers))):
         counts = _pinned_convolution_sizes(P, E, F, fibers)
     else:
         counts = _pinned_pair_sizes(P, E, F)

@@ -58,15 +58,15 @@ How work uses the machine is decided here, and only here:
   their bits are the one-thread bits at any thread count; decay's peaks
   use the other cores through workers instead.  Whole transforms keep
   numpy's own thread count, which is faster for some shapes: a warm
-  in-process `fourier-check --q 211 --d 2 --trials 5` took 0.063 s at
-  two threads and 0.068 s at one (medians of 7).
+  in-process `fourier-check --q 211 --d 2 --trials 5` took 55-59 ms at
+  two threads and 77-80 ms at one, and `--q 61 --d 3` 216-218 against
+  285-292 ms (medians of 9, two rounds).
 """
 
 from __future__ import annotations
 
 import os
 import threading
-import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
@@ -99,24 +99,12 @@ class ComplexGrid:
             )
 
 
-_built_kernels = weakref.WeakValueDictionary()  # spec -> each kernel still held
-
-
 @lru_cache(maxsize=8)
 def _forward_kernel(spec: FieldSpec) -> np.ndarray:
     """K[m, x] = chi(-x*m)."""
     k = spec.char_table[neg_table(spec)][mul_table(spec)]
     k.setflags(write=False)
-    _built_kernels[spec] = k
     return k
-
-
-def _kernel_built(spec: FieldSpec) -> bool:
-    """Whether a kernel of spec is alive: from _forward_kernel(spec) on,
-    until the cache drops it and no caller holds it.  A pass builds the
-    kernel again only if the cache dropped it, so True may (rarely) be
-    a kernel that a caller holds past the cache."""
-    return spec in _built_kernels
 
 
 def _passes(spec: FieldSpec, values: np.ndarray, n: int, bufs=(None, None), rows=None) -> np.ndarray:

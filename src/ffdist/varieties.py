@@ -368,7 +368,7 @@ def _fiber_work(P: Polynomial):
     return shared, table, add_table(spec), rest_neg, gathered, out
 
 
-def _fiber_spectra(P: Polynomial, ts, work=None, lo=0, hi=None):
+def _fiber_spectra(P: Polynomial, ts, work, lo, hi):
     """(t, V_t^) for each t in ts, where V_t^(m) = sum_x [P(x) = t] chi(-x*m)
     is the unnormalized transform of the fiber's indicator, flat in encoding
     order.  Every fiber spectrum of the package comes from here: decay's
@@ -411,8 +411,7 @@ def _fiber_spectra(P: Polynomial, ts, work=None, lo=0, hi=None):
     column stays last in its range: fourier._column_ranges puts bounds at
     multiples of 64.  Ranges that partition 0:N may run at once on threads
     of their own: each writes the slice lo*r:hi*r of the two reused grids
-    (r = q^(d-L) entries a column), so no grid is added.  The default is
-    the whole range, and a fresh `work`.
+    (r = q^(d-L) entries a column), so no grid is added.
 
     The table, the gathered grid and the pass output are allocated once
     and serve every t (16 + 16 + 16 bytes a point; for L = 0 the table is
@@ -420,8 +419,7 @@ def _fiber_spectra(P: Polynomial, ts, work=None, lo=0, hi=None):
     the last two: the consumer may overwrite it, but must be done with it
     before it asks for the next t."""
     spec, d = P.spec, P.d
-    shared, table, at, rest_neg, gathered, out = work or _fiber_work(P)
-    hi = table.shape[0] if hi is None else hi
+    shared, table, at, rest_neg, gathered, out = work
     r = rest_neg.size
     gathered, out = gathered[lo * r : hi * r], out[lo * r : hi * r]
     rows, cols = table[lo:hi], gathered.reshape(hi - lo, r)

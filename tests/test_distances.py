@@ -492,58 +492,23 @@ class TestRoutes:
             (31, 3, 5000, 5000, False, True),
             # the north-star pin case, faster on pairs
             (61, 3, 61**3, 500, True, False),
-            # d = 1: pairs up to about 0.45 q^2, where a pass streams the kernel
+            # d = 1: always pairs, where a pass streams the whole kernel
             (1009, 1, 504, 504, False, False),
             (2003, 1, 1002, 1002, False, False),
             (4001, 1, 1200, 1200, False, False),
-            (1009, 1, 1009, 1009, False, True),
+            (1009, 1, 1009, 1009, False, False),
             (1009, 1, 1009, 1009, True, False),
         ],
     )
-    def test_cost_rule_routes(self, monkeypatch, q, d, size_e, size_f, pins, fourier):
-        # every fiber of sum x_j^2 is nonempty at d >= 2; each d = 1 kernel
-        # is taken as built (test_cost_rule_charges_a_cold_line_kernel)
-        from ffdist import distances
-
-        monkeypatch.setattr(distances, "_kernel_built", lambda spec: True)
+    def test_cost_rule_routes(self, q, d, size_e, size_f, pins, fourier):
+        # every fiber of sum x_j^2 is nonempty at d >= 2
         passes = d * (1 + 2 * q) if pins else 3 * d
-        assert _use_transform(size_e * size_f, field_from_order(q), d, passes) == fourier
-
-    @pytest.mark.parametrize(
-        "q, d, size, built, fourier",
-        [
-            # full sets: a cold kernel sends them to pairs, a warm one does not
-            (1009, 1, 1009, False, False),
-            (1009, 1, 1009, True, True),
-            (4001, 1, 4001, False, False),
-            (4001, 1, 4001, True, True),
-            # 2.1 q^2 pairs clear the cold charge too
-            (1009, 1, 1470, False, True),
-            # at d = 2 the kernel is never charged
-            (101, 2, 101**2, False, True),
-        ],
-    )
-    def test_cost_rule_charges_a_cold_line_kernel(self, monkeypatch, q, d, size, built, fourier):
-        from ffdist import distances
-
-        monkeypatch.setattr(distances, "_kernel_built", lambda spec: built)
-        assert _use_transform(size * size, field_from_order(q), d, 3 * d) == fourier
-
-    def test_kernel_built_follows_the_kernel_cache(self):
-        from ffdist.fourier import _forward_kernel, _kernel_built
-
-        spec = field_from_order(1013)
-        _forward_kernel.cache_clear()
-        assert not _kernel_built(spec)
-        _forward_kernel(spec)
-        assert _kernel_built(spec)
-        _forward_kernel.cache_clear()
-        assert not _kernel_built(spec)
+        assert _use_transform(size_e * size_f, q, d, passes) == fourier
 
     @pytest.mark.parametrize("q, size", [(1009, 504), (2003, 1002), (1009, 1009)])
     def test_line_routes_count_alike(self, q, size):
-        # the d = 1 sizes whose route the line charge moved to pairs, and
-        # full sets, which stay on the convolution once the kernel is built
+        # half and full sets count on pairs even with the kernel built; the
+        # convolution stays callable at d = 1 as the pairs' cross-check
         from ffdist.fourier import _forward_kernel
 
         spec = field_from_order(q)
@@ -551,22 +516,9 @@ class TestRoutes:
         E, F = random_set(spec, 1, size, seed=50), random_set(spec, 1, size, seed=51)
         _forward_kernel(spec)
         nu = counting_function(P, E, F)
-        assert nu.route == ("fourier" if size == q else "direct")
+        assert nu.route == "direct"
         assert np.array_equal(nu.counts, _convolution_counts(P, E, F).counts)
         assert np.array_equal(nu.counts, _pair_counts(P, E, F).counts)
-
-    def test_a_cold_line_kernel_counts_full_sets_on_pairs(self):
-        from ffdist.fourier import _forward_kernel
-
-        spec = field_from_order(1009)
-        P = parse_polynomial("x1^3 + x1", spec, 1)
-        E = full_grid(spec, 1)
-        _forward_kernel.cache_clear()
-        cold = counting_function(P, E, E)
-        _forward_kernel(spec)
-        warm = counting_function(P, E, E)
-        assert (cold.route, warm.route) == ("direct", "fourier")
-        assert np.array_equal(cold.counts, warm.counts)
 
     def test_convolutions_restore_the_blas_thread_count(self, monkeypatch):
         # and so do decay's fiber peaks, whose column ranges run on threads

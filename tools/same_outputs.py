@@ -118,7 +118,9 @@ ORBIT_CASES = (
 # the pair kernel at the north-star size and over F_243 with |E| < q/3,
 # where the kernel reads add_table pair by pair; and counting by the
 # difference convolution over F_16^3, whose twelve base-2 digit axes the
-# convolution once ran on, and at d = 1; and pinned distances on the
+# convolution once ran on; counting at d = 1 over all of F_1009 and in a
+# scan whose sides fall below and above 0.45 q^2 pairs, where its route
+# once turned on whether the kernel was built; and pinned distances on the
 # convolution route, whose fiber spectra come from the shared pass table,
 # for a separable P that is not diagonal, over F_16^3, and over all of
 # F_211^2, whose 44521 pins are past a dict resize; and direct phase tables
@@ -151,6 +153,7 @@ EDGE_CASES = (
     "pinned --p 3 --n 5 --d 2 --poly x1^2+x2^2 --setE random:60 --setF random:300 --trials 2",
     "distance --p 2 --n 4 --d 3 --poly x1^2+x2^2+x3^2 --setE random:700 --setF random:700 --seed 1",
     "distance --q 1009 --d 1 --poly x1^3 --setE all --setF all",
+    "scan --q 1009 --d 1 --poly x1^3 --grid 300000,1018081 --trials 2",
     "pinned --q 31 --d 2 --poly x1^2+x2^2+x1 --setE all --setF all",
     "pinned --p 2 --n 4 --d 3 --poly x1^3+x2^3+x3^3 --setE all --setF random:500",
     "pinned --q 211 --d 2 --poly x1^2+x2^2 --setE all --setF all",
