@@ -520,6 +520,57 @@ class TestRoutes:
         assert np.array_equal(nu.counts, _convolution_counts(P, E, F).counts)
         assert np.array_equal(nu.counts, _pair_counts(P, E, F).counts)
 
+    @pytest.mark.parametrize(
+        "q, d, size, fourier",
+        [
+            # d = 1: full sets, and 2.1 q^2 pairs, still take pairs
+            (1009, 1, 1009, False),
+            (2003, 1, 2003, False),
+            (4001, 1, 4001, False),
+            (1009, 1, 1470, False),
+            # full grids at d >= 2 take the convolution, counting or pinned
+            (101, 2, 101**2, True),
+            (31, 3, 31**3, True),
+        ],
+    )
+    def test_cost_rule_sends_every_line_to_pairs(self, q, d, size, fourier):
+        for passes in (3 * d, d * (1 + 2 * q)):
+            assert _use_transform(size * size, q, d, passes) == fourier
+
+    @pytest.mark.parametrize("built", [False, True])
+    def test_line_counts_full_sets_on_pairs_cold_or_warm(self, built):
+        from ffdist.fourier import _forward_kernel
+
+        spec = field_from_order(1009)
+        P = parse_polynomial("x1^3 + x1", spec, 1)
+        E = full_grid(spec, 1)
+        _forward_kernel.cache_clear()
+        if built:
+            _forward_kernel(spec)
+        nu = counting_function(P, E, E)
+        assert nu.route == "direct"
+        assert np.array_equal(nu.counts, _convolution_counts(P, E, E).counts)
+
+    @pytest.mark.parametrize("built", [False, True])
+    def test_line_pins_full_sets_on_pairs_cold_or_warm(self, monkeypatch, built):
+        from ffdist import distances
+        from ffdist.fourier import _forward_kernel
+
+        spec = field_from_order(1009)
+        P = parse_polynomial("x1^3 + x1", spec, 1)
+        E = full_grid(spec, 1)
+        F = random_set(spec, 1, 300, seed=52)
+        want = _pinned_convolution(P, E, F)
+        _forward_kernel.cache_clear()
+        if built:
+            _forward_kernel(spec)
+
+        def no_convolution(*args):
+            raise AssertionError("d = 1 pins took the convolution")
+
+        monkeypatch.setattr(distances, "_pinned_convolution_sizes", no_convolution)
+        assert np.array_equal(pinned_distances(P, E, F).counts, want)
+
     def test_convolutions_restore_the_blas_thread_count(self, monkeypatch):
         # and so do decay's fiber peaks, whose column ranges run on threads
         from ffdist import distances, fourier, varieties
