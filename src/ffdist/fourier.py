@@ -32,15 +32,16 @@ How work uses the machine is decided here, and only here:
 - `_workers()` is the number of CPUs this process may use: those it may
   run on, but no more than its cgroup's CPU quota allows
   (`field._cpu_quota`), and at least one.
-- `_run_all` runs a list of jobs, the first on the calling thread and
-  each other on a thread of its own, and joins them all.
 - `_column_ranges` splits the output columns of a pass into at most that
   many ranges, with bounds at multiples of `_RANGE_COLUMNS`, where the
   column blocks of the whole product start; a column is then computed
-  alike in any range.  Decay's fiber peaks (`varieties._fiber_peaks`)
-  run one range of their last pass a worker, and the direct phase table
-  (`varieties._direct_phase_table`) deals its blocks of m to the
-  workers; neither moves a bit with the number of workers.
+  alike in any range.
+- `_run_all` runs one job over each of those ranges, the first on the
+  calling thread and each other on a thread of its own, and joins them
+  all.  Decay's fiber peaks (`varieties._fiber_peaks`) run one range of
+  their last pass a worker, and the direct phase table
+  (`varieties._direct_phase_table`) one range of its columns of m;
+  neither moves a bit with the number of workers.
 - A worker receives every table from its caller and calls no public
   function, so the one span stack of a traced run sees the same spans
   at any worker count.
@@ -209,19 +210,20 @@ def _workers() -> int:
     return max(1, min(cpus, quota or cpus))
 
 
-def _run_all(jobs):
-    """[job() for job in jobs], the first on the calling thread and every
-    other on a thread of its own.  Every thread is joined before the
-    first exception raised, if any, is raised again on the caller."""
-    results, errors = [None] * len(jobs), []
+def _run_all(job, ranges):
+    """[job(lo, hi) for lo, hi in ranges], the first range on the calling
+    thread and every other on a thread of its own.  Every thread is joined
+    before the first exception raised, if any, is raised again on the
+    caller."""
+    results, errors = [None] * len(ranges), []
 
     def run(i):
         try:
-            results[i] = jobs[i]()
+            results[i] = job(*ranges[i])
         except BaseException as exc:  # re-raised on the caller below
             errors.append(exc)
 
-    threads = [threading.Thread(target=run, args=(i,)) for i in range(1, len(jobs))]
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(1, len(ranges))]
     for thread in threads:
         thread.start()
     try:

@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import ConfigError, IsoUnavailable
 from .field import (
+    _TABLE_BLOCK,
     FieldSpec,
     _require_memory,
     add_table,
@@ -653,7 +654,7 @@ def run_weil(cfg: ExperimentConfig):
 # text repeats the poly, once in the joined block and once more in the
 # bytes written: 2 B a character a row, measured at polys of 9-476
 # characters, q = 61, d = 2 and q = 19, d = 3.  The blocks that the
-# table's workers gather come on top, one a worker
+# table's workers gather come on top, one a column range
 # (varieties._phase_gather_bytes), so the need grows with the CPUs used.
 _PHASE_ENTRY_BYTES = 64
 _PHASE_EMIT_BYTES = 12 << 20
@@ -729,13 +730,19 @@ def _scan_row(cfg, spec, P, trial, E, F, report, hist: CountingHistogram) -> Sca
 _CONVOLUTION_POINT_BYTES = 128
 
 
-def _require_convolution(spec: FieldSpec, d: int, command: str):
+def _require_convolution(spec: FieldSpec, d: int, command: str, kernel: bool = True):
     """Refuse a distance, scan or pinned request whose decay grids,
     difference convolution or pinned convolution cannot fit, at
-    _CONVOLUTION_POINT_BYTES a point of F_q^d and one pair block."""
-    points = spec.q**d
+    _CONVOLUTION_POINT_BYTES a point of F_q^d and one pair block, beside
+    the field's tables and the transform kernel.  A request that builds
+    no kernel states the block of mul_table rows that a cold field builds
+    in its place: pinned at F_1009^1 peaked 1.1 MB above the tables."""
+    q, points = spec.q, spec.q**d
     need = points * _CONVOLUTION_POINT_BYTES + _PAIR_BLOCK_BYTES
-    _require_with_kernel(spec, need, f"{command} over F_{spec.q}^{d} holds grids of {points} points")
+    holds = f"{command} over F_{q}^{d} holds grids of {points} points"
+    if kernel:
+        return _require_with_kernel(spec, need, holds)
+    _require_memory(need + 16 * q**2 + _TABLE_BLOCK, f"{holds} beside the tables of F_{q}")
 
 
 def run_distance(cfg: ExperimentConfig):
@@ -779,7 +786,7 @@ MIN_FRACTION = 0.5  # share of pins that must carry many distances for a pass
 def run_pinned(cfg: ExperimentConfig):
     spec, P = _field_and_poly(cfg)
     q, d = spec.q, cfg.d
-    _require_convolution(spec, d, "pinned")
+    _require_convolution(spec, d, "pinned", kernel=d > 1)  # pins at d = 1 enumerate pairs
     rows = []
     for trial in range(cfg.trials):
         E, F = build_pair(cfg, spec, d, P, trial)

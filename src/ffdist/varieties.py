@@ -18,8 +18,8 @@ chi(s*P) (`_phase_rows`), which checks the table and gives its maxima in
 O(q^d) memory.  For diagonal P the table is the product of d univariate
 tables, each on the broadcast axis of its m_j; for any other P it is the
 direct table (`_direct_phase_table`), bit-identical to the scalar
-`phase_sum` with its blocks of m dealt to the workers of `fourier`'s
-policy.  Coordinate x_j lives on axis d-j, counted from the last, in
+`phase_sum` with its columns of m in `fourier`'s column ranges, one a
+worker.  Coordinate x_j lives on axis d-j, counted from the last, in
 every grid here, so the C-order ravel is the flat encoding order.
 """
 
@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -469,8 +469,7 @@ def _fiber_peaks(P: Polynomial, ts) -> list[tuple[int, float, int]]:
     with _one_blas_thread() as capped:
         work = _fiber_work(P)
         n = work[1].shape[0]  # output columns of the last pass
-        ranges = _column_ranges(n, _workers() if capped else 1)
-        parts = _run_all([partial(peaks, lo, hi) for lo, hi in ranges])
+        parts = _run_all(peaks, _column_ranges(n, _workers() if capped else 1))
     peaks_of = (max(found, key=lambda p: (p[0], -p[1])) for found in zip(*parts))
     return [(t, max(mx, 0.0), am) for t, (mx, am) in zip(ts, peaks_of)]
 
@@ -581,28 +580,20 @@ def phase_sum(P: Polynomial, s: int, m) -> complex:
 
 _PHASE_BLOCK = 1 << 16  # max phase encodings gathered at once by one worker
 # Bytes a worker of _direct_phase_table holds an entry of its block: the
-# index and value blocks (24 B), the block's dot (8 B) and the two grids
-# that build the next block's dot (16 B).  Under tracemalloc, net of the
-# table, the s*P(x)*q rows and the fused table, one worker read 42-43 B
-# and four 37-41 B an entry at F_31^2, F_13^3, F_7^4 and F_17^3.
-_PHASE_WORKER_BYTES = 48
-
-
-def _phase_blocks(n: int) -> tuple[int, int]:
-    """(columns a block, workers) of _direct_phase_table with n columns:
-    a block gathers at most _PHASE_BLOCK entries, or one column, and
-    there is a worker a usable CPU, but no more than there are blocks."""
-    cols = max(1, _PHASE_BLOCK // n)
-    return cols, min(_workers(), -(-n // cols))
+# index and value blocks (24 B) and the block's dot (8 B), the last
+# block's dot released first.  Under tracemalloc, net of the table, the
+# s*P(x)*q rows and the fused table, one worker read 34-35 B and four
+# 33-35 B an entry at F_31^2, F_13^3, F_7^4 and F_17^3.
+_PHASE_WORKER_BYTES = 40
 
 
 def _phase_gather_bytes(P: Polynomial) -> int:
     """The bytes that the workers of _direct_phase_table hold at once
-    while _phase_table(P) is built: a block each, and for diagonal P the
-    blocks of its univariate tables."""
+    while _phase_table(P) is built: a block a column range, and for
+    diagonal P the blocks of its univariate tables."""
     n = P.spec.q ** (1 if P.kind == DIAGONAL else P.d)
-    cols, workers = _phase_blocks(n)
-    return _PHASE_WORKER_BYTES * cols * n * workers
+    cols = max(1, _PHASE_BLOCK // n)
+    return _PHASE_WORKER_BYTES * n * sum(min(cols, b - a) for a, b in _column_ranges(n, _workers()))
 
 
 def _direct_phase_table(P: Polynomial) -> np.ndarray:
@@ -610,39 +601,39 @@ def _direct_phase_table(P: Polynomial) -> np.ndarray:
     bit for bit: each entry gathers chi(s*P(x) + m*x) from one fused table
     and sums the same contiguous vector as phase_sum does.
 
-    The columns come in blocks of frequencies, dealt in turn to the
-    workers of _phase_blocks, each on a thread of its own (_run_all).  A
-    worker allocates one index block and one value block once (24 bytes
-    an entry) and runs every s over each of its blocks: the indices, the
-    gather and the row sums are written into them and into the table, and
-    no product or BLAS call is made.  An entry is the pairwise sum of the
-    same vector whichever worker computes it, so the table does not
-    depend on the number of workers.  The caller fetches every table, so
-    the workers call no public function and run no traced span."""
+    The columns split into fourier._column_ranges, one a worker, each on
+    a thread of its own (_run_all), and a worker walks its range in blocks
+    of at most _PHASE_BLOCK entries, or one column.  It allocates one
+    index block and one value block once (24 bytes an entry) and runs
+    every s over each block: the indices, the gather and the row sums are
+    written into them and into the table, and no product or BLAS call is
+    made.  An entry is the pairwise sum of the same vector whichever
+    worker computes it, so the table does not depend on the number of
+    workers.  The caller fetches every table, so the workers call no
+    public function and run no traced span."""
     spec, d, q = P.spec, P.d, P.spec.q
     n = q**d
     at, mt = add_table(spec), mul_table(spec)
     out = np.empty((q - 1, n), dtype=np.complex128)
     chi_of_sum = spec.char_table[at].ravel()  # [a*q + b] = chi(a + b)
     svq = mt[1:, value_grid(P)] * q  # row s-1 holds s*P(x)*q
-    cols, workers = _phase_blocks(n)
-    starts = range(0, n, cols)
-    digits = q ** np.arange(d)
+    cols = max(1, _PHASE_BLOCK // n)  # columns of m a block
 
-    def fill(mine):  # every s over the blocks of m that start at `mine`
-        idx = np.empty((cols, n), dtype=np.int64)
-        vals = np.empty((cols, n), dtype=np.complex128)
-        for lo in mine:
-            hi = min(lo + cols, n)
-            dot = _dot_with_grid(at, mt, d, np.arange(lo, hi)[:, None] // digits % q)
+    def fill(start, stop):  # every s over the columns start:stop, a block at a time
+        idx = np.empty((min(cols, stop - start), n), dtype=np.int64)
+        vals = np.empty(idx.shape, dtype=np.complex128)
+        for lo in range(start, stop, cols):
+            hi = min(lo + cols, stop)
+            dot = _dot_with_grid(at, mt, d, np.arange(lo, hi)[:, None] // q ** np.arange(d) % q)
             block_idx, block_vals = idx[: hi - lo], vals[: hi - lo]
             for i, sv in enumerate(svq):
                 np.add(sv, dot, out=block_idx)
                 # every index is in range; mode="raise" would gather through a copy of out=
                 np.take(chi_of_sum, block_idx, out=block_vals, mode="clip")
                 block_vals.sum(axis=1, out=out[i, lo:hi])
+            del dot  # before the next block's dot is built
 
-    _run_all([partial(fill, starts[k::workers]) for k in range(workers)])
+    _run_all(fill, _column_ranges(n, _workers()))
     return out
 
 

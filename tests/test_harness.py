@@ -851,6 +851,40 @@ class TestRunners:
         assert code == 0 and len(stated) == (1 if argv[0] == "fourier-check" else 2)
         assert peak <= stated[-1]
 
+    def test_pinned_at_d1_states_no_transform_kernel(self, capsys, monkeypatch):
+        # pins at d = 1 enumerate pairs and never build the kernel, so the
+        # need leaves its 16 q^2 bytes out and still covers a cold run's
+        # peak, which builds the field's tables; distance builds the kernel
+        import tracemalloc
+
+        from ffdist import field, harness, varieties
+        from ffdist.fourier import _forward_kernel
+
+        q = 1009
+        stated = []
+        monkeypatch.setattr(harness, "_require_memory", lambda *args: stated.append(args))
+        cfg = ExperimentConfig(q=q, d=1, poly="x1^3+x1", setE="all", setF="all")
+        caches = (field._log_antilog, field.add_table, field.mul_table, field.neg_table)
+        for cache in caches + (varieties.value_grid, _forward_kernel):
+            cache.cache_clear()
+        tracemalloc.start()
+        try:
+            code, _ = run("pinned", cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        need, holds = stated[-1]
+        assert code == 0 and _forward_kernel.cache_info().currsize == 0
+        assert holds == f"pinned over F_{q}^1 holds grids of {q} points beside the tables of F_{q}"
+        assert 16 * q**2 <= peak <= need < 32 * q**2  # the tables were built and counted
+        # between the two needs, pinned is admitted and distance is not
+        monkeypatch.undo()
+        monkeypatch.setattr(field, "_available_memory", lambda: 24 * q**2)
+        argv = ["--q", str(q), "--d", "1", "--poly", "x1^3+x1", "--setE", "all", "--setF", "all"]
+        assert main(["pinned", *argv]) == 0
+        assert main(["distance", *argv]) == 2
+        assert "beside the tables and transform kernel of F_1009" in capsys.readouterr().err
+
     @pytest.mark.parametrize("q, d", [(211, 2), (47, 3)])
     def test_pinned_peak_stays_within_the_rule_of_distance_and_scan(self, monkeypatch, q, d):
         # run_pinned's peak keeps to the 128 B a point that distance and scan

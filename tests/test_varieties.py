@@ -412,9 +412,9 @@ class TestDecay:
         ranges = []
         real = varieties._run_all
 
-        def counted(jobs):
-            ranges.append(len(jobs))
-            return real(jobs)
+        def counted(job, parts):
+            ranges.append(len(parts))
+            return real(job, parts)
 
         monkeypatch.setattr(fourier, "_blas_thread_calls", lambda: None)
         monkeypatch.setattr(varieties, "_run_all", counted)
@@ -814,10 +814,11 @@ class TestPhaseTable:
     @pytest.mark.parametrize(
         "q, d, text",
         [
-            (31, 2, "x1^2 + x2^2 + x1"),  # 15 blocks of 68 columns
+            (31, 2, "x1^2 + x2^2 + x1"),  # ranges of 64+ columns in blocks of 68
             (8, 3, "x1^2 + x2^2 + x3^2 + x1"),  # an extension field
-            (101, 1, "x1^3 + 2*x1"),  # one block
-            (13, 3, "x1^2 + x2^2 + x3^2 + x1"),  # 76 blocks, dealt unevenly
+            (101, 1, "x1^3 + 2*x1"),  # one range
+            (13, 3, "x1^2 + x2^2 + x3^2 + x1"),  # blocks of 29 columns, the last short
+            (13, 2, "x1^2 + x2^2 + x1"),  # 169 columns: two ranges, each one block
         ],
     )
     def test_direct_table_does_not_depend_on_the_worker_count(self, monkeypatch, q, d, text):
@@ -890,22 +891,24 @@ class TestPhaseTable:
         assert threads and set(threads) == {threading.get_ident()}
 
     def test_a_phase_worker_exception_reaches_the_caller_after_every_join(self, monkeypatch):
-        # of three workers over F_13^3's 76 blocks of 29 columns, the second
-        # fails on its first block and the third is slow on its first: the
-        # caller sees the failure only once the third has done every block
+        # of three column ranges over F_13^3, walked in blocks of 29 columns,
+        # the second fails on its first block and the third is slow on its
+        # first: the caller sees the failure only once the third has done
+        # every block
         import threading
         import time
 
         q, cols = 13, 29
+        ranges = _column_ranges(q**3, 3)
         done, real = [], varieties._dot_with_grid
 
         def dot(at, mt, d, m):
             lo = int(np.asarray(m)[0] @ q ** np.arange(d))
-            worker = lo // cols % 3
+            worker = next(k for k, (start, stop) in enumerate(ranges) if start <= lo < stop)
             if worker == 1:
                 raise FloatingPointError("synthetic failure in a worker")
             if worker == 2:
-                if lo == 2 * cols:
+                if lo == ranges[2][0]:
                     time.sleep(0.2)
                 done.append(lo)
             return real(at, mt, d, m)
@@ -915,5 +918,27 @@ class TestPhaseTable:
         before = threading.active_count()
         with pytest.raises(FloatingPointError, match="synthetic"):
             _direct_phase_table(parse_polynomial("x1^2 + x2^2 + x3^2 + x1", F13, 3))
-        assert done == list(range(2 * cols, q**3, 3 * cols))
+        assert done == list(range(ranges[2][0], q**3, cols))
         assert threading.active_count() == before
+
+    @pytest.mark.parametrize("q, d", [(31, 2), (13, 3)])
+    def test_a_phase_worker_holds_at_most_40_bytes_a_block_entry(self, monkeypatch, q, d):
+        # net of the table, the s*P(x)*q rows and the fused table: the index
+        # and value blocks and one dot (32 B), since a block's dot is
+        # released before the next block's is built
+        import tracemalloc
+
+        text = "+".join(f"x{j}^2" for j in range(1, d + 1)) + "+x1"
+        P = parse_polynomial(text, field_from_order(q), d)
+        monkeypatch.setattr(varieties, "_workers", lambda: 1)
+        _direct_phase_table(P)  # warm the field tables and the value grid
+        n = q**d
+        tracemalloc.start()
+        try:
+            _direct_phase_table(P)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block = varieties._PHASE_BLOCK // n * n
+        assert peak - 24 * (q - 1) * n - 16 * q * q <= varieties._PHASE_WORKER_BYTES * block
+        assert varieties._PHASE_WORKER_BYTES <= 40

@@ -124,8 +124,10 @@ ORBIT_CASES = (
 # convolution route, whose fiber spectra come from the shared pass table,
 # for a separable P that is not diagonal, over F_16^3, and over all of
 # F_211^2, whose 44521 pins are past a dict resize; and direct phase tables
-# in many blocks dealt unevenly among the workers (F_13^3, 76 blocks) and
-# over an extension field in one block (F_9^2).
+# in many blocks within each column range (F_13^3, 76 blocks), over an
+# extension field in one block (F_9^2), and with 128 to 256 columns, which
+# once ran as one block on one worker and now run as two column ranges
+# (F_13^2 and F_211^1).
 EDGE_CASES = (
     "decay --q 9 --d 2 --poly 7*x2^5+5*x1^5 --kappa-sharp 2",
     "pinned --q 1021 --d 2 --poly x1^2+x2^2 --setE random:3000 --setF random:200 --seed 1",
@@ -159,6 +161,8 @@ EDGE_CASES = (
     "pinned --q 211 --d 2 --poly x1^2+x2^2 --setE all --setF all",
     "phase --q 13 --d 3 --poly x1^2+x2^2+x3^2+x1",
     "phase --p 3 --n 2 --d 2 --poly x1^2+x2^2+x1",
+    "phase --q 13 --d 2 --poly x1^2+x2^2+x1",
+    "phase --q 211 --d 1 --poly x1^3+2*x1",
 )
 
 
