@@ -4,8 +4,12 @@ paraboloid lift, and the theorem-style verifiers built on them.
 Every answer is an exact integer count, reached by one of two routes:
 
 * direct: enumerate all |E||F| pairs through vectorized table lookups, a
-  cache-sized block of pins at a time; a pin's distinct values are the
-  marks they set in a (pins, q) boolean array, so no row is sorted;
+  cache-sized block of pins at a time.  A pair sums one code a coordinate
+  and reads P's value table at the sum (`_pair_codes`): for separable P at
+  d >= 2 the codes of P's parts, into a table of at most d^n q entries,
+  else the flat index of x - y, into P's q^d value grid.  A pin's distinct
+  values are the marks they set in a (pins, q) boolean array, so no row
+  is sorted;
 * fourier: the difference convolution D(z) = #{(x, y) in E x F : x - y = z}
   through the transform passes of `fourier._passes`: the forward passes
   of the indicators of E and F, the product of E's with the conjugate of
@@ -34,11 +38,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import DimensionMismatch, EmptySet, MixedFields, RoundingDivergence
-from .field import FieldSpec, add_table, decode_points, encode_points, mul_table, neg_table
+from .field import (
+    FieldSpec,
+    _frozen,
+    add_table,
+    decode_points,
+    encode_points,
+    mul_table,
+    neg_table,
+    pow_table,
+)
 from .fourier import _one_blas_thread, _passes
 from .rng import SplitMix64, _mulhi, derive_seed
 from .varieties import (
@@ -48,17 +62,20 @@ from .varieties import (
     _fiber_work,
     _phase_rows,
     diagonal_polynomial,
+    is_separable,
     make_polynomial,
     require_same_space,
     value_grid,
 )
 
-# Bytes one block of pins may hold: its int64 flat index of x - y and the
-# int64 values P(x - y), 16 B a pair, plus q B of marks a pin and, where the
-# add_table rows are gathered, the pin's scaled q-entry int64 row.  Measured
-# as whole CLI runs in fresh processes (the time in `main`), P = sum x_j^2,
-# E and F random at --seed 1 where not all of F_q^d, on a 2-core x86 VM (numpy 2.4.6, 2 MiB of L2 a core), each row's budgets
-# alternated, median of 5-7 runs in ms:
+# Bytes one block of pins may hold: its int64 sums of codes and the int64
+# values P(x - y), 16 B a pair, plus q B of marks a pin and, where the
+# add_table rows are gathered, the pin's q-entry int64 row.  Codes are
+# gathered into the add_table gather itself, so they add no bytes.  Measured
+# as whole CLI runs in fresh processes (the time in `main`) while pairs
+# summed flat indices, P = sum x_j^2, E and F random at --seed 1 where not
+# all of F_q^d, on a 2-core x86 VM (numpy 2.4.6, 2 MiB of L2 a core), each
+# row's budgets alternated, median of 5-7 runs in ms:
 #
 #   case                                  256 KiB 512 KiB 1 MiB  2 MiB  8 MiB
 #   pinned F_101^3, 2000 x 100, 10 trials   52.9    52.0   61.2   63.6   77.8
@@ -76,22 +93,26 @@ _PAIR_BLOCK_BYTES = 512 << 10
 
 # Gather rule: a block reads each pin's add_table row once E holds at least
 # q/3 points, and reads add_table pair by pair below that.  Both give the
-# same blocks.  Best of 20 for one block, the value_grid read included,
-# P = sum x_j^2, same VM, in ms:
+# same blocks.  Best of 20 for one block, the value table read included,
+# P = sum x_j^2 (the codes of its parts at d >= 2, flat indices at d = 1),
+# same VM, in ms:
 #
 #   case                          |E|/q   pairwise  by row
-#   q = 101, d = 2, 64 pins       0.10    0.013     0.019
-#                                 0.34    0.041     0.038
-#                                 0.63    0.039     0.029
-#   q = 4001, d = 1, 200 pins     0.25    1.35      1.65
-#                                 0.33    1.70      1.44
-#                                 1.00    4.82      2.25
-#   q = 625, d = 2, 100 pins      0.16    0.11      0.14
-#                                 0.33    0.23      0.26
-#                                 0.48    0.33      0.27
-#   q = 61, d = 3, 500 pins       0.25    0.10      0.12
-#                                 0.33    0.14      0.13
-#                                 0.49    0.20      0.17
+#   q = 101, d = 2, 64 pins       0.10    0.028     0.039
+#                                 0.34    0.042     0.044
+#                                 0.63    0.059     0.049
+#   q = 4001, d = 1, 200 pins     0.25    0.83      0.98
+#                                 0.33    1.14      1.18
+#                                 1.00    3.14      1.93
+#   q = 625, d = 2, 100 pins      0.16    0.12      0.18
+#                                 0.33    0.22      0.22
+#                                 0.48    0.33      0.25
+#   q = 61, d = 3, 500 pins       0.25    0.15      0.19
+#                                 0.33    0.18      0.20
+#                                 0.49    0.24      0.21
+#   q = 1021, d = 2, 100 pins     0.03    0.051     0.26
+#                                 0.10    0.13      0.28
+#                                 0.33    0.37      0.36
 #
 # Near |E| = q/3 the two are within the noise of each other.
 
@@ -145,29 +166,67 @@ def _check_triple(P: Polynomial, E: PointSet, F: PointSet):
         raise EmptySet("E and F must be nonempty")
 
 
+def _pair_codes(P: Polynomial) -> tuple[tuple, np.ndarray]:
+    """(codes, value) with P(x - y) = value[sum_j codes[j][x_j - y_j]].
+
+    A code is an int64 table of q entries, or an int c standing for the
+    code x -> c * x.  Separable P at d >= 2 takes _separable_codes.  Any
+    other P, with cross terms or at d = 1, has codes q^j, so the sum is the
+    flat index of x - y, and value is value_grid(P), which caches it.
+    """
+    if P.d == 1 or not is_separable(P):
+        return tuple(P.spec.q**j for j in range(P.d)), value_grid(P)
+    return _separable_codes(P)
+
+
+@lru_cache(maxsize=32)
+def _separable_codes(P: Polynomial) -> tuple[tuple, np.ndarray]:
+    """_pair_codes of separable P = c + sum_j g_j(x_j) at d >= 2, with no
+    q^d grid: codes[j] holds g_j, the constant in part 0, each encoding's
+    base-p digits (constant first) spread in base B = d(p - 1) + 1, so a
+    sum of d codes never carries, and value takes each base-B digit of the
+    sum mod p.  value has B^n <= d^n q <= q^d entries, as d <= p^(d-1)."""
+    spec, d = P.spec, P.d
+    p, n = spec.p, spec.n
+    at, mt = add_table(spec), mul_table(spec)
+    parts = np.zeros((d, spec.q), dtype=np.int64)
+    for coeff, exps in P.terms:
+        j = next((j for j, e in enumerate(exps) if e), 0)  # a constant goes to part 0
+        parts[j] = at[parts[j], mt[coeff, pow_table(spec, exps[j])]]
+    base = d * (p - 1) + 1
+    codes = _frozen(sum(parts // p**k % p * base**k for k in range(n)))
+    sums = np.arange(base**n, dtype=np.int64)
+    value = _frozen(sum(sums // base**k % base % p * p**k for k in range(n)))
+    return tuple(codes), value
+
+
 def _pair_value_blocks(P: Polynomial, E: PointSet, F: PointSet):
     """Yield blocks of P(x - y) encodings: one row per pin y in F, one column per x in E.
 
-    The flat index of x - y is sum_j q^j * at[-y_j, x_j], one add_table
-    gather per coordinate, scaled by q^j and added in place; each pin is
+    Each pair sums sum_j codes[j][x_j - y_j] (_pair_codes), one add_table
+    gather per coordinate, coded in place and added in place; each pin is
     negated once.  By row, each pin's add_table row at -y_j (q entries) is
-    gathered and scaled once, then read at every x_j of E; pairwise, at is
-    read pair by pair and the gather is scaled.  Then value_grid is read at
-    the index.  Each block of pins stays within _PAIR_BLOCK_BYTES as long as
-    the caller drops it before asking for the next, as map does.
+    gathered and coded once, then read at every x_j of E; pairwise, at is
+    read pair by pair and the gather is coded.  Then P's value table is
+    read at the sum.  Each block of pins stays within _PAIR_BLOCK_BYTES as
+    long as the caller drops it before asking for the next, as map does.
     """
     q, d = P.spec.q, P.d
     at = add_table(P.spec)
-    vg = value_grid(P)
+    codes, value = _pair_codes(P)
     ce = np.ascontiguousarray(E.coordinates().T)  # (d, |E|)
     cf = neg_table(P.spec)[F.coordinates().T]  # (d, |F|) of -y
     by_row = 3 * E.size >= q  # the gather rule above
     rows = max(1, _PAIR_BLOCK_BYTES // (16 * E.size + (8 * by_row + 1) * q))
 
-    def differences(j: int, pins: np.ndarray) -> np.ndarray:  # q^j (x_j - y_j)
+    def differences(j: int, pins: np.ndarray) -> np.ndarray:  # codes[j][x_j - y_j]
         part = at[pins] if by_row else at[pins[:, None], ce[j]]
-        if j:
-            part *= q**j
+        if isinstance(codes[j], np.ndarray):
+            # in place, each entry read before it is written; mode="raise"
+            # would gather through a copy of out=
+            np.take(codes[j], part, out=part, mode="clip")
+        elif codes[j] > 1:
+            part *= codes[j]
         return np.take(part, ce[j], axis=1) if by_row else part
 
     for i in range(0, F.size, rows):
@@ -175,7 +234,7 @@ def _pair_value_blocks(P: Polynomial, E: PointSet, F: PointSet):
         idx = differences(0, pins[0])
         for j in range(1, d):
             idx += differences(j, pins[j])
-        yield vg[idx]
+        yield value[idx]
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,8 @@ character table chi(a) = exp(2*pi*i * Tr(a) / p) is built once per field,
 and every sum kernel indexes it.
 
 One size rule decides which fields exist, _require_tables_fit: the q x q
-add and mul tables must fit in memory.  It runs before any other work.
+add and mul tables, and what their build holds beside, must fit in
+memory.  It runs before any other work.
 """
 
 from __future__ import annotations
@@ -133,13 +134,16 @@ def _require_memory(need: int, holds: str):
 
 def _require_tables_fit(p: int, n: int = 1) -> int:
     """q = p^n, once its q x q add and mul tables (16 q^2 bytes) fit in
-    memory.  No memory comes near them from q = 2^64 on, so such a q is
-    refused before p is raised to n."""
+    memory, with what building them holds beside: one block of mul_table
+    rows (_TABLE_BLOCK) and 64 B an element for the character and trace
+    tables, log, antilog and the doubled antilog (56 B).  No memory comes
+    near them from q = 2^64 on, so such a q is refused before p is raised
+    to n."""
     if (abs(p).bit_length() - 1) * n >= 64:
         order = p if n == 1 else f"{p}^{n}"
         raise ConfigError(f"the tables of F_{order} hold over 2^129 entries")
     q = p**n
-    _require_memory(16 * q**2, f"the tables of F_{q} hold {2 * q**2} entries")
+    _require_memory(16 * q**2 + _TABLE_BLOCK + 64 * q, f"the tables of F_{q} hold {2 * q**2} entries")
     return q
 
 

@@ -40,6 +40,7 @@ from .fourier import (
 )
 from .rng import SplitMix64, derive_seed, sample_indices
 from .varieties import (
+    DIAGONAL,
     DecayEntry,
     PointSet,
     Polynomial,
@@ -132,12 +133,17 @@ def require(cfg: ExperimentConfig, *names: str):
             raise ConfigError(f"--{name.replace('_', '-')} is required here")
 
 
-def _require_with_kernel(spec: FieldSpec, need: int, holds: str):
+def _require_with_kernel(spec: FieldSpec, need: int, holds: str, kernel: bool = True):
     """Refuse a request that holds `need` bytes beside the field's add and
     mul tables and the transform kernel of fourier._forward_kernel, 16 q^2
-    bytes each, when all of it cannot fit."""
+    bytes each, when all of it cannot fit.  A request that builds no
+    kernel states the block of mul_table rows that a cold field builds in
+    its place: pinned at F_1009^1 peaked 1.1 MB above the tables."""
     q = spec.q
-    _require_memory(need + 32 * q**2, f"{holds} beside the tables and transform kernel of F_{q}")
+    if kernel:
+        _require_memory(need + 32 * q**2, f"{holds} beside the tables and transform kernel of F_{q}")
+    else:
+        _require_memory(need + 16 * q**2 + _TABLE_BLOCK, f"{holds} beside the tables of F_{q}")
 
 
 def _field_and_poly(cfg: ExperimentConfig) -> tuple[FieldSpec, Polynomial]:
@@ -667,7 +673,8 @@ def run_phase(cfg: ExperimentConfig):
     sums = (q - 1) * n
     need = sums * _PHASE_ENTRY_BYTES + _PHASE_EMIT_BYTES + 2 * _EMIT_BLOCK * len(cfg.poly)
     need += _phase_gather_bytes(P)
-    _require_with_kernel(spec, need, f"phase over F_{q}^{d} holds {sums} sums")
+    # only the check of a factored table, for diagonal P, builds the kernel
+    _require_with_kernel(spec, need, f"phase over F_{q}^{d} holds {sums} sums", P.kind == DIAGONAL)
     table = _phase_table(P)
     agreement = _factored_table_error(P, table)  # None unless the table is factored
     mag = np.hypot(table.real, table.imag).ravel()
@@ -734,15 +741,11 @@ def _require_convolution(spec: FieldSpec, d: int, command: str, kernel: bool = T
     """Refuse a distance, scan or pinned request whose decay grids,
     difference convolution or pinned convolution cannot fit, at
     _CONVOLUTION_POINT_BYTES a point of F_q^d and one pair block, beside
-    the field's tables and the transform kernel.  A request that builds
-    no kernel states the block of mul_table rows that a cold field builds
-    in its place: pinned at F_1009^1 peaked 1.1 MB above the tables."""
+    the field's tables and, where it builds one, the transform kernel."""
     q, points = spec.q, spec.q**d
     need = points * _CONVOLUTION_POINT_BYTES + _PAIR_BLOCK_BYTES
     holds = f"{command} over F_{q}^{d} holds grids of {points} points"
-    if kernel:
-        return _require_with_kernel(spec, need, holds)
-    _require_memory(need + 16 * q**2 + _TABLE_BLOCK, f"{holds} beside the tables of F_{q}")
+    _require_with_kernel(spec, need, holds, kernel)
 
 
 def run_distance(cfg: ExperimentConfig):

@@ -229,6 +229,30 @@ class TestPinned:
         expected = sum(1 for s in rep.sizes.values() if s > 6.5) / len(rep.sizes)
         assert rep.fraction_large == expected
 
+    @pytest.mark.parametrize(
+        "spec, d, poly",
+        [
+            (make_field(101), 3, "x1^2 + x2^2 + x3^2"),
+            (make_field(2, 5), 3, "x1^3 + x2^3 + x3^2 + x1"),  # p = 2: codes in base 4
+            (make_field(3, 3), 2, "2*x1^4 + x1 + x2^2"),
+        ],
+    )
+    def test_separable_pins_on_the_pair_route_build_no_value_grid(self, monkeypatch, spec, d, poly):
+        # separable P sums per-variable codes into a table of B^n entries,
+        # so the q^d grid of P is never built (the sets are small enough
+        # that the cost rule counts no fibers)
+        from ffdist import distances
+
+        def unreachable(P):
+            raise AssertionError("the pair kernel built the value grid of P")
+
+        P = parse_polynomial(poly, spec, d)
+        E, F = random_set(spec, d, 200, seed=46), random_set(spec, d, 12, seed=47)
+        ce, cf = E.coordinates().tolist(), F.coordinates().tolist()
+        oracle = [len({evaluate(P, tuple(map(spec.sub, x, y))) for x in ce}) for y in cf]
+        monkeypatch.setattr(distances, "value_grid", unreachable)
+        assert pinned_distances(P, E, F).counts.tolist() == oracle
+
 
 ROUTE_POLYS = {1: "x1^3", 2: "x1^2 + 3*x2^3", 3: "x1^2 + 2*x2^2 + x3^3"}
 
@@ -322,11 +346,17 @@ class TestRoutes:
 
         check()
 
+    @pytest.mark.parametrize("separable", [False, True])
     @pytest.mark.parametrize("spec, d", [(F7, 1), (F9, 2), (F5, 3), (make_field(2, 4), 3)])
-    def test_pair_blocks_split_by_bytes_give_the_unsplit_answers(self, monkeypatch, spec, d):
+    def test_pair_blocks_split_by_bytes_give_the_unsplit_answers(
+        self, monkeypatch, spec, d, separable
+    ):
+        # both kinds of codes: x1*...*xd + 2*xd^3 sums flat indices (at
+        # d >= 2), 3 + x1 + 2*xd^3 sums the codes of its parts
         from ffdist import distances
 
-        P = make_polynomial(spec, d, [(1, (1,) * d), (2, (0,) * (d - 1) + (3,))])
+        first = (3, (0,) * d) if separable else (1, (1,) * d)
+        P = make_polynomial(spec, d, [first, (1, (1,) + (0,) * (d - 1)), (2, (0,) * (d - 1) + (3,))])
         E = random_set(spec, d, min(spec.q**d, 40), seed=38)
         F = random_set(spec, d, min(spec.q**d, 25), seed=39)
         whole = list(distances._pair_value_blocks(P, E, F))
@@ -334,7 +364,7 @@ class TestRoutes:
         pinned = _pinned_pair_sizes(P, E, F)
         assert [b.shape for b in whole] == [(F.size, E.size)]
         assert E.size >= spec.q  # each pin's add_table row is gathered
-        per_pin = 16 * E.size + 9 * spec.q  # index and values, the scaled row, the marks
+        per_pin = 16 * E.size + 9 * spec.q  # the sum and values, the coded row, the marks
         for pins in (3, 1):  # a byte short of `pins` rows: blocks of 2 pins, then of 1
             monkeypatch.setattr(distances, "_PAIR_BLOCK_BYTES", per_pin * pins - 1)
             blocks = list(distances._pair_value_blocks(P, E, F))
@@ -345,15 +375,17 @@ class TestRoutes:
             assert np.array_equal(_pair_counts(P, E, F).counts, counts)
             assert np.array_equal(_pinned_pair_sizes(P, E, F), pinned)
 
-    def test_pair_blocks_of_a_small_E_stay_within_the_byte_cap(self, monkeypatch):
+    @pytest.mark.parametrize("second", [(0, 2), (1, 1)])  # x1^2 + x2^2, x1^2 + x1*x2
+    def test_pair_blocks_of_a_small_E_stay_within_the_byte_cap(self, monkeypatch, second):
         # |E| < q: the q-entry add_table row per pin would outweigh the
-        # pair itself, so the blocks gather pairwise and keep to the cap.
+        # pair itself, so the blocks gather pairwise and keep to the cap,
+        # whether they sum per-variable codes or flat indices.
         import tracemalloc
 
         from ffdist import distances
 
         spec = make_field(211)
-        P = diagonal_polynomial(spec, 2, 2)
+        P = make_polynomial(spec, 2, [(1, (2, 0)), (1, second)])
         E, F = points_from_coords(spec, 2, [[3, 5]]), full_grid(spec, 2)
         whole = np.concatenate(list(distances._pair_value_blocks(P, E, F)))
         cap = 1 << 20
@@ -364,7 +396,7 @@ class TestRoutes:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        rows = cap // (16 * E.size + spec.q)  # index and values, the marks
+        rows = cap // (16 * E.size + spec.q)  # the sum and values, the marks
         assert sizes == [min(rows, F.size - i) for i in range(0, F.size, rows)]
         assert peak <= 2 * cap
         assert np.array_equal(np.concatenate(list(distances._pair_value_blocks(P, E, F))), whole)
@@ -379,14 +411,25 @@ class TestRoutes:
 
         @hyp.settings(max_examples=40, deadline=None)
         @hyp.given(
-            q=st.sampled_from([5, 7, 8, 9, 11, 16, 25, 27, 31, 49]),
+            q=st.sampled_from([2, 4, 5, 7, 8, 9, 11, 16, 25, 27, 31, 49]),
             d=st.integers(1, 3),
             data=st.data(),
         )
         def check(q, d, data):
             hyp.assume(q**d <= 3000)
             spec = field_from_order(q)
-            P = make_polynomial(spec, d, [(1, (2,) * d), (q - 1, (0,) * (d - 1) + (3,))])
+            if data.draw(st.booleans()):  # a cross term: flat indices and value_grid
+                P = make_polynomial(spec, d, [(1, (2,) * d), (q - 1, (0,) * (d - 1) + (3,))])
+            else:  # separable, with a constant and two terms in x_j: per-variable codes
+                j, coeffs = data.draw(st.integers(0, d - 1)), st.integers(1, q - 1)
+                terms = [(data.draw(st.integers(0, q - 1)), (0,) * d)]
+                for i in range(d):
+                    terms.append((data.draw(coeffs), tuple(3 * (k == i) for k in range(d))))
+                terms.append((data.draw(coeffs), tuple(data.draw(st.integers(1, 5)) * (k == j) for k in range(d))))
+                try:
+                    P = make_polynomial(spec, d, terms)
+                except ZeroPolynomial:  # the two terms in x_j cancelled at d = 1
+                    hyp.assume(False)
             seeds = st.integers(0, 10**6)
             # |E| on both sides of q and of the gather rule's q/3
             E = random_set(spec, d, data.draw(st.integers(1, min(q**d, 2 * q))), data.draw(seeds))
@@ -399,20 +442,34 @@ class TestRoutes:
 
         check()
 
-    @pytest.mark.parametrize("q, d, size_E, size_F", [(1021, 1, 50, 1021), (101, 2, 3000, 400)])
-    def test_pinned_peak_stays_within_the_block_cap(self, monkeypatch, q, d, size_E, size_F):
+    @pytest.mark.parametrize(
+        "q, d, size_E, size_F, cross",
+        [
+            (1021, 1, 50, 1021, False),
+            (101, 2, 3000, 400, False),
+            (101, 2, 3000, 400, True),
+            (211, 2, 50, 2000, False),
+        ],
+    )
+    def test_pinned_peak_stays_within_the_block_cap(
+        self, monkeypatch, q, d, size_E, size_F, cross
+    ):
         # (1021, 1, 50) gathers pairwise and its marks (q B a pin) outweigh
         # its pairs (16 B each): blocks sized without them would take every
         # pin at once and hold 1.8x the cap.  (101, 2, 3000) gathers each
-        # pin's add_table row.
+        # pin's add_table row, and codes it in place, or scales it when a
+        # cross term x1*x2 makes the sums flat indices; (211, 2, 50) codes
+        # pair by pair.
         import tracemalloc
 
         from ffdist import distances
 
         spec = make_field(q)
         P = diagonal_polynomial(spec, d, 2)
+        if cross:
+            P = make_polynomial(spec, d, P.terms + ((1, (1, 1)),))
         E, F = random_set(spec, d, size_E, seed=44), random_set(spec, d, size_F, seed=45)
-        add_table(spec), neg_table(spec), value_grid(P)
+        add_table(spec), neg_table(spec), distances._pair_codes(P)
         whole = _pinned_pair_sizes(P, E, F)
         cap = 1 << 20
         monkeypatch.setattr(distances, "_PAIR_BLOCK_BYTES", cap)

@@ -372,6 +372,25 @@ class TestArithmetic:
             tracemalloc.stop()
         assert peak <= 16 * q**2 + field._TABLE_BLOCK + 32 * q
 
+    @pytest.mark.parametrize("p, n", [(1009, 1), (2, 10), (3, 6)])
+    def test_a_cold_field_and_its_tables_stay_within_the_stated_need(self, monkeypatch, p, n):
+        # the field's own size rule covers a build from nothing: the
+        # tables, the block of mul_table rows and the per-element tables
+        import tracemalloc
+
+        stated = []
+        monkeypatch.setattr(field, "_require_memory", lambda need, holds: stated.append(need))
+        for cache in (_log_antilog, add_table, mul_table):
+            cache.cache_clear()
+        tracemalloc.start()
+        try:
+            F = make_field(p, n)
+            add_table(F), mul_table(F)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stated == [stated[0]] and 16 * F.q**2 < peak <= stated[0]
+
     def test_mul_table_blocks_give_the_one_block_table(self, monkeypatch):
         for F in (make_field(31), make_field(3, 3)):
             whole = mul_table.__wrapped__(F)

@@ -885,6 +885,40 @@ class TestRunners:
         assert main(["distance", *argv]) == 2
         assert "beside the tables and transform kernel of F_1009" in capsys.readouterr().err
 
+    def test_phase_of_a_P_that_is_not_diagonal_states_no_transform_kernel(
+        self, monkeypatch, tmp_path
+    ):
+        # only the check of a factored table builds the kernel: the direct
+        # table of x1^3 + 2*x1 states the tables and the block of mul_table
+        # rows in its place, covers a cold run's peak, and is admitted with
+        # that much free, where 16 q^2 more was asked before
+        import tracemalloc
+
+        from ffdist import field, harness, varieties
+        from ffdist.fourier import _forward_kernel
+
+        q = 307  # 16 q^2 > _TABLE_BLOCK
+        stated = []
+        monkeypatch.setattr(harness, "_require_memory", lambda *args: stated.append(args))
+        cfg = ExperimentConfig(q=q, d=1, poly="x1^3+2*x1", out=str(tmp_path / "ph"), deterministic=True)
+        caches = (field._log_antilog, field.add_table, field.mul_table, field.neg_table)
+        for cache in caches + (varieties.value_grid, _forward_kernel):
+            cache.cache_clear()
+        tracemalloc.start()
+        try:
+            code, _ = run("phase", cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        need, holds = stated[-1]
+        assert code == 0 and _forward_kernel.cache_info().currsize == 0
+        assert holds == f"phase over F_{q}^1 holds {(q - 1) * q} sums beside the tables of F_{q}"
+        assert 16 * q**2 <= peak <= need
+        monkeypatch.undo()
+        monkeypatch.setattr(field, "_available_memory", lambda: need)
+        argv = ["phase", "--q", str(q), "--d", "1", "--poly", "x1^3+2*x1", "--deterministic"]
+        assert main([*argv, "--out", str(tmp_path / "again")]) == 0
+
     @pytest.mark.parametrize("q, d", [(211, 2), (47, 3)])
     def test_pinned_peak_stays_within_the_rule_of_distance_and_scan(self, monkeypatch, q, d):
         # run_pinned's peak keeps to the 128 B a point that distance and scan

@@ -127,7 +127,9 @@ ORBIT_CASES = (
 # in many blocks within each column range (F_13^3, 76 blocks), over an
 # extension field in one block (F_9^2), and with 128 to 256 columns, which
 # once ran as one block on one worker and now run as two column ranges
-# (F_13^2 and F_211^1).
+# (F_13^2 and F_211^1); and the pair kernel's per-variable codes of
+# separable P, in base d + 1 over F_64 (p = 2) and with two terms in x1
+# over F_27, beside the flat indices it sums at d = 1 (F_4001).
 EDGE_CASES = (
     "decay --q 9 --d 2 --poly 7*x2^5+5*x1^5 --kappa-sharp 2",
     "pinned --q 1021 --d 2 --poly x1^2+x2^2 --setE random:3000 --setF random:200 --seed 1",
@@ -163,6 +165,9 @@ EDGE_CASES = (
     "phase --p 3 --n 2 --d 2 --poly x1^2+x2^2+x1",
     "phase --q 13 --d 2 --poly x1^2+x2^2+x1",
     "phase --q 211 --d 1 --poly x1^3+2*x1",
+    "pinned --p 2 --n 6 --d 3 --poly x1^3+x2^3+x3^2+x1 --setE random:300 --setF random:40",
+    "distance --p 3 --n 3 --d 2 --poly 2*x1^4+x1+x2^2 --setE random:200 --setF random:50",
+    "pinned --q 4001 --d 1 --poly x1^3+x1 --setE random:400 --setF random:200",
 )
 
 
