@@ -143,7 +143,8 @@ def _require_tables_fit(p: int, n: int = 1) -> int:
         order = p if n == 1 else f"{p}^{n}"
         raise ConfigError(f"the tables of F_{order} hold over 2^129 entries")
     q = p**n
-    _require_memory(16 * q**2 + _TABLE_BLOCK + 64 * q, f"the tables of F_{q} hold {2 * q**2} entries")
+    need = 16 * q**2 + _TABLE_BLOCK + 64 * q
+    _require_memory(need, f"the tables of F_{q} hold {2 * q**2} entries")
     return q
 
 

@@ -237,7 +237,9 @@ class TestPinned:
             (make_field(3, 3), 2, "2*x1^4 + x1 + x2^2"),
         ],
     )
-    def test_separable_pins_on_the_pair_route_build_no_value_grid(self, monkeypatch, spec, d, poly):
+    def test_separable_pins_on_the_pair_route_build_no_value_grid(
+        self, monkeypatch, spec, d, poly
+    ):
         # separable P sums per-variable codes into a table of B^n entries,
         # so the q^d grid of P is never built (the sets are small enough
         # that the cost rule counts no fibers)
@@ -421,11 +423,12 @@ class TestRoutes:
             if data.draw(st.booleans()):  # a cross term: flat indices and value_grid
                 P = make_polynomial(spec, d, [(1, (2,) * d), (q - 1, (0,) * (d - 1) + (3,))])
             else:  # separable, with a constant and two terms in x_j: per-variable codes
-                j, coeffs = data.draw(st.integers(0, d - 1)), st.integers(1, q - 1)
+                j, e = data.draw(st.integers(0, d - 1)), data.draw(st.integers(1, 5))
+                coeffs = st.integers(1, q - 1)
                 terms = [(data.draw(st.integers(0, q - 1)), (0,) * d)]
                 for i in range(d):
                     terms.append((data.draw(coeffs), tuple(3 * (k == i) for k in range(d))))
-                terms.append((data.draw(coeffs), tuple(data.draw(st.integers(1, 5)) * (k == j) for k in range(d))))
+                terms.append((data.draw(coeffs), tuple(e * (k == j) for k in range(d))))
                 try:
                     P = make_polynomial(spec, d, terms)
                 except ZeroPolynomial:  # the two terms in x_j cancelled at d = 1

@@ -900,7 +900,8 @@ class TestRunners:
         q = 307  # 16 q^2 > _TABLE_BLOCK
         stated = []
         monkeypatch.setattr(harness, "_require_memory", lambda *args: stated.append(args))
-        cfg = ExperimentConfig(q=q, d=1, poly="x1^3+2*x1", out=str(tmp_path / "ph"), deterministic=True)
+        out = str(tmp_path / "ph")
+        cfg = ExperimentConfig(q=q, d=1, poly="x1^3+2*x1", out=out, deterministic=True)
         caches = (field._log_antilog, field.add_table, field.mul_table, field.neg_table)
         for cache in caches + (varieties.value_grid, _forward_kernel):
             cache.cache_clear()
