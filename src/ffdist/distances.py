@@ -20,12 +20,17 @@ Every answer is an exact integer count, reached by one of two routes:
   on one BLAS thread, as the execution policy of `fourier` sets out.
 
 Pinned distances convolve E with each nonempty fiber of P: d passes for
-E, then each fiber's spectrum from `varieties._fiber_spectra`, the one
-producer of fiber spectra (for separable P, d - 1 passes shared by every
-fiber and one a fiber), and d inverse passes a fiber.
+E, then fiber spectra from `varieties._fiber_spectra`, the one producer
+of fiber spectra (for separable P, d - 1 passes shared by every fiber and
+one a spectrum).  Diagonal P transforms one fiber a scaling coset and
+gathers the others' spectra from it, V_{l^K t}^(m) = V_t^(D_l m); any
+other P transforms every fiber.  The counts D_{E, V_t} are real, so two
+fibers share one set of d inverse passes, as the real and imaginary
+parts of one complex grid.
 `counting_function` and `pinned_distances` check their (P, E, F) triple
 once and pick a route function by a fixed cost rule (`_use_transform`)
-on |E||F| and the passes a convolution takes, so small sets, and every
+on |E||F| and the passes a convolution takes (`_pinned_passes` counts
+the pinned ones), so small sets, and every
 set at d = 1, stay on the pair kernel; `distance_set` and the verifiers
 read `counting_function`.  The transform route rounds floats to integers: it
 records its worst rounding residual and raises RoundingDivergence when
@@ -58,6 +63,8 @@ from .rng import SplitMix64, _mulhi, derive_seed
 from .varieties import (
     Polynomial,
     PointSet,
+    _coset_dilation,
+    _coset_members,
     _fiber_spectra,
     _fiber_work,
     _phase_rows,
@@ -120,31 +127,32 @@ _ROUNDING_BOUND = 0.1  # worst |raw - nearest integer| a transform count may sho
 
 # Route rule: the transform route is taken once |E||F| exceeds
 # _PASS_COST * passes * q * q^d, a pass being q^d products of length q.
-# Counting takes 3d passes.  Pinned distances are charged d for E and 2d
-# for each nonempty fiber, an upper bound: for separable P they take
-# 2d - 1 + (d + 1) per fiber, since the fiber spectra share d - 1 passes
-# and take one each.  The bound is kept because the actual count would
-# move the north-star pin case (F_61^3 against 500 pins) onto the
-# convolution, where the two routes measured alike (convolution
-# 0.92-1.21 s, pairs 1.02-1.15 s).  The constant at break-even is the
-# convolution's time per pass unit (q products) over the pair kernel's
-# time per pair, the pinned column measured with d forward passes a
-# fiber; with P = sum x_j^2 on a 2-core x86 VM (numpy 2.4.6, best of 5,
-# pinned best of 3) it read:
+# Counting takes 3d passes.  Pinned distances are charged the passes that
+# _pinned_passes counts, the ones their convolution runs: for
+# P = sum x_j^2, whose fibers fall in three scaling cosets, d + (d - 1) + 3
+# + d * ceil(fibers / 2).  The constant at break-even is the convolution's
+# time per pass unit (q products) over the pair kernel's time per pair.
+# With P = sum x_j^2 on a 2-core x86 VM (numpy 2.4.6), counting read, in
+# process, warm, best of 5, while pairs still summed flat indices:
 #
-#   counting, random |E| = |F|      pinned, E = F_q^d
-#   F_101^2, 2000    0.023          F_101^2, |F| = 2000    0.029
-#   F_125^2, 2000    0.025          F_71^2, |F| = 5041     0.040
-#   F_243^2, 3000    0.025          F_256^2, |F| = 300     0.020
-#   F_256^2, 1500    0.023          F_31^3, |F| = 3000     0.032
-#   F_31^3, 3000     0.030          F_61^3, |F| = 500      0.035
-#   F_61^3, 8000     0.030          F_16^3, |F| = 500      0.053
-#   F_64^3, 5000     0.028
-#   F_49^3, 8000     0.037
-#   F_16^3, 700      0.065
+#   F_101^2, 2000    0.023          F_61^3, 8000     0.030
+#   F_125^2, 2000    0.025          F_64^3, 5000     0.028
+#   F_243^2, 3000    0.025          F_49^3, 8000     0.037
+#   F_256^2, 1500    0.023          F_16^3, 700      0.065
+#   F_31^3, 3000     0.030
 #
-# 0.03 sits in the middle of the d >= 2 values; the north-star pin case,
-# F_61^3 against 500 pins, asks 0.022 of its pass units and stays on pairs.
+# and pinned, E = F_q^d, as the median time in cli.main of whole runs in
+# fresh processes, each route forced, the two alternated (7 runs a route,
+# 3 at F_211^2), in pass units |E||F| / (passes * q^(d+1)):
+#
+#   case                  passes  pass units  pairs (ms)  convolution (ms)  break-even
+#   F_71^2, all x all        78      0.91         183           20.0           0.099
+#   F_211^2, all x all      218      0.97      11,505          525             0.044
+#   F_61^3, all x 500       101      0.081        992          539             0.044
+#
+# 0.03 sits in the middle of the counting values and below the pinned
+# ones; the north-star pin case, F_61^3 against 500 pins, asks 0.081 of
+# its pass units and takes the convolution, which it ran 1.8 times faster.
 #
 # At d = 1 every count takes the pair kernel: a pass there is a
 # matrix-vector product that streams the whole 16q^2-byte kernel, and even
@@ -248,22 +256,48 @@ def _indicator_spectrum(spec: FieldSpec, d: int, indices: np.ndarray) -> np.ndar
     return _passes(spec, grid, d, bufs=(None, grid))
 
 
-def _difference_counts(spec: FieldSpec, d: int, prod: np.ndarray) -> tuple[np.ndarray, float]:
-    """D(z) = #{(x, y) in E x F : x - y = z} from prod = E^ * conj(F^), the
-    product of the forward passes of E and F, whose d inverse passes give
-    q^d * D.  D comes flat in encoding order as integral floats, with the
-    worst rounding residual |raw - D| over the whole grid.  The passes
-    write into prod, so the convolution holds three grids at a time."""
-    raw = _passes(spec, prod, d, bufs=(None, prod), rows=neg_table(spec))
-    raw /= float(spec.q) ** d
-    counts = np.rint(raw.real)
-    raw -= counts
-    residual = float(np.max(np.abs(raw)))
+def _rounding_residual(residual: float) -> float:
     if residual > _ROUNDING_BOUND:
         raise RoundingDivergence(
             f"difference convolution value off an integer by {residual!r}"
         )
-    return counts, residual
+    return residual
+
+
+def _difference_counts(
+    spec: FieldSpec, d: int, prod: np.ndarray, scratch: np.ndarray | None = None
+) -> tuple[np.ndarray, float]:
+    """D(z) = #{(x, y) in E x F : x - y = z} from prod = E^ * conj(F^), the
+    product of the forward passes of E and F, whose d inverse passes give
+    q^d * D.  D comes flat in encoding order as integral floats, with the
+    worst rounding residual |raw - D| over the whole grid.  The passes and
+    the rounding run in prod and `scratch`, a grid of prod's size (fresh
+    where None), and D is a view of scratch, so the convolution holds three
+    grids at a time."""
+    n = prod.size
+    scratch = np.empty_like(prod) if scratch is None else scratch
+    raw = _passes(spec, prod, d, bufs=(scratch, prod), rows=neg_table(spec))
+    raw /= float(spec.q) ** d
+    counts, err = scratch.view(np.float64)[:n], scratch.view(np.float64)[n:]
+    np.rint(raw.real, out=counts)
+    raw.real -= counts
+    return counts, _rounding_residual(float(np.abs(raw, out=err).max()))
+
+
+def _paired_difference_counts(
+    spec: FieldSpec, d: int, pack: np.ndarray, scratch: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """(D1, D2, residual) from pack = prod1 + i*prod2, two products whose
+    inverse passes are real: the inverse of the pack is D1 + i*D2, so one
+    set of d passes serves both.  Each half is rounded and its residual
+    checked on its own; D1 and D2 are strided views of scratch."""
+    raw = _passes(spec, pack, d, bufs=(scratch, pack), rows=neg_table(spec))
+    raw /= float(spec.q) ** d
+    halves, counts = raw.view(np.float64), scratch.view(np.float64)
+    np.rint(halves, out=counts)
+    halves -= counts
+    residual = _rounding_residual(float(np.abs(halves, out=halves).max()))
+    return counts[0::2], counts[1::2], residual
 
 
 # ---------------------------------------------------------------------------
@@ -359,23 +393,89 @@ def _fibers(vg: np.ndarray, q: int) -> np.ndarray:
     return np.flatnonzero(np.bincount(vg, minlength=q))
 
 
+# Entries of one block of a dilated fiber product (_fiber_product).
+_GATHER_ENTRIES = 1 << 14
+
+
+def _fiber_product(spectrum: np.ndarray, dilation, e_conj: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = V_t^ * conj(E^), whose conjugate is the product that the
+    inverse passes turn into D_{E, V_t}.  V_t^ is `spectrum`, or for a
+    dilation (lead, last) of varieties._coset_dilation the spectrum read
+    at D m, gathered and multiplied a block of rows of m at a time: the
+    index never takes a q^d array, and a block is multiplied while it is
+    in cache."""
+    if dilation is None:
+        return np.multiply(spectrum, e_conj, out=out)
+    lead, last = dilation
+    q = len(last)
+    grid, e_rows = out.reshape(-1, q), e_conj.reshape(-1, q)
+    rows = max(1, _GATHER_ENTRIES // q)
+    for lo in range(0, len(lead), rows):
+        block = grid[lo : lo + rows]
+        # every index is in range; mode="raise" would gather through a copy of out=
+        np.take(spectrum, lead[lo : lo + rows, None] + last, out=block, mode="clip")
+        block *= e_rows[lo : lo + rows]
+    return out
+
+
 def _pinned_convolution_sizes(
     P: Polynomial, E: PointSet, F: PointSet, fibers: np.ndarray
 ) -> np.ndarray:
     """The same counts by convolution: nu_y(t) = #{x in E : x - y in V_t}
     = D_{E, V_t}(y), one convolution per nonempty fiber t in `fibers`, read
-    at the pins.  Each fiber's spectrum from varieties._fiber_spectra is
-    consumed in place: its grid becomes the product, then the counts."""
+    at the pins.
+
+    The forward spectra come from varieties._fiber_spectra, one a scaling
+    coset of diagonal P (varieties._coset_members), and the other fibers
+    of the coset gather theirs from it, V_t^(m) = V_rep^(D m)
+    (_fiber_product); any other P takes one a fiber.  Each D_{E, V_t} is
+    real, so two fibers' products go through one inverse as
+    prod1 + i*prod2 (_paired_difference_counts); a lone last fiber takes
+    its own (_difference_counts).
+
+    Grids: E's spectrum, the pack that holds the first product of a pair,
+    and the shared table and two grids of _fiber_spectra.  One of the two
+    holds the representative's spectrum while its coset runs, the other
+    the second product of a pair and then the inverse's scratch and
+    counts, so no grid is allocated a fiber."""
     spec, d = P.spec, P.d
     sizes = np.zeros(F.size, dtype=np.int64)
+    cosets = _coset_members(P, fibers)
     with _one_blas_thread():
-        e_hat = _indicator_spectrum(spec, d, E.indices)
+        e_conj = _indicator_spectrum(spec, d, E.indices)
+        np.conj(e_conj, out=e_conj)
         work = _fiber_work(P)
-        for _, prod in _fiber_spectra(P, fibers, work, 0, work[1].shape[0]):
-            np.conj(prod, out=prod)
-            prod *= e_hat
-            sizes += _difference_counts(spec, d, prod)[0][F.indices] > 0
+        pack, pending = np.empty_like(e_conj), False
+        spectra = _fiber_spectra(P, [rep for rep, _ in cosets], work, 0, work[1].shape[0])
+        for (rep, members), (_, spectrum) in zip(cosets, spectra):
+            spare = work[4] if np.shares_memory(spectrum, work[5]) else work[5]
+            for t in members:  # the representative last, so its own may be overwritten
+                prod = pack if not pending else spectrum if t == rep else spare
+                _fiber_product(spectrum, _coset_dilation(P, rep, t), e_conj, prod)
+                if not pending:
+                    pending = True
+                    continue
+                # pack = conj(pack) + i * conj(prod)
+                pack.real += prod.imag
+                np.subtract(prod.real, pack.imag, out=pack.imag)
+                for counts in _paired_difference_counts(spec, d, pack, spare)[:2]:
+                    sizes += (counts > 0)[F.indices]
+                pending = False
+        if pending:
+            np.conj(pack, out=pack)
+            sizes += (_difference_counts(spec, d, pack, work[4])[0] > 0)[F.indices]
     return sizes
+
+
+def _pinned_passes(P: Polynomial, fibers: np.ndarray) -> int:
+    """The passes _pinned_convolution_sizes runs: d for E, the shared
+    table's L (d - 1 for separable P, else 0), d - L for each spectrum it
+    transforms, one a scaling coset of diagonal P and one a fiber of any
+    other, and d for each pair of fibers and for a lone last one."""
+    d = P.d
+    shared = d - 1 if is_separable(P) else 0
+    spectra = len(_coset_members(P, fibers))
+    return d + shared + (d - shared) * spectra + d * -(-len(fibers) // 2)
 
 
 def pinned_distances(
@@ -388,7 +488,7 @@ def pinned_distances(
     q, d, pairs = P.spec.q, P.d, E.size * F.size
     # one fiber is the least a convolution takes; past that, count them
     fibers = _fibers(value_grid(P), q) if _use_transform(pairs, q, d, 3 * d) else ()
-    if len(fibers) and _use_transform(pairs, q, d, d * (1 + 2 * len(fibers))):
+    if len(fibers) and _use_transform(pairs, q, d, _pinned_passes(P, fibers)):
         counts = _pinned_convolution_sizes(P, E, F, fibers)
     else:
         counts = _pinned_pair_sizes(P, E, F)

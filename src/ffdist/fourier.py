@@ -115,19 +115,25 @@ def _passes(spec: FieldSpec, values: np.ndarray, n: int, bufs=(None, None), rows
     The transposed operand reaches BLAS as a flag, not a copy.  Each pass
     stays one 2-d product with the kernel on the left: arr @ K, or a
     batched product over a middle axis, changes the last bit of some
-    values, which moves decay's argmax_m among ties.  `rows` reorders each
-    output axis: K[-x, m] = chi(x*m) gives the inverse pass.  Pass i writes
-    into bufs[i % 2], a C-contiguous complex128 array of values.size
-    entries, or a fresh one where that is None; without `rows` the result
-    is a flat view of the last buffer written."""
+    values, which moves decay's argmax_m among ties.  A buffer is a
+    C-contiguous complex128 array of values.size entries, or None for a
+    fresh one, made once.  Without `rows`, pass i writes into bufs[i % 2]
+    and the result is a flat view of the last buffer written.  `rows`
+    reorders each output axis, K[-x, m] = chi(x*m) giving the inverse
+    pass: every pass writes its product into bufs[0] and the reordered
+    rows into bufs[1], where the result lands, so bufs=(scratch, values)
+    runs the inverse in place with one scratch grid."""
     kernel, q = _forward_kernel(spec), spec.q
     bufs = [None if b is None else b.reshape(q, -1) for b in bufs]
     arr = values
     for _ in range(n):
         arr = np.matmul(kernel, arr.reshape(-1, q).T, out=bufs[0])
-        bufs.reverse()
-        if rows is not None:
-            arr = arr[rows]
+        if rows is None:
+            bufs.reverse()
+        else:
+            # every index is in range; mode="raise" would gather through a copy of out=
+            bufs = [arr, np.take(arr, rows, axis=0, out=bufs[1], mode="clip")]
+            arr = bufs[1]
     return arr.reshape(-1)
 
 

@@ -728,12 +728,14 @@ def _scan_row(cfg, spec, P, trial, E, F, report, hist: CountingHistogram) -> Sca
 # Peak bytes of distance, scan and pinned, under tracemalloc: per point of
 # F_q^d, P's value grid, E and F as full grids, then the exceptional set's
 # decay grids (64 B), the difference convolution's three complex grids, or
-# the pinned convolution (E's spectrum, the fiber spectra's table, gathered
-# grid and pass output, one more pass grid and the rounded counts: 104 B):
-# 64-119 B at q = 31, 101 and d = 2, 3 with E = F = F_q^d, and run_pinned
-# 128.1-128.5 B at F_211^2, F_307^2 and F_47^3 (134.8 B at F_101^2, where
-# ~70 KB of fixed cost shows); plus one block of the pair kernel, which is
-# most of the peak at d = 1.
+# the pinned convolution (E's spectrum, the pack of a pair of fibers, the
+# fiber spectra's table and two grids, in which the inverse passes and
+# their rounding run, and a mark a point: 81 B): 64-119 B at q = 31, 101
+# and d = 2, 3 with E = F = F_q^d, and run_pinned 114.0-118.5 B at
+# F_211^2, F_307^2, F_47^3 and F_61^3 for sum x_j^2 and 114.1 B at F_47^3
+# for a P that is not diagonal (134.4 B at F_101^2, where ~70 KB of fixed
+# cost shows); plus one block of the pair kernel, which is most of the
+# peak at d = 1.
 _CONVOLUTION_POINT_BYTES = 128
 
 

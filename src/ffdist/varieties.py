@@ -4,14 +4,20 @@ Everything here is exact enumeration: fibers V_t = {x : P(x) = t} are
 listed point by point, character sums are summed term by term, and the
 decay spectrum of each fiber comes from the grid transform's passes.
 `_fiber_spectra` is the one producer of fiber spectra: decay, the
-exceptional set and the pinned convolution of `distances` all read it.
+exceptional set of any P that is not a diagonal quadratic form, and the
+pinned convolution of `distances` all read it.
 For separable P (every term in at most one variable, as every CLI
 polynomial is) the first d-1 passes of every fiber read one shared table,
 so each fiber pays for one pass.  Decay's peaks run that pass in column
 ranges, one a worker, on one BLAS thread: `fourier` states that execution
 policy and owns the helpers it runs on.
 Exceptional sets of diagonal P transform one fiber per scaling coset of t
-(`_scaling_cosets`), since dilations carry the other fibers onto it.  The
+(`_scaling_cosets`), since dilations carry the other fibers onto it, and
+the pinned convolution gathers the other fibers' spectra from it
+(`_coset_members`, `_coset_dilation`).  For P = sum_j a_j x_j^2 over a
+field of odd characteristic the exceptional set needs no transform: each
+fiber's peak is a Kloosterman or Salie sum in closed form
+(`_quadratic_peaks`).  The
 phase sums sum_x chi(s*P(x) + m*x) for all s != 0 and m come as one table
 (`_phase_table`), or one row s at a time from the inverse transform of
 chi(s*P) (`_phase_rows`), which checks the table and gives its maxima in
@@ -508,19 +514,139 @@ def _scaling_cosets(P: Polynomial) -> np.ndarray:
     return np.append(0, 1 + log[1:] % g)
 
 
+def _coset_members(P: Polynomial, ts) -> list[tuple[int, list[int]]]:
+    """The t in ts grouped by _scaling_cosets, as (representative, members)
+    a coset in order of first appearance: the representative is the
+    smallest t of its coset in ts and comes last among the members.  Any
+    P that is not diagonal has each t alone."""
+    labels = _scaling_cosets(P)
+    cosets: dict[int, list[int]] = {}
+    for t in ts:
+        cosets.setdefault(int(labels[t]), []).append(int(t))
+    out = []
+    for members in cosets.values():
+        rep = min(members)
+        out.append((rep, [t for t in members if t != rep] + [rep]))
+    return out
+
+
+def _coset_dilation(P: Polynomial, rep: int, t: int):
+    """None when t = rep, else the dilation (lead, last) of _dilation_index
+    with V_t^(m) = V_rep^(D m), for t and rep nonzero in one coset of
+    _scaling_cosets of diagonal P.
+
+    D = D_l of _scaling_cosets with l^K = t / rep, l = w^a for the
+    primitive element w of _log_antilog: a*K = log t - log rep mod q-1,
+    which g = gcd(K, q-1) divides, solved by one modular inverse."""
+    if t == rep:
+        return None
+    spec, q = P.spec, P.spec.q
+    exps = [0] * P.d
+    for _, e in P.terms:
+        exps[e.index(max(e))] = max(e)
+    K = math.lcm(*exps)
+    g = math.gcd(K, q - 1)
+    log, antilog = _log_antilog(spec)
+    a = (log[t] - log[rep]) // g * pow(K // g, -1, (q - 1) // g) % ((q - 1) // g)
+    return _dilation_index(spec, [antilog[a * (K // k) % (q - 1)] for k in exps])
+
+
+def _dilation_index(spec: FieldSpec, scale) -> tuple[np.ndarray, np.ndarray]:
+    """(lead, last) with flat(D m) = lead[m // q] + last[m % q] for the
+    diagonal D = diag(scale) on F_q^d, d = len(scale): last maps m_1 and
+    lead the rows (m_d .. m_2), q^(d-1) entries."""
+    mt, q = mul_table(spec), spec.q
+    lead = np.zeros(1, np.int64)
+    for j in range(len(scale) - 1, 0, -1):  # x_d first: it has the largest stride
+        lead = (lead[:, None] + mt[scale[j]] * q**j).ravel()
+    return lead, mt[scale[0]]
+
+
+def _diagonal_quadratic(P: Polynomial) -> bool:
+    """Whether P = sum_j a_j x_j^2 over a field of odd characteristic."""
+    return P.kind == DIAGONAL and P.spec.p != 2 and all(max(e) == 2 for _, e in P.terms)
+
+
+# Bytes of the character block that _quadratic_peaks gathers at once.
+_SUM_BLOCK_BYTES = 1 << 22
+
+
+def _quadratic_peaks(P: Polynomial, ts) -> list[float]:
+    """max_{m != 0} |V_t^(m)| for each t in ts, for P = sum_j a_j x_j^2
+    over a field of odd characteristic (_diagonal_quadratic), in closed
+    form with no transform (Iosevich-Rudnev).
+
+    For m != 0, V_t^(m) = q^(-d-1) sum_{s != 0} chi(-s*t) prod_j
+    sum_x chi(s*a_j*x^2 - m_j*x), and each factor is a Gauss sum,
+    eta(s*a_j) G chi(-m_j^2 / (4*s*a_j)) with |G| = sqrt(q) and eta the
+    quadratic character.  So |V_t^(m)| = q^(-d/2-1) |W(t, u)| with
+    u = sum_j m_j^2 / a_j and
+        W(t, u) = sum_{s != 0} eta(s)^d chi(-s*t - u/(4s)),
+    a Kloosterman sum (d even) or a Salie sum (d odd).  Put s = s'/t:
+    |W(t, u)| = |W(1, t*u)| for t != 0.  Put r = 1/(4s):
+    W(t, v) = sum_{r != 0} eta(r)^d chi(-t/(4r)) chi(-v*r), so the rows
+    t = 0 and t = 1 are two weight vectors times the forward kernel's rows
+    r != 0, gathered a block of rows at a time within _SUM_BLOCK_BYTES, so
+    no q x q array is held.  The maximum runs over the u that some m != 0
+    attains: the value counts of the parts m_j^2 / a_j, added by d - 1
+    additive convolutions, less the one count of m = 0."""
+    spec, d, q = P.spec, P.d, P.spec.q
+    at, mt, neg = add_table(spec), mul_table(spec), neg_table(spec)
+    log, antilog = _log_antilog(spec)
+    inverse = antilog[-log % (q - 1)]  # inverse[0] is never read
+    squares = pow_table(spec, 2)
+    counts = np.ones(1)  # the value counts of sum_j m_j^2 / a_j, at u = 0 to begin
+    for coeff, _ in P.terms:
+        part = np.bincount(mt[inverse[coeff], squares], minlength=q)
+        u, v = np.flatnonzero(counts), np.flatnonzero(part)
+        both = np.outer(counts[u], part[v]).ravel()
+        counts = np.bincount(at[u[:, None], v].ravel(), weights=both, minlength=q)
+    counts[0] -= 1  # m = 0
+    attained = np.flatnonzero(counts)
+    r = np.arange(1, q)
+    eta = np.where(log[r] % 2, -1.0, 1.0) ** d
+    four = at[at[1, 1], at[1, 1]]
+    weights = np.stack([eta, eta * spec.char_table[neg[inverse[mt[four, r]]]]])
+    chi_neg = spec.char_table[neg]  # chi(-x)
+    sums = np.zeros((2, q), np.complex128)
+    rows = max(1, _SUM_BLOCK_BYTES // (16 * q))
+    with _one_blas_thread():
+        for lo in range(1, q, rows):
+            hi = min(lo + rows, q)
+            sums += weights[:, lo - 1 : hi - 1] @ chi_neg[mt[lo:hi]]
+    mag = np.abs(sums) * float(q) ** (-d / 2 - 1)
+    return [
+        float(mag[0, attained].max() if t == 0 else mag[1, mt[t, attained]].max())
+        for t in ts
+    ]
+
+
 def exceptional_set(
     P: Polynomial,
     kappa_sharp: float = 3.0,
     kappa_fallback: float = 3.0,
 ) -> ExceptionalReport:
-    """split_fibers of P's fibers, with one transform per scaling coset
-    (_scaling_cosets): the smallest t of each coset speaks for all of it."""
+    """split_fibers of P's fibers, the smallest t of each scaling coset
+    (_scaling_cosets) speaking for all of it.
+
+    For P = sum_j a_j x_j^2 over a field of odd characteristic, at any d
+    and over prime or extension fields, the peaks come in closed form
+    (_quadratic_peaks) in O(q^2) time and O(q) memory beside the field's
+    tables, with no transform and no kernel.  Every other P, among them
+    p = 2, mixed exponents and any term that is not a square, transforms
+    one fiber a coset (_fiber_peaks).  The two agree to float error, and
+    the classes threshold the peaks with _TIE_SLACK, so T and A only move
+    if a peak sits within 1e-9 of a threshold."""
     q, d = P.spec.q, P.d
     labels = _scaling_cosets(P).tolist()
     first = {}
     for t, label in enumerate(labels):
         first.setdefault(label, t)
-    peak = {labels[t]: mx for t, mx, _ in _fiber_peaks(P, first.values())}
+    if _diagonal_quadratic(P):
+        peaks = _quadratic_peaks(P, first.values())
+    else:
+        peaks = [mx for _, mx, _ in _fiber_peaks(P, first.values())]
+    peak = dict(zip(first, peaks))
     classes = [_decay_class(peak[label], q, d, kappa_sharp, kappa_fallback)[2] for label in labels]
     sizes = np.bincount(value_grid(P), minlength=q)
     return split_fibers(P, sizes, classes)

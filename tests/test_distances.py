@@ -15,8 +15,10 @@ from ffdist.distances import (
     _convolution_counts,
     _fibers,
     _pair_counts,
+    _paired_difference_counts,
     _pinned_convolution_sizes,
     _pinned_pair_sizes,
+    _pinned_passes,
     _use_transform,
     _verdict,
     counting_function,
@@ -33,6 +35,7 @@ from ffdist.field import add_table, field_from_order, make_field, mul_table, neg
 from ffdist.rng import SplitMix64, derive_seed, sample_indices
 from ffdist.varieties import (
     PointSet,
+    _coset_members,
     decay_spectrum,
     diagonal_polynomial,
     exceptional_set,
@@ -50,6 +53,14 @@ F5 = make_field(5)
 F7 = make_field(7)
 F9 = make_field(3, 2)
 F13 = make_field(13)
+
+
+CROSS = "x1^2 + x1*x2 + 3*x2^2"
+
+
+def cross_polynomial(spec):
+    """x1^2 + x1*x2 + 3*x2^2, which parse_polynomial cannot spell."""
+    return make_polynomial(spec, 2, [(1, (2, 0)), (1, (1, 1)), (3, (0, 2))])
 
 
 def random_set(spec, d, k, seed):
@@ -550,8 +561,10 @@ class TestRoutes:
             (71, 2, 71**2, 71**2, True, True),
             (31, 3, 1733, 1733, False, True),
             (31, 3, 5000, 5000, False, True),
-            # the north-star pin case, faster on pairs
-            (61, 3, 61**3, 500, True, False),
+            # the north-star pin case: on pairs while pins were charged
+            # 2d passes a fiber, on the convolution since fibers share
+            # their cosets' spectra and pair their inverses
+            (61, 3, 61**3, 500, True, True),
             # d = 1: always pairs, where a pass streams the whole kernel
             (1009, 1, 504, 504, False, False),
             (2003, 1, 1002, 1002, False, False),
@@ -561,8 +574,8 @@ class TestRoutes:
         ],
     )
     def test_cost_rule_routes(self, q, d, size_e, size_f, pins, fourier):
-        # every fiber of sum x_j^2 is nonempty at d >= 2
-        passes = d * (1 + 2 * q) if pins else 3 * d
+        P = diagonal_polynomial(field_from_order(q), d, 2)
+        passes = _pinned_passes(P, _fibers(value_grid(P), q)) if pins else 3 * d
         assert _use_transform(size_e * size_f, q, d, passes) == fourier
 
     @pytest.mark.parametrize("q, size", [(1009, 504), (2003, 1002), (1009, 1009)])
@@ -594,7 +607,8 @@ class TestRoutes:
         ],
     )
     def test_cost_rule_sends_every_line_to_pairs(self, q, d, size, fourier):
-        for passes in (3 * d, d * (1 + 2 * q)):
+        P = diagonal_polynomial(field_from_order(q), d, 2)
+        for passes in (3 * d, _pinned_passes(P, _fibers(value_grid(P), q))):
             assert _use_transform(size * size, q, d, passes) == fourier
 
     @pytest.mark.parametrize("built", [False, True])
@@ -680,17 +694,27 @@ class TestRoutes:
         assert np.array_equal(_pinned_convolution(P, E, F), _pinned_pair_sizes(P, E, F))
 
     @pytest.mark.parametrize(
-        "q, d, text",
-        [(13, 2, "x1^4"), (7, 3, "x1^2 + 2*x2^3 + x3"), (9, 3, "x1^2 + x2^2 + x3^2")],
+        "q, d, text, spectra",
+        [
+            (13, 2, "x1^4", 4),  # separable, not diagonal: a spectrum a fiber
+            (7, 3, "x1^2 + 2*x2^3 + x3", 7),
+            (9, 3, "x1^2 + x2^2 + x3^2", 3),  # diagonal: t = 0 and two cosets
+            (13, 2, "x1^4 + 3*x2^2", 5),  # gcd(4, 12) = 4 cosets besides t = 0
+            (13, 2, CROSS, 13),  # not separable: d forward passes a fiber
+        ],
     )
-    def test_pinned_convolution_reads_the_shared_fiber_spectra(self, monkeypatch, q, d, text):
-        # for separable P: d passes for E, the d - 1 passes of the shared
-        # table, then one forward and d inverse passes a nonempty fiber, and
-        # no fiber indicator transformed on its own
+    def test_pinned_convolution_reads_the_shared_fiber_spectra(
+        self, monkeypatch, q, d, text, spectra
+    ):
+        # d passes for E, the shared table's (d - 1 for separable P), then
+        # one forward spectrum a scaling coset of diagonal P, or a fiber of
+        # any other (d - L passes each), the other fibers of a coset
+        # gathered from it, and d inverse passes a pair of fibers, or a
+        # lone last one; no fiber indicator is transformed on its own
         from ffdist import distances, fourier, varieties
 
-        passes, indicators = [], []
-        indicator_spectrum = distances._indicator_spectrum
+        passes, indicators, dilations = [], [], []
+        indicator_spectrum, product = distances._indicator_spectrum, distances._fiber_product
 
         def counted_passes(spec, values, n, bufs=(None, None), rows=None):
             passes.append((n, rows is not None))
@@ -700,18 +724,114 @@ class TestRoutes:
             indicators.append(indices)
             return indicator_spectrum(spec, d, indices)
 
+        def counted_product(spectrum, dilation, e_conj, out):
+            if dilation is not None:
+                dilations.append(dilation)
+            return product(spectrum, dilation, e_conj, out)
+
         monkeypatch.setattr(distances, "_passes", counted_passes)
         monkeypatch.setattr(varieties, "_passes", counted_passes)
         monkeypatch.setattr(distances, "_indicator_spectrum", counted_indicator)
+        monkeypatch.setattr(distances, "_fiber_product", counted_product)
         spec = field_from_order(q)
-        P = parse_polynomial(text, spec, d)
+        P = cross_polynomial(spec) if text == CROSS else parse_polynomial(text, spec, d)
         E, F = random_set(spec, d, q ** (d - 1), seed=46), random_set(spec, d, 2 * q, seed=47)
         sizes = _pinned_convolution(P, E, F)
-        fibers = np.count_nonzero(np.bincount(value_grid(P), minlength=q))
-        assert fibers < q or d == 3  # x1^4 over F_13 leaves fibers empty
-        assert passes == [(d, False)] + [(1, False)] * (d - 1) + [(1, False), (d, True)] * fibers
+        fibers = _fibers(value_grid(P), q)
+        shared = d - 1 if text != CROSS else 0
+        want, held, gathered = [(d, False)] + [(1, False)] * shared, 0, 0
+        for rep, members in _coset_members(P, fibers):
+            want.append((d - shared, False))
+            for t in members:
+                gathered += t != rep
+                held += 1
+                if held == 2:
+                    want.append((d, True))
+                    held = 0
+        want += [(d, True)] * held
+        assert passes == want
+        assert sum(n for n, _ in passes) == _pinned_passes(P, fibers)
+        assert len(_coset_members(P, fibers)) == spectra
+        assert len(dilations) == gathered == len(fibers) - spectra
         assert len(indicators) == 1 and indicators[0] is E.indices
         assert np.array_equal(sizes, _pinned_pair_sizes(P, E, F))
+
+    @pytest.mark.parametrize(
+        "q, d, text, fibers, cosets",
+        [
+            (13, 1, "x1^3", 5, 2),  # K = 3, gcd(3, 12) = 3
+            (11, 1, "x1^3", 11, 2),  # gcd(3, 10) = 1: every t != 0 in one coset
+            (13, 1, "x1^4", 4, 2),  # an even count, one pair across two cosets
+            (13, 2, "x1^4 + 3*x2^2", 13, 5),  # K = 4, gcd 4
+            (13, 2, "x1^3 + 2*x2^2", 13, 7),  # K = 6, gcd 6: each t alone
+            (11, 2, "x1^3 + 2*x2^2", 11, 3),  # K = 6, gcd 2
+            (13, 2, "x1^6 + x2^6", 5, 3),
+            (25, 2, "x1^2 + 3*x2^2", 25, 3),  # extension fields
+            (27, 2, "x1^3 + 2*x2^2", 27, 3),
+            (16, 2, "x1^3 + x2^3", 16, 4),  # p = 2, an even count
+            (9, 3, "x1^2 + x2^2 + 2*x3^2", 9, 3),
+            (13, 2, "x1^2 + x2^2 + x1", 13, 13),  # separable, not diagonal
+            (13, 2, "x1^4", 4, 4),
+            (13, 2, CROSS, 13, 13),  # a cross term
+        ],
+    )
+    def test_packed_coset_route_equals_the_pair_kernel(self, q, d, text, fibers, cosets):
+        spec = field_from_order(q)
+        P = cross_polynomial(spec) if text == CROSS else parse_polynomial(text, spec, d)
+        nonempty = _fibers(value_grid(P), q)
+        assert (len(nonempty), len(_coset_members(P, nonempty))) == (fibers, cosets)
+        n = q**d
+        cases = [
+            (full_grid(spec, d), full_grid(spec, d)),
+            (random_set(spec, d, q ** (d - 1), seed=60), random_set(spec, d, min(n, 2 * q), seed=61)),
+            (random_set(spec, d, 3, seed=62), random_set(spec, d, 5, seed=63)),
+        ]
+        for E, F in cases:
+            assert np.array_equal(_pinned_convolution(P, E, F), _pinned_pair_sizes(P, E, F))
+
+    @pytest.mark.parametrize("half", ["real", "imag"])
+    def test_either_half_of_a_pack_off_an_integer_diverges(self, monkeypatch, half):
+        # sixteen fibers: every inverse is a pack; one value of one half is
+        # moved 0.3 off its integer, and the route raises with the BLAS
+        # thread count restored
+        from ffdist import distances, fourier
+
+        spec = field_from_order(16)
+        P = parse_polynomial("x1^3 + x2^3", spec, 2)
+        E = full_grid(spec, 2)
+        assert len(_fibers(value_grid(P), 16)) == 16
+
+        def nudged_passes(spec, values, n, bufs=(None, None), rows=None):
+            out = fourier._passes(spec, values, n, bufs, rows)
+            if rows is not None:
+                getattr(out, half)[7] += 0.3 * spec.q**n
+            return out
+
+        calls = fourier._blas_thread_calls()
+        before = calls[0]() if calls else None
+        monkeypatch.setattr(distances, "_passes", nudged_passes)
+        with pytest.raises(RoundingDivergence, match="off an integer by 0.(29|30)"):
+            _pinned_convolution(P, E, E)
+        if calls:
+            assert calls[0]() == before
+        monkeypatch.undo()
+        assert np.array_equal(_pinned_convolution(P, E, E), _pinned_pair_sizes(P, E, E))
+
+    def test_a_pack_rounds_each_half_on_its_own(self, monkeypatch):
+        from ffdist import distances
+        from ffdist.fourier import _passes
+
+        spec = F13
+        rng = np.random.default_rng(64)
+        counts = rng.integers(0, 9, size=(2, 169)).astype(np.float64)
+        # the forward passes of D1 + i*D2 hold what the inverse turns back
+        pack = _passes(spec, counts[0] + 1j * counts[1], 2).copy()
+        one, two, residual = _paired_difference_counts(spec, 2, pack, np.empty_like(pack))
+        assert np.array_equal(one, counts[0]) and np.array_equal(two, counts[1])
+        assert 0.0 <= residual < 1e-9
+        monkeypatch.setattr(distances, "_ROUNDING_BOUND", -1.0)
+        with pytest.raises(RoundingDivergence):
+            _paired_difference_counts(spec, 2, pack, np.empty_like(pack))
 
     def test_pinned_convolution_builds_the_fiber_list_once(self, monkeypatch):
         from ffdist import distances

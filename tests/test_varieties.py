@@ -15,11 +15,14 @@ from ffdist.errors import (
 )
 from ffdist.field import (
     _is_irreducible,
+    _log_antilog,
     add_table,
     decode_points,
     field_from_order,
     make_field,
     mul_table,
+    neg_table,
+    pow_table,
 )
 from ffdist.distances import product_set_experiment
 from ffdist.fourier import ComplexGrid, _column_ranges, fourier_transform
@@ -590,7 +593,6 @@ class TestExceptionalSets:
         monkeypatch.setattr(varieties, "_fiber_peaks", counting)
         for q, d, text, K in [
             (31, 3, "x1^3 + 2*x2^2 + x3^4", 12),
-            (101, 2, "x1^2 + x2^2", 2),
             (27, 2, "x1^3 + x2^3", 3),
             (13, 2, "x1^4 + 5*x2^3", 12),
             (17, 1, "3*x1^5", 5),
@@ -601,6 +603,20 @@ class TestExceptionalSets:
         calls.clear()
         exceptional_set(parse_polynomial("x1^2 + x2^2 + x1", F13, 2))
         assert len(calls) == 13
+        # a diagonal quadratic form transforms no fiber: its one closed-form
+        # call reads one t a coset, t = 0 and the two square classes
+        closed = []
+        real_closed = varieties._quadratic_peaks
+
+        def counting_closed(P, ts):
+            ts = list(ts)
+            closed.append(ts)
+            return real_closed(P, ts)
+
+        monkeypatch.setattr(varieties, "_quadratic_peaks", counting_closed)
+        calls.clear()
+        exceptional_set(parse_polynomial("x1^2 + x2^2", field_from_order(101), 2))
+        assert calls == [] and closed == [[0, 1, 2]]
 
     def test_small_fiber_lands_in_T_by_size(self):
         # q = 7: the zero fiber of the circle is just the origin
@@ -608,6 +624,136 @@ class TestExceptionalSets:
         rep = exceptional_set(P)
         assert 0 in rep.T
         assert variety(P, 0).size == 1
+
+
+def quadratic(q, coeffs):
+    """sum_j a_j x_j^2 over F_q with the coefficient encodings `coeffs`."""
+    return diagonal_polynomial(field_from_order(q), len(coeffs), 2, coeffs)
+
+
+def is_square(spec, a) -> bool:
+    return a != 0 and _log_antilog(spec)[0][a] % 2 == 0
+
+
+# (q, coefficients): prime and extension fields, d = 1..4, square and
+# non-square a_j, and at d = 2 dual forms with and without an isotropic m
+QUADRATIC_CASES = [
+    (13, [2]),
+    (13, [1, 1]),
+    (13, [1, 2, 5]),
+    (13, [1, 1, 1, 2]),
+    (31, [3]),
+    (31, [1, 1]),  # -1 is not a square mod 31: no m != 0 has u = 0
+    (31, [1, 3]),
+    (31, [1, 1, 1]),
+    (9, [5]),
+    (9, [1, 1]),
+    (9, [1, 1, 5]),
+    (9, [1, 1, 1, 1]),
+    (25, [1, 3]),
+    (25, [1, 1, 2]),
+    (27, [2]),
+    (27, [1, 1]),
+    (27, [1, 1, 2]),
+    (125, [3]),
+    (125, [1, 2]),
+]
+
+
+class TestQuadraticClosedForm:
+    """exceptional_set's closed form for sum_j a_j x_j^2, p odd."""
+
+    def test_cases_cover_squares_and_both_kinds_of_dual_form(self):
+        squares, isotropic = set(), set()
+        for q, coeffs in QUADRATIC_CASES:
+            spec = field_from_order(q)
+            squares |= {is_square(spec, a) for a in coeffs}
+            if len(coeffs) == 2:  # u = m1^2/a1 + m2^2/a2 = 0 has m != 0 iff -a1*a2 is a square
+                isotropic.add(is_square(spec, mul_table(spec)[spec.neg(coeffs[0]), coeffs[1]]))
+        assert squares == isotropic == {True, False}
+        assert {len(c) for _, c in QUADRATIC_CASES} == {1, 2, 3, 4}
+        assert {field_from_order(q).n for q, _ in QUADRATIC_CASES} == {1, 2, 3}
+
+    @pytest.mark.parametrize("q, coeffs", QUADRATIC_CASES)
+    def test_closed_form_matches_both_oracles(self, q, coeffs):
+        P = quadratic(q, coeffs)
+        assert varieties._diagonal_quadratic(P)
+        got = varieties._quadratic_peaks(P, range(q))
+        transformed = [mx for _, mx, _ in per_fiber_peaks(P, range(q))]
+        np.testing.assert_allclose(got, transformed, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(got, fiber_peaks_by_phase_identity(P), rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("q, coeffs", [(101, [1, 1, 1]), (31, [1, 1, 1, 3])])
+    def test_closed_form_matches_the_fiber_peaks_at_size(self, q, coeffs):
+        P = quadratic(q, coeffs)
+        got = varieties._quadratic_peaks(P, range(q))
+        want = [mx for _, mx, _ in _fiber_peaks(P, range(q))]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize(
+        "q, coeffs, kappas",
+        [
+            (13, [1, 1], (3.0, 3.0)),
+            (31, [1, 1], (3.0, 3.0)),
+            (31, [1, 1, 1], (3.0, 3.0)),
+            (101, [1, 1], (3.0, 3.0)),
+            (9, [1, 1], (2.0, 3.0)),
+            (27, [1, 1, 2], (2.5, 3.5)),
+            (25, [1, 3], (1.5, 2.0)),
+            (13, [2], (3.0, 3.0)),
+            (13, [1, 1, 1, 2], (3.0, 9.0)),
+        ],
+    )
+    def test_exceptional_sets_equal_the_transform_route(self, monkeypatch, q, coeffs, kappas):
+        P = quadratic(q, coeffs)
+        closed = exceptional_set(P, *kappas)
+        monkeypatch.setattr(varieties, "_diagonal_quadratic", lambda P: False)
+        transformed = exceptional_set(P, *kappas)
+        assert (closed.T, closed.A) == (transformed.T, transformed.A)
+        assert closed.vu_bound_ok == transformed.vu_bound_ok
+        assert closed.size_hypothesis_droppable == transformed.size_hypothesis_droppable
+        assert closed == transformed
+
+    @pytest.mark.parametrize("text", ["x1^2 + x2^3", "x1^2 + x2^2 + x1", "x1^4 + x2^4"])
+    def test_other_polynomials_keep_the_transforms(self, text):
+        assert not varieties._diagonal_quadratic(parse_polynomial(text, F13, 2))
+        assert not varieties._diagonal_quadratic(quadratic(16, [1, 1]))  # p = 2
+
+    def test_a_line_of_4001_holds_no_q_by_q_array(self):
+        # d = 1: the transform route would build the 16q^2-byte kernel; the
+        # closed form holds a block of characters and O(q) vectors beside
+        # the field's tables
+        import tracemalloc
+
+        from ffdist.fourier import _forward_kernel
+
+        q = 4001
+        P = quadratic(q, [3])
+        spec = P.spec
+        add_table(spec), mul_table(spec), neg_table(spec), pow_table(spec, 2), value_grid(P)
+        _forward_kernel.cache_clear()
+        tracemalloc.start()
+        try:
+            report = exceptional_set(P)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < q * q  # a sixteenth of 16q^2
+        assert _forward_kernel.cache_info().currsize == 0
+        # the fibers {3x^2 = t} have 0, 1 or 2 points, so each peak is
+        # max_{m != 0} |sum_{x in V_t} chi(-x*m)| / q directly
+        chi_neg, mt = spec.char_table[neg_table(spec)], mul_table(spec)
+        vg = value_grid(P)
+        peaks = varieties._quadratic_peaks(P, range(q))
+        for t in range(0, q, 37):
+            roots = np.flatnonzero(vg == t)
+            mag = np.abs(chi_neg[mt[roots]].sum(axis=0)) / q
+            assert peaks[t] == pytest.approx(mag[1:].max() if len(roots) else 0.0, rel=1e-12, abs=1e-15)
+        # every nonempty fiber decays sharply (c_sharp <= 2), so T holds
+        # exactly the empty ones, by size
+        sizes = np.bincount(vg, minlength=q)
+        assert report.T == {t for t in range(q) if sizes[t] == 0}
+        assert report.A == frozenset()
 
 
 class TestWeilSum:

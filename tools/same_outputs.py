@@ -129,7 +129,12 @@ ORBIT_CASES = (
 # once ran as one block on one worker and now run as two column ranges
 # (F_13^2 and F_211^1); and the pair kernel's per-variable codes of
 # separable P, in base d + 1 over F_64 (p = 2) and with two terms in x1
-# over F_27, beside the flat indices it sums at d = 1 (F_4001).
+# over F_27, beside the flat indices it sums at d = 1 (F_4001); and the
+# pinned convolution's pairs of fibers to an inverse, with spectra gathered
+# from one fiber a scaling coset, over four cosets besides t = 0 (F_13^2,
+# x1^3 + 2*x2^3) and over an extension field with mixed coefficients
+# (F_25^2), beside exceptional sets in closed form over extension fields
+# (F_27^3 and F_25^2).
 EDGE_CASES = (
     "decay --q 9 --d 2 --poly 7*x2^5+5*x1^5 --kappa-sharp 2",
     "pinned --q 1021 --d 2 --poly x1^2+x2^2 --setE random:3000 --setF random:200 --seed 1",
@@ -168,6 +173,10 @@ EDGE_CASES = (
     "pinned --p 2 --n 6 --d 3 --poly x1^3+x2^3+x3^2+x1 --setE random:300 --setF random:40",
     "distance --p 3 --n 3 --d 2 --poly 2*x1^4+x1+x2^2 --setE random:200 --setF random:50",
     "pinned --q 4001 --d 1 --poly x1^3+x1 --setE random:400 --setF random:200",
+    "pinned --q 13 --d 2 --poly x1^3+2*x2^3 --setE all --setF all",
+    "pinned --q 25 --d 2 --poly x1^2+3*x2^2 --setE all --setF all",
+    "distance --q 27 --d 3 --poly x1^2+x2^2+2*x3^2 --setE all --setF all",
+    "scan --q 25 --d 2 --poly x1^2+2*x2^2 --grid 400,40000 --trials 2",
 )
 
 
