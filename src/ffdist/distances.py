@@ -11,12 +11,17 @@ Every answer is an exact integer count, reached by one of two routes:
   values are the marks they set in a (pins, q) boolean array, so no row
   is sorted;
 * fourier: the difference convolution D(z) = #{(x, y) in E x F : x - y = z}
-  through the transform passes of `fourier._passes`: the forward passes
-  of the indicators of E and F, the product of E's with the conjugate of
-  F's, and the inverse passes (3d passes in all), rounded to integers,
-  then nu(t) = sum of D over the fiber {P = t}.  This is the Fourier
-  counting identity nu(t) = q^(2d) sum_m conj(E^)(m) F^(m) V_t^(m) of
-  Iosevich-Rudnev, evaluated in one pass for every t.  The products run
+  on half the spectrum: E and F are real, so their spectra at -m are the
+  conjugates of those at m, and D is real.  `fourier._real_forward` takes
+  each indicator to its spectrum at the m whose m_1 lies in the half rows
+  R = {m_1 <= -m_1} (one real product, then d - 1 complex passes on
+  grids of |R| q^(d-1) entries), the product of E's with the conjugate of
+  F's is weighted 2 where m_1 != -m_1, and `fourier._real_inverse` keeps
+  the real part of the inverse (d - 1 passes and one real product), so
+  about half the work of 3d full passes for odd p; D is rounded to
+  integers, then nu(t) = sum of D over the fiber {P = t}.  This is the
+  Fourier counting identity nu(t) = q^(2d) sum_m conj(E^)(m) F^(m)
+  V_t^(m) of Iosevich-Rudnev, evaluated in one pass for every t.  The products run
   on one BLAS thread, as the execution policy of `fourier` sets out.
 
 Pinned distances convolve E with each nonempty fiber of P: d passes for
@@ -58,7 +63,7 @@ from .field import (
     neg_table,
     pow_table,
 )
-from .fourier import _one_blas_thread, _passes
+from .fourier import _half_rows, _one_blas_thread, _passes, _real_forward, _real_inverse
 from .rng import SplitMix64, _mulhi, derive_seed
 from .varieties import (
     Polynomial,
@@ -126,33 +131,45 @@ _PAIR_BLOCK_BYTES = 512 << 10
 _ROUNDING_BOUND = 0.1  # worst |raw - nearest integer| a transform count may show
 
 # Route rule: the transform route is taken once |E||F| exceeds
-# _PASS_COST * passes * q * q^d, a pass being q^d products of length q.
-# Counting takes 3d passes.  Pinned distances are charged the passes that
-# _pinned_passes counts, the ones their convolution runs: for
-# P = sum x_j^2, whose fibers fall in three scaling cosets, d + (d - 1) + 3
-# + d * ceil(fibers / 2).  The constant at break-even is the convolution's
-# time per pass unit (q products) over the pair kernel's time per pair.
-# With P = sum x_j^2 on a 2-core x86 VM (numpy 2.4.6), counting read, in
-# process, warm, best of 5, while pairs still summed flat indices:
+# _PASS_COST * passes * q * q^d, a pass being q^d complex products of
+# length q.  Counting is charged the passes its half-spectrum convolution
+# runs (_counting_passes: 2.27 at F_101^2 and 3.87 at F_31^3).  Pinned
+# distances are charged the passes that _pinned_passes counts, the ones
+# their convolution runs: for P = sum x_j^2, whose fibers fall in three
+# scaling cosets, d + (d - 1) + 3 + d * ceil(fibers / 2).  The constant at
+# break-even is the convolution's time per pass unit (q products) over the
+# pair kernel's time per pair, in pass units |E||F| / (passes * q^(d+1)).
+# With P = sum x_j^2 on a 2-core x86 VM (numpy 2.4.6), counting read, as
+# the median time in cli.main of whole `distance` runs in fresh
+# processes, E and F random at --seed 1 where not all of F_q^d, each route
+# forced, alternated, 9 runs a route; "net" takes off the median of the
+# same runs with one-point sets on pairs (the field, P's tables, the
+# exceptional set, emission), and "warm" times the two routes alone in
+# process (median of 9 and 3):
 #
-#   F_101^2, 2000    0.023          F_61^3, 8000     0.030
-#   F_125^2, 2000    0.025          F_64^3, 5000     0.028
-#   F_243^2, 3000    0.025          F_49^3, 8000     0.037
-#   F_256^2, 1500    0.023          F_16^3, 700      0.065
-#   F_31^3, 3000     0.030
+#   case (times in ms)    trials  pass units  pairs  convolution  fixed  whole  net    warm
+#   F_101^2, 3000 x 3000     5       3.84       227       16.9      12.2  0.29   0.085  0.061
+#   F_211^2, all x 2000      2       4.19     1,396       35.4      17.6  0.11   0.054  0.049
+#   F_31^3, 3000 x 3000      5       2.52       417       24.8      10.4  0.15   0.089  0.054
+#   F_61^3, all x 500        2       2.15     1,793       68.2      13.1  0.082  0.067  0.050
 #
 # and pinned, E = F_q^d, as the median time in cli.main of whole runs in
 # fresh processes, each route forced, the two alternated (7 runs a route,
-# 3 at F_211^2), in pass units |E||F| / (passes * q^(d+1)):
+# 3 at F_211^2):
 #
 #   case                  passes  pass units  pairs (ms)  convolution (ms)  break-even
 #   F_71^2, all x all        78      0.91         183           20.0           0.099
 #   F_211^2, all x all      218      0.97      11,505          525             0.044
 #   F_61^3, all x 500       101      0.081        992          539             0.044
 #
-# 0.03 sits in the middle of the counting values and below the pinned
-# ones; the north-star pin case, F_61^3 against 500 pins, asks 0.081 of
-# its pass units and takes the convolution, which it ran 1.8 times faster.
+# Near the rule, at 0.035 pass units (|E| = |F|, warm, in process, median
+# of 15, three rounds), counting read 0.034-0.039 at F_101^2, 0.036-0.046
+# at F_211^2, 0.051-0.062 at F_31^3, 0.039-0.070 at F_61^3, 0.068-0.072
+# at F_27^2 and 0.050-0.059 at F_16^3; a single point against F_13^2 read
+# 0.069-0.074.  0.04 sits at the low end of the counting values and
+# below the pinned ones; the north-star pin case, F_61^3 against 500
+# pins, asks 0.081 of its pass units and takes the convolution, which it
+# ran 1.8 times faster.
 #
 # At d = 1 every count takes the pair kernel: a pass there is a
 # matrix-vector product that streams the whole 16q^2-byte kernel, and even
@@ -160,11 +177,20 @@ _ROUNDING_BOUND = 0.1  # worst |raw - nearest integer| a transform count may sho
 # of 7 over two rounds, same VM) gained only 4.6-5.5 -> 2.4-2.5 ms at
 # F_1009, 17-22 -> 12-13 ms at F_2003 and 67-70 -> 53-54 ms at F_4001,
 # 1-3 % of their whole CLI runs.
-_PASS_COST = 0.03
+_PASS_COST = 0.04
 
 
-def _use_transform(pairs: int, q: int, d: int, passes: int) -> bool:
+def _use_transform(pairs: int, q: int, d: int, passes: float) -> bool:
     return d > 1 and pairs > _PASS_COST * passes * q ** (d + 1)
+
+
+def _counting_passes(spec: FieldSpec, d: int) -> float:
+    """The passes _convolution_counts runs, in whole complex passes: on
+    grids of |R| q^(d-1) entries (fourier._half_rows), d - 1 forward passes
+    for each of E and F and d - 1 inverse ones, and three real products as
+    wide, each half a complex pass's real multiply-adds; so
+    |R|/q * (3d - 3/2), near half of 3d for odd p and all of it for p = 2."""
+    return len(_half_rows(spec)[0]) / spec.q * (3 * d - 1.5)
 
 
 def _check_triple(P: Polynomial, E: PointSet, F: PointSet):
@@ -256,6 +282,14 @@ def _indicator_spectrum(spec: FieldSpec, d: int, indices: np.ndarray) -> np.ndar
     return _passes(spec, grid, d, bufs=(None, grid))
 
 
+def _half_spectrum(spec: FieldSpec, d: int, indices: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """_indicator_spectrum at the m with m_1 in `rows`, laid out as
+    fourier._real_forward lays it out."""
+    grid = np.zeros(spec.q**d)
+    grid[indices] = 1.0
+    return _real_forward(spec, grid, d, rows)
+
+
 def _rounding_residual(residual: float) -> float:
     if residual > _ROUNDING_BOUND:
         raise RoundingDivergence(
@@ -330,12 +364,25 @@ def _pair_counts(P: Polynomial, E: PointSet, F: PointSet) -> CountingHistogram:
 
 
 def _convolution_counts(P: Polynomial, E: PointSet, F: PointSet) -> CountingHistogram:
-    """nu by the difference convolution, summed over each fiber of P."""
+    """nu by the difference convolution, summed over each fiber of P.
+
+    E and F are real, so E^ * conj(F^) at -m is the conjugate of its value
+    at m and D is real: the forward passes run at the m whose m_1 is in
+    the half rows R of fourier._half_rows, the product takes the weights
+    w there, and the inverse keeps the real part, which is q^d * D."""
     spec, d = P.spec, P.d
+    rows, weights = _half_rows(spec)
     with _one_blas_thread():
-        prod = _indicator_spectrum(spec, d, E.indices)
-        prod *= np.conj(_indicator_spectrum(spec, d, F.indices))
-        diff, residual = _difference_counts(spec, d, prod)
+        prod = _half_spectrum(spec, d, E.indices, rows)
+        f_hat = _half_spectrum(spec, d, F.indices, rows)
+        prod *= np.conj(f_hat, out=f_hat)
+        del f_hat
+        prod.reshape(len(rows), -1)[...] *= weights[:, None]
+        raw = _real_inverse(spec, prod, d, rows)
+    raw /= float(spec.q) ** d
+    diff = np.rint(raw)
+    raw -= diff
+    residual = _rounding_residual(float(np.abs(raw, out=raw).max()))
     # Exact: every partial sum is an integer no larger than |E||F| < 2^53.
     counts = np.bincount(value_grid(P), weights=diff, minlength=spec.q)
     return CountingHistogram(spec, counts.astype(np.int64), "fourier", residual)
@@ -345,7 +392,7 @@ def counting_function(P: Polynomial, E: PointSet, F: PointSet) -> CountingHistog
     """Pair counts per t, by the route the cost rule picks; both routes
     return the same integers."""
     _check_triple(P, E, F)
-    if _use_transform(E.size * F.size, P.spec.q, P.d, 3 * P.d):
+    if _use_transform(E.size * F.size, P.spec.q, P.d, _counting_passes(P.spec, P.d)):
         return _convolution_counts(P, E, F)
     return _pair_counts(P, E, F)
 

@@ -25,8 +25,15 @@ Both directions share one kernel K[m, x] = chi(-x*m): the inverse pass
 reads its output rows at -x, which leaves every value bit for bit as a
 kernel of its own would.
 
-`_passes` is also the one transform of the package: the difference
-convolution of `distances` runs its forward and inverse passes.
+`_passes` is also the one transform of the package.  Counting's
+difference convolution (`distances._convolution_counts`) transforms real
+grids and needs a real result, so it runs on half the spectrum:
+`_half_rows` picks the rows m_1 <= -m_1, `_real_forward` does the first
+forward pass as one real product against those columns of the kernel
+and the rest as complex passes on the half grid, and `_real_inverse`
+runs the inverse passes of `_passes` over m_2, ..., m_d and sums m_1 as
+one real product that keeps only the real part.  The pinned convolution
+keeps whole spectra, as its fiber spectra come from `_passes`.
 
 How work uses the machine is decided here, and only here:
 - `_workers()` is the number of CPUs this process may use: those it may
@@ -135,6 +142,52 @@ def _passes(spec: FieldSpec, values: np.ndarray, n: int, bufs=(None, None), rows
             bufs = [arr, np.take(arr, rows, axis=0, out=bufs[1], mode="clip")]
             arr = bufs[1]
     return arr.reshape(-1)
+
+
+def _half_rows(spec: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(R, w): R the m with m <= -m in encoding order, (q + 1)/2 of them
+    for odd p and all q for p = 2, where -m = m; w is 2 where m != -m and
+    1 where m = -m.  A grid g with g(-m) = conj(g(m)) has its sum over all
+    m equal to the real part of the w-weighted sum over m_1 in R."""
+    neg = neg_table(spec)
+    rows = np.flatnonzero(np.arange(spec.q) <= neg)
+    return rows, np.where(neg[rows] == rows, 1.0, 2.0)
+
+
+def _real_forward(spec: FieldSpec, real: np.ndarray, d: int, rows: np.ndarray) -> np.ndarray:
+    """The d unnormalized forward passes of the real flat grid `real` at
+    the m with m_1 in `rows`, laid out C order over (m_1 in rows, m_d, ...,
+    m_2): the rest follow as conj(f^(-m)).
+
+    The first pass is one real product, the grid as a (q^(d-1), q) float
+    array times K[:, rows] read as (q, 2|rows|) floats, which leaves
+    (x_d, ..., x_2, m_1) as complex values; each later pass contracts the
+    first axis and puts its output axis last (K is symmetric), two half
+    grids in turn."""
+    kernel, q = _forward_kernel(spec), spec.q
+    half = np.ascontiguousarray(kernel[:, rows])
+    arr = (real.reshape(-1, q) @ half.view(np.float64)).view(np.complex128)
+    bufs = [np.empty_like(arr), arr] if d > 1 else []
+    for _ in range(d - 1):
+        arr = np.matmul(arr.reshape(q, -1).T, kernel, out=bufs[0].reshape(-1, q))
+        bufs.reverse()
+    return arr.reshape(-1)
+
+
+def _real_inverse(spec: FieldSpec, half: np.ndarray, d: int, rows: np.ndarray) -> np.ndarray:
+    """Re sum_m chi(x*m) g(m) at every x, flat, from g on the m with m_1 in
+    `rows`, laid out as _real_forward lays it out; `half` is overwritten.
+
+    The d - 1 inverse passes of `_passes` contract m_2, ..., m_d in place
+    and leave (x_d, ..., x_2, m_1); one real product then sums m_1: the
+    complex values read as (q^(d-1), 2|rows|) floats times [Re K[rows];
+    Im K[rows]] interleaved, Re(g chi(x_1*m_1)) as K[m, x] = conj chi(x*m)."""
+    kernel, q = _forward_kernel(spec), spec.q
+    if d > 1:  # at d = 1 the half grid is already (m_1)
+        half = _passes(spec, half, d - 1, bufs=(None, half), rows=neg_table(spec))
+    k = kernel[rows]
+    lift = np.stack((k.real, k.imag), axis=1).reshape(-1, q)
+    return (half.reshape(-1, len(rows)).view(np.float64) @ lift).reshape(-1)
 
 
 @lru_cache(maxsize=1)

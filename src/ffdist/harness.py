@@ -44,6 +44,7 @@ from .varieties import (
     DecayEntry,
     PointSet,
     Polynomial,
+    _diagonal_quadratic,
     _factored_table_error,
     _phase_gather_bytes,
     _phase_table,
@@ -727,15 +728,18 @@ def _scan_row(cfg, spec, P, trial, E, F, report, hist: CountingHistogram) -> Sca
 
 # Peak bytes of distance, scan and pinned, under tracemalloc: per point of
 # F_q^d, P's value grid, E and F as full grids, then the exceptional set's
-# decay grids (64 B), the difference convolution's three complex grids, or
-# the pinned convolution (E's spectrum, the pack of a pair of fibers, the
-# fiber spectra's table and two grids, in which the inverse passes and
-# their rounding run, and a mark a point: 81 B): 64-119 B at q = 31, 101
-# and d = 2, 3 with E = F = F_q^d, and run_pinned 114.0-118.5 B at
-# F_211^2, F_307^2, F_47^3 and F_61^3 for sum x_j^2 and 114.1 B at F_47^3
-# for a P that is not diagonal (134.4 B at F_101^2, where ~70 KB of fixed
-# cost shows); plus one block of the pair kernel, which is most of the
-# peak at d = 1.
+# decay grids (64 B), counting's convolution on half the spectrum (a real
+# grid, E's and F's half spectra and the inverse's scratch: 32.5-57.6 B
+# with P's value grid warm, 40.1-57.7 B with it built cold, at F_101^2,
+# F_211^2, F_31^3, F_61^3, F_16^3 and F_9^4, E = F_q^d, F every third
+# point), or the pinned convolution (E's spectrum, the pack of a pair of
+# fibers, the fiber spectra's table and two grids, in which the inverse
+# passes and their rounding run, and a mark a point: 81 B): 64-119 B at
+# q = 31, 101 and d = 2, 3 with E = F = F_q^d, and run_pinned 114.0-118.5
+# B at F_211^2, F_307^2, F_47^3 and F_61^3 for sum x_j^2 and 114.1 B at
+# F_47^3 for a P that is not diagonal (134.4 B at F_101^2, where ~70 KB of
+# fixed cost shows); plus one block of the pair kernel, which is most of
+# the peak at d = 1.
 _CONVOLUTION_POINT_BYTES = 128
 
 
@@ -750,9 +754,16 @@ def _require_convolution(spec: FieldSpec, d: int, command: str, kernel: bool = T
     _require_with_kernel(spec, need, holds, kernel)
 
 
+def _builds_kernel(P: Polynomial) -> bool:
+    """Whether distance or scan of P builds the transform kernel: at d = 1
+    every count enumerates pairs, and the exceptional set of a diagonal
+    quadratic P takes its closed form, so only other P transform there."""
+    return P.d > 1 or not _diagonal_quadratic(P)
+
+
 def run_distance(cfg: ExperimentConfig):
     spec, P = _field_and_poly(cfg)
-    _require_convolution(spec, cfg.d, "distance")
+    _require_convolution(spec, cfg.d, "distance", _builds_kernel(P))
     report = exceptional_set(P, cfg.kappa_sharp, cfg.kappa_fallback)
     rows = []
     deltas = []
@@ -870,7 +881,7 @@ def run_scan(cfg: ExperimentConfig):
     spec, P = _field_and_poly(cfg)
     if not cfg.grid:
         raise ConfigError("scan needs --grid with target |E||F| products")
-    _require_convolution(spec, cfg.d, "scan")
+    _require_convolution(spec, cfg.d, "scan", _builds_kernel(P))
     report = exceptional_set(P, cfg.kappa_sharp, cfg.kappa_fallback)
     q, d = spec.q, cfg.d
     capacity = q**d

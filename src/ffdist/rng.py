@@ -94,11 +94,14 @@ def sample_indices(rng: SplitMix64, population: int, k: int) -> np.ndarray:
     j = i + _mulhi(u, np.uint64(population) - i.astype(np.uint64)).astype(np.int64)
     moved = j != i  # a draw of its own position moves nothing
     src, dst = i[moved], j[moved]
-    order = np.argsort(dst, kind="stable")
+    order = np.argsort(dst)
     src, dst = src[order], dst[order]
-    last = np.ones(dst.size, dtype=bool)  # the last draw into each target
-    last[:-1] = dst[1:] != dst[:-1]
-    src, dst = src[last], dst[last]
+    if dst.size:  # reduceat needs a group; with no draw moved there is none
+        first = np.ones(dst.size, dtype=bool)  # each target's first entry
+        first[1:] = dst[1:] != dst[:-1]
+        starts = np.flatnonzero(first)
+        # the last draw into a target is its latest step, whatever the sort's order
+        src, dst = np.maximum.reduceat(src, starts), dst[starts]
     inside = dst < k
     held = i.copy()  # held[i]: the step whose value position i holds before step i
     held[dst[inside]] = src[inside]

@@ -13,6 +13,7 @@ from ffdist.errors import (
 )
 from ffdist.distances import (
     _convolution_counts,
+    _counting_passes,
     _fibers,
     _pair_counts,
     _paired_difference_counts,
@@ -575,7 +576,7 @@ class TestRoutes:
     )
     def test_cost_rule_routes(self, q, d, size_e, size_f, pins, fourier):
         P = diagonal_polynomial(field_from_order(q), d, 2)
-        passes = _pinned_passes(P, _fibers(value_grid(P), q)) if pins else 3 * d
+        passes = _pinned_passes(P, _fibers(value_grid(P), q)) if pins else _counting_passes(P.spec, d)
         assert _use_transform(size_e * size_f, q, d, passes) == fourier
 
     @pytest.mark.parametrize("q, size", [(1009, 504), (2003, 1002), (1009, 1009)])
@@ -608,7 +609,7 @@ class TestRoutes:
     )
     def test_cost_rule_sends_every_line_to_pairs(self, q, d, size, fourier):
         P = diagonal_polynomial(field_from_order(q), d, 2)
-        for passes in (3 * d, _pinned_passes(P, _fibers(value_grid(P), q))):
+        for passes in (_counting_passes(P.spec, d), _pinned_passes(P, _fibers(value_grid(P), q))):
             assert _use_transform(size * size, q, d, passes) == fourier
 
     @pytest.mark.parametrize("built", [False, True])
@@ -655,12 +656,16 @@ class TestRoutes:
         get, put = calls
         seen = []
 
-        def counted_passes(*args, **kwargs):
-            seen.append(get())
-            return fourier._passes(*args, **kwargs)
+        def counted(passes):
+            def call(*args, **kwargs):
+                seen.append(get())
+                return passes(*args, **kwargs)
 
-        monkeypatch.setattr(distances, "_passes", counted_passes)
-        monkeypatch.setattr(varieties, "_passes", counted_passes)
+            return call
+
+        monkeypatch.setattr(varieties, "_passes", counted(fourier._passes))
+        for name in ("_passes", "_real_forward", "_real_inverse"):  # and counting's half route
+            monkeypatch.setattr(distances, name, counted(getattr(fourier, name)))
         monkeypatch.setattr(varieties, "_workers", lambda: 2)
         P = parse_polynomial("x1^2 + x2^2", F13, 2)
         E = full_grid(F13, 2)
@@ -857,6 +862,94 @@ class TestRoutes:
         assert counting_function(P, E, E).route == "fourier"
         pin = points_from_coords(F13, 2, [[1, 2]])
         assert counting_function(P, pin, E).route == "direct"
+
+
+# (q, d) for the half-spectrum route: p = 2 fields, where the half rows are
+# all q and nothing halves; extension fields of odd p; primes; d = 2 to 4.
+HALF_CASES = [
+    (2, 3), (4, 2), (4, 4), (8, 3), (16, 2),
+    (9, 2), (9, 3), (25, 2), (27, 2), (125, 2),
+    (3, 4), (5, 4), (13, 2), (31, 3),
+]  # fmt: skip
+
+
+def half_polynomials(spec, d):
+    """sum x_j^2 and x1^2 + x1*x2 + x_d^3, a cross term make_polynomial spells."""
+    unit = [tuple(int(i == j) for i in range(d)) for j in range(d)]
+    cross = [(1, tuple(2 * e for e in unit[0])), (1, tuple(a + b for a, b in zip(*unit[:2])))]
+    cross.append((1, tuple(3 * e for e in unit[-1])))
+    return diagonal_polynomial(spec, d, 2), make_polynomial(spec, d, cross)
+
+
+class TestHalfSpectrum:
+    """Counting's convolution on the half rows m_1 <= -m_1 (fourier._half_rows)."""
+
+    @pytest.mark.parametrize("q, d", HALF_CASES)
+    def test_half_route_equals_the_pair_kernel(self, q, d):
+        spec = field_from_order(q)
+        for P in half_polynomials(spec, d):
+            for E, F in _route_cases(spec, d):
+                direct, half = _pair_counts(P, E, F), _convolution_counts(P, E, F)
+                assert half.route == "fourier" and half.counts.dtype == np.int64
+                assert np.array_equal(direct.counts, half.counts)
+                assert 0.0 <= half.residual < 1e-9
+
+    @pytest.mark.parametrize("q", [2, 4, 9, 13, 16, 27])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_half_forward_is_the_full_spectrum_at_the_half_rows(self, q, d):
+        from ffdist.distances import _half_spectrum, _indicator_spectrum
+        from ffdist.fourier import _half_rows
+
+        spec = field_from_order(q)
+        rows, weights = _half_rows(spec)
+        neg = neg_table(spec)
+        assert rows.tolist() == [m for m in range(q) if m <= neg[m]]
+        assert len(rows) == (q if spec.p == 2 else (q + 1) // 2)
+        assert weights.tolist() == [1.0 if neg[m] == m else 2.0 for m in rows]
+        indices = random_set(spec, d, max(1, q**d // 3), seed=q + d).indices
+        full = _indicator_spectrum(spec, d, indices).reshape((q,) * d)  # (m_d, ..., m_1)
+        want = np.moveaxis(full, -1, 0)[rows].ravel()  # (m_1 in R, m_d, ..., m_2)
+        got = _half_spectrum(spec, d, indices, rows)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-9
+
+    def test_half_route_off_an_integer_diverges(self, monkeypatch):
+        from ffdist import distances, fourier
+
+        spec = make_field(31)
+        P = diagonal_polynomial(spec, 3, 2)
+        E, F = full_grid(spec, 3), random_set(spec, 3, 900, seed=46)
+        calls = fourier._blas_thread_calls()
+        before = calls[0]() if calls else None
+        monkeypatch.setattr(distances, "_ROUNDING_BOUND", -1.0)
+        with pytest.raises(RoundingDivergence, match="off an integer"):
+            _convolution_counts(P, E, F)
+        if calls:
+            assert calls[0]() == before
+        monkeypatch.undo()
+        assert np.array_equal(_convolution_counts(P, E, F).counts, _pair_counts(P, E, F).counts)
+
+    @pytest.mark.parametrize("q, d", [(101, 2), (31, 3), (27, 2), (16, 3), (9, 4)])
+    def test_half_route_peak_stays_within_its_stated_bytes(self, q, d):
+        # the comment above harness._CONVOLUTION_POINT_BYTES states at most
+        # 57.7 B a point for counting's convolution, P's value grid built cold
+        import tracemalloc
+
+        from ffdist.fourier import _forward_kernel
+
+        spec = field_from_order(q)
+        P = diagonal_polynomial(spec, d, 2)
+        E, F = full_grid(spec, d), PointSet(spec, d, np.arange(0, q**d, 3))
+        neg_table(spec), _forward_kernel(spec)
+        value_grid.cache_clear()
+        tracemalloc.start()
+        try:
+            counts = _convolution_counts(P, E, F).counts
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counts.sum() == E.size * F.size
+        assert peak <= 64 * q**d
 
 
 class TestLift:

@@ -110,6 +110,26 @@ class TestRng:
             assert got.dtype == np.int64
             assert got.tolist() == dict_sample_indices(SplitMix64(seed), population, k)
 
+    @pytest.mark.parametrize(
+        "population, k, seeds",
+        [
+            # k = 1, where the lone draw often moves nothing: no group to reduce
+            (1, 1, 4), (2, 1, 40), (5, 1, 40), (29791, 1, 40),
+            # k = population: every target drawn into many times
+            (29791, 29791, 2), (961, 961, 20),
+            # a population far past int64 keys dst * k + src would need
+            (10**15, 3000, 5),
+            # tiny populations, every k
+            *[(n, k, 40) for n in (5, 6, 7) for k in range(n + 1)],
+        ],
+    )  # fmt: skip
+    def test_sample_takes_each_targets_last_draw(self, population, k, seeds):
+        # the targets' draws are grouped by an unstable sort, and the last
+        # one into each target is the largest step in its group
+        for seed in range(seeds):
+            got = sample_indices(SplitMix64(seed), population, k)
+            assert got.tolist() == dict_sample_indices(SplitMix64(seed), population, k)
+
     def test_block_draws_equal_scalar_draws(self):
         hyp = pytest.importorskip("hypothesis")
         st = hyp.strategies
@@ -850,6 +870,31 @@ class TestRunners:
             tracemalloc.stop()
         assert code == 0 and len(stated) == (1 if argv[0] == "fourier-check" else 2)
         assert peak <= stated[-1]
+
+    def test_distance_and_scan_of_a_quadratic_at_d1_state_no_transform_kernel(
+        self, capsys, monkeypatch
+    ):
+        # at d = 1 every count enumerates pairs and the exceptional set of
+        # x1^2 takes its closed form, so neither command builds the kernel:
+        # with 300 MB free, above F_4001's 256 MB of tables and below the
+        # 512 MB of tables and kernel, both run; x1^3 transforms its fibers
+        # and is still charged the kernel
+        from ffdist import field
+        from ffdist.fourier import _forward_kernel
+
+        q = 4001
+        monkeypatch.setattr(field, "_available_memory", lambda: 300 << 20)
+        _forward_kernel.cache_clear()
+        sets = ["--q", str(q), "--d", "1", "--setE", "random:100", "--setF", "random:100"]
+        assert main(["distance", *sets, "--poly", "x1^2"]) == 0
+        assert main(["scan", "--q", str(q), "--d", "1", "--poly", "x1^2", "--grid", "400"]) == 0
+        assert _forward_kernel.cache_info().currsize == 0
+        capsys.readouterr()
+        for command in ("distance", "scan"):
+            argv = [command, "--q", str(q), "--d", "1", "--poly", "x1^3"]
+            argv += sets[4:] if command == "distance" else ["--grid", "400"]
+            assert main(argv) == 2
+            assert "beside the tables and transform kernel of F_4001" in capsys.readouterr().err
 
     def test_pinned_at_d1_states_no_transform_kernel(self, capsys, monkeypatch):
         # pins at d = 1 enumerate pairs and never build the kernel, so the

@@ -134,7 +134,9 @@ ORBIT_CASES = (
 # from one fiber a scaling coset, over four cosets besides t = 0 (F_13^2,
 # x1^3 + 2*x2^3) and over an extension field with mixed coefficients
 # (F_25^2), beside exceptional sets in closed form over extension fields
-# (F_27^3 and F_25^2).
+# (F_27^3 and F_25^2); and counting on half the spectrum where nothing
+# halves (p = 2, F_8^3, every m its own negative) and at d = 4 over an
+# extension field (F_9^4).
 EDGE_CASES = (
     "decay --q 9 --d 2 --poly 7*x2^5+5*x1^5 --kappa-sharp 2",
     "pinned --q 1021 --d 2 --poly x1^2+x2^2 --setE random:3000 --setF random:200 --seed 1",
@@ -177,6 +179,8 @@ EDGE_CASES = (
     "pinned --q 25 --d 2 --poly x1^2+3*x2^2 --setE all --setF all",
     "distance --q 27 --d 3 --poly x1^2+x2^2+2*x3^2 --setE all --setF all",
     "scan --q 25 --d 2 --poly x1^2+2*x2^2 --grid 400,40000 --trials 2",
+    "distance --p 2 --n 3 --d 3 --poly x1^2+x2^2+x3^2 --setE all --setF all",
+    "distance --p 3 --n 2 --d 4 --poly x1^2+x2^2+x3^2+x4^2 --setE random:3000 --setF random:3000",
 )
 
 
