@@ -24,14 +24,15 @@ Every answer is an exact integer count, reached by one of two routes:
   V_t^(m) of Iosevich-Rudnev, evaluated in one pass for every t.  The products run
   on one BLAS thread, as the execution policy of `fourier` sets out.
 
-Pinned distances convolve E with each nonempty fiber of P: d passes for
-E, then fiber spectra from `varieties._fiber_spectra`, the one producer
-of fiber spectra (for separable P, d - 1 passes shared by every fiber and
-one a spectrum).  Diagonal P transforms one fiber a scaling coset and
-gathers the others' spectra from it, V_{l^K t}^(m) = V_t^(D_l m); any
-other P transforms every fiber.  The counts D_{E, V_t} are real, so two
-fibers share one set of d inverse passes, as the real and imaginary
-parts of one complex grid.
+Pinned distances convolve E with each nonempty fiber of P (those with a
+size in `varieties._fiber_sizes`): d passes for E, then fiber spectra
+from `varieties._fiber_spectra`, the one producer of fiber spectra (for
+separable P, d - 1 passes shared by every fiber and one a spectrum).
+Diagonal P transforms one fiber a scaling coset and gathers the others'
+spectra from it, V_{l^K t}^(m) = V_t^(D_l m); any other P transforms
+every fiber.  The counts D_{E, V_t} are real, so two fibers share one
+set of d inverse passes, as the real and imaginary parts of one complex
+grid, and a lone last fiber takes a zero partner.
 `counting_function` and `pinned_distances` check their (P, E, F) triple
 once and pick a route function by a fixed cost rule (`_use_transform`)
 on |E||F| and the passes a convolution takes (`_pinned_passes` counts
@@ -58,10 +59,8 @@ from .field import (
     _frozen,
     add_table,
     decode_points,
-    encode_points,
     mul_table,
     neg_table,
-    pow_table,
 )
 from .fourier import _half_rows, _one_blas_thread, _passes, _real_forward, _real_inverse
 from .rng import SplitMix64, _mulhi, derive_seed
@@ -70,9 +69,12 @@ from .varieties import (
     PointSet,
     _coset_dilation,
     _coset_members,
+    _fiber_sizes,
     _fiber_spectra,
     _fiber_work,
+    _parts,
     _phase_rows,
+    _shared_levels,
     diagonal_polynomial,
     is_separable,
     make_polynomial,
@@ -216,17 +218,15 @@ def _pair_codes(P: Polynomial) -> tuple[tuple, np.ndarray]:
 @lru_cache(maxsize=32)
 def _separable_codes(P: Polynomial) -> tuple[tuple, np.ndarray]:
     """_pair_codes of separable P = c + sum_j g_j(x_j) at d >= 2, with no
-    q^d grid: codes[j] holds g_j, the constant in part 0, each encoding's
-    base-p digits (constant first) spread in base B = d(p - 1) + 1, so a
-    sum of d codes never carries, and value takes each base-B digit of the
-    sum mod p.  value has B^n <= d^n q <= q^d entries, as d <= p^(d-1)."""
+    q^d grid: codes[j] holds g_j of varieties._parts, the constant in part
+    0, each encoding's base-p digits (constant first) spread in base
+    B = d(p - 1) + 1, so a sum of d codes never carries, and value takes
+    each base-B digit of the sum mod p.  value has B^n <= d^n q <= q^d
+    entries, as d <= p^(d-1)."""
     spec, d = P.spec, P.d
     p, n = spec.p, spec.n
-    at, mt = add_table(spec), mul_table(spec)
-    parts = np.zeros((d, spec.q), dtype=np.int64)
-    for coeff, exps in P.terms:
-        j = next((j for j, e in enumerate(exps) if e), 0)  # a constant goes to part 0
-        parts[j] = at[parts[j], mt[coeff, pow_table(spec, exps[j])]]
+    g, c = _parts(P)
+    parts = np.vstack((add_table(spec)[c, g[0]], g[1:]))  # the constant in part 0
     base = d * (p - 1) + 1
     codes = _frozen(sum(parts // p**k % p * base**k for k in range(n)))
     sums = np.arange(base**n, dtype=np.int64)
@@ -296,26 +296,6 @@ def _rounding_residual(residual: float) -> float:
             f"difference convolution value off an integer by {residual!r}"
         )
     return residual
-
-
-def _difference_counts(
-    spec: FieldSpec, d: int, prod: np.ndarray, scratch: np.ndarray | None = None
-) -> tuple[np.ndarray, float]:
-    """D(z) = #{(x, y) in E x F : x - y = z} from prod = E^ * conj(F^), the
-    product of the forward passes of E and F, whose d inverse passes give
-    q^d * D.  D comes flat in encoding order as integral floats, with the
-    worst rounding residual |raw - D| over the whole grid.  The passes and
-    the rounding run in prod and `scratch`, a grid of prod's size (fresh
-    where None), and D is a view of scratch, so the convolution holds three
-    grids at a time."""
-    n = prod.size
-    scratch = np.empty_like(prod) if scratch is None else scratch
-    raw = _passes(spec, prod, d, bufs=(scratch, prod), rows=neg_table(spec))
-    raw /= float(spec.q) ** d
-    counts, err = scratch.view(np.float64)[:n], scratch.view(np.float64)[n:]
-    np.rint(raw.real, out=counts)
-    raw.real -= counts
-    return counts, _rounding_residual(float(np.abs(raw, out=err).max()))
 
 
 def _paired_difference_counts(
@@ -435,11 +415,6 @@ def _pinned_pair_sizes(P: Polynomial, E: PointSet, F: PointSet) -> np.ndarray:
     return np.concatenate(list(map(distinct, _pair_value_blocks(P, E, F))))
 
 
-def _fibers(vg: np.ndarray, q: int) -> np.ndarray:
-    """The values t whose fiber {P = t} is nonempty, from P's value grid."""
-    return np.flatnonzero(np.bincount(vg, minlength=q))
-
-
 # Entries of one block of a dilated fiber product (_fiber_product).
 _GATHER_ENTRIES = 1 << 14
 
@@ -477,8 +452,8 @@ def _pinned_convolution_sizes(
     of the coset gather theirs from it, V_t^(m) = V_rep^(D m)
     (_fiber_product); any other P takes one a fiber.  Each D_{E, V_t} is
     real, so two fibers' products go through one inverse as
-    prod1 + i*prod2 (_paired_difference_counts); a lone last fiber takes
-    its own (_difference_counts).
+    prod1 + i*prod2 (_paired_difference_counts); a lone last fiber is
+    paired with a zero product.
 
     Grids: E's spectrum, the pack that holds the first product of a pair,
     and the shared table and two grids of _fiber_spectra.  One of the two
@@ -499,28 +474,26 @@ def _pinned_convolution_sizes(
             for t in members:  # the representative last, so its own may be overwritten
                 prod = pack if not pending else spectrum if t == rep else spare
                 _fiber_product(spectrum, _coset_dilation(P, rep, t), e_conj, prod)
-                if not pending:
-                    pending = True
+                pending = not pending
+                if pending:
                     continue
                 # pack = conj(pack) + i * conj(prod)
                 pack.real += prod.imag
                 np.subtract(prod.real, pack.imag, out=pack.imag)
                 for counts in _paired_difference_counts(spec, d, pack, spare)[:2]:
                     sizes += (counts > 0)[F.indices]
-                pending = False
-        if pending:
+        if pending:  # a lone last fiber, paired with zero: pack = conj(pack)
             np.conj(pack, out=pack)
-            sizes += (_difference_counts(spec, d, pack, work[4])[0] > 0)[F.indices]
+            sizes += (_paired_difference_counts(spec, d, pack, work[4])[0] > 0)[F.indices]
     return sizes
 
 
 def _pinned_passes(P: Polynomial, fibers: np.ndarray) -> int:
     """The passes _pinned_convolution_sizes runs: d for E, the shared
-    table's L (d - 1 for separable P, else 0), d - L for each spectrum it
+    table's L (varieties._shared_levels), d - L for each spectrum it
     transforms, one a scaling coset of diagonal P and one a fiber of any
     other, and d for each pair of fibers and for a lone last one."""
-    d = P.d
-    shared = d - 1 if is_separable(P) else 0
+    d, shared = P.d, _shared_levels(P)
     spectra = len(_coset_members(P, fibers))
     return d + shared + (d - shared) * spectra + d * -(-len(fibers) // 2)
 
@@ -534,7 +507,7 @@ def pinned_distances(
     _check_triple(P, E, F)
     q, d, pairs = P.spec.q, P.d, E.size * F.size
     # one fiber is the least a convolution takes; past that, count them
-    fibers = _fibers(value_grid(P), q) if _use_transform(pairs, q, d, 3 * d) else ()
+    fibers = np.flatnonzero(_fiber_sizes(P)) if _use_transform(pairs, q, d, 3 * d) else ()
     if len(fibers) and _use_transform(pairs, q, d, _pinned_passes(P, fibers)):
         counts = _pinned_convolution_sizes(P, E, F, fibers)
     else:
@@ -716,7 +689,7 @@ def verify_square_identity(E: PointSet, trials: int = 1000, seed: int = 0) -> bo
     spec = E.spec
     if E.size == 0:
         raise EmptySet("need a nonempty sample set")
-    vg = value_grid(diagonal_polynomial(spec, E.d, 2))
+    squares, _ = _parts(diagonal_polynomial(spec, E.d, 2))
     at, nt, mt = add_table(spec), neg_table(spec), mul_table(spec)
     rng = SplitMix64(derive_seed(seed, 0x5153))  # 'SQ'
     # rng.below(E.size) for x, x', y of every trial, in draw order
@@ -725,15 +698,11 @@ def verify_square_identity(E: PointSet, trials: int = 1000, seed: int = 0) -> bo
     x, xp, y = (decode_points(spec, idx[:, k], E.d) for k in range(3))
     two = at[1, 1]
 
-    def twice_dot(u):  # 2*(y.u) per trial
-        acc = np.zeros(trials, dtype=np.int64)
-        for j in range(E.d):
-            acc = at[acc, mt[y[:, j], u[:, j]]]
-        return mt[two, acc]
-
     def side(u, other):  # P(u - y) + 2*y.u + P(other), u - y = u + (-y)
-        return at[at[vg[encode_points(spec, at[u, nt[y]])], twice_dot(u)], vg[other]]
+        acc = np.zeros(trials, dtype=np.int64)
+        for j, g in enumerate(squares):  # one add_table fold of P's part a coordinate
+            twice = mt[two, mt[y[:, j], u[:, j]]]
+            acc = at[at[at[acc, g[at[u[:, j], nt[y[:, j]]]]], twice], g[other[:, j]]]
+        return acc
 
-    lhs = side(x, idx[:, 1])
-    rhs = side(xp, idx[:, 0])
-    return bool(np.array_equal(lhs, rhs))
+    return bool(np.array_equal(side(x, xp), side(xp, x)))

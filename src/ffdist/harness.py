@@ -46,6 +46,7 @@ from .varieties import (
     Polynomial,
     _diagonal_quadratic,
     _factored_table_error,
+    _fiber_sizes,
     _phase_gather_bytes,
     _phase_table,
     characteristic_divides_exponent,
@@ -55,7 +56,6 @@ from .varieties import (
     parse_polynomial,
     points_from_coords,
     split_fibers,
-    value_grid,
     variety,
     weil_sum,
 )
@@ -149,8 +149,9 @@ def _require_with_kernel(spec: FieldSpec, need: int, holds: str, kernel: bool = 
 
 def _field_and_poly(cfg: ExperimentConfig) -> tuple[FieldSpec, Polynomial]:
     """The field and the parsed --poly, the preamble of every runner that
-    takes one.  Each builds the q^d value grid of P, 8 bytes a point, so a
-    grid that cannot fit is refused first (at d >= 64 no memory comes near)."""
+    takes one.  Each is charged P's q^d value grid, 8 bytes a point, which
+    separable P mostly no longer builds: a grid that cannot fit is refused
+    first (at d >= 64 no memory comes near)."""
     spec = cfg.resolve_field()
     require(cfg, "poly")
     q, d = spec.q, cfg.d
@@ -591,14 +592,14 @@ def run_fourier_check(cfg: ExperimentConfig):
 DECAY_COLUMNS = tuple(f.name for f in fields(DecayEntry))
 
 # Peak bytes of run_decay and emit, under tracemalloc: per point of F_q^d,
-# P's value grid, the three grids _fiber_spectra shares across fibers and
-# the magnitudes of _fiber_peaks (8 + 56 B; 64.1-65.4 B at 1.6e4-2.3e5
-# points, q = 13..211, d = 2..4).  The column ranges that run on threads
-# of their own each write a slice of the same grids and hold a slice of
-# the magnitudes, so the split adds nothing a point.  Per t, its
+# the three grids _fiber_spectra shares across fibers and the magnitudes
+# of _fiber_peaks, with no value grid of separable P (56 B; 56.1-57.6 B at
+# 1.0e4-2.3e5 points, q = 31..211, d = 2..3).  The column ranges that run
+# on threads of their own each write a slice of the same grids and hold a
+# slice of the magnitudes, so the split adds nothing a point.  Per t, its
 # DecayEntry, row and CSV cells (300-830 B at q = 101..1009, d = 1); and
 # the open CSV file's buffer (~140 KB, the file system's block size).
-_DECAY_POINT_BYTES = 64
+_DECAY_POINT_BYTES = 56
 _DECAY_T_BYTES = 1024
 _DECAY_FIXED_BYTES = 1 << 20
 
@@ -727,19 +728,18 @@ def _scan_row(cfg, spec, P, trial, E, F, report, hist: CountingHistogram) -> Sca
 
 
 # Peak bytes of distance, scan and pinned, under tracemalloc: per point of
-# F_q^d, P's value grid, E and F as full grids, then the exceptional set's
-# decay grids (64 B), counting's convolution on half the spectrum (a real
-# grid, E's and F's half spectra and the inverse's scratch: 32.5-57.6 B
-# with P's value grid warm, 40.1-57.7 B with it built cold, at F_101^2,
-# F_211^2, F_31^3, F_61^3, F_16^3 and F_9^4, E = F_q^d, F every third
-# point), or the pinned convolution (E's spectrum, the pack of a pair of
-# fibers, the fiber spectra's table and two grids, in which the inverse
-# passes and their rounding run, and a mark a point: 81 B): 64-119 B at
-# q = 31, 101 and d = 2, 3 with E = F = F_q^d, and run_pinned 114.0-118.5
-# B at F_211^2, F_307^2, F_47^3 and F_61^3 for sum x_j^2 and 114.1 B at
-# F_47^3 for a P that is not diagonal (134.4 B at F_101^2, where ~70 KB of
-# fixed cost shows); plus one block of the pair kernel, which is most of
-# the peak at d = 1.
+# F_q^d, E and F as full grids, then the exceptional set's decay grids
+# (56 B), counting's convolution on half the spectrum (a real grid, E's and
+# F's half spectra, the inverse's scratch and P's value grid: 40.1-57.7 B
+# with the grid built cold at F_101^2, F_211^2, F_31^3, F_61^3, F_16^3 and
+# F_9^4, E = F_q^d, F every third point), or the pinned convolution (E's
+# spectrum, the pack of a pair of fibers, the fiber spectra's table and
+# two grids, in which the inverse passes and their rounding run, and a
+# mark a point; no value grid of separable P): run_pinned 106.0-113.4 B
+# at F_211^2, F_31^3, F_47^3 and F_61^3 for sum x_j^2 and at F_47^3 for a
+# P that is not diagonal (126.2 B at F_101^2, where ~70 KB of fixed cost
+# shows), distance 56.5-62.2 B at F_31^3 and F_101^2; plus one block of
+# the pair kernel, which is most of the peak at d = 1.
 _CONVOLUTION_POINT_BYTES = 128
 
 
@@ -824,12 +824,9 @@ def run_pinned(cfg: ExperimentConfig):
     return 0, summary, _table(cfg, q, _columns(PINNED_COLUMNS, rows))
 
 
-# Peak bytes of a lift, measured with tracemalloc: per point of F_q^(d+1),
-# the old and the new value grid of H while value_grid adds its last term
-# (16.0-16.7 B, q = 2..101); for product sets, per point of F_q^d, one phase
-# row of P and its transform temporaries (~105 B, q = 2..11, where the rows
-# outweigh the grid).
-_GRID_POINT_BYTES = 20
+# Peak bytes of a lift's product experiment, under tracemalloc: per point
+# of F_q^d, one phase row of P and its transform temporaries (~105 B,
+# q = 2..11).  H's fiber sizes come from its parts, with no grid.
 _PHASE_ROW_BYTES = 128
 
 
@@ -837,24 +834,21 @@ def run_lift(cfg: ExperimentConfig):
     spec, P = _field_and_poly(cfg)
     q, d = spec.q, cfg.d
     points = q ** (d + 1)
-    holds = f"lift over F_{q}^{d + 1} holds {points} values"
-    need = points * _GRID_POINT_BYTES
     product = bool(cfg.setE2 or cfg.setF2)
-    if product:
-        holds += f" and phase rows of {q**d} sums"
-        need += q**d * _PHASE_ROW_BYTES
     # a lone set is refused, not dropped: --setE2/--setF2 need --setE and --setF too
     paired = bool(product or cfg.setE or cfg.setF)
     if paired:  # the distance sets of H may take a convolution over F_q^(d+1)
-        _require_with_kernel(spec, need + points * _CONVOLUTION_POINT_BYTES, holds)
+        holds = f"lift over F_{q}^{d + 1} holds {points} values"
+        need = points * _CONVOLUTION_POINT_BYTES
+        if product:
+            holds += f" and phase rows of {q**d} sums"
+            need += q**d * _PHASE_ROW_BYTES
+        _require_with_kernel(spec, need, holds)
         E, F = build_pair(cfg, spec, d, P, 0)
-    else:
-        _require_memory(need, holds)
     if product:
         E2, F2 = build_pair(cfg, spec, 1, P, 0, ("E2", "F2"))
     H = paraboloid_lift(P)
-    sizes = np.bincount(value_grid(H), minlength=q)
-    fibers_ok = bool(np.all(sizes == q**d))
+    fibers_ok = bool(np.all(_fiber_sizes(H) == q**d))
     summary = {
         "q": q,
         "d": d,

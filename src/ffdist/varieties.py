@@ -6,11 +6,13 @@ decay spectrum of each fiber comes from the grid transform's passes.
 `_fiber_spectra` is the one producer of fiber spectra: decay, the
 exceptional set of any P that is not a diagonal quadratic form, and the
 pinned convolution of `distances` all read it.
-For separable P (every term in at most one variable, as every CLI
-polynomial is) the first d-1 passes of every fiber read one shared table,
-so each fiber pays for one pass.  Decay's peaks run that pass in column
-ranges, one a worker, on one BLAS thread: `fourier` states that execution
-policy and owns the helpers it runs on.
+Separable P = c + g_1(x_1) + ... + g_d(x_d) (as every CLI polynomial is)
+is read through its parts g_j (`_parts`), with no q^d grid: its fiber
+sizes are their value counts (`_fiber_sizes`), the first d-1 passes of
+every fiber read one table shifted by them, so each fiber pays for one
+pass, and they are the pair codes of `distances`.  Decay's peaks run that
+last pass in column ranges, one a worker, on one BLAS thread: `fourier`
+states that execution policy and owns the helpers it runs on.
 Exceptional sets of diagonal P transform one fiber per scaling coset of t
 (`_scaling_cosets`), since dilations carry the other fibers onto it, and
 the pinned convolution gathers the other fibers' spectra from it
@@ -40,6 +42,7 @@ import numpy as np
 
 from .errors import (
     ArityMismatch,
+    ConfigError,
     DimensionMismatch,
     MixedFields,
     PolynomialSyntaxError,
@@ -220,6 +223,54 @@ def is_separable(P: Polynomial) -> bool:
     return all(sum(1 for e in exps if e) <= 1 for _, exps in P.terms)
 
 
+def _parts(P: Polynomial) -> tuple[np.ndarray, int]:
+    """(g, c) of separable P = c + g_1(x_1) + ... + g_d(x_d): a read-only
+    (d, q) int64 table of the g_j, g_j(0) = 0, each term added as
+    value_grid adds it, and the constant apart, in O(terms * q)."""
+    spec = P.spec
+    at, mt = add_table(spec), mul_table(spec)
+    g = np.zeros((P.d, spec.q), dtype=np.int64)
+    for coeff, exps in P.terms:
+        for j in np.flatnonzero(exps):  # at most one variable a term
+            g[j] = at[g[j], mt[coeff, pow_table(spec, exps[j])]]
+    g.setflags(write=False)
+    return g, next((coeff for coeff, exps in P.terms if not any(exps)), 0)
+
+
+# Bytes of one block that _value_counts adds, and of the character block
+# that _quadratic_peaks gathers, at once.
+_SUM_BLOCK_BYTES = 1 << 22
+
+
+def _value_counts(spec: FieldSpec, rows, c: int = 0) -> np.ndarray:
+    """#{x : c + sum_j rows[j][x_j] = t} for t in F_q, int64, by one
+    additive convolution a row, a block of the row's values at a time
+    (16 B a pair of values).  Float sums are exact while every count is
+    below 2^53, so a count that reaches it is refused, never rounded."""
+    q, at = spec.q, add_table(spec)
+    counts = np.zeros(q)
+    counts[c] = 1.0
+    for row in rows:
+        part = np.bincount(row, minlength=q)
+        u, v = np.flatnonzero(counts), np.flatnonzero(part)
+        step = max(1, _SUM_BLOCK_BYTES // (16 * len(u)))
+        prev, blocks = counts[u], (v[lo : lo + step] for lo in range(0, len(v), step))
+        counts = sum(
+            np.bincount(at[u[:, None], w].ravel(), np.outer(prev, part[w]).ravel(), q) for w in blocks
+        )
+        if counts.max() >= 2.0**53:
+            raise ConfigError(f"a value count over F_{q} reaches 2^53, past exact float sums")
+    return counts.astype(np.int64)
+
+
+def _fiber_sizes(P: Polynomial) -> np.ndarray:
+    """|V_t| for t in F_q, int64: the value counts of P's parts for
+    separable P, with no q^d grid, else a count of the value grid."""
+    if is_separable(P):
+        return _value_counts(P.spec, *_parts(P))
+    return np.bincount(value_grid(P), minlength=P.spec.q)
+
+
 def characteristic_divides_exponent(P: Polynomial) -> bool:
     """Whether P is diagonal with one exponent s shared by every term (its
     degree) and the characteristic p divides s."""
@@ -340,38 +391,36 @@ def split_fibers(P: Polynomial, sizes, classes) -> ExceptionalReport:
     )
 
 
-def _shared_table(P: Polynomial, levels: int, gathered: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """B_levels of _fiber_spectra as a (q^levels, q) array over ((m..), w).
-    Each level's operand is gathered into `gathered`, whose tail past the
-    operand must be zero (the padding), and its product is written into
-    `out`, or for the last level into a grid of its own."""
-    spec, q, vg = P.spec, P.spec.q, value_grid(P)
-    at, neg = add_table(spec), neg_table(spec)
-    table = np.zeros((1, q), np.complex128)
-    table[0, 0] = 1.0
-    for j in range(1, levels + 1):
-        # w - g_j(x) = (w + P(0)) - P(x e_j), since x_j has stride q^(j-1)
-        shift = at[at[:, vg[0]][:, None], neg[vg[: q**j : q ** (j - 1)]]]
-        np.take(table, shift, axis=1, out=gathered[: q ** (j + 1)].reshape(-1, q, q), mode="clip")
-        dest = np.empty(vg.size, np.complex128) if j == levels else out
-        table = _passes(spec, gathered, 1, (dest, None)).reshape(q, -1)[:, : q**j].reshape(-1, q)
-    return table
+def _shared_levels(P: Polynomial) -> int:
+    """L of _fiber_spectra: d - 1 for separable P, 0 for any other."""
+    return P.d - 1 if is_separable(P) else 0
 
 
 def _fiber_work(P: Polynomial):
     """(L, the shared table B_L, the add table, -R(x) for x in flat order,
     the gathered grid, the pass output) of _fiber_spectra: the table is
     built once, the two grids that built it are the buffers every fiber
-    reuses, and a range worker fetches no table of its own."""
-    spec, d, q = P.spec, P.d, P.spec.q
-    vg = value_grid(P)
-    shared = d - 1 if is_separable(P) else 0
-    # x_j has stride q^(j-1), so R reads the grid with x_1..x_L at 0
-    rest_neg = neg_table(spec)[vg.reshape(-1, q**shared)[:, 0]]
-    gathered = np.zeros(vg.size, np.complex128)
-    out = np.empty(vg.size, np.complex128)
-    table = _shared_table(P, shared, gathered, out)
-    return shared, table, add_table(spec), rest_neg, gathered, out
+    reuses, and a range worker fetches no table of its own.  R = c + g_d
+    for separable P, else P's value grid.  Each level's operand, B_{j-1}
+    shifted by g_j, is gathered into the gathered grid, whose tail past the
+    operand must be zero (the padding), and its product is written into the
+    pass output, or for the last level into a grid of its own."""
+    spec, q = P.spec, P.spec.q
+    at, neg = add_table(spec), neg_table(spec)
+    shared = _shared_levels(P)
+    if is_separable(P):
+        g, c = _parts(P)
+        parts, rest = g[:shared], at[c, g[shared]]
+    else:
+        parts, rest = (), value_grid(P)
+    gathered, out = np.zeros(q**P.d, np.complex128), np.empty(q**P.d, np.complex128)
+    table = np.eye(1, q, dtype=np.complex128)  # B_0[w] = [w = 0]
+    for j, part in enumerate(parts, 1):
+        shift = at[:, neg[part]]  # w - g_j(x)
+        np.take(table, shift, axis=1, out=gathered[: q ** (j + 1)].reshape(-1, q, q), mode="clip")
+        dest = np.empty(gathered.size, np.complex128) if j == shared else out
+        table = _passes(spec, gathered, 1, (dest, None)).reshape(q, -1)[:, : q**j].reshape(-1, q)
+    return shared, table, at, neg[rest], gathered, out
 
 
 def _fiber_spectra(P: Polynomial, ts, work, lo, hi):
@@ -384,7 +433,7 @@ def _fiber_spectra(P: Polynomial, ts, work, lo, hi):
     g_j(0) = 0: L = d-1 when P is separable, so R holds x_d's terms and
     the constant, and L = 0 otherwise, so R = P.  The first L passes of
     the transform of [P = t] are then a shifted read of one table that
-    every t shares (_shared_table):
+    every t shares (_fiber_work):
         B_0[w] = [w = 0],
         B_j[(m_j..m_1), w] = sum_{x_j} K[m_j, x_j] B_{j-1}[(m_{j-1}..m_1), w - g_j(x_j)],
     and after L passes the grid holds B_L[(m_L..m_1), t - R(x)] at
@@ -488,12 +537,11 @@ def decay_spectrum(
     """One DecayEntry per t in F_q, classifying each fiber's decay from
     its own transform."""
     d, q = P.d, P.spec.q
-    sizes = np.bincount(value_grid(P), minlength=q).tolist()
-    entries = []
-    for t, mx, am in _fiber_peaks(P, range(q)):
-        c_sharp, c_fallback, cls = _decay_class(mx, q, d, kappa_sharp, kappa_fallback)
-        entries.append(DecayEntry(t, sizes[t], mx, c_sharp, c_fallback, cls, am))
-    return entries
+    sizes = _fiber_sizes(P).tolist()
+    return [
+        DecayEntry(t, sizes[t], mx, *_decay_class(mx, q, d, kappa_sharp, kappa_fallback), am)
+        for t, mx, am in _fiber_peaks(P, range(q))
+    ]
 
 
 def _scaling_cosets(P: Polynomial) -> np.ndarray:
@@ -567,10 +615,6 @@ def _diagonal_quadratic(P: Polynomial) -> bool:
     return P.kind == DIAGONAL and P.spec.p != 2 and all(max(e) == 2 for _, e in P.terms)
 
 
-# Bytes of the character block that _quadratic_peaks gathers at once.
-_SUM_BLOCK_BYTES = 1 << 22
-
-
 def _quadratic_peaks(P: Polynomial, ts) -> list[float]:
     """max_{m != 0} |V_t^(m)| for each t in ts, for P = sum_j a_j x_j^2
     over a field of odd characteristic (_diagonal_quadratic), in closed
@@ -588,19 +632,14 @@ def _quadratic_peaks(P: Polynomial, ts) -> list[float]:
     t = 0 and t = 1 are two weight vectors times the forward kernel's rows
     r != 0, gathered a block of rows at a time within _SUM_BLOCK_BYTES, so
     no q x q array is held.  The maximum runs over the u that some m != 0
-    attains: the value counts of the parts m_j^2 / a_j, added by d - 1
-    additive convolutions, less the one count of m = 0."""
+    attains: the value counts of the parts m_j^2 / a_j (_value_counts),
+    less the one count of m = 0."""
     spec, d, q = P.spec, P.d, P.spec.q
     at, mt, neg = add_table(spec), mul_table(spec), neg_table(spec)
     log, antilog = _log_antilog(spec)
     inverse = antilog[-log % (q - 1)]  # inverse[0] is never read
     squares = pow_table(spec, 2)
-    counts = np.ones(1)  # the value counts of sum_j m_j^2 / a_j, at u = 0 to begin
-    for coeff, _ in P.terms:
-        part = np.bincount(mt[inverse[coeff], squares], minlength=q)
-        u, v = np.flatnonzero(counts), np.flatnonzero(part)
-        both = np.outer(counts[u], part[v]).ravel()
-        counts = np.bincount(at[u[:, None], v].ravel(), weights=both, minlength=q)
+    counts = _value_counts(spec, [mt[inverse[coeff], squares] for coeff, _ in P.terms])
     counts[0] -= 1  # m = 0
     attained = np.flatnonzero(counts)
     r = np.arange(1, q)
@@ -639,17 +678,14 @@ def exceptional_set(
     if a peak sits within 1e-9 of a threshold."""
     q, d = P.spec.q, P.d
     labels = _scaling_cosets(P).tolist()
-    first = {}
-    for t, label in enumerate(labels):
-        first.setdefault(label, t)
+    reps = [rep for rep, _ in _coset_members(P, range(q))]
     if _diagonal_quadratic(P):
-        peaks = _quadratic_peaks(P, first.values())
+        peaks = _quadratic_peaks(P, reps)
     else:
-        peaks = [mx for _, mx, _ in _fiber_peaks(P, first.values())]
-    peak = dict(zip(first, peaks))
+        peaks = [mx for _, mx, _ in _fiber_peaks(P, reps)]
+    peak = {labels[t]: mx for t, mx in zip(reps, peaks)}
     classes = [_decay_class(peak[label], q, d, kappa_sharp, kappa_fallback)[2] for label in labels]
-    sizes = np.bincount(value_grid(P), minlength=q)
-    return split_fibers(P, sizes, classes)
+    return split_fibers(P, _fiber_sizes(P), classes)
 
 
 # ---------------------------------------------------------------------------

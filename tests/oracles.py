@@ -5,7 +5,8 @@ of Python complex numbers, per_axis_transform computes the grid transform
 by tensordot passes over F-order axes, a layout of its own,
 per_fiber_peaks gives decay's fiber peaks from one whole transform a fiber,
 fiber_peaks_by_phase_identity gives them from the phase sums instead, with
-no transform, and dict_sample_indices runs the sampling shuffle one step at
+no transform, quadratic_fiber_size counts a fiber of sum_j a_j x_j^2 in
+closed form, and dict_sample_indices runs the sampling shuffle one step at
 a time."""
 
 import numpy as np
@@ -143,6 +144,29 @@ def fiber_peaks_by_phase_identity(P):
             mag[:, 0] = 0.0  # the zero frequency
         np.maximum(peaks, mag.max(axis=1), out=peaks)
     return peaks / float(q) ** (d + 1)
+
+
+def quadratic_fiber_size(P, t) -> int:
+    """|{x in F_q^d : P(x) = t}| for P = sum_j a_j x_j^2, q odd, in closed
+    form (Lidl-Niederreiter, Theorems 6.26 and 6.27), by the FieldSpec
+    scalar methods.  With eta the quadratic character (eta(0) = 0) and
+    D = prod_j a_j: for d even, q^(d-1) + v(t) q^(d/2-1) eta((-1)^(d/2) D)
+    with v(0) = q - 1 and v(t) = -1 otherwise; for d odd,
+    q^(d-1) + q^((d-1)/2) eta((-1)^((d-1)/2) t D)."""
+    spec, d, q = P.spec, P.d, P.spec.q
+    one = spec.element(1)
+
+    def eta(a):
+        return 0 if a == 0 else 1 if spec.pow(a, (q - 1) // 2) == one else -1
+
+    D = one
+    for coeff, _ in P.terms:
+        D = spec.mul(D, coeff)
+    sign = spec.pow(spec.neg(one), d // 2)  # (-1)^(d/2), or (-1)^((d-1)/2) for d odd
+    if d % 2 == 0:
+        v = q - 1 if t == 0 else -1
+        return q ** (d - 1) + v * q ** (d // 2 - 1) * eta(spec.mul(sign, D))
+    return q ** (d - 1) + q ** ((d - 1) // 2) * eta(spec.mul(sign, spec.mul(t, D)))
 
 
 def dict_sample_indices(rng, population, k):

@@ -14,7 +14,6 @@ from ffdist.errors import (
 from ffdist.distances import (
     _convolution_counts,
     _counting_passes,
-    _fibers,
     _pair_counts,
     _paired_difference_counts,
     _pinned_convolution_sizes,
@@ -33,10 +32,12 @@ from ffdist.distances import (
     verify_square_identity,
 )
 from ffdist.field import add_table, field_from_order, make_field, mul_table, neg_table
+from ffdist.harness import ExperimentConfig, run
 from ffdist.rng import SplitMix64, derive_seed, sample_indices
 from ffdist.varieties import (
     PointSet,
     _coset_members,
+    _fiber_sizes,
     decay_spectrum,
     diagonal_polynomial,
     exceptional_set,
@@ -273,7 +274,7 @@ ROUTE_POLYS = {1: "x1^3", 2: "x1^2 + 3*x2^3", 3: "x1^2 + 2*x2^2 + x3^3"}
 
 def _pinned_convolution(P, E, F):
     """The pinned convolution over every nonempty fiber of P."""
-    return _pinned_convolution_sizes(P, E, F, _fibers(value_grid(P), P.spec.q))
+    return _pinned_convolution_sizes(P, E, F, np.flatnonzero(_fiber_sizes(P)))
 
 
 def _route_cases(spec, d):
@@ -576,7 +577,7 @@ class TestRoutes:
     )
     def test_cost_rule_routes(self, q, d, size_e, size_f, pins, fourier):
         P = diagonal_polynomial(field_from_order(q), d, 2)
-        passes = _pinned_passes(P, _fibers(value_grid(P), q)) if pins else _counting_passes(P.spec, d)
+        passes = _pinned_passes(P, np.flatnonzero(_fiber_sizes(P))) if pins else _counting_passes(P.spec, d)
         assert _use_transform(size_e * size_f, q, d, passes) == fourier
 
     @pytest.mark.parametrize("q, size", [(1009, 504), (2003, 1002), (1009, 1009)])
@@ -609,7 +610,7 @@ class TestRoutes:
     )
     def test_cost_rule_sends_every_line_to_pairs(self, q, d, size, fourier):
         P = diagonal_polynomial(field_from_order(q), d, 2)
-        for passes in (_counting_passes(P.spec, d), _pinned_passes(P, _fibers(value_grid(P), q))):
+        for passes in (_counting_passes(P.spec, d), _pinned_passes(P, np.flatnonzero(_fiber_sizes(P)))):
             assert _use_transform(size * size, q, d, passes) == fourier
 
     @pytest.mark.parametrize("built", [False, True])
@@ -742,7 +743,7 @@ class TestRoutes:
         P = cross_polynomial(spec) if text == CROSS else parse_polynomial(text, spec, d)
         E, F = random_set(spec, d, q ** (d - 1), seed=46), random_set(spec, d, 2 * q, seed=47)
         sizes = _pinned_convolution(P, E, F)
-        fibers = _fibers(value_grid(P), q)
+        fibers = np.flatnonzero(_fiber_sizes(P))
         shared = d - 1 if text != CROSS else 0
         want, held, gathered = [(d, False)] + [(1, False)] * shared, 0, 0
         for rep, members in _coset_members(P, fibers):
@@ -783,7 +784,7 @@ class TestRoutes:
     def test_packed_coset_route_equals_the_pair_kernel(self, q, d, text, fibers, cosets):
         spec = field_from_order(q)
         P = cross_polynomial(spec) if text == CROSS else parse_polynomial(text, spec, d)
-        nonempty = _fibers(value_grid(P), q)
+        nonempty = np.flatnonzero(_fiber_sizes(P))
         assert (len(nonempty), len(_coset_members(P, nonempty))) == (fibers, cosets)
         n = q**d
         cases = [
@@ -804,7 +805,7 @@ class TestRoutes:
         spec = field_from_order(16)
         P = parse_polynomial("x1^3 + x2^3", spec, 2)
         E = full_grid(spec, 2)
-        assert len(_fibers(value_grid(P), 16)) == 16
+        assert len(np.flatnonzero(_fiber_sizes(P))) == 16
 
         def nudged_passes(spec, values, n, bufs=(None, None), rows=None):
             out = fourier._passes(spec, values, n, bufs, rows)
@@ -838,16 +839,57 @@ class TestRoutes:
         with pytest.raises(RoundingDivergence):
             _paired_difference_counts(spec, 2, pack, np.empty_like(pack))
 
+    @pytest.mark.parametrize("fibers", [[3], [0, 1, 5], [0, 2, 4, 6, 8]])
+    def test_a_lone_last_fiber_takes_the_pair_inverse(self, monkeypatch, fibers):
+        # an odd number of fibers: the last one goes through the paired
+        # inverse with a zero partner, and its rounding is still checked
+        from ffdist import distances
+
+        calls = []
+
+        def counted(*args):
+            calls.append(args[2].size)
+            return paired(*args)
+
+        paired = distances._paired_difference_counts
+        monkeypatch.setattr(distances, "_paired_difference_counts", counted)
+        P = diagonal_polynomial(F13, 2, 2)  # every fiber of F_13^2 is nonempty
+        E = full_grid(F13, 2)
+        sizes = _pinned_convolution_sizes(P, E, E, np.array(fibers))
+        assert sizes.tolist() == [len(fibers)] * E.size
+        assert len(calls) == (len(fibers) + 1) // 2
+        monkeypatch.setattr(distances, "_ROUNDING_BOUND", -1.0)
+        with pytest.raises(RoundingDivergence):
+            _pinned_convolution_sizes(P, E, E, np.array(fibers))
+
+    @pytest.mark.parametrize(
+        "q, d, text", [(13, 3, "x1^2+x3^3"), (13, 2, "x1^3+2*x2^3"), (9, 2, "x1^2+x1+x2^2")]
+    )
+    def test_separable_pins_on_the_convolution_build_no_value_grid(self, monkeypatch, q, d, text):
+        from ffdist import distances, varieties
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the pinned convolution built the value grid of P")
+
+        spec = field_from_order(q)
+        P = parse_polynomial(text, spec, d)
+        E = full_grid(spec, d)
+        want = _pinned_pair_sizes(P, E, E)
+        for module in (distances, varieties):
+            monkeypatch.setattr(module, "value_grid", unreachable)
+        monkeypatch.setattr(distances, "_pinned_pair_sizes", lambda *_: pytest.fail("pair route"))
+        assert np.array_equal(pinned_distances(P, E, E).counts, want)
+
     def test_pinned_convolution_builds_the_fiber_list_once(self, monkeypatch):
         from ffdist import distances
 
         calls = []
 
-        def counted_fibers(vg, q):
-            calls.append(q)
-            return _fibers(vg, q)
+        def counted_sizes(P):
+            calls.append(P.spec.q)
+            return _fiber_sizes(P)
 
-        monkeypatch.setattr(distances, "_fibers", counted_fibers)
+        monkeypatch.setattr(distances, "_fiber_sizes", counted_sizes)
         monkeypatch.setattr(distances, "_pinned_pair_sizes", lambda *_: pytest.fail("pair route"))
         spec = make_field(31)
         P = diagonal_polynomial(spec, 2, 2)
@@ -977,6 +1019,23 @@ class TestLift:
         H = paraboloid_lift(P)
         sizes = np.bincount(value_grid(H), minlength=7)
         assert np.all(sizes == 49)
+
+    def test_lifted_fibers_are_counted_with_no_grid(self, monkeypatch):
+        # H over F_101^5 has 1.05e10 points; its fiber sizes come from its parts
+        from ffdist import distances, varieties
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the value grid of a separable P was built")
+
+        for module in (distances, varieties):
+            monkeypatch.setattr(module, "value_grid", unreachable)
+        H = paraboloid_lift(parse_polynomial("x1^2+x2^2+x3^2+x4^3", make_field(101), 4))
+        assert np.all(_fiber_sizes(H) == 101**4)
+        # the lift runner: extension field, separable but not diagonal P,
+        # sets small enough for the pair kernel
+        cfg = ExperimentConfig(q=25, d=2, poly="x1^2+2*x1+x2^3", setE="random:30", setF="random:30")
+        code, summary = run("lift", cfg)
+        assert code == 0 and summary["fibers_uniform"] and summary["restriction_matches"]
 
     @pytest.mark.parametrize("text", ["x1^2+x2^2", "x1^2+x2^3"])
     def test_restriction_to_zero_slice_reproduces_distances(self, text):
@@ -1200,6 +1259,19 @@ class TestSquareIdentity:
         monkeypatch.setattr(distances, name, corrupted)
         assert not verify_square_identity(E, trials=200, seed=1)
         assert scalar_square_identity(E, trials=200, seed=1)  # the scalar path never reads tables
+
+    def test_reads_no_value_grid_at_f101_to_the_4(self, monkeypatch):
+        # the value grid of sum x_j^2 over F_101^4 would take 833 MB
+        from ffdist import distances, varieties
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("verify_square_identity built a value grid")
+
+        for module in (distances, varieties):
+            monkeypatch.setattr(module, "value_grid", unreachable)
+        E = random_set(make_field(101), 4, 500, seed=65)
+        assert verify_square_identity(E, trials=1000, seed=7)
+        assert scalar_square_identity(E, trials=200, seed=7)
 
     def test_draws_the_scalar_below_triples(self, monkeypatch):
         from ffdist import distances

@@ -667,7 +667,7 @@ class TestRunners:
             raise AssertionError("a grid was built for an oversize value grid")
 
         for module, name in (
-            (varieties, "value_grid"), (harness, "value_grid"), (distances, "value_grid"),
+            (varieties, "value_grid"), (harness, "_fiber_sizes"), (distances, "value_grid"),
             (harness, "build_pair"), (harness, "parse_polynomial"),
         ):
             monkeypatch.setattr(module, name, unreachable)
@@ -694,7 +694,7 @@ class TestRunners:
 
     def test_decay_refuses_its_spectra_before_building_them(self, monkeypatch):
         # with 32 MiB, F_101^3's value grid (8 MB) fits but its spectra
-        # (64 B a point) do not
+        # (56 B a point) do not
         import os
 
         from ffdist import harness, varieties
@@ -713,7 +713,7 @@ class TestRunners:
     @pytest.mark.parametrize(
         "d, sets",
         [
-            (5, {}),  # the value grid of H alone: 20 B a point of F_101^6
+            (5, {}),  # the value grid of P: 8 B a point of F_101^5
             (4, {"setE": "random:9", "setF": "random:9", "setE2": "random:3", "setF2": "random:3"}),
         ],
     )
@@ -724,7 +724,7 @@ class TestRunners:
             raise AssertionError("a grid was built for an oversize lift request")
 
         for module, name in (
-            (varieties, "value_grid"), (harness, "value_grid"), (harness, "build_pair"),
+            (varieties, "value_grid"), (harness, "_fiber_sizes"), (harness, "build_pair"),
             (distances, "value_grid"), (distances, "_phase_rows"),
         ):
             monkeypatch.setattr(module, name, unreachable)
@@ -735,7 +735,7 @@ class TestRunners:
         flags = [arg for name, value in sets.items() for arg in (f"--{name}", value)]
         assert main(["lift", "--q", "101", "--d", str(d), "--poly", poly, *flags]) == 2
 
-    @pytest.mark.parametrize("q, d", [(23, 3), (5, 6)])  # mid size; phase rows outweigh H
+    @pytest.mark.parametrize("q, d", [(23, 3), (5, 6)])  # mid size; phase rows outweigh the pairs
     @pytest.mark.parametrize("product", [False, True])
     def test_lift_memory_check_covers_the_measured_peak(self, monkeypatch, q, d, product):
         import tracemalloc
@@ -756,7 +756,11 @@ class TestRunners:
         finally:
             tracemalloc.stop()
         assert code == 0 and stated[:1] == [8 * q**d] and len(stated) == 2  # P's grid, then lift
-        assert 8 * q ** (d + 1) <= peak <= stated[1]  # the grid of H was built and counted
+        # H's fiber sizes come from its parts, so no grid of F_q^(d+1) is built:
+        # the floor is the pair kernel's sums and values for 60 x 60 pairs
+        # (16 B a pair), or with product sets P's value grid, one phase row
+        # and its transform (40 B a point of F_q^d)
+        assert (40 * q**d if product else 16 * 60 * 60) <= peak <= stated[1]
 
     @pytest.mark.parametrize("workers", [1, 4, 16])
     @pytest.mark.parametrize(
@@ -812,7 +816,7 @@ class TestRunners:
             tracemalloc.stop()
         assert code == 0 and summary["rows_written"] == q
         assert stated[:1] == [8 * q**d] and len(stated) == 2  # P's grid, then decay
-        assert 64 * q**d <= peak <= stated[1]  # the grid and the spectra were counted
+        assert 56 * q**d <= peak <= stated[1]  # the spectra were built and counted
 
     def test_decay_counts_the_transform_kernel_against_free_memory(self, capsys, monkeypatch):
         # F_4001's add and mul tables take 256 MB and the transform kernel

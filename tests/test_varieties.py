@@ -8,6 +8,7 @@ import pytest
 
 from ffdist.errors import (
     ArityMismatch,
+    ConfigError,
     DimensionMismatch,
     PolynomialSyntaxError,
     VariableOutOfRange,
@@ -55,6 +56,7 @@ from oracles import (
     factored_phase_sum,
     fiber_peaks_by_phase_identity,
     per_fiber_peaks,
+    quadratic_fiber_size,
 )
 
 F5 = make_field(5)
@@ -754,6 +756,101 @@ class TestQuadraticClosedForm:
         sizes = np.bincount(vg, minlength=q)
         assert report.T == {t for t in range(q) if sizes[t] == 0}
         assert report.A == frozenset()
+
+
+def unreachable(*args, **kwargs):
+    raise AssertionError("the value grid of a separable P was built")
+
+
+# (q, d, terms) of separable P: prime, extension and p = 2 fields, a
+# constant term, an absent variable, two terms in one variable, and d = 1
+SEPARABLE_CASES = [
+    (13, 3, [(1, (2, 0, 0)), (2, (0, 3, 0)), (1, (0, 0, 1))]),
+    (13, 3, [(5, (0, 0, 0)), (1, (2, 0, 0)), (1, (0, 0, 3))]),  # a constant; x2 absent
+    (27, 2, [(2, (4, 0)), (1, (1, 0)), (1, (0, 2))]),  # two terms in x1
+    (25, 2, [(3, (0, 0)), (1, (2, 0)), (2, (0, 2)), (1, (0, 1))]),
+    (16, 3, [(1, (3, 0, 0)), (1, (0, 3, 0)), (1, (0, 0, 2)), (1, (1, 0, 0))]),
+    (8, 2, [(1, (0, 0)), (1, (0, 3))]),  # p = 2, a constant, x1 absent
+    (101, 1, [(1, (3,)), (1, (1,))]),
+    (7, 1, [(3, (0,)), (1, (2,))]),
+]
+
+
+class TestParts:
+    """P's parts, the one representation of separable P, and the fiber
+    sizes they give."""
+
+    @pytest.mark.parametrize("q, d, terms", SEPARABLE_CASES)
+    def test_parts_add_up_to_the_value_grid(self, q, d, terms):
+        spec = field_from_order(q)
+        P = make_polynomial(spec, d, terms)
+        g, c = varieties._parts(P)
+        assert g.shape == (d, q) and g.dtype == np.int64 and not g.flags.writeable
+        assert np.all(g[:, 0] == 0)
+        at, acc = add_table(spec), np.full((1,) * d, c)
+        for j in range(d):  # x_j on axis d-1-j, as value_grid lays it out
+            shape = [1] * d
+            shape[d - 1 - j] = q
+            acc = at[acc, g[j].reshape(shape)]
+        assert np.array_equal(np.broadcast_to(acc, (q,) * d).ravel(), value_grid(P))
+
+    @pytest.mark.parametrize("q, d, terms", SEPARABLE_CASES)
+    def test_fiber_sizes_count_the_value_grid(self, q, d, terms):
+        P = make_polynomial(field_from_order(q), d, terms)
+        sizes = varieties._fiber_sizes(P)
+        assert sizes.dtype == np.int64
+        assert np.array_equal(sizes, np.bincount(value_grid(P), minlength=q))
+
+    def test_a_cross_term_counts_the_value_grid(self, monkeypatch):
+        P = make_polynomial(F13, 2, [(1, (2, 0)), (1, (1, 1)), (3, (0, 2))])
+        want = np.bincount(value_grid(P), minlength=13)
+        monkeypatch.setattr(varieties, "_parts", unreachable)
+        assert np.array_equal(varieties._fiber_sizes(P), want)
+
+    @pytest.mark.parametrize(
+        "q, coeffs",
+        [(13, [2]), (13, [1, 2]), (13, [1, 2, 5]), (13, [1, 1, 1, 2]), (31, [1, 1]),
+         (9, [1, 1, 5]), (25, [1, 3]), (27, [1, 1, 2]), (27, [2, 1, 1, 1])],
+    )
+    def test_quadratic_fiber_sizes_match_the_closed_form(self, q, coeffs):
+        P = quadratic(q, coeffs)
+        want = [quadratic_fiber_size(P, t) for t in range(q)]
+        assert np.bincount(value_grid(P), minlength=q).tolist() == want
+        assert varieties._fiber_sizes(P).tolist() == want
+
+    @pytest.mark.parametrize("coeffs", [[1] * 6, [1, 2, 3, 1, 1, 7], [1, 1, 1, 1, 2]])
+    def test_quadratic_fiber_sizes_where_no_grid_fits(self, monkeypatch, coeffs):
+        # F_101^6 has 1.06e12 points, whose value grid would take 7.7 TiB
+        monkeypatch.setattr(varieties, "value_grid", unreachable)
+        P = quadratic(101, coeffs)
+        sizes = varieties._fiber_sizes(P)
+        assert sizes.tolist() == [quadratic_fiber_size(P, t) for t in range(101)]
+        assert int(sizes.sum()) == 101 ** len(coeffs)
+
+    def test_a_count_of_2_to_the_53_is_refused(self):
+        # |V_t| is near 101^8 = 1.08e16 > 2^53 over F_101^9: float sums
+        # would round it, so it is refused
+        assert 101**8 > 2**53 > 101**7
+        with pytest.raises(ConfigError, match=r"2\^53"):
+            varieties._fiber_sizes(quadratic(101, [1] * 9))
+        assert int(varieties._fiber_sizes(quadratic(101, [1] * 8)).sum()) == 101**8
+
+    @pytest.mark.parametrize(
+        "q, d, text",
+        [(13, 3, "x1^2+x3^3"), (13, 2, "x1^2+3*x2^2"), (9, 2, "x1^2+2*x1+x2^3"),
+         (8, 3, "x1^3+x2^3+x3^3"), (13, 1, "x1^3+x1")],
+    )
+    def test_decay_and_exceptional_sets_build_no_value_grid(self, monkeypatch, q, d, text):
+        P = parse_polynomial(text, field_from_order(q), d)
+        sizes = np.bincount(value_grid(P), minlength=q).tolist()
+        want = decay_spectrum(P), exceptional_set(P)
+        monkeypatch.setattr(varieties, "value_grid", unreachable)
+        entries, report = decay_spectrum(P), exceptional_set(P)
+        assert (entries, report) == want
+        assert [e.variety_size for e in entries] == sizes
+        # the shared passes read the parts: one whole transform a fiber agrees
+        monkeypatch.undo()
+        assert [(e.t, e.max_nonzero_freq, e.argmax_m) for e in entries] == per_fiber_peaks(P, range(q))
 
 
 class TestWeilSum:

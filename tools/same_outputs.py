@@ -136,7 +136,10 @@ ORBIT_CASES = (
 # (F_25^2), beside exceptional sets in closed form over extension fields
 # (F_27^3 and F_25^2); and counting on half the spectrum where nothing
 # halves (p = 2, F_8^3, every m its own negative) and at d = 4 over an
-# extension field (F_9^4).
+# extension field (F_9^4); and decay and the pinned convolution of a P
+# with an absent variable (no x2 over F_13^3), whose parts table holds a
+# zero part, and lift over an extension field of a separable P that is
+# not diagonal.
 EDGE_CASES = (
     "decay --q 9 --d 2 --poly 7*x2^5+5*x1^5 --kappa-sharp 2",
     "pinned --q 1021 --d 2 --poly x1^2+x2^2 --setE random:3000 --setF random:200 --seed 1",
@@ -181,6 +184,9 @@ EDGE_CASES = (
     "scan --q 25 --d 2 --poly x1^2+2*x2^2 --grid 400,40000 --trials 2",
     "distance --p 2 --n 3 --d 3 --poly x1^2+x2^2+x3^2 --setE all --setF all",
     "distance --p 3 --n 2 --d 4 --poly x1^2+x2^2+x3^2+x4^2 --setE random:3000 --setF random:3000",
+    "decay --q 13 --d 3 --poly x1^2+x3^3",
+    "pinned --q 13 --d 3 --poly x1^2+x3^3 --setE all --setF random:300",
+    "lift --q 25 --d 2 --poly x1^2+2*x1+x2^3 --setE random:30 --setF random:30",
 )
 
 
